@@ -15,8 +15,6 @@ from .grid import (
     WeightField,
     FieldFormatError,
     root_cube,
-    measure,
-    avg_matrix,
     weighted_avg,
     expectation_Et,
     doubling_check,

@@ -351,6 +351,9 @@ def main(argv=None):
     except (OSError, ValueError, NetInfeasibleError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except AssertionError as exc:
+        sys.stderr.write(f"invariant violated: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

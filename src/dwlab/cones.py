@@ -28,7 +28,11 @@ __all__ = [
     "min_over_cone",
     "coverage_check",
     "required_alignment",
+    "net_size_estimate",
+    "MAX_NET_VECTORS",
 ]
+
+MAX_NET_VECTORS = 400_000
 
 _DETERMINISTIC_PROBE_SEED = 0x5EED
 
@@ -126,6 +130,26 @@ class ConeNet:
         return best
 
 
+def _grid_spacing(N, eps1):
+    """Per-angle step of the product grid that ``build_net`` uses for N >= 4."""
+    return 1.7 * math.acos(required_alignment(eps1)) / math.sqrt(N - 1)
+
+
+def net_size_estimate(N, eps1):
+    """Vectors in ``build_net``'s construction before densification; exact for
+    N <= 2, estimated for the latitude rings (N = 3) and product grids."""
+    theta = math.acos(required_alignment(eps1))
+    if N == 1:
+        return 2
+    if N == 2:
+        return int(math.ceil(2.0 * math.pi / theta))
+    if N == 3:
+        return int(8.0 / (1.2 * theta) ** 2) + 64
+    spacing = _grid_spacing(N, eps1)
+    rings = (2.0 / math.pi) * (2.0 * math.pi / spacing + 1)
+    return int((math.pi / spacing + 1) * rings ** (N - 2))
+
+
 def _unit_sphere_sample(rng, count, dim):
     v = rng.standard_normal((count, dim))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
@@ -192,7 +216,7 @@ def _product_sphere(dim, spacing):
     return np.concatenate(blocks)
 
 
-def build_net(N, eps1, seed=0, probes=20000, max_vectors=400_000):
+def build_net(N, eps1, seed=0, probes=20000, max_vectors=MAX_NET_VECTORS):
     """Finite unit-vector net whose caps of the prescribed width cover the sphere.
 
     Construction is deterministic (uniform circle, latitude rings, or a
@@ -205,7 +229,6 @@ def build_net(N, eps1, seed=0, probes=20000, max_vectors=400_000):
     if not 0.0 < eps1 <= 0.5:
         raise ValueError("eps1 must lie in (0, 1/2]")
     required = required_alignment(eps1)
-    theta = math.acos(required)
     if N == 1:
         vectors = np.array([[1.0], [-1.0]])
         return ConeNet(eps1, N, vectors, "pm", 1.0, 0.0, {})
@@ -216,16 +239,13 @@ def build_net(N, eps1, seed=0, probes=20000, max_vectors=400_000):
         vectors, meta = _ring_net(eps1)
         net = ConeNet(eps1, N, vectors, "sphere-rings", 1.0, 0.0, meta)
     else:
-        spacing = 1.7 * theta / math.sqrt(N - 1)
-        est = (math.pi / spacing + 1) * (2.0 / math.pi) ** (N - 2) * (
-            2.0 * math.pi / spacing + 1
-        ) ** (N - 2)
+        est = net_size_estimate(N, eps1)
         if est > max_vectors:
             raise NetInfeasibleError(
-                f"estimated net size {int(est)} exceeds the {max_vectors} vector budget"
+                f"estimated net size {est} exceeds the {max_vectors} vector budget"
                 f" for N={N}, eps1={eps1!r}"
             )
-        vectors = _product_sphere(N, spacing)
+        vectors = _product_sphere(N, _grid_spacing(N, eps1))
         if vectors.shape[0] > max_vectors:
             raise NetInfeasibleError(
                 f"net size {vectors.shape[0]} exceeds the {max_vectors} vector budget"

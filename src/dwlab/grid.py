@@ -11,6 +11,7 @@ for ``shifts = K`` is a prefix of the family for ``K + 1``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,12 +20,12 @@ from .matrices import SpdMatrix
 
 __all__ = [
     "Cube",
+    "BoxBatch",
     "Grid",
     "WeightField",
     "FieldFormatError",
+    "CellValueError",
     "root_cube",
-    "measure",
-    "avg_matrix",
     "weighted_avg",
     "expectation_Et",
     "doubling_check",
@@ -91,6 +92,34 @@ def root_cube(n):
     return Cube(0, (0,) * n)
 
 
+# Boxes per batch of a (shift, level) family; bounds the memory of a batch.
+_BATCH_BOXES = 128
+
+
+class BoxBatch:
+    """The product of per-axis intervals ``[lo[i][j], hi[i][j])``, flattened in
+    C order; ``pos`` holds their per-axis positions in a translated grid."""
+
+    def __init__(self, lo, hi, pos, shift=0, level=0):
+        self.lo, self.hi, self.pos, self.shift, self.level = lo, hi, pos, shift, level
+
+    @classmethod
+    def single(cls, lo, hi):
+        """The one box [lo, hi)."""
+        return cls(*(tuple(np.array([v]) for v in x) for x in (lo, hi, np.zeros(len(lo), int))))
+
+    def descriptors(self):
+        head = f"shift={self.shift} level={self.level} pos="
+        labels = [[str(int(p)) for p in axis] for axis in self.pos]
+        return [head + ",".join(pos) for pos in itertools.product(*labels)]
+
+    def doubled(self):
+        """The boxes 2Q: each side moved out by half the width ``hi - lo``, clipped to [0, 1]."""
+        lo = tuple(np.clip(a - (b - a) / 2.0, 0.0, 1.0) for a, b in zip(self.lo, self.hi))
+        hi = tuple(np.clip(b + (b - a) / 2.0, 0.0, 1.0) for a, b in zip(self.lo, self.hi))
+        return BoxBatch(lo, hi, self.pos, self.shift, self.level)
+
+
 def _coarsen(arr, n):
     """Sum 2x...x2 sibling blocks along the first ``n`` axes."""
     shape = arr.shape
@@ -99,6 +128,22 @@ def _coarsen(arr, n):
         sum(((half, 2) for _ in range(n)), ()) + shape[n:]
     )
     return new.sum(axis=tuple(2 * k + 1 for k in range(n)))
+
+
+class CellValueError(ValueError):
+    """A finest cell holds an invalid value; ``index`` is its flat cell index."""
+
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
+
+
+def _reject_cells(bad, message):
+    """Raise CellValueError for the first finest cell flagged in ``bad``."""
+    if np.any(bad):
+        index = int(np.flatnonzero(bad)[0])
+        cell = tuple(int(c) for c in np.unravel_index(index, bad.shape))
+        raise CellValueError(message.format(cell), index)
 
 
 class Grid:
@@ -114,8 +159,8 @@ class Grid:
         if mu is None:
             mu = np.ones(shape)
         mu = np.array(mu, dtype=float).reshape(shape)
-        if not np.all(np.isfinite(mu)) or not np.all(mu > 0.0):
-            raise ValueError("measure density must be finite and strictly positive")
+        bad = ~(np.isfinite(mu) & (mu > 0.0))
+        _reject_cells(bad, "measure density of cell {} must be finite and strictly positive")
         mu.setflags(write=False)
         self.mu = mu
         self.cell_volume = 2.0 ** (-self.n * self.L)
@@ -139,37 +184,6 @@ class Grid:
     def measure(self, cube):
         return float(self._mu_tree[cube.level][cube.coords])
 
-    def total_measure(self):
-        return float(self._mu_tree[0][(0,) * self.n])
-
-    def _axis_overlap(self, lo, hi):
-        """Lengths of the overlap of [lo, hi) with each finest cell along one axis."""
-        w = 2.0 ** (-self.L)
-        edges = np.arange(self.side + 1) * w
-        return np.clip(np.minimum(hi, edges[1:]) - np.maximum(lo, edges[:-1]), 0.0, None)
-
-    def box_weights(self, lo, hi):
-        """Per-axis overlap fractions (relative to cell volume) of an axis box."""
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        scale = 2.0**self.L
-        return [self._axis_overlap(lo[i], hi[i]) * scale for i in range(self.n)]
-
-    def box_integral(self, values, lo, hi):
-        """Exact integral of a piecewise-constant field times mu over an axis box."""
-        weights = self.box_weights(lo, hi)
-        acc = values * self.mu.reshape(self.mu.shape + (1,) * (values.ndim - self.n))
-        for w in weights:
-            acc = np.tensordot(w, acc, axes=([0], [0]))
-        return acc * self.cell_volume
-
-    def measure_box(self, lo, hi):
-        weights = self.box_weights(lo, hi)
-        acc = self.mu
-        for w in weights:
-            acc = np.tensordot(w, acc, axes=([0], [0]))
-        return float(acc) * self.cell_volume
-
     def shift_vectors(self, shifts):
         """Deterministic translation vectors; prefix-nested as ``shifts`` grows."""
         out = [np.zeros(self.n)]
@@ -186,11 +200,17 @@ class Grid:
             out.append(vec)
         return out[: shifts + 1]
 
-    def sampled_boxes(self, shifts, levels=None):
+    @property
+    def cell_masses(self):
+        """The mu-measure of every finest cell."""
+        return self._mu_tree[-1]
+
+    def box_batches(self, shifts, levels=None):
         """The finite surrogate for "all cubes": dyadic plus translated grids.
 
-        Yields ``(lo, hi, descriptor)`` for every cube of every translated grid
-        that lies fully inside [0,1)^n.
+        Yields the cubes of every translated grid that lie fully inside [0,1)^n,
+        one (shift, level) family at a time split along its first axis into
+        batches of at most ``_BATCH_BOXES`` boxes, in enumeration order.
         """
         if levels is None:
             levels = range(self.L + 1)
@@ -200,26 +220,63 @@ class Grid:
                 counts = [int(np.floor((1.0 - s[i]) / h + 1e-12)) for i in range(self.n)]
                 if any(c <= 0 for c in counts):
                     continue
-                for pos in itertools.product(*(range(c) for c in counts)):
-                    lo = s + np.array(pos) * h
-                    hi = lo + h
-                    if np.any(hi > 1.0 + 1e-12):
-                        continue
-                    desc = f"shift={s_idx} level={k} pos={','.join(map(str, pos))}"
-                    yield lo, hi, desc
+                pos = [np.arange(c) for c in counts]
+                lo = [s[i] + p * h for i, p in enumerate(pos)]
+                keep = [a + h <= 1.0 + 1e-12 for a in lo]
+                pos = [p[ok] for p, ok in zip(pos, keep)]
+                lo = [a[ok] for a, ok in zip(lo, keep)]
+                hi = [a + h for a in lo]
+                rows = max(1, _BATCH_BOXES // math.prod(len(p) for p in pos[1:]))
+                for r in range(0, len(pos[0]), rows):
+                    first_axis = ((x[0][r : r + rows], *x[1:]) for x in (lo, hi, pos))
+                    yield BoxBatch(*first_axis, s_idx, k)
+
+    def box_cells(self, batch):
+        """Where the boxes of ``batch`` sit on the finest cells.
+
+        Along one axis an interval [lo, hi) overlaps at most
+        ``ceil((hi - lo) * 2**L) + 1`` consecutive cells, so per axis a start
+        index and a ``(count, m)`` band of overlaps, in cell widths, cover the
+        boxes.  Returns an index tuple that gathers a cell array into shape
+        ``(count_0, ..., count_{n-1}, m_0, ..., m_{n-1}) + tail`` and the bands.
+        """
+        n, side, scale = self.n, self.side, 2.0**self.L
+        index, bands = [], []
+        for axis, (lo, hi) in enumerate(zip(batch.lo, batch.hi)):
+            first = np.floor(lo * scale).astype(int)
+            m = int(min(side, np.max(np.ceil(hi * scale).astype(int) - first)))
+            j = np.clip(first, 0, side - m)[:, None] + np.arange(m)
+            band = np.minimum(hi[:, None], (j + 1) / scale) - np.maximum(lo[:, None], j / scale)
+            shape = [1] * (2 * n)
+            shape[axis], shape[n + axis] = j.shape
+            index.append(j.reshape(shape))
+            bands.append(np.clip(band, 0.0, None) * scale)
+        return tuple(index), bands
+
+    @staticmethod
+    def box_integrals(masses, bands):
+        """Integrals over each box of cell masses gathered by ``box_cells``.
+
+        Each band axis is contracted in turn against its band, so no prefix-sum
+        difference is taken; the result has shape ``(boxes,) + tail``.
+        """
+        n = len(bands)
+        for axis, band in enumerate(bands):
+            sub = list(range(masses.ndim))
+            masses = np.einsum(masses, sub, band, [axis, n], sub[:n] + sub[n + 1 :])
+        return masses.reshape((-1,) + masses.shape[n:])
 
     def doubling_constant(self, shifts=0, levels=None):
         """Sup over sampled cubes of mu(2Q)/mu(Q), with 2Q clipped to [0,1)^n."""
         if levels is None:
             levels = range(self.L + 2)
         worst = 0.0
-        for lo, hi, _ in self.sampled_boxes(shifts, levels):
-            h = hi - lo
-            lo2 = np.clip(lo - h / 2.0, 0.0, 1.0)
-            hi2 = np.clip(hi + h / 2.0, 0.0, 1.0)
-            ratio = self.measure_box(lo2, hi2) / self.measure_box(lo, hi)
-            if ratio > worst:
-                worst = ratio
+        for batch in self.box_batches(shifts, levels):
+            mass, mass2 = (
+                self.box_integrals(self.cell_masses[index], bands)
+                for index, bands in map(self.box_cells, (batch, batch.doubled()))
+            )
+            worst = max(worst, float(np.max(mass2 / mass)))
         return worst
 
 
@@ -240,12 +297,11 @@ class WeightField:
         N = values.shape[-1]
         if values.shape[-2] != N:
             raise ValueError("weight cells must be square matrices")
+        _reject_cells(~np.all(np.isfinite(values), axis=(-2, -1)), "weight cell {} is not finite")
         values = (values + np.swapaxes(values, -1, -2)) / 2.0
         w, v = np.linalg.eigh(values)
         scale = np.max(np.abs(w), axis=-1)
-        if np.any(w[..., 0] <= 1e-13 * scale):
-            bad = np.argwhere(w[..., 0] <= 1e-13 * scale)[0]
-            raise ValueError(f"weight cell {tuple(bad)} is not positive definite")
+        _reject_cells(w[..., 0] <= 1e-13 * scale, "weight cell {} is not positive definite")
         values.setflags(write=False)
         self.grid = grid
         self.values = values
@@ -281,12 +337,6 @@ class WeightField:
             self._cell_cache[key] = np.sum(np.log(self._cell_eigvals), axis=-1)
         return self._cell_cache[key]
 
-    def cell_inv_sqrt_norms(self, directions):
-        """|W(cell)^{-1/2} a| for a stack of directions, shape (cells..., dirs)."""
-        w, v = self._cell_eigvals, self._cell_eigvecs
-        proj = np.einsum("...ji,dj->...di", v, np.asarray(directions, dtype=float))
-        return np.sqrt(np.einsum("...di,...i->...d", proj**2, 1.0 / w))
-
     # Cube integrals ----------------------------------------------------------------
 
     def _tree(self, key, cell_values):
@@ -303,9 +353,6 @@ class WeightField:
         """Per-level arrays of the cube integrals of W**exponent d(mu)."""
         return self._tree(("pow", exponent), self.cell_power(exponent))
 
-    def log_det_tree(self):
-        return self._tree(("logdet",), self.cell_log_det())
-
     def cube_integral(self, cube, exponent):
         return self.integral_tree(exponent)[cube.level][cube.coords]
 
@@ -319,29 +366,19 @@ class WeightField:
     def avg(self, cube):
         return SpdMatrix(self.avg_entries(cube, 1))
 
-    def box_avg_entries(self, lo, hi, exponent=1):
-        mu_q = self.grid.measure_box(lo, hi)
-        return self.grid.box_integral(self.cell_power(exponent), lo, hi) / mu_q
-
-    def box_avg_log_det(self, lo, hi):
-        mu_q = self.grid.measure_box(lo, hi)
-        return float(self.grid.box_integral(self.cell_log_det(), lo, hi)) / mu_q
-
-    def cube_avg_log_det(self, cube):
-        return float(self.log_det_tree()[cube.level][cube.coords]) / self.grid.measure(cube)
+    def moment_masses(self):
+        """Cell masses of 1, W, W^2, W^-1, W^-2 and log det W, on one last axis."""
+        key = ("moments",)
+        if key not in self._cell_cache:
+            lead = self.values.shape[:-2]
+            parts = [self.cell_power(e).reshape(lead + (-1,)) for e in (1, 2, -1, -2)]
+            parts = [np.ones(lead + (1,))] + parts + [self.cell_log_det()[..., None]]
+            masses = np.concatenate(parts, axis=-1) * self.grid.cell_masses[..., None]
+            self._cell_cache[key] = masses
+        return self._cell_cache[key]
 
 
 # Free-function forms of the core operations --------------------------------------
-
-
-def measure(cube, grid):
-    """Exact mu-measure of a dyadic cube."""
-    return grid.measure(cube)
-
-
-def avg_matrix(weight, cube, grid=None):
-    """The mu-average of the weight over a cube, as an SPD matrix."""
-    return weight.avg(cube)
 
 
 def weighted_avg(f, cube, weight, grid=None):
@@ -435,9 +472,14 @@ def read_weight_field(path):
         n, N, L = (int(x) for x in head)
     except ValueError:
         raise FieldFormatError("header fields must be integers", 1) from None
+    if n < 1 or N < 1 or L < 0:
+        raise FieldFormatError("header needs n >= 1, N >= 1 and L >= 0", 1)
     cells = 2 ** (n * L)
     if len(raw) < cells + 1:
         raise FieldFormatError(f"expected {cells} cell lines, found {len(raw) - 1}", len(raw))
+    for i in range(cells + 1, len(raw)):
+        if raw[i].strip():
+            raise FieldFormatError("unexpected line after the last cell", i + 1)
     mu = np.empty(cells)
     values = np.empty((cells, N, N))
     for i in range(cells):
@@ -456,5 +498,5 @@ def read_weight_field(path):
     try:
         grid = Grid(n, L, mu.reshape((side,) * n))
         return WeightField(grid, values.reshape((side,) * n + (N, N)))
-    except ValueError as exc:
-        raise FieldFormatError(str(exc), 2) from None
+    except CellValueError as exc:
+        raise FieldFormatError(str(exc), exc.index + 2) from None

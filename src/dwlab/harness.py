@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import Grid, WeightField
-from .weights import ClassReport, class_report, cube_ratios
+from .weights import ClassReport, box_ratios, class_report
 
 __all__ = [
     "WeightGenerator",
@@ -182,10 +182,10 @@ class InclusionSearchResult:
 def _dyadic_constants(field):
     """Cheap dyadic-only (b2_iv, ainf_ii) pair used inside the search loop."""
     best_b2 = best_ainf = 1.0
-    for lo, hi, _ in field.grid.sampled_boxes(0):
-        r = cube_ratios(field, lo, hi)
-        best_b2 = max(best_b2, r["b2_iv"])
-        best_ainf = max(best_ainf, r["ainf_ii"])
+    for batch in field.grid.box_batches(0):
+        r = box_ratios(field, batch)
+        best_b2 = max(best_b2, float(r["b2_iv"].max()))
+        best_ainf = max(best_ainf, float(r["ainf_ii"].max()))
     return best_b2, best_ainf
 
 

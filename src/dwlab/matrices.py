@@ -3,9 +3,6 @@
 Everything in the laboratory runs on matrices of dimension at most ~8, so the
 workhorse eigensolver is a cyclic Jacobi iteration: at these sizes it is as
 accurate as anything available and keeps the positivity checks self-contained.
-Batched helpers backed by ``numpy.linalg`` are provided for the Monte-Carlo
-paths that decompose many small matrices at once; single-matrix public
-operations always go through the Jacobi route.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ __all__ = [
     "op_norm",
     "log_det",
     "loewner_geq",
-    "random_spd",
 ]
 
 # Scale-invariant positivity threshold: smallest eigenvalue must clear this
@@ -217,37 +213,3 @@ def loewner_geq(a, b, tol=0.0):
     d = (d + d.T) / 2.0
     w, _ = jacobi_eigh(d)
     return bool(w[0] >= -tol)
-
-
-def random_spd(rng, n, spread=1.0):
-    """Random SPD matrix ``exp(G)`` with ``G`` symmetric Gaussian of scale ``spread``."""
-    g = rng.standard_normal((n, n)) * spread
-    g = (g + g.T) / 2.0
-    w, v = np.linalg.eigh(g)
-    return (v * np.exp(w)) @ v.T
-
-
-# Batched helpers (numpy.linalg backed) for the Monte-Carlo heavy paths.
-
-def eigh_many(mats):
-    """Batched symmetric eigendecomposition of arrays shaped (..., N, N)."""
-    return np.linalg.eigh((mats + np.swapaxes(mats, -1, -2)) / 2.0)
-
-
-def sym_power_many(mats, exponent):
-    """Batched symmetric matrix power through eigendecomposition."""
-    w, v = eigh_many(mats)
-    return np.einsum("...ij,...j,...kj->...ik", v, np.power(w, exponent), v)
-
-
-def op_norm_many(mats):
-    """Batched largest singular value of arrays shaped (..., M, N)."""
-    return np.linalg.svd(mats, compute_uv=False)[..., 0]
-
-
-def log_det_many(mats):
-    """Batched log-determinant of SPD arrays shaped (..., N, N)."""
-    w, _ = eigh_many(mats)
-    if np.any(w <= 0.0):
-        raise NotPositiveDefiniteError("batched log-determinant hit a non-positive eigenvalue")
-    return np.sum(np.log(w), axis=-1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stopping
-from .cones import build_net
+from .cones import build_net, net_size_estimate
 from .grid import Cube, _coarsen, root_cube
 from .weights import thewest_constant, default_shifts
 
@@ -296,23 +296,12 @@ def feasible_eps1(N, eps2, budget=200_000):
     """Proof-compatible eps1 (eps2/2) when its net fits the budget, else the
     smallest feasible larger aperture (which leaves the proof's regime)."""
     target = eps2 / 2.0
-    if _net_size_estimate(N, target) <= budget:
+    if net_size_estimate(N, target) <= budget:
         return target
     for eps1 in (0.1, 0.15, 0.2, 0.3, 0.4, 0.5):
-        if eps1 > target and _net_size_estimate(N, eps1) <= budget:
+        if eps1 > target and net_size_estimate(N, eps1) <= budget:
             return eps1
     return 0.5
-
-
-def _net_size_estimate(N, eps1):
-    theta = math.acos(1.0 - eps1**4 / 8.0)
-    if N == 1:
-        return 2
-    if N == 2:
-        return int(math.ceil(2.0 * math.pi / theta))
-    if N == 3:
-        return int(8.0 / (1.2 * theta) ** 2) + 64
-    return int((2.6 / theta) ** (N - 1)) + 64
 
 
 @dataclass

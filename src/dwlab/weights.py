@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import Cube, WeightField
+from .grid import BoxBatch, Cube, WeightField
 
 __all__ = [
     "ClassReport",
@@ -23,12 +23,12 @@ __all__ = [
     "b2_constants",
     "ainf_constants",
     "thewest_constant",
-    "a2_constant",
     "det_chain_check",
     "scalar_ainfty_report",
     "ScalarAinftyReport",
     "corollary_relations",
     "CorollaryReport",
+    "box_ratios",
     "cube_ratios",
     "default_shifts",
 ]
@@ -45,107 +45,90 @@ def _stable_rng(seed, tag):
     )
 
 
-def _directions(n_dim, count, rng):
+def _directions(n_dim, count, seed, tags):
+    """Per tag: the signed basis vectors, then ``count`` random unit vectors
+    drawn from the tag's own seeded stream."""
     basis = np.concatenate([np.eye(n_dim), -np.eye(n_dim)])
+    out = np.broadcast_to(basis, (len(tags),) + basis.shape)
     if count <= 0:
-        return basis
-    extra = rng.standard_normal((count, n_dim))
-    extra /= np.linalg.norm(extra, axis=1, keepdims=True)
-    return np.concatenate([basis, extra])
+        return out
+    extra = np.stack([_stable_rng(seed, tag).standard_normal((count, n_dim)) for tag in tags])
+    extra /= np.linalg.norm(extra, axis=-1, keepdims=True)
+    return np.concatenate([out, extra], axis=1)
 
 
-def _block(grid, lo, hi):
-    """Contiguous cell block touched by an axis box, plus per-axis weights."""
-    weights = grid.box_weights(lo, hi)
-    slices = []
-    trimmed = []
-    for w in weights:
-        nz = np.nonzero(w)[0]
-        a, b = int(nz[0]), int(nz[-1]) + 1
-        slices.append(slice(a, b))
-        trimmed.append(w[a:b])
-    return tuple(slices), trimmed
+def box_ratios(field, batch, directions=None, want_ainf_i=False):
+    """All per-box class ratios of a ``BoxBatch``, as arrays over its boxes.
 
-
-def _cell_weights(grid, slices, trimmed):
-    w = trimmed[0]
-    for t in trimmed[1:]:
-        w = np.multiply.outer(w, t)
-    return w * grid.mu[slices] * grid.cell_volume
-
-
-def cube_ratios(field, lo, hi, directions=None, want_ainf_i=False):
-    """All per-cube class ratios for one axis box.
-
-    Returns a dict with keys b2_i, b2_ii, b2_iii, b2_iv, ainf_ii, a2, thewest,
-    chain (the five-term determinant chain) and, when requested, ainf_i and
-    b2_sampled (the direction-sampled lower bound for b2_i).
+    Keys: b2_i, b2_ii, b2_iii, b2_iv, ainf_ii, a2, thewest, chain (the five-term
+    determinant chain); given a ``(boxes, count, N)`` stack of directions also
+    b2_sampled (a sampled lower bound for b2_i) and, when requested, ainf_i.
     """
+    N = field.N
     g = field.grid
-    slices, trimmed = _block(g, lo, hi)
-    cw = _cell_weights(g, slices, trimmed)
-    mu_q = float(cw.sum())
-    axes = tuple(range(g.n))
-    cwm = cw.reshape(cw.shape + (1, 1))
+    index, bands = g.box_cells(batch)
+    sums = g.box_integrals(field.moment_masses()[index], bands)
+    mu_q = sums[:, 0]
+    avgs = sums[:, 1:] / mu_q[:, None]
+    avg_w, avg_w2, avg_winv, avg_winv2 = np.moveaxis(avgs[:, :-1].reshape(-1, 4, N, N), 1, 0)
+    avg_logdet = avgs[:, -1]
+    boxes = len(mu_q)
+    ew, vv = np.linalg.eigh(np.concatenate([avg_w, avg_w2]))
+    ew, ew2, vv, vv2 = ew[:boxes], ew[boxes:], vv[:boxes], vv[boxes:]
+    det_w = np.prod(ew, axis=-1)
+    inv_w = (vv / ew[:, None, :]) @ vv.transpose(0, 2, 1)
+    det_w2 = np.prod(ew2, axis=-1)
+    sqrt_w2 = (vv2 * np.sqrt(ew2)[:, None, :]) @ vv2.transpose(0, 2, 1)
 
-    def avg_power(expo):
-        block = field.cell_power(expo)[slices]
-        return np.sum(block * cwm, axis=axes) / mu_q
-
-    avg_w = avg_power(1)
-    avg_w2 = avg_power(2)
-    avg_winv = avg_power(-1)
-    avg_winv2 = avg_power(-2)
-    avg_logdet = float(np.sum(field.cell_log_det()[slices] * cw)) / mu_q
-
-    ew, vv = np.linalg.eigh(avg_w)
-    det_w = float(np.prod(ew))
-    inv_w = (vv / ew) @ vv.T
-    inv_sqrt_w = (vv / np.sqrt(ew)) @ vv.T
-    ew2, vv2 = np.linalg.eigh(avg_w2)
-    det_w2 = float(np.prod(ew2))
-    sqrt_w2 = (vv2 * np.sqrt(ew2)) @ vv2.T
-
-    transfer = sqrt_w2 @ inv_w
-    b2_ii = float(np.linalg.svd(transfer, compute_uv=False)[0])
+    b2_ii = np.linalg.svd(sqrt_w2 @ inv_w, compute_uv=False)[:, 0]
     item_iii = inv_w @ avg_w2 @ inv_w
-    b2_iii = float(np.max(np.abs(np.linalg.eigvalsh((item_iii + item_iii.T) / 2.0))))
-    b2_iv = float(np.sqrt(det_w2) / det_w)
+    sym_iii = (item_iii + item_iii.transpose(0, 2, 1)) / 2.0
+    eig = np.linalg.eigvalsh(np.concatenate([sym_iii, avg_winv, avg_winv2]))
+    b2_iii = np.max(np.abs(eig[:boxes]), axis=-1)
+    det_winv = np.prod(eig[boxes : 2 * boxes], axis=-1)
+    det_winv2 = np.prod(eig[2 * boxes :], axis=-1)
+    exp_logdet = np.exp(avg_logdet)
 
     out = {
         "b2_i": b2_ii,
         "b2_ii": b2_ii,
         "b2_iii": b2_iii,
-        "b2_iv": b2_iv,
-        "ainf_ii": det_w / np.exp(avg_logdet),
-        "a2": det_w * float(np.prod(np.linalg.eigvalsh(avg_winv))),
+        "b2_iv": np.sqrt(det_w2) / det_w,
+        "ainf_ii": det_w / exp_logdet,
+        "a2": det_w * det_winv,
         "thewest": det_w2 / np.exp(2.0 * avg_logdet),
-        "chain": (
-            float(np.sqrt(det_w2)),
-            det_w,
-            float(np.exp(avg_logdet)),
-            1.0 / float(np.prod(np.linalg.eigvalsh(avg_winv))),
-            1.0 / float(np.sqrt(np.prod(np.linalg.eigvalsh(avg_winv2)))),
-        ),
+        "chain": (np.sqrt(det_w2), det_w, exp_logdet, 1.0 / det_winv, 1.0 / np.sqrt(det_winv2)),
     }
 
     if directions is not None:
         # Sampled lower bound for the direction-sup form of the reverse
         # Hoelder constant; the exact value is the operator norm above.
-        num = np.linalg.norm(directions @ sqrt_w2.T, axis=1)
-        den = np.linalg.norm(directions @ avg_w.T, axis=1)
-        out["b2_sampled"] = float(np.max(num / den))
+        num = np.linalg.norm(directions @ sqrt_w2.transpose(0, 2, 1), axis=-1)
+        den = np.linalg.norm(directions @ avg_w.transpose(0, 2, 1), axis=-1)
+        out["b2_sampled"] = np.max(num / den, axis=-1)
         if want_ainf_i:
-            w_cells = field.cell_eigvals[slices]
-            v_cells = field.cell_eigvecs[slices]
-            proj = np.einsum("...ji,dj->...di", v_cells, directions)
-            norms = np.sqrt(np.einsum("...di,...i->...d", proj**2, 1.0 / w_cells))
-            avg_log = (
-                np.sum(np.log(norms) * cw[..., None], axis=tuple(range(cw.ndim))) / mu_q
-            )
-            den_i = np.linalg.norm(directions @ inv_sqrt_w.T, axis=1)
-            out["ainf_i"] = float(np.max(np.exp(avg_log) / den_i))
+            # Directions are per box: broadcast them over the cells of its bands.
+            # These per-cell, per-direction arrays are the largest of a batch,
+            # so they are squared, logged and weighted in place.
+            lead = tuple(len(b) for b in bands) + (1,) * g.n
+            proj = directions.reshape(lead + directions.shape[1:]) @ field.cell_eigvecs[index]
+            proj *= proj
+            log_mass = np.einsum("...di,...i->...d", proj, 1.0 / field.cell_eigvals[index])
+            del proj
+            np.log(np.sqrt(log_mass, out=log_mass), out=log_mass)
+            log_mass *= g.cell_masses[index][..., None]
+            avg_log = g.box_integrals(log_mass, bands) / mu_q[:, None]
+            inv_sqrt_w = (vv / np.sqrt(ew)[:, None, :]) @ vv.transpose(0, 2, 1)
+            den_i = np.linalg.norm(directions @ inv_sqrt_w.transpose(0, 2, 1), axis=-1)
+            out["ainf_i"] = np.max(np.exp(avg_log) / den_i, axis=-1)
     return out
+
+
+def cube_ratios(field, lo, hi):
+    """``box_ratios`` of the single axis box [lo, hi), as floats."""
+    r = box_ratios(field, BoxBatch.single(lo, hi))
+    r["chain"] = tuple(float(v[0]) for v in r["chain"])
+    return {k: v if k == "chain" else float(v[0]) for k, v in r.items()}
 
 
 _SUP_KEYS = ("b2_i", "b2_ii", "b2_iii", "b2_iv", "ainf_i", "ainf_ii", "a2", "thewest")
@@ -158,22 +141,24 @@ def _family_scan(field, shifts=None, directions=64, seed=0, want_ainf_i=True, le
     sups = {}
     worst = {}
     count = 0
-    for lo, hi, desc in g.sampled_boxes(shifts, levels):
-        rng = _stable_rng(seed, desc)
-        dirs = _directions(field.N, directions, rng)
-        ratios = cube_ratios(field, lo, hi, directions=dirs, want_ainf_i=want_ainf_i)
-        count += 1
-        if ratios.get("b2_sampled", 0.0) > ratios["b2_ii"] * (1.0 + 1e-9):
+    for batch in g.box_batches(shifts, levels):
+        descs = batch.descriptors()
+        dirs = _directions(field.N, directions, seed, descs)
+        ratios = box_ratios(field, batch, directions=dirs, want_ainf_i=want_ainf_i)
+        count += len(descs)
+        over = ratios["b2_sampled"] > ratios["b2_ii"] * (1.0 + 1e-9)
+        if over.any():
             raise AssertionError(
-                f"sampled direction ratio exceeded the operator norm on {desc}"
+                f"sampled direction ratio exceeded the operator norm on {descs[np.argmax(over)]}"
             )
         for key in _SUP_KEYS:
             if key not in ratios:
                 continue
-            val = float(ratios[key])
+            i = int(np.argmax(ratios[key]))
+            val = float(ratios[key][i])
             if key not in sups or val > sups[key]:
                 sups[key] = val
-                worst[key] = desc
+                worst[key] = descs[i]
     return sups, worst, count
 
 
@@ -241,11 +226,6 @@ def thewest_constant(field, shifts=None):
     return sups["thewest"]
 
 
-def a2_constant(field, shifts=None):
-    sups, _, _ = _family_scan(field, shifts, directions=0, seed=0, want_ainf_i=False)
-    return sups["a2"]
-
-
 def det_chain_check(field, cube_or_box, rel_tol=1e-9):
     """The five-term determinant chain for one cube, asserted monotone.
 
@@ -309,20 +289,19 @@ def scalar_ainfty_report(
     a_p = {p: 0.0 for p in p_grid}
     b_q = {q: 0.0 for q in q_grid}
     ainf = 0.0
-    for lo, hi, desc in g.sampled_boxes(shifts):
-        slices, trimmed = _block(g, lo, hi)
-        cw = _cell_weights(g, slices, trimmed)
-        mu_q = float(cw.sum())
-        wb = w_cells[slices]
-        avg_w = float(np.sum(wb * cw)) / mu_q
-        avg_log = float(np.sum(np.log(wb) * cw)) / mu_q
-        ainf = max(ainf, avg_w / np.exp(avg_log))
-        for p in p_grid:
-            avg_neg = float(np.sum(wb ** (-(p - 1.0)) * cw)) / mu_q
-            a_p[p] = max(a_p[p], avg_w * avg_neg ** (1.0 / (p - 1.0)))
-        for q in q_grid:
-            avg_q = float(np.sum(wb**q * cw)) / mu_q
-            b_q[q] = max(b_q[q], avg_q ** (1.0 / q) / avg_w)
+    powers = [np.ones_like(w_cells), w_cells, np.log(w_cells)]
+    powers += [w_cells ** (-(p - 1.0)) for p in p_grid] + [w_cells**q for q in q_grid]
+    masses = np.stack(powers, axis=-1) * mu_cells[..., None]
+    for batch in g.box_batches(shifts):
+        index, bands = g.box_cells(batch)
+        sums = g.box_integrals(masses[index], bands)
+        avgs = sums[:, 1:] / sums[:, :1]
+        avg_w = avgs[:, 0]
+        ainf = max(ainf, float(np.max(avg_w / np.exp(avgs[:, 1]))))
+        for i, p in enumerate(p_grid):
+            a_p[p] = max(a_p[p], float(np.max(avg_w * avgs[:, 2 + i] ** (1.0 / (p - 1.0)))))
+        for i, q in enumerate(q_grid, start=2 + len(p_grid)):
+            b_q[q] = max(b_q[q], float(np.max(avgs[:, i] ** (1.0 / q) / avg_w)))
 
     mu_ratios = []
     sigma_ratios = []
@@ -399,18 +378,18 @@ def corollary_relations(field, shifts=None, directions=8, seed=0, rel_tol=1e-9):
         shifts = default_shifts(g)
     worst_resid = 0.0
     sup_thewest = sup_b2iv = sup_ainfii = sup_b2ii = 1.0
-    for lo, hi, desc in g.sampled_boxes(shifts):
-        r = cube_ratios(field, lo, hi)
+    for batch in g.box_batches(shifts):
+        r = box_ratios(field, batch)
         combined = (r["b2_iv"] * r["ainf_ii"]) ** 2
-        resid = abs(r["thewest"] - combined) / max(r["thewest"], 1.0)
-        worst_resid = max(worst_resid, resid)
-        sup_thewest = max(sup_thewest, r["thewest"])
-        sup_b2iv = max(sup_b2iv, r["b2_iv"])
-        sup_ainfii = max(sup_ainfii, r["ainf_ii"])
-        sup_b2ii = max(sup_b2ii, r["b2_ii"])
+        resid = np.abs(r["thewest"] - combined) / np.maximum(r["thewest"], 1.0)
+        worst_resid = max(worst_resid, float(resid.max()))
+        sup_thewest = max(sup_thewest, float(r["thewest"].max()))
+        sup_b2iv = max(sup_b2iv, float(r["b2_iv"].max()))
+        sup_ainfii = max(sup_ainfii, float(r["ainf_ii"].max()))
+        sup_b2ii = max(sup_b2ii, float(r["b2_ii"].max()))
 
-    rng = _stable_rng(seed, "corollary-directions")
-    dirs = _directions(field.N, max(directions - 2 * field.N, 0), rng)
+    count = max(directions - 2 * field.N, 0)
+    dirs = _directions(field.N, count, seed, ["corollary-directions"])[0]
     scalar_vals = []
     for d in dirs:
         w_a = np.linalg.norm(

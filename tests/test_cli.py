@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dwlab import weights
 from dwlab.cli import main
 from dwlab.config import RunConfig
 from dwlab.grid import Grid, WeightField, write_weight_field
@@ -149,6 +151,24 @@ def test_malformed_field_exit_code(tmp_path, capsys):
     bad.write_text("1 1 1\n1.0 2.0\nbroken\n")
     assert main(["check-weight", "--field", str(bad)]) == 1
     assert "line 3" in capsys.readouterr().err
+    for text, line in (("1 1 1\n1 2\n1 nan\n", 3), ("1 1 1\n1 2\n1 inf\n", 3),
+                       ("1 1 1\n1 2\n1 2\njunk\n", 4)):
+        bad.write_text(text)
+        assert main(["check-weight", "--field", str(bad)]) == 1
+        assert f"line {line}:" in capsys.readouterr().err
+
+
+def test_violated_invariant_exit_code(const_field, monkeypatch, capsys):
+    real = weights.box_ratios
+
+    def oversampled(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out["b2_sampled"] = out["b2_ii"] * 2.0
+        return out
+
+    monkeypatch.setattr(weights, "box_ratios", oversampled)
+    assert main(["check-weight", "--field", const_field]) == 2
+    assert "invariant violated: sampled direction ratio exceeded" in capsys.readouterr().err
 
 
 def test_usage_errors():
@@ -215,8 +235,15 @@ def test_reports_are_deterministic(random_field, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _child_env(**extra):
+    """Environment for a fresh interpreter that imports the dwlab under test."""
+    src = str(Path(weights.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def test_module_entrypoint(const_field):
-    env = dict(os.environ)
+    env = _child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "dwlab", "check-weight", "--field", const_field],
         capture_output=True, text=True, env=env,
@@ -230,7 +257,7 @@ def test_cross_process_determinism(random_field, tmp_path):
     outs = []
     for seed_env, name in (("1234", "x.json"), ("987654", "y.json")):
         target = tmp_path / name
-        env = dict(os.environ, PYTHONHASHSEED=seed_env, DWLAB_JOBS="1")
+        env = _child_env(PYTHONHASHSEED=seed_env, DWLAB_JOBS="1")
         proc = subprocess.run(
             [sys.executable, "-m", "dwlab", "tb-run", "--field", random_field,
              "--gamma", "random", "--seed", "11", "--report", str(target)],

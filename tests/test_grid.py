@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwlab.grid import (
+    BoxBatch,
     Cube,
     FieldFormatError,
     Grid,
     WeightField,
-    avg_matrix,
     doubling_check,
     expectation_Et,
-    measure,
     read_weight_field,
     root_cube,
     weighted_avg,
@@ -21,20 +22,20 @@ from conftest import random_weight_field
 
 
 def test_measure_examples():
-    assert measure(root_cube(1), Grid(1, 0)) == 1.0
-    assert measure(Cube(1, (0,)), Grid(1, 1)) == 0.5
+    assert Grid(1, 0).measure(root_cube(1)) == 1.0
+    assert Grid(1, 1).measure(Cube(1, (0,))) == 0.5
     # density 2 on [0,1/2), 1 on [1/2,1): single-cell sum 2 * 1/2 = 1
-    assert measure(Cube(1, (0,)), Grid(1, 1, [2.0, 1.0])) == 1.0
+    assert Grid(1, 1, [2.0, 1.0]).measure(Cube(1, (0,))) == 1.0
 
 
 def test_avg_matrix_examples():
     g = Grid(1, 1)
     w = WeightField(g, np.array([np.diag([1.0, 1.0]), np.diag([3.0, 1.0])]))
-    assert np.allclose(avg_matrix(w, root_cube(1)).entries, np.diag([2.0, 1.0]))
+    assert np.allclose(w.avg(root_cube(1)).entries, np.diag([2.0, 1.0]))
     # single finest cell returns the cell value
-    assert np.allclose(avg_matrix(w, Cube(1, (1,))).entries, np.diag([3.0, 1.0]))
+    assert np.allclose(w.avg(Cube(1, (1,))).entries, np.diag([3.0, 1.0]))
     const = WeightField(Grid(1, 2), np.broadcast_to(np.diag([2.0, 5.0]), (4, 2, 2)).copy())
-    assert np.allclose(avg_matrix(const, root_cube(1)).entries, np.diag([2.0, 5.0]))
+    assert np.allclose(const.avg(root_cube(1)).entries, np.diag([2.0, 5.0]))
 
 
 def test_weighted_avg_hand_case():
@@ -104,7 +105,10 @@ def test_box_avg_matches_cell_sum(rng):
     w = random_weight_field(rng, n=1, N=2, L=3, spread=0.7, mu_spread=0.4)
     g = w.grid
     lo, hi = np.array([0.3]), np.array([0.8])
-    got = w.box_avg_entries(lo, hi)
+    index, bands = g.box_cells(BoxBatch.single(lo, hi))
+    masses = w.values * g.cell_masses[:, None, None]
+    mu_q = g.box_integrals(g.cell_masses[index], bands)[0]
+    got = g.box_integrals(masses[index], bands)[0] / mu_q
     # brute-force cell loop with exact partial overlaps
     width = 2.0**-3
     num = np.zeros((2, 2))
@@ -148,7 +152,8 @@ def test_doubling_examples():
 def test_box_measure_partial_cells():
     g = Grid(1, 1, [1.0, 9.0])
     # [1/8, 5/8) overlaps 3/8 of the first cell and 1/8 of the second
-    assert abs(g.measure_box(np.array([0.125]), np.array([0.625])) - 1.5) < 1e-14
+    index, bands = g.box_cells(BoxBatch.single(np.array([0.125]), np.array([0.625])))
+    assert abs(g.box_integrals(g.cell_masses[index], bands)[0] - 1.5) < 1e-14
 
 
 def test_cube_geometry():
@@ -165,8 +170,8 @@ def test_cube_geometry():
 
 def test_shift_families_are_prefix_nested():
     g = Grid(1, 2)
-    fam2 = [d for *_, d in g.sampled_boxes(2)]
-    fam4 = [d for *_, d in g.sampled_boxes(4)]
+    fam2 = [d for b in g.box_batches(2) for d in b.descriptors()]
+    fam4 = [d for b in g.box_batches(4) for d in b.descriptors()]
     assert fam4[: len(fam2)] == fam2
 
 
@@ -200,6 +205,60 @@ def test_field_file_errors(tmp_path):
     p.write_text("1 1 1\n1.0 2.0 7.0\n1.0 1.0\n")
     with pytest.raises(FieldFormatError, match="line 2"):
         read_weight_field(p)
+    for bad in ("nan", "inf", "-inf"):
+        p.write_text(f"1 1 1\n1.0 2.0\n1.0 {bad}\n")
+        with pytest.raises(FieldFormatError, match=r"line 3: weight cell \(1,\) is not finite"):
+            read_weight_field(p)
+    p.write_text("1 1 1\n1.0 2.0\n1.0 -2.0\n")
+    with pytest.raises(FieldFormatError, match=r"line 3: weight cell \(1,\) is not positive"):
+        read_weight_field(p)
+    p.write_text("1 1 1\n1.0 2.0\n1.0 2.0\njunk\n")
+    with pytest.raises(FieldFormatError, match="line 4: unexpected line"):
+        read_weight_field(p)
+    p.write_text("1 0 1\n")
+    with pytest.raises(FieldFormatError, match="line 1"):
+        read_weight_field(p)
+
+
+_TOKENS = st.sampled_from(["nan", "inf", "-inf", "-1.0", "0", "x", "1e400"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 2),
+    N=st.integers(1, 3),
+    L=st.integers(0, 2),
+    data=st.data(),
+)
+def test_field_reader_fuzz(tmp_path_factory, seed, n, N, L, data):
+    """Valid files round-trip; a corrupted one is refused at the corrupted line."""
+    rng = np.random.default_rng(seed)
+    w = random_weight_field(rng, n=n, N=N, L=L, spread=1.0, mu_spread=0.5)
+    path = tmp_path_factory.mktemp("fuzz") / "field.wf"
+    write_weight_field(path, w)
+    back = read_weight_field(path)
+    assert np.array_equal(back.values, w.values) and np.array_equal(back.grid.mu, w.grid.mu)
+
+    lines = path.read_text().splitlines()
+    kind = data.draw(st.sampled_from(["token", "drop", "trailing"]))
+    if kind == "trailing":
+        lines.append(data.draw(st.sampled_from(["junk", "1.0 2.0", "0"])))
+        bad_line = len(lines)
+    else:
+        bad_line = data.draw(st.integers(2, len(lines)))
+        parts = lines[bad_line - 1].split()
+        if kind == "drop":
+            parts.pop(data.draw(st.integers(0, len(parts) - 1)))
+        else:
+            # the density, or a diagonal entry so that "-1.0" and "0" break positivity
+            i = data.draw(st.sampled_from([0] + [1 + d * (N + 1) for d in range(N)]))
+            parts[i] = data.draw(_TOKENS)
+        lines[bad_line - 1] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FieldFormatError) as err:
+        read_weight_field(path)
+    assert err.value.line == bad_line, str(err.value)
 
 
 def test_weight_field_rejects_bad_cells():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 
+from dwlab.cones import MAX_NET_VECTORS, net_size_estimate
 from dwlab.grid import Cube, Grid, WeightField, root_cube, weighted_avg
 from dwlab.harness import WeightGenerator, generate
 from dwlab.tb import (
@@ -139,6 +140,10 @@ def test_feasible_eps1():
     assert feasible_eps1(2, 0.1) == 0.05
     # N=3 at eps2=0.1 would need millions of net vectors; a larger aperture is picked
     assert feasible_eps1(3, 0.1) > 0.05
+    # N=4 uses build_net's own estimate, so the aperture picked fits its budget
+    assert feasible_eps1(4, 0.1) == 0.4
+    assert net_size_estimate(4, 0.4) == 109_018 <= MAX_NET_VECTORS
+    assert net_size_estimate(4, 0.3) > MAX_NET_VECTORS
 
 
 def test_tb_run_zero_gamma():
