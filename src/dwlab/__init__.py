@@ -17,7 +17,6 @@ from .grid import (
     root_cube,
     weighted_avg,
     expectation_Et,
-    doubling_check,
     read_weight_field,
     write_weight_field,
 )

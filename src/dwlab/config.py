@@ -44,9 +44,6 @@ class RunConfig:
             raise ValueError("eps1 must not exceed 1/2")
         return self
 
-    def resolved_eps3(self):
-        return self.eps3 if self.eps3 > 0.0 else self.eps2**2 / 8.0
-
     def to_text(self):
         cp = configparser.ConfigParser()
         cp.optionxform = str

@@ -28,7 +28,6 @@ __all__ = [
     "root_cube",
     "weighted_avg",
     "expectation_Et",
-    "doubling_check",
     "write_weight_field",
     "read_weight_field",
 ]
@@ -169,6 +168,7 @@ class Grid:
         for _ in range(self.L):
             tree.append(_coarsen(tree[-1], self.n))
         self._mu_tree = tree[::-1]
+        self._doubling = {}
 
     @property
     def side(self):
@@ -267,17 +267,22 @@ class Grid:
         return masses.reshape((-1,) + masses.shape[n:])
 
     def doubling_constant(self, shifts=0, levels=None):
-        """Sup over sampled cubes of mu(2Q)/mu(Q), with 2Q clipped to [0,1)^n."""
-        if levels is None:
-            levels = range(self.L + 2)
-        worst = 0.0
-        for batch in self.box_batches(shifts, levels):
-            mass, mass2 = (
-                self.box_integrals(self.cell_masses[index], bands)
-                for index, bands in map(self.box_cells, (batch, batch.doubled()))
-            )
-            worst = max(worst, float(np.max(mass2 / mass)))
-        return worst
+        """Sup over sampled cubes of mu(2Q)/mu(Q), with 2Q clipped to [0,1)^n.
+
+        Memoised per ``(shifts, levels)``; ``mu`` is read-only.
+        """
+        levels = tuple(range(self.L + 2) if levels is None else levels)
+        key = (shifts, levels)
+        if key not in self._doubling:
+            worst = 0.0
+            for batch in self.box_batches(shifts, levels):
+                mass, mass2 = (
+                    self.box_integrals(self.cell_masses[index], bands)
+                    for index, bands in map(self.box_cells, (batch, batch.doubled()))
+                )
+                worst = max(worst, float(np.max(mass2 / mass)))
+            self._doubling[key] = worst
+        return self._doubling[key]
 
 
 class WeightField:
@@ -381,7 +386,7 @@ class WeightField:
 # Free-function forms of the core operations --------------------------------------
 
 
-def weighted_avg(f, cube, weight, grid=None):
+def weighted_avg(f, cube, weight):
     """Matrix weighted average: (int_Q W dmu)^{-1} int_Q W f dmu."""
     g = weight.grid
     slices = cube.cell_slices(g.L)
@@ -405,7 +410,7 @@ def weighted_avg(f, cube, weight, grid=None):
         raise ValueError(f"singular weight integral over {cube.descriptor()}") from exc
 
 
-def expectation_Et(f, t_level, weight, grid=None):
+def expectation_Et(f, t_level, weight):
     """Field version of the weighted average: constant on each level-t cube."""
     g = weight.grid
     if t_level < 0 or t_level > g.L:
@@ -427,11 +432,6 @@ def _refine(arr, n):
     for axis in range(n):
         arr = np.repeat(arr, 2, axis=axis)
     return arr
-
-
-def doubling_check(grid, shifts=0):
-    """Sup over sampled cubes of mu(2Q)/mu(Q)."""
-    return grid.doubling_constant(shifts)
 
 
 # Weight-field file format ---------------------------------------------------------

@@ -153,13 +153,6 @@ class SpdMatrix:
     def op_norm(self):
         return float(np.max(np.abs(self._eigenvalues)))
 
-    def matvec(self, x):
-        return self._entries @ np.asarray(x, dtype=float)
-
-    def __matmul__(self, other):
-        other = other.entries if isinstance(other, SpdMatrix) else np.asarray(other, dtype=float)
-        return self._entries @ other
-
     def __repr__(self):
         return f"{type(self).__name__}({self._entries.tolist()!r})"
 

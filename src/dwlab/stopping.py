@@ -92,22 +92,6 @@ class StoppingResult:
             self._sawtooth_cache[s] = out
         return self._sawtooth_cache[s]
 
-    def sawtooth_owner(self, cube):
-        """The stopping cube whose sawtooth contains ``cube``."""
-        s = self.root
-        while True:
-            selected = self.first_gen.get(s, ())
-            if not selected:
-                return s
-            sel = set(selected)
-            for level in range(s.level + 1, cube.level + 1):
-                anc = _ancestor(cube, level)
-                if anc in sel:
-                    s = anc
-                    break
-            else:
-                return s
-
     def partition_residual(self, values=None):
         """Relative defect of the sawtooth partition of the box.
 
@@ -173,7 +157,6 @@ def first_generation_ratio(result, grid):
 @dataclass
 class IteratedDecomposition:
     root: Cube
-    results: dict
     pieces: dict
 
     def partition_residual(self, L, values=None):
@@ -194,25 +177,24 @@ def iterated_sawtooth(root, criteria, L):
     """
     if not 1 <= len(criteria) <= 3:
         raise ValueError("iterated decomposition supports 1 to 3 criteria")
-    memo = {}
-
-    def decomposition(idx, sub_root):
-        key = (idx, sub_root)
-        if key not in memo:
-            memo[key] = run_stopping(sub_root, criteria[idx], L)
-        return memo[key]
-
+    # Walk the box top-down.  A cube inherits its parent's chain.  If criterion
+    # i fires at it against the chain's i-th cube, it replaces that cube and,
+    # as the root of every later decomposition, all later ones.  So each
+    # criterion only looks at cubes inside the piece its decomposition refines.
+    k = len(criteria)
     pieces = {}
-    for cube in box_cubes(root, L):
-        chain = []
-        anchor = root
-        for idx in range(len(criteria)):
-            res = decomposition(idx, anchor)
-            owner = res.sawtooth_owner(cube)
-            chain.append(owner)
-            anchor = owner
-        pieces.setdefault(tuple(chain), []).append(cube)
-    return IteratedDecomposition(root=root, results=memo, pieces=pieces)
+    stack = [(root, (root,) * k)]
+    while stack:
+        cube, chain = stack.pop()
+        if cube.level > root.level:
+            for i, crit in enumerate(criteria):
+                if crit.fires(chain[i], cube):
+                    chain = chain[:i] + (cube,) * (k - i)
+                    break
+        pieces.setdefault(chain, []).append(cube)
+        if cube.level < L:
+            stack.extend((child, chain) for child in reversed(cube.children()))
+    return IteratedDecomposition(root=root, pieces=pieces)
 
 
 # Concrete criteria ---------------------------------------------------------------

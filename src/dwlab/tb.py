@@ -211,22 +211,36 @@ class TestFamily:
     def expectation(self, r_cube, s_cube, v0):
         return self._levels_for(s_cube, v0)[r_cube.level][r_cube.coords]
 
+    def _directions(self, samples, seed):
+        """Per cube, in ``grid.cubes()`` order: the unit vectors, then
+        ``max(samples - N, 0)`` normalised Gaussian draws from ``seed``."""
+        g, N = self.field.grid, self.field.N
+        cubes = sum(2 ** (g.n * k) for k in range(g.L + 1))
+        v = np.random.default_rng(seed).standard_normal((cubes, max(samples - N, 0), N))
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        return np.concatenate([np.broadcast_to(np.eye(N), (cubes, N, N)), v], axis=1)
+
+    def _sampled_sup(self, value, samples, seed):
+        """sqrt of the sup over cubes Q and sampled v of value(Q, b_Q^v) / mu(Q)."""
+        g = self.field.grid
+        worst = 0.0
+        for cube, dirs in zip(g.cubes(), self._directions(samples, seed)):
+            for v0 in dirs:
+                worst = max(worst, value(cube, self.b_values(cube, v0)) / g.measure(cube))
+        return math.sqrt(worst)
+
     def c3(self, samples=4, seed=0):
         """Measured normalized energy sup over sampled (cube, direction)."""
-        g = self.field.grid
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        mu = g.mu * g.cell_volume
-        for cube in g.cubes():
-            dirs = list(np.eye(self.field.N))
-            for _ in range(max(samples - self.field.N, 0)):
-                v = rng.standard_normal(self.field.N)
-                dirs.append(v / np.linalg.norm(v))
-            for v0 in dirs:
-                b = self.b_values(cube, v0)
-                energy = float(np.sum(np.sum(b**2, axis=-1) * mu))
-                worst = max(worst, energy / g.measure(cube))
-        return math.sqrt(worst)
+        mu = self.field.grid.mu * self.field.grid.cell_volume
+        return self._sampled_sup(
+            lambda q, b: float(np.sum(np.sum(b**2, axis=-1) * mu)), samples, seed
+        )
+
+    def c4(self, gamma, samples=4, seed=0):
+        """Measured test-function Carleson sup over sampled (cube, direction)."""
+        return self._sampled_sup(
+            lambda q, b: testfun_carleson(gamma, b, q, self.field), samples, seed
+        )
 
 
 class CanonicalFamily(TestFamily):
@@ -252,6 +266,36 @@ class CanonicalFamily(TestFamily):
             field.avg_entries(r_cube, 1),
             field.avg_entries(s_cube, 1) @ np.asarray(v0, dtype=float),
         )
+
+    def _sup_form(self, forms, samples, seed):
+        """sqrt of the sup over cubes Q and sampled v of u^T F_Q u / mu(Q), u = W_Q v,
+        for per-level arrays ``forms`` of N x N matrices F_Q."""
+        g, N = self.field.grid, self.field.N
+        dirs = self._directions(samples, seed)
+        worst, start = 0.0, 0
+        for k, form in enumerate(forms):
+            mu = g._mu_tree[k].reshape(-1)
+            avg = self.field.integral_tree(1)[k].reshape(-1, N, N) / mu[:, None, None]
+            u = np.einsum("cij,cdj->cdi", avg, dirs[start : start + mu.size])
+            vals = np.einsum("cdi,cij,cdj->cd", u, form.reshape(-1, N, N), u)
+            worst = max(worst, float(np.max(vals / mu[:, None])))
+            start += mu.size
+        return math.sqrt(worst)
+
+    def c3(self, samples=4, seed=0):
+        """Energy of b_Q^v over mu(Q) is u^T (W^-2)_Q u with u = W_Q v."""
+        return self._sup_form(self.field.integral_tree(-2), samples, seed)
+
+    def c4(self, gamma, samples=4, seed=0):
+        """E_R b_Q^v = W_R^-1 u for R in Q, so the Carleson sum is u^T M_Q u with
+        M_Q = ln2 sum_{R in Q} mu(R) W_R^-1 gamma_R^T gamma_R W_R^-1."""
+        g = self.field.grid
+        masses = []
+        for k, mu in enumerate(g._mu_tree):
+            avg = self.field.integral_tree(1)[k] / mu[..., None, None]
+            x = np.linalg.solve(avg, np.swapaxes(gamma.levels[k], -1, -2))
+            masses.append(x @ np.swapaxes(x, -1, -2) * (mu * LN2)[..., None, None])
+        return self._sup_form(_box_mass_tree(g, masses), samples, seed)
 
 
 def canonical_family(field):
@@ -279,17 +323,8 @@ def verify_hypotheses(field, gamma, fam=None, vec_samples=4, seed=0, shifts=None
     c1 = g.doubling_constant(shifts)
     c2 = math.sqrt(thewest_constant(field, shifts))
     c3 = fam.c3(samples=vec_samples, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    worst = 0.0
-    for cube in g.cubes():
-        dirs = list(np.eye(field.N))
-        for _ in range(max(vec_samples - field.N, 0)):
-            v = rng.standard_normal(field.N)
-            dirs.append(v / np.linalg.norm(v))
-        for v0 in dirs:
-            val = testfun_carleson(gamma, fam.b_values(cube, v0), cube, field)
-            worst = max(worst, val / g.measure(cube))
-    return HypothesisConstants(C1=c1, C2=c2, C3=c3, C4=math.sqrt(worst))
+    c4 = fam.c4(gamma, samples=vec_samples, seed=seed + 1)
+    return HypothesisConstants(C1=c1, C2=c2, C3=c3, C4=c4)
 
 
 def feasible_eps1(N, eps2, budget=200_000):
@@ -435,10 +470,8 @@ def tb_run(
 
     def owner(cube, anchor, first_gen):
         s = anchor
-        while True:
+        while s.level < cube.level:
             sel = first_gen(s)
-            if not sel:
-                return s
             for level in range(s.level + 1, cube.level + 1):
                 anc = stopping._ancestor(cube, level)
                 if anc in sel:
@@ -446,6 +479,7 @@ def tb_run(
                     break
             else:
                 return s
+        return s
 
     factor = (2.0 / eps1**3) ** 2
     exp_cache = {}
@@ -453,6 +487,8 @@ def tb_run(
     assembled_best = 0.0
     carleson_best = 0.0
     checked = set()
+    top = root_cube(g.n)
+    chains = {}
 
     for q in g.cubes():
         mu_q = g.measure(q)
@@ -465,6 +501,8 @@ def tb_run(
             sector = sector_of[r]
             s1 = owner(r, q, first_gen_w)
             s2 = owner(r, s1, lambda s: first_gen_b(sector, s))
+            if q.level == 0:
+                chains[r] = (s1, s2)
             ck = (sector, s1, s2, r)
             if ck in exp_cache:
                 e_r, ge_sq = exp_cache[ck]
@@ -497,8 +535,13 @@ def tb_run(
                 st["bound_mass"] += factor * ge_sq * g.measure(r) * LN2
         assembled_best = max(assembled_best, assembled_q / mu_q)
 
-    # Independent partition-exactness check through the set-based sawtooths.
-    top = root_cube(g.n)
+    # Independent partition check: the set-based nested sawtooths must cover
+    # the box exactly, and hold each cube of a checked sector in the piece
+    # keyed by the chain the owner walks gave it under the root.
+    def weigh(c):
+        return g.measure(c) * (1.0 + gamma_sq.get(c, 0.0) * LN2)
+
+    total = sum(weigh(c) for c in stopping.box_cubes(top, L))
     residual = 0.0
     active = sorted(
         sector_stats, key=lambda s: sector_stats[s]["direct_mass"], reverse=True
@@ -512,12 +555,13 @@ def tb_run(
             ),
         )
         decomp = stopping.iterated_sawtooth(top, [corona_crit, kato_crit], L)
-        residual = max(
-            residual,
-            decomp.partition_residual(
-                L, values=lambda c: g.measure(c) * (1.0 + gamma_sq.get(c, 0.0) * LN2)
-            ),
+        astray = sum(
+            weigh(c)
+            for key, piece in decomp.pieces.items()
+            for c in piece
+            if sector_of.get(c) == sector and chains[c] != key
         )
+        residual = max(residual, decomp.partition_residual(L, values=weigh), astray / total)
     if not active:
         decomp = stopping.iterated_sawtooth(top, [corona_crit], L)
         residual = decomp.partition_residual(L)

@@ -9,7 +9,6 @@ from dwlab.grid import (
     FieldFormatError,
     Grid,
     WeightField,
-    doubling_check,
     expectation_Et,
     read_weight_field,
     root_cube,
@@ -142,11 +141,21 @@ def test_partition_exactness(rng):
 
 
 def test_doubling_examples():
-    assert doubling_check(Grid(1, 2), 0) == 2.0
-    assert doubling_check(Grid(1, 1, [1.0, 1.0]), 0) == 2.0
+    assert Grid(1, 2).doubling_constant(0) == 2.0
+    assert Grid(1, 1, [1.0, 1.0]).doubling_constant(0) == 2.0
     # density (1, 9): Q=[1/4,1/2), 2Q=[1/8,5/8) gives (3/8 + 9/8)/(1/4) = 6
-    assert abs(doubling_check(Grid(1, 1, [1.0, 9.0]), 0) - 6.0) < 1e-12
-    assert doubling_check(Grid(2, 1), 0) == 4.0
+    assert abs(Grid(1, 1, [1.0, 9.0]).doubling_constant(0) - 6.0) < 1e-12
+    assert Grid(2, 1).doubling_constant(0) == 4.0
+
+
+def test_doubling_constant_memoised(monkeypatch):
+    g = Grid(1, 3, np.linspace(1.0, 3.0, 8))
+    first = g.doubling_constant(2)
+    # Later calls with the same (shifts, levels) do not enumerate boxes again.
+    monkeypatch.setattr(Grid, "box_batches", lambda self, shifts, levels=None: iter(()))
+    assert g.doubling_constant(2) == first
+    assert g.doubling_constant(2, levels=range(g.L + 2)) == first
+    assert g.doubling_constant(1) == 0.0
 
 
 def test_box_measure_partial_cells():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwlab.grid import Cube, Grid, WeightField, root_cube
 from dwlab.matrices import loewner_geq
@@ -128,6 +130,49 @@ def test_iterated_two_random_criteria(rng):
         dec = iterated_sawtooth(root_cube(1), crits, 4)
         assert dec.partition_residual(4) <= 1e-12
         assert dec.partition_residual(4, values=g.measure) <= 1e-9
+
+
+def _owner_walk(res, cube):
+    """The stopping cube of ``res`` whose sawtooth holds ``cube``."""
+    s = res.root
+    while True:
+        selected = set(res.first_gen.get(s, ()))
+        for level in range(s.level + 1, cube.level + 1):
+            anc = Cube(level, tuple(c >> (cube.level - level) for c in cube.coords))
+            if anc in selected:
+                s = anc
+                break
+        else:
+            return s
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 2]),
+    k=st.integers(1, 3),
+    L=st.integers(1, 4),
+    root_level=st.integers(0, 1),
+    p=st.floats(0.05, 0.6),
+    seed=st.integers(0, 10**6),
+)
+def test_iterated_sawtooth_matches_owner_walk_oracle(n, k, L, root_level, p, seed):
+    # Oracle: full stopping trees per (criterion, root), and per cube the
+    # owner walk of each decomposition rooted at the previous owner.
+    L = min(L, 3) if n == 2 else L
+    root = Cube(min(root_level, L), (0,) * n)
+    crits = [bernoulli_criterion(p, seed + 1000 * i) for i in range(k)]
+    trees = {}
+    expected = {}
+    for cube in box_cubes(root, L):
+        chain, anchor = [], root
+        for i, crit in enumerate(crits):
+            if (i, anchor) not in trees:
+                trees[i, anchor] = run_stopping(anchor, crit, L)
+            anchor = _owner_walk(trees[i, anchor], cube)
+            chain.append(anchor)
+        expected.setdefault(tuple(chain), []).append(cube)
+    got = iterated_sawtooth(root, crits, L).pieces
+    assert got == expected  # the same pieces, with their cubes in the same order
 
 
 def test_volberg_examples():

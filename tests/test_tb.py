@@ -1,9 +1,13 @@
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dwlab import stopping, tb
+from dwlab.cli import main
 from dwlab.cones import MAX_NET_VECTORS, net_size_estimate
-from dwlab.grid import Cube, Grid, WeightField, root_cube, weighted_avg
+from dwlab.grid import Cube, Grid, WeightField, root_cube, weighted_avg, write_weight_field
 from dwlab.harness import WeightGenerator, generate
 from dwlab.tb import (
     LN2,
@@ -214,3 +218,58 @@ def test_gamma_martingale_root_zero(rng):
     top = w.avg_entries(root_cube(1), 1)
     child = w.avg_entries(Cube(1, (0,)), 1)
     assert np.allclose(g.levels[1][0], (child - top)[:1, :])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([1, 2]),
+    N=st.integers(1, 3),
+    kind=st.sampled_from(["zero", "constant", "martingale", "random"]),
+    samples=st.integers(1, 5),
+    seed=st.integers(0, 2**20),
+)
+def test_canonical_c3_c4_match_generic_paths(n, N, kind, samples, seed):
+    # The closed forms read the same sampled directions as the generic paths,
+    # which build b_Q^v cell by cell and sum its Carleson integral per cube.
+    rng = np.random.default_rng(seed)
+    L = int(rng.integers(1, 5 if n == 1 else 3))
+    w = random_weight_field(rng, n=n, N=N, L=L, spread=0.6, mu_spread=0.3)
+    gam = make_gamma(kind, w, seed=seed)
+    fam = canonical_family(w)
+    pairs = (
+        (fam.c3(samples, seed), tb.TestFamily.c3(fam, samples, seed)),
+        (fam.c4(gam, samples, seed), tb.TestFamily.c4(fam, gam, samples, seed)),
+    )
+    for closed, generic in pairs:
+        assert abs(closed - generic) <= 1e-12 * generic
+
+
+def test_tb_run_canonical_constants_skip_per_cube_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-cube test-function path called")
+
+    monkeypatch.setattr(tb, "testfun_carleson", refuse)
+    monkeypatch.setattr(tb, "_expectation_levels", refuse)
+    w = generate(WeightGenerator("log-gaussian", amplitude=0.3, seed=51), 1, 2, 4)
+    rep = tb_run(w, make_gamma("martingale", w), eps2=0.3)
+    assert not rep.violations
+    assert rep.constants["C3"] >= 1.0 and rep.constants["C4"] > 0.0
+
+
+def test_partition_check_catches_wrong_owner_chains(monkeypatch, tmp_path):
+    w = generate(WeightGenerator("log-gaussian", amplitude=0.3, seed=51), 1, 2, 5)
+    gam = make_gamma("martingale", w)
+    assert tb_run(w, gam, eps2=0.3).partition_residual <= 1e-9
+    path = tmp_path / "f.wf"
+    write_weight_field(path, w)
+    argv = ["tb-run", "--field", str(path), "--gamma", "martingale", "--eps2", "0.3"]
+    argv += ["--report", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+
+    # The owner walks look one level too coarse: a selected cube is never
+    # recognised as its own owner, so the estimate's chains go wrong while the
+    # pieces still cover the box exactly.
+    ancestor = stopping._ancestor
+    monkeypatch.setattr(stopping, "_ancestor", lambda c, level: ancestor(c, level - 1))
+    assert tb_run(w, gam, eps2=0.3).partition_residual > 1e-9
+    assert main(argv) == 2
