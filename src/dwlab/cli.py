@@ -208,8 +208,15 @@ def _cmd_rrt_search(args):
 
 def _cmd_inclusion_search(args):
     cfg = _load_config(args)
-    if args.N < 2:
-        raise UsageError("inclusion search needs N >= 2; the scalar inclusion is known")
+    for ok, message in (
+        (args.n >= 1, "--n must be at least 1"),
+        (args.N >= 2, "--N must be at least 2; the scalar inclusion is known"),
+        (args.L >= 0, "--L must be at least 0"),
+        (1.0 < args.b2_cap < np.inf, "--b2-cap must be a finite number above 1"),
+        (args.budget >= 0, "--budget must be at least 0"),
+    ):
+        if not ok:
+            raise UsageError(f"inclusion-search: {message}")
     # A finite grid certifies nothing about unboundedness; record the growth of
     # the best constant across grid depths so the trend is visible.
     trend = []

@@ -122,7 +122,7 @@ def test_rrt_search_subcommand(tmp_path):
     assert main(["rrt-search", "--m", "2"]) == 1
 
 
-def test_inclusion_search_subcommand(tmp_path):
+def test_inclusion_search_subcommand(tmp_path, capsys):
     out = tmp_path / "incl"
     rc = main([
         "inclusion-search", "--N", "2", "--L", "3", "--b2-cap", "1.5",
@@ -136,7 +136,12 @@ def test_inclusion_search_subcommand(tmp_path):
     assert [row["L"] for row in d["trend"]] == [2, 3]
     trend_lines = (out / "trend.csv").read_text().strip().splitlines()
     assert trend_lines[0] == "L,ainf_ii,b2_iv,objective" and len(trend_lines) == 3
-    assert main(["inclusion-search", "--N", "1", "--b2-cap", "2.0", "--out", str(out)]) == 1
+    capsys.readouterr()
+    base = ["inclusion-search", "--N", "2", "--b2-cap", "2.0", "--budget", "3", "--out", str(out)]
+    for flag, value in (("--N", "1"), ("--b2-cap", "nan"), ("--b2-cap", "inf"), ("--b2-cap", "1"),
+                        ("--budget", "-5"), ("--n", "0"), ("--L", "-1")):
+        assert main(base + [flag, value]) == 1
+        assert capsys.readouterr().err.startswith(f"inclusion-search: {flag} must be"), flag
 
 
 def test_paraproduct_demo(tmp_path):

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dwlab.grid import WeightField, read_weight_field, write_weight_field
+from dwlab import harness, weights
+from dwlab.grid import Grid, WeightField, read_weight_field, write_weight_field
 from dwlab.harness import GENERATOR_KINDS, WeightGenerator, generate, inclusion_search
 from dwlab.weights import b2_constants, class_report
+
+from conftest import random_weight_field
 
 
 def test_constant_kind():
@@ -56,8 +61,11 @@ def test_doubling_cap_retry_exhaustion():
 def test_inclusion_search_guards():
     with pytest.raises(ValueError, match="N >= 2"):
         inclusion_search(1, 1, 3, 2.0)
-    with pytest.raises(ValueError, match="b2_cap"):
-        inclusion_search(1, 2, 3, 0.9)
+    for cap in (0.9, 1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="b2_cap"):
+            inclusion_search(1, 2, 3, cap)
+    with pytest.raises(ValueError, match="budget"):
+        inclusion_search(1, 2, 3, 2.0, budget=-5)
 
 
 def test_inclusion_search_budget_zero():
@@ -79,3 +87,55 @@ def test_inclusion_search_improves_and_revalidates(tmp_path):
         assert abs(getattr(rep2, key) - getattr(res.report, key)) <= 1e-10 * max(
             1.0, getattr(res.report, key)
         )
+
+
+def _box_path_screen(field):
+    """The dyadic screen through the per-box kernel: the exact slow path."""
+    best_b2 = best_ainf = 1.0
+    for batch in field.grid.box_batches(0):
+        r = weights.box_ratios(field, batch)
+        best_b2 = max(best_b2, float(r["b2_iv"].max()))
+        best_ainf = max(best_ainf, float(r["ainf_ii"].max()))
+    return best_b2, best_ainf
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2]),
+    N=st.integers(2, 3),
+    L=st.integers(0, 4),
+)
+def test_tree_screen_matches_box_path(seed, n, N, L):
+    rng = np.random.default_rng(seed)
+    w = random_weight_field(rng, n=n, N=N, L=L, spread=0.5, mu_spread=0.5)
+    got, want = harness._dyadic_constants(w), _box_path_screen(w)
+    assert all(_close(x, y) for x, y in zip(got, want)), (got, want)
+
+
+def test_tree_screen_skips_box_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-box path called")
+
+    w = random_weight_field(np.random.default_rng(5), n=2, N=2, L=3, mu_spread=0.5)
+    monkeypatch.setattr(weights, "box_ratios", refuse)
+    monkeypatch.setattr(Grid, "box_batches", refuse)
+    b2, ainf = harness._dyadic_constants(w)
+    assert b2 > 1.0 and ainf > 1.0
+
+
+def test_inclusion_search_matches_box_path_screen(monkeypatch):
+    # cap 2 binds at seed 2: the anneal projects five times and shrinks at the end
+    fast = inclusion_search(1, 2, 3, b2_cap=2.0, budget=60, seed=2)
+    monkeypatch.setattr(harness, "_dyadic_constants", _box_path_screen)
+    slow = inclusion_search(1, 2, 3, b2_cap=2.0, budget=60, seed=2)
+    assert [t["step"] for t in fast.trail] == [t["step"] for t in slow.trail]
+    assert np.array_equal(fast.field.values, slow.field.values)
+    assert fast.report == slow.report
+    assert _close(fast.objective, slow.objective)
+    for a, b in zip(fast.trail, slow.trail):
+        assert all(_close(a[k], b[k]) for k in ("score", "b2_iv", "ainf_ii"))
