@@ -1,14 +1,5 @@
 """dwlab: dyadic laboratory for matrix weights and Carleson paraproducts."""
 
-from .matrices import (
-    SpdMatrix,
-    PsdMatrix,
-    NotPositiveDefiniteError,
-    spd_sqrt,
-    op_norm,
-    log_det,
-    loewner_geq,
-)
 from .grid import (
     Cube,
     Grid,
@@ -41,6 +32,7 @@ from .stopping import (
     kato_family_stop,
     corona_stop,
     martingale_square_check,
+    loewner_geq,
 )
 from .cones import (
     ConeNet,

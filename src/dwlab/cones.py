@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import op_norm
-
 __all__ = [
     "NetInfeasibleError",
     "ConeNet",
@@ -55,10 +53,14 @@ def maximizing_vector_bound(a, x, y):
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-d array, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
     for v in (x, y):
         if abs(np.linalg.norm(v) - 1.0) > 1e-9:
             raise ValueError("x and y must be unit vectors")
-    norm_a = op_norm(a)
+    norm_a = float(np.linalg.svd(a, compute_uv=False)[0])
     if norm_a == 0.0:
         raise ValueError("zero matrix has no maximizing direction")
     lhs = float(np.linalg.norm(a @ y))

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import SpdMatrix
-
 __all__ = [
     "Cube",
     "BoxBatch",
@@ -129,6 +127,14 @@ def _coarsen(arr, n):
     return new.sum(axis=tuple(2 * k + 1 for k in range(n)))
 
 
+def _level_sums(finest, n, L):
+    """Sums of ``finest`` over the dyadic cubes of each level, coarsest first."""
+    tree = [finest]
+    for _ in range(L):
+        tree.append(_coarsen(tree[-1], n))
+    return tree[::-1]
+
+
 class CellValueError(ValueError):
     """A finest cell holds an invalid value; ``index`` is its flat cell index."""
 
@@ -164,10 +170,7 @@ class Grid:
         self.mu = mu
         self.cell_volume = 2.0 ** (-self.n * self.L)
         # Integral of mu over every dyadic cube, one array per level.
-        tree = [mu * self.cell_volume]
-        for _ in range(self.L):
-            tree.append(_coarsen(tree[-1], self.n))
-        self._mu_tree = tree[::-1]
+        self._mu_tree = _level_sums(mu * self.cell_volume, self.n, self.L)
         self._doubling = {}
 
     @property
@@ -344,14 +347,15 @@ class WeightField:
 
     # Cube integrals ----------------------------------------------------------------
 
+    def _integrals(self, cell_values):
+        """Per-level arrays of the cube integrals of ``cell_values`` d(mu)."""
+        g = self.grid
+        mu = g.mu.reshape(g.mu.shape + (1,) * (cell_values.ndim - g.n))
+        return _level_sums(cell_values * mu * g.cell_volume, g.n, g.L)
+
     def _tree(self, key, cell_values):
         if key not in self._tree_cache:
-            g = self.grid
-            mu = g.mu.reshape(g.mu.shape + (1,) * (cell_values.ndim - g.n))
-            tree = [cell_values * mu * g.cell_volume]
-            for _ in range(g.L):
-                tree.append(_coarsen(tree[-1], g.n))
-            self._tree_cache[key] = tree[::-1]
+            self._tree_cache[key] = self._integrals(cell_values)
         return self._tree_cache[key]
 
     def integral_tree(self, exponent):
@@ -368,8 +372,13 @@ class WeightField:
             self._avg_cache[key] = self.cube_integral(cube, exponent) / mu_q
         return self._avg_cache[key]
 
-    def avg(self, cube):
-        return SpdMatrix(self.avg_entries(cube, 1))
+    def expectation_levels(self, f):
+        """Weighted averages E_R f = (int_R W dmu)^{-1} int_R W f dmu of a vector
+        field ``f`` over every dyadic cube R, one array per level."""
+        iwf = self._integrals(np.einsum("...ij,...j->...i", self.values, np.asarray(f, float)))
+        return [
+            np.linalg.solve(iw, x[..., None])[..., 0] for iw, x in zip(self.integral_tree(1), iwf)
+        ]
 
     def moment_masses(self):
         """Cell masses of 1, W, W^2, W^-1, W^-2 and log det W, on one last axis."""
@@ -415,14 +424,7 @@ def expectation_Et(f, t_level, weight):
     g = weight.grid
     if t_level < 0 or t_level > g.L:
         raise ValueError(f"level {t_level} outside [0, {g.L}]")
-    f = np.asarray(f, dtype=float)
-    mu = g.mu.reshape(g.mu.shape + (1,))
-    cell_iwf = np.einsum("...ij,...j->...i", weight.values, f) * mu * g.cell_volume
-    tree_iwf = [cell_iwf]
-    for _ in range(g.L - t_level):
-        tree_iwf.append(_coarsen(tree_iwf[-1], g.n))
-    iw = weight.integral_tree(1)[t_level]
-    out = np.linalg.solve(iw, tree_iwf[-1][..., None])[..., 0]
+    out = weight.expectation_levels(f)[t_level]
     for _ in range(g.L - t_level):
         out = _refine(out, g.n)
     return out

@@ -203,6 +203,23 @@ def _dyadic_constants(field):
     return max(1.0, float(b2_iv.max())), max(1.0, float(ainf_ii.max()))
 
 
+def _shrink_to_cap(sym, screen, b2_cap):
+    """Bisect 12 times for the largest scale s in [0, 1] at which the field
+    ``mean + s (sym - mean)`` keeps ``screen(field)[0]``, its b2 constant, within
+    the cap; the constant mean field (s = 0) has every constant equal to one.
+    Returns the shrunk field and its screen, or None when no scale was accepted."""
+    mean = sym.mean(axis=tuple(range(sym.ndim - 2)))
+    lo_s, hi_s, kept = 0.0, 1.0, None
+    for _ in range(12):
+        mid = (lo_s + hi_s) / 2.0
+        screened = screen(mean + mid * (sym - mean))
+        if screened[0] <= b2_cap:
+            lo_s, kept = mid, screened
+        else:
+            hi_s = mid
+    return mean + lo_s * (sym - mean), kept
+
+
 def inclusion_search(n, N, L, b2_cap, budget=2000, seed=0, penalty=100.0):
     """Maximize the A-infinity determinant constant under a reverse Hoelder cap.
 
@@ -226,32 +243,17 @@ def inclusion_search(n, N, L, b2_cap, budget=2000, seed=0, penalty=100.0):
     def build(sym):
         return WeightField(grid, _sym_expm(sym))
 
-    def project(sym):
-        """Shrink a field over the cap toward the constant mean field until the
-        cap holds; the mean field has every constant equal to one, so a feasible
-        scale exists."""
-        mean = sym.mean(axis=tuple(range(n)))
-        lo_s, hi_s = 0.0, 1.0
-        for _ in range(12):
-            mid = (lo_s + hi_s) / 2.0
-            if _dyadic_constants(build(mean + mid * (sym - mean)))[0] <= b2_cap:
-                lo_s = mid
-            else:
-                hi_s = mid
-        return mean + lo_s * (sym - mean)
-
-    def objective(sym):
-        b2, ainf = _dyadic_constants(build(sym))
-        score = ainf - penalty * max(0.0, b2 - b2_cap)
-        return score, b2, ainf
+    def screen(sym):
+        return _dyadic_constants(build(sym))
 
     def feasible(sym):
-        """Score ``sym``; over the cap, project it and score the projection."""
-        score, b2, ainf = objective(sym)
+        """Score ``sym``; over the cap, shrink it toward the mean field and
+        score the shrunk field."""
+        b2, ainf = screen(sym)
         if b2 > b2_cap:
-            sym = project(sym)
-            score, b2, ainf = objective(sym)
-        return sym, score, b2, ainf
+            sym, kept = _shrink_to_cap(sym, screen, b2_cap)
+            b2, ainf = screen(sym) if kept is None else kept
+        return sym, ainf - penalty * max(0.0, b2 - b2_cap), b2, ainf
 
     sym = np.zeros(shape + (N, N))
     for i in range(N):
@@ -287,18 +289,10 @@ def inclusion_search(n, N, L, b2_cap, budget=2000, seed=0, penalty=100.0):
     # The anneal caps the dyadic-family constant; shrink once more so the
     # emitted instance honors the cap over the full translated-grid family.
     def full_b2(sym):
-        return _family_scan(build(sym), directions=0, want_ainf_i=False)[0]["b2_iv"]
+        return (_family_scan(build(sym), directions=0, want_ainf_i=False)[0]["b2_iv"],)
 
-    if full_b2(best_sym) > b2_cap:
-        mean = best_sym.mean(axis=tuple(range(n)))
-        lo_s, hi_s = 0.0, 1.0
-        for _ in range(12):
-            mid = (lo_s + hi_s) / 2.0
-            if full_b2(mean + mid * (best_sym - mean)) <= b2_cap:
-                lo_s = mid
-            else:
-                hi_s = mid
-        best_sym = mean + lo_s * (best_sym - mean)
+    if full_b2(best_sym)[0] > b2_cap:
+        best_sym, _ = _shrink_to_cap(best_sym, full_b2, b2_cap)
     best_field = build(best_sym)
     report = class_report(best_field)
     return InclusionSearchResult(

@@ -17,8 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Cube, _coarsen
-from .matrices import loewner_geq
+from .grid import Cube
 
 __all__ = [
     "StoppingCriterion",
@@ -33,6 +32,7 @@ __all__ = [
     "kato_family_stop",
     "corona_stop",
     "martingale_square_check",
+    "loewner_geq",
     "box_cubes",
     "bernoulli_criterion",
 ]
@@ -245,23 +245,15 @@ def kato_stop(root, field, b_values, v0, eps2):
     """
     if not 0.0 < eps2 < 1.0:
         raise ValueError("eps2 must lie in (0, 1)")
-    g = field.grid
-    b = np.asarray(b_values, dtype=float)
-    mu = g.mu.reshape(g.mu.shape + (1,))
-    cell_iwb = np.einsum("...ij,...j->...i", field.values, b) * mu * g.cell_volume
-    tree = [cell_iwb]
-    for _ in range(g.L):
-        tree.append(_coarsen(tree[-1], g.n))
-    tree = tree[::-1]
-    iw = field.integral_tree(1)
+    levels = field.expectation_levels(b_values)
 
     def expectation(r, _s):
-        return np.linalg.solve(iw[r.level][r.coords], tree[r.level][r.coords])
+        return levels[r.level][r.coords]
 
     crit = StoppingCriterion(
         name=f"kato(eps2={eps2:g})", fires=_kato_fires_factory(field, expectation, v0, eps2)
     )
-    res = run_stopping(root, crit, g.L)
+    res = run_stopping(root, crit, field.grid.L)
     return res, first_generation_ratio(res, field.grid)
 
 
@@ -311,6 +303,15 @@ def corona_stop(root, field, eps3):
                     f"sawtooth bound violated at {s.descriptor()} / {r.descriptor()}"
                 )
     return res, packing_constant(res, field.grid)
+
+
+def loewner_geq(a, b, tol=0.0):
+    """True iff ``A - B`` has smallest eigenvalue >= ``-tol``."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    d = a - b
+    return bool(np.linalg.eigvalsh((d + d.T) / 2.0)[0] >= -tol)
 
 
 def martingale_square_check(root, field, result, rel_tol=1e-9):

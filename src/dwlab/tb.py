@@ -154,26 +154,10 @@ def carleson_norm(gamma, grid=None, norm="op"):
     return best
 
 
-def _expectation_levels(field, b_values):
-    """E_R b for every dyadic cube, one array per level."""
-    g = field.grid
-    mu = g.mu.reshape(g.mu.shape + (1,))
-    cell = np.einsum("...ij,...j->...i", field.values, np.asarray(b_values, float))
-    cell = cell * mu * g.cell_volume
-    tree = [cell]
-    for _ in range(g.L):
-        tree.append(_coarsen(tree[-1], g.n))
-    tree = tree[::-1]
-    iw = field.integral_tree(1)
-    return [
-        np.linalg.solve(iw[k], tree[k][..., None])[..., 0] for k in range(g.L + 1)
-    ]
-
-
 def testfun_carleson(gamma, b_values, root, field, norm="op"):
     """Whitney-discretized square integral of gamma applied to E_t b over a box."""
     g = field.grid
-    exps = _expectation_levels(field, b_values)
+    exps = field.expectation_levels(b_values)
     total = 0.0
     for k in range(root.level, g.L + 1):
         span = tuple(
@@ -203,9 +187,7 @@ class TestFamily:
     def _levels_for(self, s_cube, v0):
         key = (s_cube, tuple(np.round(np.asarray(v0, float), 15)))
         if key not in self._exp_cache:
-            self._exp_cache[key] = _expectation_levels(
-                self.field, self.b_values(s_cube, v0)
-            )
+            self._exp_cache[key] = self.field.expectation_levels(self.b_values(s_cube, v0))
         return self._exp_cache[key]
 
     def expectation(self, r_cube, s_cube, v0):

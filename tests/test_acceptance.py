@@ -25,13 +25,13 @@ from dwlab.grid import (
 )
 from dwlab.haar import paraproduct_plus, product_identity_residual
 from dwlab.harness import WeightGenerator, generate
-from dwlab.matrices import loewner_geq
 from dwlab.rrt import conclusion_value, delta_of_eps_curve, hypothesis_margin
 from dwlab.stopping import (
     bernoulli_criterion,
     corona_stop,
     iterated_sawtooth,
     kato_family_stop,
+    loewner_geq,
     martingale_square_check,
     run_stopping,
     volberg_stop,

@@ -42,6 +42,11 @@ def test_bound_rejects_bad_input():
         maximizing_vector_bound(np.eye(2), [2.0, 0.0], [1.0, 0.0])
     with pytest.raises(ValueError, match="zero"):
         maximizing_vector_bound(np.zeros((2, 2)), [1.0, 0.0], [0.0, 1.0])
+    with pytest.raises(ValueError, match="2-d"):
+        maximizing_vector_bound([3.0, 4.0], [1.0, 0.0], [0.0, 1.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            maximizing_vector_bound([[1.0, 0.0], [0.0, bad]], [1.0, 0.0], [0.0, 1.0])
 
 
 def test_bound_randomized(rng):

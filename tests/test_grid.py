@@ -30,11 +30,11 @@ def test_measure_examples():
 def test_avg_matrix_examples():
     g = Grid(1, 1)
     w = WeightField(g, np.array([np.diag([1.0, 1.0]), np.diag([3.0, 1.0])]))
-    assert np.allclose(w.avg(root_cube(1)).entries, np.diag([2.0, 1.0]))
+    assert np.allclose(w.avg_entries(root_cube(1), 1), np.diag([2.0, 1.0]))
     # single finest cell returns the cell value
-    assert np.allclose(w.avg(Cube(1, (1,))).entries, np.diag([3.0, 1.0]))
+    assert np.allclose(w.avg_entries(Cube(1, (1,)), 1), np.diag([3.0, 1.0]))
     const = WeightField(Grid(1, 2), np.broadcast_to(np.diag([2.0, 5.0]), (4, 2, 2)).copy())
-    assert np.allclose(const.avg(root_cube(1)).entries, np.diag([2.0, 5.0]))
+    assert np.allclose(const.avg_entries(root_cube(1), 1), np.diag([2.0, 5.0]))
 
 
 def test_weighted_avg_hand_case():
@@ -98,6 +98,19 @@ def test_expectation_two_dimensional(rng):
             assert np.max(np.abs(block - block[0])) < 1e-14
             assert np.allclose(block[0], weighted_avg(f, cube, w), atol=1e-12)
         assert np.max(np.abs(expectation_Et(et, t, w) - et)) < 1e-12
+
+
+def test_expectation_levels_match_weighted_avg(rng):
+    w = random_weight_field(rng, n=2, N=3, L=2, spread=0.6, mu_spread=0.3)
+    f = rng.standard_normal((4, 4, 3))
+    levels = w.expectation_levels(f)
+    iwf = w._integrals(np.einsum("...ij,...j->...i", w.values, f))
+    for cube in w.grid.cubes():
+        got = levels[cube.level][cube.coords]
+        assert np.allclose(got, weighted_avg(f, cube, w), atol=1e-12)
+        # the batched solve is the per-cube solve, bit for bit
+        iw = w.integral_tree(1)[cube.level][cube.coords]
+        assert np.array_equal(got, np.linalg.solve(iw, iwf[cube.level][cube.coords]))
 
 
 def test_box_avg_matches_cell_sum(rng):

@@ -139,3 +139,38 @@ def test_inclusion_search_matches_box_path_screen(monkeypatch):
     assert _close(fast.objective, slow.objective)
     for a, b in zip(fast.trail, slow.trail):
         assert all(_close(a[k], b[k]) for k in ("score", "b2_iv", "ainf_ii"))
+
+
+def test_shrink_to_cap_returns_the_accepted_screen():
+    sym = np.random.default_rng(7).standard_normal((4, 2, 2))
+    mean = sym.mean(axis=0)
+    calls = []
+
+    def screen(s):
+        calls.append(s)
+        return (float(np.abs(s - mean).max()), len(calls))
+
+    cap = 0.3 * screen(sym)[0]
+    calls.clear()
+    shrunk, kept = harness._shrink_to_cap(sym, screen, cap)
+    assert len(calls) == 12
+    assert kept[0] <= cap and np.array_equal(calls[kept[1] - 1], shrunk)
+
+    shrunk, kept = harness._shrink_to_cap(sym, lambda s: (np.inf,), cap)
+    assert kept is None and np.array_equal(shrunk, np.broadcast_to(mean, sym.shape))
+
+
+def test_inclusion_search_screens_each_field_once(monkeypatch):
+    seen = []
+    screen = harness._dyadic_constants
+
+    def counting(field):
+        seen.append(field.values.tobytes())
+        return screen(field)
+
+    monkeypatch.setattr(harness, "_dyadic_constants", counting)
+    # cap 2 binds at seed 2: the anneal projects five times, so the initial
+    # field and 60 steps take one screen each and every projection twelve
+    inclusion_search(1, 2, 3, b2_cap=2.0, budget=60, seed=2)
+    assert len(seen) == 61 + 5 * 12
+    assert len(set(seen)) == len(seen)

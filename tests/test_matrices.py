@@ -1,3 +1,11 @@
+"""Cell-matrix contracts: positivity rejection, the spectral square root,
+log-determinants, the Loewner order and the operator norm.
+
+They are carried by ``WeightField`` (cell checks and cell functions),
+``stopping.loewner_geq`` and ``cones.maximizing_vector_bound``, all on
+``numpy.linalg``.
+"""
+
 import math
 
 import numpy as np
@@ -5,42 +13,53 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwlab.matrices import (
-    NotPositiveDefiniteError,
-    PsdMatrix,
-    SpdMatrix,
-    jacobi_eigh,
-    log_det,
-    loewner_geq,
-    op_norm,
-    spd_sqrt,
-)
+from dwlab.cones import maximizing_vector_bound
+from dwlab.grid import Grid, WeightField
+from dwlab.stopping import loewner_geq
 
 from conftest import random_spd_cells
 
 
+def one_cell(m):
+    """Weight field of a single finest cell holding ``m``."""
+    return WeightField(Grid(1, 0), np.asarray(m, dtype=float)[None])
+
+
+def cell_sqrt(m):
+    return one_cell(m).cell_power(0.5)[0]
+
+
 def test_sqrt_identity_and_diagonal():
-    assert np.allclose(spd_sqrt(np.eye(2)).entries, np.eye(2))
-    assert np.allclose(spd_sqrt(np.diag([4.0, 9.0])).entries, np.diag([2.0, 3.0]))
+    w = WeightField(Grid(1, 1), np.array([np.eye(2), np.diag([4.0, 9.0])]))
+    roots = w.cell_power(0.5)
+    assert np.allclose(roots[0], np.eye(2))
+    assert np.allclose(roots[1], np.diag([2.0, 3.0]))
 
 
 def test_sqrt_spectral_hand_case():
     # Eigenpairs of [[2,1],[1,2]]: 1 on (1,-1)/sqrt2 and 3 on (1,1)/sqrt2,
     # so the root is [[(1+sqrt3)/2, (sqrt3-1)/2], [...]].
-    s = spd_sqrt([[2.0, 1.0], [1.0, 2.0]])
+    s = cell_sqrt([[2.0, 1.0], [1.0, 2.0]])
     r3 = math.sqrt(3.0)
     expected = np.array([[(1 + r3) / 2, (r3 - 1) / 2], [(r3 - 1) / 2, (1 + r3) / 2]])
-    assert np.allclose(s.entries, expected, atol=1e-12)
-    assert np.allclose(s.entries @ s.entries, [[2, 1], [1, 2]], atol=1e-12)
+    assert np.allclose(s, expected, atol=1e-12)
+    assert np.allclose(s @ s, [[2, 1], [1, 2]], atol=1e-12)
 
 
 def test_op_norm_examples():
-    assert op_norm(np.zeros((2, 3))) == 0.0
-    assert abs(op_norm(np.diag([1.0, 3.0])) - 3.0) < 1e-12
-    assert abs(op_norm(np.array([[0.0, 1.0], [0.0, 0.0]])) - 1.0) < 1e-12
+    with pytest.raises(ValueError, match="zero"):
+        maximizing_vector_bound(np.zeros((2, 3)), [1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+    # At a maximizing unit vector v both sides read |Av| = |A|.
+    e2 = [0.0, 1.0]
+    for a, norm in ((np.diag([1.0, 3.0]), 3.0), (np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)):
+        lhs, rhs = maximizing_vector_bound(a, e2, e2)
+        assert abs(lhs - norm) < 1e-12 and abs(rhs - norm) < 1e-12
 
 
 def test_log_det_examples():
+    def log_det(m):
+        return float(one_cell(m).cell_log_det()[0])
+
     assert abs(log_det(np.eye(4))) < 1e-14
     assert abs(log_det(np.diag([1.0, 4.0])) - math.log(4.0)) < 1e-12
     assert abs(log_det([[2.0, 1.0], [1.0, 2.0]]) - math.log(3.0)) < 1e-12
@@ -56,41 +75,24 @@ def test_loewner_examples():
 
 
 def test_construction_error_names_eigenvalue():
-    with pytest.raises(NotPositiveDefiniteError, match="eigenvalue"):
-        SpdMatrix([[1.0, 2.0], [2.0, 1.0]])
-    with pytest.raises(NotPositiveDefiniteError):
-        SpdMatrix(np.zeros((2, 2)))
-    # PSD variant tolerates a zero eigenvalue.
-    assert PsdMatrix(np.zeros((2, 2))).entries.shape == (2, 2)
-    assert PsdMatrix([[1.0, 1.0], [1.0, 1.0]]).dim == 2
+    with pytest.raises(ValueError, match="not positive definite"):
+        one_cell([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(ValueError, match="not positive definite"):
+        one_cell(np.zeros((2, 2)))
 
 
 def test_immutable():
-    a = SpdMatrix(np.eye(2))
-    with pytest.raises(AttributeError):
-        a.dim = 3
+    w = one_cell(np.eye(2))
     with pytest.raises(ValueError):
-        a.entries[0, 0] = 5.0
-
-
-def test_jacobi_against_numpy(rng):
-    for _ in range(80):
-        n = int(rng.integers(1, 7))
-        g = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
-        g = (g + g.T) / 2.0
-        w, v = jacobi_eigh(g)
-        scale = max(np.max(np.abs(w)), 1e-300)
-        assert np.allclose(w, np.linalg.eigvalsh(g), atol=1e-12 * scale)
-        assert np.allclose(v @ np.diag(w) @ v.T, g, atol=1e-12 * scale)
-        assert np.allclose(v.T @ v, np.eye(n), atol=1e-12)
+        w.values[0, 0, 0] = 5.0
 
 
 def test_sqrt_squares_back(rng):
     mats = random_spd_cells(rng, 60, 3, spread=1.0)
     for m in mats:
-        s = spd_sqrt(m)
-        scale = op_norm(m)
-        assert np.max(np.abs(s.entries @ s.entries - m)) <= 1e-10 * scale
+        s = cell_sqrt(m)
+        scale = np.linalg.norm(m, 2)
+        assert np.max(np.abs(s @ s - m)) <= 1e-10 * scale
 
 
 def test_expanding_matrix_norm_det_sandwich(rng):
@@ -101,19 +103,12 @@ def test_expanding_matrix_norm_det_sandwich(rng):
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         eigs = 1.0 + rng.uniform(0.0, 3.0, size=n)
         a = (q * eigs) @ q.T
-        nrm = op_norm(a)
-        det = math.exp(log_det(a))
+        w = one_cell(a)
+        top = w.cell_eigvecs[0][:, -1]
+        nrm = maximizing_vector_bound(a, top, top)[0]
+        det = math.exp(float(w.cell_log_det()[0]))
         assert 1.0 - 1e-12 <= nrm <= det * (1 + 1e-12)
         assert det <= nrm**n * (1 + 1e-12)
-
-
-def test_op_norm_submultiplicative_transpose(rng):
-    for _ in range(60):
-        m, k, n = rng.integers(1, 5, size=3)
-        a = rng.standard_normal((int(m), int(k)))
-        b = rng.standard_normal((int(k), int(n)))
-        assert op_norm(a @ b) <= op_norm(a) * op_norm(b) * (1 + 1e-12)
-        assert abs(op_norm(a) - op_norm(a.T)) <= 1e-12 * max(op_norm(a), 1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -121,5 +116,5 @@ def test_op_norm_submultiplicative_transpose(rng):
 def test_sqrt_roundtrip_property(dim, seed):
     rng = np.random.default_rng(seed)
     m = random_spd_cells(rng, 1, dim, spread=0.8)[0]
-    s = spd_sqrt(m)
-    assert np.max(np.abs(s.entries @ s.entries - m)) <= 1e-10 * max(op_norm(m), 1e-10)
+    s = cell_sqrt(m)
+    assert np.max(np.abs(s @ s - m)) <= 1e-10 * max(np.linalg.norm(m, 2), 1e-10)

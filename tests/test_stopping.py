@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwlab.grid import Cube, Grid, WeightField, root_cube
-from dwlab.matrices import loewner_geq
 from dwlab.stopping import (
     StoppingCriterion,
     bernoulli_criterion,
@@ -13,6 +12,7 @@ from dwlab.stopping import (
     iterated_sawtooth,
     kato_family_stop,
     kato_stop,
+    loewner_geq,
     martingale_square_check,
     packing_constant,
     run_stopping,

@@ -249,7 +249,7 @@ def test_tb_run_canonical_constants_skip_per_cube_path(monkeypatch):
         raise AssertionError("per-cube test-function path called")
 
     monkeypatch.setattr(tb, "testfun_carleson", refuse)
-    monkeypatch.setattr(tb, "_expectation_levels", refuse)
+    monkeypatch.setattr(WeightField, "expectation_levels", refuse)
     w = generate(WeightGenerator("log-gaussian", amplitude=0.3, seed=51), 1, 2, 4)
     rep = tb_run(w, make_gamma("martingale", w), eps2=0.3)
     assert not rep.violations
