@@ -174,7 +174,6 @@ def _cmd_tb_run(args):
         eps2=eps2,
         eps3=eps3,
         lam=lam,
-        seed=args.seed,
         shifts=cfg.shifts,
     )
     payload = report.as_dict()

@@ -391,6 +391,23 @@ class WeightField:
             self._cell_cache[key] = masses
         return self._cell_cache[key]
 
+    def log_norm_masses(self, directions):
+        """Cell masses of log|W^{-1/2} d| for the rows d of ``directions``, on one
+        last axis; |W^{-1/2} d|^2 is summed one eigen-component at a time."""
+        key = ("lognorm", directions.tobytes())
+        if key not in self._cell_cache:
+            sq = np.zeros(self.values.shape[:-2] + (len(directions),))
+            for i in range(self.N):
+                proj = self._cell_eigvecs[..., i] @ directions.T
+                proj *= proj
+                proj /= self._cell_eigvals[..., i, None]
+                sq += proj
+            del proj
+            np.log(sq, out=sq)
+            sq *= 0.5 * self.grid.cell_masses[..., None]
+            self._cell_cache[key] = sq
+        return self._cell_cache[key]
+
 
 # Free-function forms of the core operations --------------------------------------
 

@@ -288,20 +288,12 @@ def corona_criterion(field, eps3):
 def corona_stop(root, field, eps3):
     """Average-oscillation stop |W_S^{-1} W_R - I| > eps3; full packing reported.
 
-    Verifies that inside every sawtooth the oscillation stays within eps3.
+    Every cube of a sawtooth other than its top was tested against the top and
+    did not fire, so inside every sawtooth the oscillation stays within eps3.
     """
     if eps3 <= 0.0:
         raise ValueError("eps3 must be positive")
-    crit = corona_criterion(field, eps3)
-    res = run_stopping(root, crit, field.grid.L)
-    for s in res.all_cubes:
-        for r in res.sawtooth(s):
-            if r == s:
-                continue
-            if crit.fires(s, r):
-                raise AssertionError(
-                    f"sawtooth bound violated at {s.descriptor()} / {r.descriptor()}"
-                )
+    res = run_stopping(root, corona_criterion(field, eps3), field.grid.L)
     return res, packing_constant(res, field.grid)
 
 

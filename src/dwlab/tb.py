@@ -249,26 +249,25 @@ class CanonicalFamily(TestFamily):
             field.avg_entries(s_cube, 1) @ np.asarray(v0, dtype=float),
         )
 
-    def _sup_form(self, forms, samples, seed):
-        """sqrt of the sup over cubes Q and sampled v of u^T F_Q u / mu(Q), u = W_Q v,
-        for per-level arrays ``forms`` of N x N matrices F_Q."""
+    def _sup_form(self, forms):
+        """sqrt of the sup over cubes Q and unit v of u^T F_Q u / mu(Q), u = W_Q v,
+        for per-level arrays ``forms`` of N x N matrices F_Q: the top eigenvalue
+        of W_Q F_Q W_Q, one batched ``eigvalsh`` per level."""
         g, N = self.field.grid, self.field.N
-        dirs = self._directions(samples, seed)
-        worst, start = 0.0, 0
+        worst = 0.0
         for k, form in enumerate(forms):
             mu = g._mu_tree[k].reshape(-1)
             avg = self.field.integral_tree(1)[k].reshape(-1, N, N) / mu[:, None, None]
-            u = np.einsum("cij,cdj->cdi", avg, dirs[start : start + mu.size])
-            vals = np.einsum("cdi,cij,cdj->cd", u, form.reshape(-1, N, N), u)
-            worst = max(worst, float(np.max(vals / mu[:, None])))
-            start += mu.size
+            m = avg @ form.reshape(-1, N, N) @ avg
+            top = np.linalg.eigvalsh((m + np.swapaxes(m, -1, -2)) / 2.0)[:, -1]
+            worst = max(worst, float(np.max(top / mu)))
         return math.sqrt(worst)
 
-    def c3(self, samples=4, seed=0):
+    def c3(self):
         """Energy of b_Q^v over mu(Q) is u^T (W^-2)_Q u with u = W_Q v."""
-        return self._sup_form(self.field.integral_tree(-2), samples, seed)
+        return self._sup_form(self.field.integral_tree(-2))
 
-    def c4(self, gamma, samples=4, seed=0):
+    def c4(self, gamma):
         """E_R b_Q^v = W_R^-1 u for R in Q, so the Carleson sum is u^T M_Q u with
         M_Q = ln2 sum_{R in Q} mu(R) W_R^-1 gamma_R^T gamma_R W_R^-1."""
         g = self.field.grid
@@ -277,7 +276,7 @@ class CanonicalFamily(TestFamily):
             avg = self.field.integral_tree(1)[k] / mu[..., None, None]
             x = np.linalg.solve(avg, np.swapaxes(gamma.levels[k], -1, -2))
             masses.append(x @ np.swapaxes(x, -1, -2) * (mu * LN2)[..., None, None])
-        return self._sup_form(_box_mass_tree(g, masses), samples, seed)
+        return self._sup_form(_box_mass_tree(g, masses))
 
 
 def canonical_family(field):
@@ -295,7 +294,7 @@ class HypothesisConstants:
         return {"C1": self.C1, "C2": self.C2, "C3": self.C3, "C4": self.C4}
 
 
-def verify_hypotheses(field, gamma, fam=None, vec_samples=4, seed=0, shifts=None):
+def verify_hypotheses(field, gamma, fam=None, shifts=None):
     """Measured doubling, squared-average log-det, energy and test Carleson constants."""
     g = field.grid
     if fam is None:
@@ -304,8 +303,8 @@ def verify_hypotheses(field, gamma, fam=None, vec_samples=4, seed=0, shifts=None
         shifts = default_shifts(g)
     c1 = g.doubling_constant(shifts)
     c2 = math.sqrt(thewest_constant(field, shifts))
-    c3 = fam.c3(samples=vec_samples, seed=seed)
-    c4 = fam.c4(gamma, samples=vec_samples, seed=seed + 1)
+    c3 = fam.c3()
+    c4 = fam.c4(gamma)
     return HypothesisConstants(C1=c1, C2=c2, C3=c3, C4=c4)
 
 
@@ -357,7 +356,6 @@ def tb_run(
     eps2=0.1,
     eps3=None,
     lam=16.0,
-    seed=0,
     norm="op",
     shifts=None,
     residual_sectors=4,
@@ -548,7 +546,7 @@ def tb_run(
         decomp = stopping.iterated_sawtooth(top, [corona_crit], L)
         residual = decomp.partition_residual(L)
 
-    constants = verify_hypotheses(field, gamma, fam, seed=seed, shifts=shifts).as_dict()
+    constants = verify_hypotheses(field, gamma, fam, shifts=shifts).as_dict()
     _, volberg_ratio = stopping.volberg_stop(top, field, lam)
 
     per_sector = {

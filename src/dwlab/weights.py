@@ -10,7 +10,6 @@ the direction-sup constant equals ``|A|``, the squared variant equals
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -39,30 +38,21 @@ def default_shifts(grid):
     return 3**grid.n - 1
 
 
-def _stable_rng(seed, tag):
-    return np.random.default_rng(
-        np.random.SeedSequence([seed & 0xFFFFFFFF, zlib.crc32(tag.encode())])
-    )
+def _directions(n_dim, count, seed):
+    """The signed basis vectors, then ``count`` random unit vectors drawn from
+    one seeded stream, as a ``(2 * n_dim + count, n_dim)`` array."""
+    extra = np.random.default_rng(seed).standard_normal((max(count, 0), n_dim))
+    extra /= np.linalg.norm(extra, axis=1, keepdims=True)
+    return np.concatenate([np.eye(n_dim), -np.eye(n_dim), extra])
 
 
-def _directions(n_dim, count, seed, tags):
-    """Per tag: the signed basis vectors, then ``count`` random unit vectors
-    drawn from the tag's own seeded stream."""
-    basis = np.concatenate([np.eye(n_dim), -np.eye(n_dim)])
-    out = np.broadcast_to(basis, (len(tags),) + basis.shape)
-    if count <= 0:
-        return out
-    extra = np.stack([_stable_rng(seed, tag).standard_normal((count, n_dim)) for tag in tags])
-    extra /= np.linalg.norm(extra, axis=-1, keepdims=True)
-    return np.concatenate([out, extra], axis=1)
-
-
-def box_ratios(field, batch, directions=None, want_ainf_i=False):
+def box_ratios(field, batch, directions=None):
     """All per-box class ratios of a ``BoxBatch``, as arrays over its boxes.
 
     Keys: b2_i, b2_ii, b2_iii, b2_iv, ainf_ii, a2, thewest, chain (the five-term
-    determinant chain); given a ``(boxes, count, N)`` stack of directions also
-    b2_sampled (a sampled lower bound for b2_i) and, when requested, ainf_i.
+    determinant chain); given a ``(D, N)`` array of unit directions also
+    b2_sampled (a sampled lower bound for b2_i), ainf_i (sampled over the same
+    directions) and ainf_i_jensen (its upper bound from the moments alone).
     """
     N = field.N
     g = field.grid
@@ -77,16 +67,21 @@ def box_ratios(field, batch, directions=None, want_ainf_i=False):
     ew, ew2, vv, vv2 = ew[:boxes], ew[boxes:], vv[:boxes], vv[boxes:]
     det_w = np.prod(ew, axis=-1)
     inv_w = (vv / ew[:, None, :]) @ vv.transpose(0, 2, 1)
+    sqrt_w = (vv * np.sqrt(ew)[:, None, :]) @ vv.transpose(0, 2, 1)
     det_w2 = np.prod(ew2, axis=-1)
     sqrt_w2 = (vv2 * np.sqrt(ew2)[:, None, :]) @ vv2.transpose(0, 2, 1)
 
     b2_ii = np.linalg.svd(sqrt_w2 @ inv_w, compute_uv=False)[:, 0]
     item_iii = inv_w @ avg_w2 @ inv_w
     sym_iii = (item_iii + item_iii.transpose(0, 2, 1)) / 2.0
-    eig = np.linalg.eigvalsh(np.concatenate([sym_iii, avg_winv, avg_winv2]))
+    # By Jensen, exp(avg log|W^{-1/2} e|) <= (e^T (W^-1)_Q e)^{1/2}, so ainf_i is at
+    # most the square root of the top eigenvalue of W_Q^{1/2} (W^-1)_Q W_Q^{1/2}.
+    jensen = sqrt_w @ avg_winv @ sqrt_w
+    jensen = (jensen + jensen.transpose(0, 2, 1)) / 2.0
+    eig = np.linalg.eigvalsh(np.concatenate([sym_iii, avg_winv, avg_winv2, jensen]))
     b2_iii = np.max(np.abs(eig[:boxes]), axis=-1)
     det_winv = np.prod(eig[boxes : 2 * boxes], axis=-1)
-    det_winv2 = np.prod(eig[2 * boxes :], axis=-1)
+    det_winv2 = np.prod(eig[2 * boxes : 3 * boxes], axis=-1)
     exp_logdet = np.exp(avg_logdet)
 
     out = {
@@ -106,21 +101,12 @@ def box_ratios(field, batch, directions=None, want_ainf_i=False):
         num = np.linalg.norm(directions @ sqrt_w2.transpose(0, 2, 1), axis=-1)
         den = np.linalg.norm(directions @ avg_w.transpose(0, 2, 1), axis=-1)
         out["b2_sampled"] = np.max(num / den, axis=-1)
-        if want_ainf_i:
-            # Directions are per box: broadcast them over the cells of its bands.
-            # These per-cell, per-direction arrays are the largest of a batch,
-            # so they are squared, logged and weighted in place.
-            lead = tuple(len(b) for b in bands) + (1,) * g.n
-            proj = directions.reshape(lead + directions.shape[1:]) @ field.cell_eigvecs[index]
-            proj *= proj
-            log_mass = np.einsum("...di,...i->...d", proj, 1.0 / field.cell_eigvals[index])
-            del proj
-            np.log(np.sqrt(log_mass, out=log_mass), out=log_mass)
-            log_mass *= g.cell_masses[index][..., None]
-            avg_log = g.box_integrals(log_mass, bands) / mu_q[:, None]
-            inv_sqrt_w = (vv / np.sqrt(ew)[:, None, :]) @ vv.transpose(0, 2, 1)
-            den_i = np.linalg.norm(directions @ inv_sqrt_w.transpose(0, 2, 1), axis=-1)
-            out["ainf_i"] = np.max(np.exp(avg_log) / den_i, axis=-1)
+        # The log-norms of the directions are D more channels of the gather.
+        avg_log = g.box_integrals(field.log_norm_masses(directions)[index], bands)
+        avg_log /= mu_q[:, None]
+        den_i = np.sqrt(np.sum((directions @ inv_w) * directions, axis=-1))
+        out["ainf_i"] = np.max(np.exp(avg_log) / den_i, axis=-1)
+        out["ainf_i_jensen"] = np.sqrt(eig[3 * boxes :, -1])
     return out
 
 
@@ -134,26 +120,26 @@ def cube_ratios(field, lo, hi):
 _SUP_KEYS = ("b2_i", "b2_ii", "b2_iii", "b2_iv", "ainf_i", "ainf_ii", "a2", "thewest")
 
 
-def _family_scan(field, shifts=None, directions=64, seed=0, want_ainf_i=True, levels=None):
+def _family_scan(field, shifts=None, directions=64, seed=0, levels=None):
     g = field.grid
     if shifts is None:
         shifts = default_shifts(g)
+    dirs = _directions(field.N, directions, seed)
     sups = {}
     worst = {}
     count = 0
     for batch in g.box_batches(shifts, levels):
         descs = batch.descriptors()
-        dirs = _directions(field.N, directions, seed, descs)
-        ratios = box_ratios(field, batch, directions=dirs, want_ainf_i=want_ainf_i)
+        ratios = box_ratios(field, batch, directions=dirs)
         count += len(descs)
-        over = ratios["b2_sampled"] > ratios["b2_ii"] * (1.0 + 1e-9)
-        if over.any():
-            raise AssertionError(
-                f"sampled direction ratio exceeded the operator norm on {descs[np.argmax(over)]}"
-            )
+        for key, bound, what in (
+            ("b2_sampled", "b2_ii", "sampled direction ratio exceeded the operator norm"),
+            ("ainf_i", "ainf_i_jensen", "ainf_i exceeded its Jensen bound"),
+        ):
+            over = ratios[key] > ratios[bound] * (1.0 + 1e-9)
+            if over.any():
+                raise AssertionError(f"{what} on {descs[np.argmax(over)]}")
         for key in _SUP_KEYS:
-            if key not in ratios:
-                continue
             i = int(np.argmax(ratios[key]))
             val = float(ratios[key][i])
             if key not in sups or val > sups[key]:
@@ -192,7 +178,7 @@ class ClassReport:
 
 
 def class_report(field, shifts=None, directions=64, seed=0):
-    sups, worst, count = _family_scan(field, shifts, directions, seed, want_ainf_i=True)
+    sups, worst, count = _family_scan(field, shifts, directions, seed)
     doubling = field.grid.doubling_constant(
         shifts if shifts is not None else default_shifts(field.grid)
     )
@@ -212,17 +198,17 @@ def class_report(field, shifts=None, directions=64, seed=0):
 
 
 def b2_constants(field, shifts=None, directions=64, seed=0):
-    sups, _, _ = _family_scan(field, shifts, directions, seed, want_ainf_i=False)
+    sups, _, _ = _family_scan(field, shifts, directions, seed)
     return sups["b2_i"], sups["b2_ii"], sups["b2_iii"], sups["b2_iv"]
 
 
 def ainf_constants(field, shifts=None, directions=64, seed=0):
-    sups, _, _ = _family_scan(field, shifts, directions, seed, want_ainf_i=True)
+    sups, _, _ = _family_scan(field, shifts, directions, seed)
     return sups["ainf_i"], sups["ainf_ii"]
 
 
 def thewest_constant(field, shifts=None):
-    sups, _, _ = _family_scan(field, shifts, directions=0, seed=0, want_ainf_i=False)
+    sups, _, _ = _family_scan(field, shifts, directions=0)
     return sups["thewest"]
 
 
@@ -305,6 +291,7 @@ def scalar_ainfty_report(
 
     mu_ratios = []
     sigma_ratios = []
+    rng = np.random.default_rng(seed)
     for cube in g.cubes():
         sl = cube.cell_slices(g.L)
         mu_block = mu_cells[sl].reshape(-1)
@@ -313,7 +300,6 @@ def scalar_ainfty_report(
             continue
         mu_q = float(mu_block.sum())
         sigma_q = float(sigma_block.sum())
-        rng = _stable_rng(seed, f"subsets:{cube.descriptor()}")
         for _ in range(draws):
             dens = rng.choice(densities)
             mask = rng.random(mu_block.size) < dens
@@ -389,7 +375,7 @@ def corollary_relations(field, shifts=None, directions=8, seed=0, rel_tol=1e-9):
         sup_b2ii = max(sup_b2ii, float(r["b2_ii"].max()))
 
     count = max(directions - 2 * field.N, 0)
-    dirs = _directions(field.N, count, seed, ["corollary-directions"])[0]
+    dirs = _directions(field.N, count, seed)
     scalar_vals = []
     for d in dirs:
         w_a = np.linalg.norm(

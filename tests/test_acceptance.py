@@ -409,7 +409,7 @@ def test_5_tb_run_proof_skeleton():
         amp = (0.25 + 0.3 * (i % 7) / 6.0) / math.sqrt(N)
         w = generate(WeightGenerator(kind, amplitude=amp, seed=7000 + i), n, N, L)
         gamma = make_gamma(["constant", "martingale", "random"][i % 3], w, seed=i)
-        rep = tb_run(w, gamma, seed=i)
+        rep = tb_run(w, gamma)
         if (
             rep.violations
             or rep.partition_residual > 1e-9

@@ -165,15 +165,20 @@ def test_malformed_field_exit_code(tmp_path, capsys):
 
 def test_violated_invariant_exit_code(const_field, monkeypatch, capsys):
     real = weights.box_ratios
+    cases = (
+        ("b2_sampled", "b2_ii", "sampled direction ratio exceeded the operator norm"),
+        ("ainf_i", "ainf_i_jensen", "ainf_i exceeded its Jensen bound"),
+    )
+    for key, bound, message in cases:
 
-    def oversampled(*args, **kwargs):
-        out = real(*args, **kwargs)
-        out["b2_sampled"] = out["b2_ii"] * 2.0
-        return out
+        def oversampled(*args, key=key, bound=bound, **kwargs):
+            out = real(*args, **kwargs)
+            out[key] = out[bound] * 2.0
+            return out
 
-    monkeypatch.setattr(weights, "box_ratios", oversampled)
-    assert main(["check-weight", "--field", const_field]) == 2
-    assert "invariant violated: sampled direction ratio exceeded" in capsys.readouterr().err
+        monkeypatch.setattr(weights, "box_ratios", oversampled)
+        assert main(["check-weight", "--field", const_field]) == 2
+        assert f"invariant violated: {message} on shift=0 level=0 pos=0" in capsys.readouterr().err
 
 
 def test_usage_errors():

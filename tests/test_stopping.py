@@ -263,6 +263,28 @@ def test_corona_random_fields(rng):
         assert res.partition_residual() <= 1e-12
 
 
+def test_corona_sawtooth_oscillation_bound(rng):
+    # Inside every sawtooth the averages stay within eps3 of the top's, measured
+    # from the cell values and mu directly rather than through the criterion;
+    # the slack only covers rounding between the two computations.
+    def avg(w, cube):
+        sl = cube.cell_slices(w.grid.L)
+        mu = w.grid.mu[sl][..., None, None]
+        return np.sum(w.values[sl] * mu, axis=tuple(range(w.grid.n))) / np.sum(mu)
+
+    for i in range(6):
+        n = 1 + i % 2
+        w = random_weight_field(rng, n=n, N=2, L=4 if n == 1 else 3, spread=0.6, mu_spread=0.3)
+        eps3 = 0.1 + 0.05 * i
+        res, _ = corona_stop(root_cube(n), w, eps3)
+        assert len(res.all_cubes) > 1
+        for s in res.all_cubes:
+            w_s = avg(w, s)
+            for r in res.sawtooth(s):
+                dev = np.linalg.solve(w_s, avg(w, r)) - np.eye(2)
+                assert np.linalg.norm(dev, 2) <= eps3 * (1.0 + 1e-12), (s, r)
+
+
 def test_martingale_two_cell_equality():
     w = WeightField(Grid(1, 1), np.array([1.0, 3.0]).reshape(2, 1, 1))
     res = run_stopping(root_cube(1), ALWAYS, 1)

@@ -99,7 +99,7 @@ def test_canonical_family_constant_weight():
     v = np.array([0.6, 0.8])
     b = fam.b_values(root_cube(1), v)
     assert np.allclose(b, v)
-    assert abs(fam.c3(samples=2) - 1.0) < 1e-12
+    assert abs(fam.c3() - 1.0) < 1e-12
 
 
 def test_canonical_family_two_cell_energy():
@@ -176,7 +176,7 @@ def test_tb_run_random_instances(rng):
         L = 2 if n == 2 else 4
         w = generate(WeightGenerator("log-gaussian", amplitude=0.3, seed=50 + i), n, N, L)
         gam = make_gamma(("constant", "martingale", "random")[i % 3], w, seed=i)
-        rep = tb_run(w, gam, seed=i)
+        rep = tb_run(w, gam)
         assert not rep.violations
         assert rep.partition_residual <= 1e-9
         assert rep.assembled_bound >= rep.carleson_norm * (1 - 1e-12)
@@ -229,19 +229,22 @@ def test_gamma_martingale_root_zero(rng):
     seed=st.integers(0, 2**20),
 )
 def test_canonical_c3_c4_match_generic_paths(n, N, kind, samples, seed):
-    # The closed forms read the same sampled directions as the generic paths,
-    # which build b_Q^v cell by cell and sum its Carleson integral per cube.
+    # The closed forms are the exact sup over unit v; the generic paths build
+    # b_Q^v cell by cell for sampled v and sum its Carleson integral per cube,
+    # so they can only come out lower, and for N=1 (v = +-1) they agree.
     rng = np.random.default_rng(seed)
     L = int(rng.integers(1, 5 if n == 1 else 3))
     w = random_weight_field(rng, n=n, N=N, L=L, spread=0.6, mu_spread=0.3)
     gam = make_gamma(kind, w, seed=seed)
     fam = canonical_family(w)
     pairs = (
-        (fam.c3(samples, seed), tb.TestFamily.c3(fam, samples, seed)),
-        (fam.c4(gam, samples, seed), tb.TestFamily.c4(fam, gam, samples, seed)),
+        (fam.c3(), tb.TestFamily.c3(fam, samples, seed)),
+        (fam.c4(gam), tb.TestFamily.c4(fam, gam, samples, seed)),
     )
-    for closed, generic in pairs:
-        assert abs(closed - generic) <= 1e-12 * generic
+    for exact, sampled in pairs:
+        assert sampled <= exact * (1.0 + 1e-12)
+        if N == 1:
+            assert abs(exact - sampled) <= 1e-12 * exact
 
 
 def test_tb_run_canonical_constants_skip_per_cube_path(monkeypatch):

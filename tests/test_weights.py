@@ -1,6 +1,5 @@
 import itertools
 import math
-import zlib
 
 import numpy as np
 import pytest
@@ -295,11 +294,9 @@ def _oracle_ratios(w, lo, hi, dirs):
     }
 
 
-def _oracle_directions(N, count, seed, desc):
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed & 0xFFFFFFFF, zlib.crc32(desc.encode())])
-    )
-    extra = rng.standard_normal((count, N))
+def _oracle_directions(N, count, seed):
+    """The scan's one direction set: the signed basis, then ``count`` unit draws."""
+    extra = np.random.default_rng(seed).standard_normal((count, N))
     extra /= np.linalg.norm(extra, axis=1, keepdims=True)
     return np.concatenate([np.eye(N), -np.eye(N), extra])
 
@@ -329,8 +326,9 @@ def test_batched_scan_matches_per_cell_oracle(seed, n, N, depth):
     rep = class_report(w, shifts=shifts, directions=3, seed=seed)
 
     sups, worst, count = {}, {}, 0
+    dirs = _oracle_directions(N, 3, seed)
     for lo, hi, desc in _oracle_boxes(g, shifts, range(L + 1)):
-        r = _oracle_ratios(w, lo, hi, _oracle_directions(N, 3, seed, desc))
+        r = _oracle_ratios(w, lo, hi, dirs)
         count += 1
         for key, val in r.items():
             if key != "chain" and (key not in sups or val > sups[key]):
@@ -351,6 +349,71 @@ def test_batched_scan_matches_per_cell_oracle(seed, n, N, depth):
         mass = sum(m for _, m in _oracle_cells(g, lo, hi))
         doubling = max(doubling, sum(m for _, m in _oracle_cells(g, lo2, hi2)) / mass)
     assert _close(rep.doubling, doubling)
+
+
+def _oracle_jensen_and_basis(w, lo, hi):
+    """Per box, from cell sums: the Jensen bound sqrt(lambda_max(W_Q^{1/2} (W^-1)_Q
+    W_Q^{1/2})) and the basis-only ratio max_i exp(avg log|W^{-1/2} e_i|) / |W_Q^{-1/2} e_i|."""
+    cells = list(_oracle_cells(w.grid, lo, hi))
+    total = sum(m for _, m in cells)
+    a1 = sum(w.values[c] * m for c, m in cells) / total
+    am1 = sum(np.linalg.inv(w.values[c]) * m for c, m in cells) / total
+    ww, vv = np.linalg.eigh(a1)
+    root = (vv * np.sqrt(ww)) @ vv.T
+    jensen = math.sqrt(np.linalg.eigvalsh(root @ am1 @ root)[-1])
+    basis = max(
+        math.exp(sum(0.5 * math.log(np.linalg.inv(w.values[c])[i, i]) * m for c, m in cells) / total)
+        / math.sqrt(np.linalg.inv(a1)[i, i])
+        for i in range(w.N)
+    )
+    return jensen, basis
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2]),
+    N=st.integers(1, 3),
+    depth=st.integers(1, 3),
+)
+def test_ainf_i_jensen_bound_nesting_and_basis(seed, n, N, depth):
+    rng = np.random.default_rng(seed)
+    L = depth if n == 1 else min(depth, 2)
+    w = random_weight_field(rng, n=n, N=N, L=L, spread=0.8, mu_spread=0.5)
+    g = w.grid
+    shifts = default_shifts(g)
+    dirs = _oracle_directions(N, 6, seed)
+    got = np.concatenate([box_ratios(w, b, directions=dirs)["ainf_i"] for b in g.box_batches(shifts)])
+    brute = [_oracle_jensen_and_basis(w, lo, hi) for lo, hi, _ in _oracle_boxes(g, shifts, range(L + 1))]
+    jensen, basis = (np.array(x) for x in zip(*brute))
+    assert np.all(got <= jensen * (1.0 + 1e-12))
+
+    # The direction set is prefix-nested in its count, so the sup only grows.
+    sups = [ainf_constants(w, shifts, directions=k, seed=seed)[0] for k in (0, 1, 3, 6)]
+    assert all(a <= b for a, b in zip(sups, sups[1:])), sups
+    assert _close(sups[0], float(basis.max()))
+
+
+def test_class_report_seeds_one_direction_stream(monkeypatch):
+    # One direction set per scan: the number of generators built does not grow
+    # with the number of sampled boxes.
+    made = []
+    real_rng, real_seq = np.random.default_rng, np.random.SeedSequence
+
+    def counted(real):
+        def make(*args, **kwargs):
+            made.append(real)
+            return real(*args, **kwargs)
+
+        return make
+
+    monkeypatch.setattr(np.random, "default_rng", counted(real_rng))
+    monkeypatch.setattr(np.random, "SeedSequence", counted(real_seq))
+    w = random_weight_field(np.random.default_rng(4), n=2, N=2, L=3)
+    made.clear()
+    rep = class_report(w)
+    assert rep.cube_count > 50
+    assert len(made) == 1
 
 
 @pytest.mark.parametrize("n, L", [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (2, 2)])
