@@ -52,7 +52,6 @@ from .haar import (
 from .tb import (
     CarlesonField,
     carleson_norm,
-    testfun_carleson,
     canonical_family,
     verify_hypotheses,
     tb_run,

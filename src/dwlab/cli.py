@@ -153,6 +153,14 @@ def _cmd_cone_net(args):
 
 def _cmd_tb_run(args):
     cfg = _load_config(args)
+    lam = getattr(args, "lambda") if getattr(args, "lambda") is not None else cfg.lam
+    for ok, message in (
+        (args.M >= 1, "--M must be at least 1"),
+        (args.eps3 is None or 0.0 < args.eps3 < np.inf, "--eps3 must be a finite number above 0"),
+        (1.0 < lam < np.inf, "--lambda must be a finite number above 1"),
+    ):
+        if not ok:
+            raise UsageError(f"tb-run: {message}")
     field = read_weight_field(args.field)
     doubling = field.grid.doubling_constant(cfg.shifts)
     if doubling > cfg.doubling_cap:
@@ -166,7 +174,6 @@ def _cmd_tb_run(args):
     eps2 = args.eps2 if args.eps2 is not None else cfg.eps2
     eps3 = args.eps3 if args.eps3 is not None else (cfg.eps3 if cfg.eps3 > 0.0 else None)
     eps1 = args.eps1 if args.eps1 is not None else (cfg.eps1 if cfg.eps1 > 0.0 else None)
-    lam = getattr(args, "lambda") if getattr(args, "lambda") is not None else cfg.lam
     report = tb_run(
         field,
         gamma,

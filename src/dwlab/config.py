@@ -6,6 +6,7 @@ import configparser
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass, asdict
 
 __all__ = ["RunConfig", "canonical_json", "config_hash"]
@@ -32,10 +33,13 @@ class RunConfig:
     def validate(self):
         if self.n < 1 or self.L < 0 or self.N < 1 or self.shifts < 0:
             raise ValueError("grid parameters out of range")
+        for name in ("eps1", "eps2", "eps3", "lam", "loewner_tol", "doubling_cap"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must not be NaN")
         if not 0.0 < self.eps2 < 1.0:
             raise ValueError("eps2 must lie in (0, 1)")
-        if self.lam <= 1.0:
-            raise ValueError("lambda must exceed 1")
+        if not 1.0 < self.lam < math.inf:
+            raise ValueError("lambda must be a finite number above 1")
         if self.eps3 > 0.0 and self.eps3 >= self.eps2**2 / 4.0:
             raise ValueError(
                 "eps3 must stay below eps2^2/4 so the projected mean keeps half its size"

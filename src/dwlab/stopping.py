@@ -11,6 +11,7 @@ box exactly.
 
 from __future__ import annotations
 
+import itertools
 import zlib
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
@@ -20,6 +21,7 @@ import numpy as np
 from .grid import Cube
 
 __all__ = [
+    "CubeTree",
     "StoppingCriterion",
     "StoppingResult",
     "run_stopping",
@@ -27,6 +29,13 @@ __all__ = [
     "first_generation_ratio",
     "iterated_sawtooth",
     "IteratedDecomposition",
+    "owner_levels",
+    "chain_owners",
+    "first_generation_levels",
+    "corona_criterion",
+    "volberg_criterion",
+    "kato_criterion",
+    "kato_fires",
     "volberg_stop",
     "kato_stop",
     "kato_family_stop",
@@ -38,12 +47,88 @@ __all__ = [
 ]
 
 
+class CubeTree:
+    """Every dyadic cube of [0,1)^n down to level ``L`` as one index range.
+
+    Level k holds its ``2**(n*k)`` cubes after the coarser levels, in Morton
+    order: the children of a cube are ``2**n`` consecutive indices in
+    ``Cube.children()`` order, so the parent of local index i is ``i >> n``
+    and the box of a cube is one index range per level.
+    """
+
+    def __init__(self, n, L):
+        self.n, self.L = n, L
+        sizes = [2 ** (n * k) for k in range(L + 1)]
+        self.offsets = np.concatenate([[0], np.cumsum(sizes)])
+        self.size = int(self.offsets[-1])
+        self.level = np.repeat(np.arange(L + 1), sizes)
+        # Grid (level, then C-order coords) position of every index, and back.
+        steps = np.array(list(itertools.product((0, 1), repeat=n))).T
+        coords, grid = np.zeros((n, 1), dtype=np.int64), []
+        for k in range(L + 1):
+            if k:
+                coords = (2 * coords[:, :, None] + steps[:, None, :]).reshape(n, -1)
+            grid.append(self.offsets[k] + np.ravel_multi_index(tuple(coords), (2**k,) * n))
+        self.grid_key = np.concatenate(grid)
+        self._index = np.argsort(self.grid_key)
+
+    def span(self, k):
+        return np.arange(self.offsets[k], self.offsets[k + 1])
+
+    def gather(self, levels):
+        """Per-level grid arrays (leading ``n`` axes of side ``2**k``) as one
+        array in index order."""
+        flat = [arr.reshape((-1,) + arr.shape[self.n :]) for arr in levels]
+        return np.concatenate(flat)[self.grid_key]
+
+    def averages(self, field):
+        """W_Q for every cube Q, in index order."""
+        tree = zip(field.integral_tree(1), field.grid._mu_tree)
+        return self.gather([w / mu[..., None, None] for w, mu in tree])
+
+    def index(self, cube):
+        flat = np.ravel_multi_index(cube.coords, (2**cube.level,) * self.n)
+        return int(self._index[self.offsets[cube.level] + flat])
+
+    def cube(self, idx):
+        k = int(self.level[idx])
+        flat = int(self.grid_key[idx] - self.offsets[k])
+        return Cube(k, tuple(int(c) for c in np.unravel_index(flat, (2**k,) * self.n)))
+
+    def ancestor(self, idx, m):
+        """The level-``m`` cube above each cube of ``idx``."""
+        k = self.level[idx]
+        return self.offsets[m] + ((idx - self.offsets[k]) >> (self.n * (k - m)))
+
+    def children(self, idx):
+        k = self.level[idx]
+        first = self.offsets[k + 1] + ((idx - self.offsets[k]) << self.n)
+        return (first[:, None] + np.arange(2**self.n)).reshape(-1)
+
+    def preorder(self, idx):
+        """Sort key of the depth-first preorder of ``box_cubes``."""
+        k = self.level[idx]
+        return ((idx - self.offsets[k]) << (self.n * (self.L - k))) * (self.L + 1) + k
+
+
 @dataclass(frozen=True)
 class StoppingCriterion:
-    """Named pure predicate (recursion root, candidate) -> fire?"""
+    """Named pure predicate (recursion root, candidate) -> fire?
+
+    ``many(s, r)``, when set, is the batched form over index arrays of the
+    field's ``CubeTree`` and ``fires`` is its one-row call; otherwise the
+    batched form loops over ``fires``.
+    """
 
     name: str
     fires: Callable[[Cube, Cube], bool]
+    many: Callable | None = None
+
+    def fires_many(self, tree, s, r):
+        if self.many is not None:
+            return self.many(s, r)
+        pairs = ((self.fires(tree.cube(a), tree.cube(b))) for a, b in zip(s, r))
+        return np.fromiter(pairs, dtype=bool, count=len(r))
 
 
 def box_cubes(root, L):
@@ -56,11 +141,6 @@ def box_cubes(root, L):
         if cube.level < L:
             stack.extend(reversed(cube.children()))
     return out
-
-
-def _ancestor(cube, level):
-    shift = cube.level - level
-    return Cube(level, tuple(c >> shift for c in cube.coords))
 
 
 @dataclass
@@ -197,44 +277,103 @@ def iterated_sawtooth(root, criteria, L):
     return IteratedDecomposition(root=root, pieces=pieces)
 
 
+# Level-array walks ---------------------------------------------------------------
+
+
+def owner_levels(tree, crit, j):
+    """Owner, under the level-``j`` cube above it, of every cube at levels
+    ``j..L``, one index array per level: a cube keeps its parent's owner
+    unless ``crit`` fires at it against that owner, and then owns itself."""
+    own = [tree.span(j)]
+    for k in range(j + 1, tree.L + 1):
+        cubes = tree.span(k)
+        par = np.repeat(own[-1], 2**tree.n)
+        own.append(np.where(crit.fires_many(tree, par, cubes), cubes, par))
+    return own
+
+
+def chain_owners(tree, s1, r, fires):
+    """Second owner of each row: walk the path of ``r[i]`` down from ``s1[i]``
+    and move to a path cube whenever ``fires(owner, cube, rows)`` fires; the
+    rows let the rule read per-row data."""
+    s2 = s1.copy()
+    top, depth = tree.level[s1], tree.level[r]
+    for m in range(1, tree.L + 1):
+        rows = np.flatnonzero((top < m) & (depth >= m))
+        if rows.size:
+            cube = tree.ancestor(r[rows], m)
+            hit = fires(s2[rows], cube, rows)
+            s2[rows[hit]] = cube[hit]
+    return s2
+
+
+def first_generation_levels(tree, crit, anchors):
+    """First generations of anchors all at one level, one level at a time:
+    the cubes below an anchor where ``crit`` fires against it with no fired
+    cube in between."""
+    stem = root = np.asarray(anchors)
+    picked = [np.empty(0, int)]
+    while stem.size and tree.level[stem[0]] < tree.L:
+        cand, root = tree.children(stem), np.repeat(root, 2**tree.n)
+        fired = crit.fires_many(tree, root, cand)
+        picked.append(cand[fired])
+        stem, root = cand[~fired], root[~fired]
+    return np.concatenate(picked)
+
+
 # Concrete criteria ---------------------------------------------------------------
 
 
-def _avg(field, cube):
-    return field.avg_entries(cube, 1)
+def _field_criterion(name, field, rule):
+    """Criterion from ``rule(W_S, W_R, r)``, batched over the average stacks
+    of index arrays of the field's cube tree; ``fires`` is its one-row call."""
+    tree = CubeTree(field.grid.n, field.grid.L)
+    avg = tree.averages(field)
+
+    def many(s, r):
+        return rule(avg[s], avg[r], r)
+
+    def fires(s, r):
+        return bool(many(np.array([tree.index(s)]), np.array([tree.index(r)]))[0])
+
+    return StoppingCriterion(name, fires, many)
 
 
 def volberg_criterion(field, lam):
-    inv_memo = {}
+    """Fires when |W_S W_R^{-1}| >= lam."""
 
-    def fires(s, r):
-        if r not in inv_memo:
-            inv_memo[r] = np.linalg.inv(_avg(field, r))
-        val = np.linalg.svd(_avg(field, s) @ inv_memo[r], compute_uv=False)[0]
-        return bool(val >= lam)
+    def rule(w_s, w_r, r):
+        return np.linalg.svd(w_s @ np.linalg.inv(w_r), compute_uv=False)[:, 0] >= lam
 
-    return StoppingCriterion(name=f"volberg(lam={lam:g})", fires=fires)
+    return _field_criterion(f"volberg(lam={lam:g})", field, rule)
 
 
 def volberg_stop(root, field, lam):
     """Oscillation stop |W_S W_R^{-1}| >= lam; reports first-generation mass."""
-    if lam <= 1.0:
+    if not lam > 1.0:
         raise ValueError("lam must exceed 1")
     res = run_stopping(root, volberg_criterion(field, lam), field.grid.L)
     return res, first_generation_ratio(res, field.grid)
 
 
-def _kato_fires_factory(field, expectation, v0, eps2):
+def kato_fires(w_s, w_r, e, v0, eps2):
+    """Test-function stop, batched over rows: |E_R b| > 1/eps2 or
+    (v0, W_S^{-1} W_R E_R b) < eps2."""
+    m = np.linalg.solve(w_s, w_r @ e[..., None])[..., 0]
+    return (np.linalg.norm(e, axis=-1) > 1.0 / eps2) | (np.sum(v0 * m, axis=-1) < eps2)
+
+
+def kato_criterion(field, v0, eps2, expectation):
+    """``kato_fires`` for a fixed v0; ``expectation(W_S, W_R, r)`` gives the
+    rows E_R b of the test function anchored at S."""
+    if not 0.0 < eps2 < 1.0:
+        raise ValueError("eps2 must lie in (0, 1)")
     v0 = np.asarray(v0, dtype=float)
 
-    def fires(s, r):
-        e = expectation(r, s)
-        if np.linalg.norm(e) > 1.0 / eps2:
-            return True
-        m = np.linalg.solve(_avg(field, s), _avg(field, r) @ e)
-        return bool(float(v0 @ m) < eps2)
+    def rule(w_s, w_r, r):
+        return kato_fires(w_s, w_r, expectation(w_s, w_r, r), v0, eps2)
 
-    return fires
+    return _field_criterion(f"kato(eps2={eps2:g})", field, rule)
 
 
 def kato_stop(root, field, b_values, v0, eps2):
@@ -243,46 +382,28 @@ def kato_stop(root, field, b_values, v0, eps2):
     Fires when |E_R b| > 1/eps2 or (v0, W_S^{-1} W_R E_R b) < eps2, with S the
     current recursion root.  Returns the result and first-generation mass.
     """
-    if not 0.0 < eps2 < 1.0:
-        raise ValueError("eps2 must lie in (0, 1)")
-    levels = field.expectation_levels(b_values)
-
-    def expectation(r, _s):
-        return levels[r.level][r.coords]
-
-    crit = StoppingCriterion(
-        name=f"kato(eps2={eps2:g})", fires=_kato_fires_factory(field, expectation, v0, eps2)
-    )
+    levels = CubeTree(field.grid.n, field.grid.L).gather(field.expectation_levels(b_values))
+    crit = kato_criterion(field, v0, eps2, lambda w_s, w_r, r: levels[r])
     res = run_stopping(root, crit, field.grid.L)
     return res, first_generation_ratio(res, field.grid)
 
 
 def kato_family_stop(root, field, family, v0, eps2):
     """Test-function stop with the function re-anchored at each recursion root."""
-    if not 0.0 < eps2 < 1.0:
-        raise ValueError("eps2 must lie in (0, 1)")
-
-    def expectation(r, s):
-        return family.expectation(r, s, v0)
-
-    crit = StoppingCriterion(
-        name=f"kato-family(eps2={eps2:g})",
-        fires=_kato_fires_factory(field, expectation, v0, eps2),
-    )
+    v0 = np.asarray(v0, dtype=float)
+    crit = kato_criterion(field, v0, eps2, lambda w_s, w_r, r: family.expectations(w_s, w_r, v0))
     res = run_stopping(root, crit, field.grid.L)
     return res, first_generation_ratio(res, field.grid)
 
 
 def corona_criterion(field, eps3):
-    inv_memo = {}
+    """Fires when |W_S^{-1} W_R - I| > eps3."""
+    eye = np.eye(field.N)
 
-    def fires(s, r):
-        if s not in inv_memo:
-            inv_memo[s] = np.linalg.inv(_avg(field, s))
-        dev = inv_memo[s] @ _avg(field, r) - np.eye(field.N)
-        return bool(np.linalg.svd(dev, compute_uv=False)[0] > eps3)
+    def rule(w_s, w_r, r):
+        return np.linalg.svd(np.linalg.inv(w_s) @ w_r - eye, compute_uv=False)[:, 0] > eps3
 
-    return StoppingCriterion(name=f"corona(eps3={eps3:g})", fires=fires)
+    return _field_criterion(f"corona(eps3={eps3:g})", field, rule)
 
 
 def corona_stop(root, field, eps3):
@@ -291,7 +412,7 @@ def corona_stop(root, field, eps3):
     Every cube of a sawtooth other than its top was tested against the top and
     did not fire, so inside every sawtooth the oscillation stays within eps3.
     """
-    if eps3 <= 0.0:
+    if not eps3 > 0.0:
         raise ValueError("eps3 must be positive")
     res = run_stopping(root, corona_criterion(field, eps3), field.grid.L)
     return res, packing_constant(res, field.grid)

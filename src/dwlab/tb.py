@@ -18,7 +18,7 @@ import numpy as np
 
 from . import stopping
 from .cones import build_net, net_size_estimate
-from .grid import Cube, _coarsen, root_cube
+from .grid import _coarsen
 from .weights import thewest_constant, default_shifts
 
 __all__ = [
@@ -30,8 +30,6 @@ __all__ = [
     "gamma_random",
     "make_gamma",
     "carleson_norm",
-    "testfun_carleson",
-    "TestFamily",
     "CanonicalFamily",
     "canonical_family",
     "HypothesisConstants",
@@ -154,84 +152,23 @@ def carleson_norm(gamma, grid=None, norm="op"):
     return best
 
 
-def testfun_carleson(gamma, b_values, root, field, norm="op"):
-    """Whitney-discretized square integral of gamma applied to E_t b over a box."""
-    g = field.grid
-    exps = field.expectation_levels(b_values)
-    total = 0.0
-    for k in range(root.level, g.L + 1):
-        span = tuple(
-            slice(c * 2 ** (k - root.level), (c + 1) * 2 ** (k - root.level))
-            for c in root.coords
-        )
-        ge = np.einsum("...mn,...n->...m", gamma.levels[k][span], exps[k][span])
-        mass = np.sum(ge**2, axis=-1) * g._mu_tree[k][span] * LN2
-        total += float(mass.sum())
-    return total
+def _canonical_expectation(w_s, w_r, v0):
+    """E_R b_S^v = W_R^{-1} W_S v for R inside S, batched over rows."""
+    return np.linalg.solve(w_r, w_s @ v0[..., None])[..., 0]
 
 
-class TestFamily:
-    """Rule producing one test function per (cube, unit direction).
-
-    Subclasses provide ``b_values(S, v0)`` on the full grid (zero outside S).
-    Weighted averages over subcubes default to the exact tree computation.
-    """
-
-    def __init__(self, field):
-        self.field = field
-        self._exp_cache = {}
-
-    def b_values(self, s_cube, v0):
-        raise NotImplementedError
-
-    def _levels_for(self, s_cube, v0):
-        key = (s_cube, tuple(np.round(np.asarray(v0, float), 15)))
-        if key not in self._exp_cache:
-            self._exp_cache[key] = self.field.expectation_levels(self.b_values(s_cube, v0))
-        return self._exp_cache[key]
-
-    def expectation(self, r_cube, s_cube, v0):
-        return self._levels_for(s_cube, v0)[r_cube.level][r_cube.coords]
-
-    def _directions(self, samples, seed):
-        """Per cube, in ``grid.cubes()`` order: the unit vectors, then
-        ``max(samples - N, 0)`` normalised Gaussian draws from ``seed``."""
-        g, N = self.field.grid, self.field.N
-        cubes = sum(2 ** (g.n * k) for k in range(g.L + 1))
-        v = np.random.default_rng(seed).standard_normal((cubes, max(samples - N, 0), N))
-        v /= np.linalg.norm(v, axis=-1, keepdims=True)
-        return np.concatenate([np.broadcast_to(np.eye(N), (cubes, N, N)), v], axis=1)
-
-    def _sampled_sup(self, value, samples, seed):
-        """sqrt of the sup over cubes Q and sampled v of value(Q, b_Q^v) / mu(Q)."""
-        g = self.field.grid
-        worst = 0.0
-        for cube, dirs in zip(g.cubes(), self._directions(samples, seed)):
-            for v0 in dirs:
-                worst = max(worst, value(cube, self.b_values(cube, v0)) / g.measure(cube))
-        return math.sqrt(worst)
-
-    def c3(self, samples=4, seed=0):
-        """Measured normalized energy sup over sampled (cube, direction)."""
-        mu = self.field.grid.mu * self.field.grid.cell_volume
-        return self._sampled_sup(
-            lambda q, b: float(np.sum(np.sum(b**2, axis=-1) * mu)), samples, seed
-        )
-
-    def c4(self, gamma, samples=4, seed=0):
-        """Measured test-function Carleson sup over sampled (cube, direction)."""
-        return self._sampled_sup(
-            lambda q, b: testfun_carleson(gamma, b, q, self.field), samples, seed
-        )
-
-
-class CanonicalFamily(TestFamily):
+class CanonicalFamily:
     """b_Q^v(x) = W(x)^{-1} W_Q v on Q, zero outside.
 
     Then int_R W b dmu = mu(R) W_Q v for every R inside Q, so the weighted
     average over R is W_R^{-1} W_Q v and the normalization (v, E_Q b) = 1 is
     an algebraic identity.
     """
+
+    expectations = staticmethod(_canonical_expectation)
+
+    def __init__(self, field):
+        self.field = field
 
     def b_values(self, s_cube, v0):
         field = self.field
@@ -243,11 +180,8 @@ class CanonicalFamily(TestFamily):
         return out
 
     def expectation(self, r_cube, s_cube, v0):
-        field = self.field
-        return np.linalg.solve(
-            field.avg_entries(r_cube, 1),
-            field.avg_entries(s_cube, 1) @ np.asarray(v0, dtype=float),
-        )
+        w_s, w_r = (self.field.avg_entries(c, 1)[None] for c in (s_cube, r_cube))
+        return _canonical_expectation(w_s, w_r, np.asarray(v0, dtype=float)[None])[0]
 
     def _sup_form(self, forms):
         """sqrt of the sup over cubes Q and unit v of u^T F_Q u / mu(Q), u = W_Q v,
@@ -294,11 +228,10 @@ class HypothesisConstants:
         return {"C1": self.C1, "C2": self.C2, "C3": self.C3, "C4": self.C4}
 
 
-def verify_hypotheses(field, gamma, fam=None, shifts=None):
+def verify_hypotheses(field, gamma, shifts=None):
     """Measured doubling, squared-average log-det, energy and test Carleson constants."""
     g = field.grid
-    if fam is None:
-        fam = canonical_family(field)
+    fam = canonical_family(field)
     if shifts is None:
         shifts = default_shifts(g)
     c1 = g.doubling_constant(shifts)
@@ -348,219 +281,113 @@ class TbReport:
         }
 
 
-def tb_run(
-    field,
-    gamma,
-    fam=None,
-    eps1=None,
-    eps2=0.1,
-    eps3=None,
-    lam=16.0,
-    norm="op",
-    shifts=None,
-    residual_sectors=4,
-):
+def tb_run(field, gamma, eps1=None, eps2=0.1, eps3=None, lam=16.0, norm="op", shifts=None):
     """Numerical proof-skeleton run for one instance.
 
-    Per active net direction the runner builds the weight corona and the
-    test-function stopping trees, walks every cube of every box through its
-    sawtooth owners, checks the averaged test function lands in the truncated
-    cone, and accumulates the cone-inequality bound next to the directly
-    computed Carleson norm.
+    Every cube with a nonzero multiplier gets the net sector of its top right
+    singular vector.  Under every anchor cube each such cube has a nested
+    sawtooth owner chain (S1, S2): the weight's corona stop, then its sector's
+    test-function stop restarted at S1.  The run checks that the averaged test
+    function lands in the truncated cone and accumulates the cone-inequality
+    bound next to the directly computed Carleson norm.
     """
     g = field.grid
-    if fam is None:
-        fam = canonical_family(field)
     if not 0.0 < eps2 < 1.0:
         raise ValueError("eps2 must lie in (0,1)")
     if eps3 is None:
         eps3 = eps2**2 / 8.0
+    if not 0.0 < eps3 < math.inf:
+        raise ValueError("eps3 must be a finite number above 0")
+    if not 1.0 < lam < math.inf:
+        raise ValueError("lam must be a finite number above 1")
+    if gamma.M < 1:
+        raise ValueError("M must be at least 1")
     if eps1 is None:
         eps1 = feasible_eps1(field.N, eps2)
-    if lam <= 1.0:
-        raise ValueError("lam must exceed 1")
     proof_regime = (eps1 <= eps2 / 2.0 + 1e-12) and (eps3 < eps2**2 / 4.0)
     net = _cached_net(field.N, eps1)
-    L = g.L
+    tree = stopping.CubeTree(g.n, g.L)
+    avg, mu = tree.averages(field), tree.gather(g._mu_tree)
 
-    # Per-cube multiplier data and sector assignment.
     norms_sq = gamma.norms_sq(norm)
-    masses = [nsq * g._mu_tree[k] * LN2 for k, nsq in enumerate(norms_sq)]
-    direct_acc = _box_mass_tree(g, masses)
+    masses = [nsq * m * LN2 for nsq, m in zip(norms_sq, g._mu_tree)]
+    carleson = max(float(np.max(a / m)) for a, m in zip(_box_mass_tree(g, masses), g._mu_tree))
 
-    sector_of = {}
-    violations = []
-    seen_violations = set()
-    for k in range(L + 1):
-        arr = gamma.levels[k]
-        nsq = norms_sq[k]
-        flat = arr.reshape(-1, gamma.M, gamma.N)
-        flat_nsq = nsq.reshape(-1)
-        live = np.nonzero(flat_nsq > 0.0)[0]
-        if live.size == 0:
-            continue
-        _, _, vt = np.linalg.svd(flat[live])
-        v1 = vt[:, 0, :]
-        idx = net.cover_indices(v1)
-        dots = np.einsum("ij,ij->i", v1, net.vectors[idx])
-        coords_all = list(np.ndindex(*arr.shape[: g.n])) if g.n > 1 else [
-            (i,) for i in range(arr.shape[0])
-        ]
-        for pos, j, d in zip(np.array(coords_all)[live], idx, dots):
-            cube = Cube(k, tuple(int(x) for x in pos))
-            sector_of[cube] = int(j)
-            if d < net.required_cos:
-                key = ("net-gap", cube)
-                if key not in seen_violations:
-                    seen_violations.add(key)
-                    violations.append(
-                        {
-                            "kind": "net-gap",
-                            "cube": cube.descriptor(),
-                            "value": float(d),
-                        }
-                    )
-    # gamma_sq per cube from the level arrays (direct lookups).
-    gamma_sq = {
-        cube: float(norms_sq[cube.level][cube.coords]) for cube in sector_of
-    }
+    # Live cubes (nonzero multiplier) in the preorder of a box walk, and sectors.
+    gsq, gammas = tree.gather(norms_sq), tree.gather(gamma.levels)
+    live = np.flatnonzero(gsq > 0.0)
+    live = live[np.argsort(tree.preorder(live))]
+    v1 = np.linalg.svd(gammas[live])[2][:, 0, :]
+    sector = net.cover_indices(v1)
+    v0 = net.vectors[sector]
+    dots = np.einsum("ij,ij->i", v1, v0)
+    gap = np.flatnonzero(dots < net.required_cos)
+    violations = [
+        {"kind": "net-gap", "cube": tree.cube(live[i]).descriptor(), "value": float(dots[i])}
+        for i in gap[np.argsort(tree.grid_key[live[gap]])]
+    ]
 
-    corona_crit = stopping.corona_criterion(field, eps3)
-    first_w = {}
-
-    def first_gen_w(s):
-        if s not in first_w:
-            first_w[s] = frozenset(stopping._first_generation(s, corona_crit, L))
-        return first_w[s]
-
-    kato_first = {}
-
-    def first_gen_b(sector, s):
-        key = (sector, s)
-        if key not in kato_first:
-            v0 = net.vectors[sector]
-            crit = stopping.StoppingCriterion(
-                name="kato",
-                fires=stopping._kato_fires_factory(
-                    field, lambda r, sr: fam.expectation(r, sr, v0), v0, eps2
-                ),
-            )
-            kato_first[key] = frozenset(stopping._first_generation(s, crit, L))
-        return kato_first[key]
-
-    def owner(cube, anchor, first_gen):
-        s = anchor
-        while s.level < cube.level:
-            sel = first_gen(s)
-            for level in range(s.level + 1, cube.level + 1):
-                anc = stopping._ancestor(cube, level)
-                if anc in sel:
-                    s = anc
-                    break
-            else:
-                return s
-        return s
-
-    factor = (2.0 / eps1**3) ** 2
-    exp_cache = {}
-    sector_stats = {}
-    assembled_best = 0.0
-    carleson_best = 0.0
-    checked = set()
-    top = root_cube(g.n)
-    chains = {}
-
-    for q in g.cubes():
-        mu_q = g.measure(q)
-        direct_q = float(direct_acc[q.level][q.coords])
-        carleson_best = max(carleson_best, direct_q / mu_q)
-        assembled_q = 0.0
-        for r in stopping.box_cubes(q, L):
-            if r not in sector_of:
-                continue
-            sector = sector_of[r]
-            s1 = owner(r, q, first_gen_w)
-            s2 = owner(r, s1, lambda s: first_gen_b(sector, s))
-            if q.level == 0:
-                chains[r] = (s1, s2)
-            ck = (sector, s1, s2, r)
-            if ck in exp_cache:
-                e_r, ge_sq = exp_cache[ck]
-            else:
-                v0 = net.vectors[sector]
-                e_r = fam.expectation(r, s2, v0)
-                ge = gamma.levels[r.level][r.coords] @ e_r
-                ge_sq = float(ge @ ge)
-                exp_cache[ck] = (e_r, ge_sq)
-                _check_chain(
-                    e_r,
-                    v0,
-                    eps1,
-                    eps2,
-                    gamma_sq[r],
-                    ge_sq,
-                    factor,
-                    (sector, s1, s2, r),
-                    violations,
-                    seen_violations,
-                )
-            assembled_q += factor * ge_sq * g.measure(r) * LN2
-            st = sector_stats.setdefault(
-                sector, {"cubes": 0, "direct_mass": 0.0, "bound_mass": 0.0}
-            )
-            if (sector, r) not in checked:
-                checked.add((sector, r))
-                st["cubes"] += 1
-                st["direct_mass"] += gamma_sq[r] * g.measure(r) * LN2
-                st["bound_mass"] += factor * ge_sq * g.measure(r) * LN2
-        assembled_best = max(assembled_best, assembled_q / mu_q)
-
-    # Independent partition check: the set-based nested sawtooths must cover
-    # the box exactly, and hold each cube of a checked sector in the piece
-    # keyed by the chain the owner walks gave it under the root.
-    def weigh(c):
-        return g.measure(c) * (1.0 + gamma_sq.get(c, 0.0) * LN2)
-
-    total = sum(weigh(c) for c in stopping.box_cubes(top, L))
-    residual = 0.0
-    active = sorted(
-        sector_stats, key=lambda s: sector_stats[s]["direct_mass"], reverse=True
+    # S1 of every live cube under each anchor level j, then S2 once per
+    # distinct (S1, cube) pair.
+    corona = stopping.corona_criterion(field, eps3)
+    anchor_rows, s1 = [], []
+    for j in range(g.L + 1):
+        rows = np.flatnonzero(tree.level[live] >= j)
+        own = np.concatenate(stopping.owner_levels(tree, corona, j))
+        anchor_rows.append(rows)
+        s1.append(own[live[rows] - tree.offsets[j]])
+    pairs, pair_of = np.unique(
+        np.concatenate(s1) * len(live) + np.concatenate(anchor_rows), return_inverse=True
     )
-    for sector in active[:residual_sectors]:
-        v0 = net.vectors[sector]
-        kato_crit = stopping.StoppingCriterion(
-            name="kato",
-            fires=stopping._kato_fires_factory(
-                field, lambda r, sr: fam.expectation(r, sr, v0), v0, eps2
-            ),
-        )
-        decomp = stopping.iterated_sawtooth(top, [corona_crit, kato_crit], L)
-        astray = sum(
-            weigh(c)
-            for key, piece in decomp.pieces.items()
-            for c in piece
-            if sector_of.get(c) == sector and chains[c] != key
-        )
-        residual = max(residual, decomp.partition_residual(L, values=weigh), astray / total)
-    if not active:
-        decomp = stopping.iterated_sawtooth(top, [corona_crit], L)
-        residual = decomp.partition_residual(L)
+    p_s1, p_row = np.divmod(pairs, len(live))
+    r, v = live[p_row], v0[p_row]
 
-    constants = verify_hypotheses(field, gamma, fam, shifts=shifts).as_dict()
-    _, volberg_ratio = stopping.volberg_stop(top, field, lam)
+    def kato(s, a, rows):
+        w_s, w_a, vr = avg[s], avg[a], v0[rows]
+        return stopping.kato_fires(w_s, w_a, _canonical_expectation(w_s, w_a, vr), vr, eps2)
 
+    p_s2 = stopping.chain_owners(tree, p_s1, r, lambda s, a, rows: kato(s, a, p_row[rows]))
+    e = _canonical_expectation(avg[p_s2], avg[r], v)
+    ge_sq = np.sum((gammas[r] @ e[..., None])[..., 0] ** 2, axis=-1)
+    factor = (2.0 / eps1**3) ** 2
+    contrib = factor * ge_sq * mu[r] * LN2
+    violations += _chain_violations(
+        tree, (sector[p_row], p_s1, p_s2, r), e, v, gsq[r], factor * ge_sq, eps1, eps2
+    )
+
+    assembled, start = 0.0, 0
+    for j, rows in enumerate(anchor_rows):
+        # Per anchor Q, sum over the cubes of its box in preorder.
+        q = tree.ancestor(live[rows], j) - tree.offsets[j]
+        got = contrib[pair_of[start : start + len(rows)]]
+        acc = np.bincount(q, weights=got, minlength=2 ** (g.n * j))
+        assembled = max(assembled, float(np.max(acc / mu[tree.span(j)])))
+        start += len(rows)
+
+    root = pair_of[: len(live)]
+    count = np.bincount(sector, minlength=net.size)
+    direct = np.bincount(sector, weights=gsq[live] * mu[live] * LN2, minlength=net.size)
+    bound = np.bincount(sector, weights=contrib[root], minlength=net.size)
     per_sector = {
         str(s): {
             "vector": [float(x) for x in net.vectors[s]],
-            "cubes": sector_stats[s]["cubes"],
-            "direct_mass": sector_stats[s]["direct_mass"],
-            "bound_mass": sector_stats[s]["bound_mass"],
+            "cubes": int(count[s]),
+            "direct_mass": float(direct[s]),
+            "bound_mass": float(bound[s]),
         }
-        for s in sorted(sector_stats)
+        for s in np.flatnonzero(count)
     }
+    residual = _chain_residual(
+        tree, corona, kato, live, (p_s1[root], p_s2[root]), mu * (1.0 + gsq * LN2)
+    )
+
+    constants = verify_hypotheses(field, gamma, shifts=shifts).as_dict()
+    volberg = stopping.volberg_criterion(field, lam)
+    first = stopping.first_generation_levels(tree, volberg, tree.span(0))
+    volberg_ratio = sum(mu[first[np.argsort(tree.preorder(first))]].tolist()) / float(mu[0])
     return TbReport(
-        carleson_norm=carleson_best,
-        assembled_bound=assembled_best,
+        carleson_norm=carleson,
+        assembled_bound=assembled,
         violations=violations,
         per_sector=per_sector,
         partition_residual=residual,
@@ -572,33 +399,64 @@ def tb_run(
     )
 
 
-def _check_chain(
-    e_r, v0, eps1, eps2, gsq, ge_sq, factor, tag, violations, seen, slack=1e-9
-):
-    sector, s1, s2, r = tag
-    ident = (sector, s1, s2, r)
-    norm_e = float(np.linalg.norm(e_r))
-    dot = float(np.asarray(v0) @ e_r)
-    checks = [
+def _chain_violations(tree, chain, e, v0, gsq, bound, eps1, eps2, slack=1e-9):
+    """One entry per failed check of each ``chain`` row (sector, S1, S2, R),
+    sorted by R, then S1, then S2 in ``Cube`` order, then in check order."""
+    norm_e = np.linalg.norm(e, axis=-1)
+    dot = np.sum(v0 * e, axis=-1)
+    checks = (
         ("energy-bound", norm_e <= 1.0 / eps2 + slack, norm_e),
         ("projection-bound", dot >= eps2 / 2.0 - slack, dot),
-        ("cone-membership", dot >= eps1 - slack and norm_e <= 1.0 / eps1 + slack, dot),
-        ("sector-bound", factor * ge_sq >= gsq * (1.0 - 1e-9), factor * ge_sq - gsq),
+        ("cone-membership", (dot >= eps1 - slack) & (norm_e <= 1.0 / eps1 + slack), dot),
+        ("sector-bound", bound >= gsq * (1.0 - 1e-9), bound - gsq),
+    )
+    bad = np.flatnonzero(~np.logical_and.reduce([ok for _, ok, _ in checks]))
+    sector, s1, s2, r = chain
+    bad = bad[np.lexsort(tuple(tree.grid_key[x[bad]] for x in (s2, s1, r)))]
+    return [
+        {
+            "kind": kind,
+            "sector": int(sector[i]),
+            "S1": tree.cube(s1[i]).descriptor(),
+            "S2": tree.cube(s2[i]).descriptor(),
+            "R": tree.cube(r[i]).descriptor(),
+            "value": float(value[i]),
+        }
+        for i in bad
+        for kind, ok, value in checks
+        if not ok[i]
     ]
-    for kind, ok, value in checks:
-        if ok:
-            continue
-        key = (kind, ident)
-        if key in seen:
-            continue
-        seen.add(key)
-        violations.append(
-            {
-                "kind": kind,
-                "sector": int(sector),
-                "S1": s1.descriptor(),
-                "S2": s2.descriptor(),
-                "R": r.descriptor(),
-                "value": float(value),
-            }
-        )
+
+
+def _chain_residual(tree, corona, kato, live, chain, weight):
+    """Weighted share of the live cubes whose root chain (S1, S2) is not the
+    one the sawtooth definition gives, rebuilt without the owner propagation.
+
+    The corona stops are the root and, level by level, the first generation
+    of every stop.  The sawtooth of S is its box minus the boxes of its first
+    generation, so a cube's S1 is the deepest stop that holds it.  Below S1,
+    the test-function stop on the cube's path moves to the first path cube of
+    its first generation, that is the first one where it fires.
+    """
+    stop = np.zeros(tree.size, dtype=bool)
+    stop[0] = True
+    for j in range(tree.L):
+        span = tree.span(j)
+        if stop[span].any():
+            stop[stopping.first_generation_levels(tree, corona, span[stop[span]])] = True
+    deepest = np.arange(tree.size)
+    for k in range(1, tree.L + 1):
+        span = tree.span(k)
+        up = np.repeat(deepest[tree.span(k - 1)], 2**tree.n)
+        deepest[span] = np.where(stop[span], span, up)
+    t1 = deepest[live]
+    t2, top, depth = t1.copy(), tree.level[t1], tree.level[live]
+    for d in range(1, tree.L + 1):
+        rows = np.flatnonzero(depth - top >= d)
+        if not rows.size:
+            break
+        cube = tree.ancestor(live[rows], top[rows] + d)
+        hit = kato(t2[rows], cube, rows)
+        t2[rows[hit]] = cube[hit]
+    astray = (t1 != chain[0]) | (t2 != chain[1])
+    return float(np.sum(weight[live[astray]]) / np.sum(weight))

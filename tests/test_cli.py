@@ -12,6 +12,7 @@ from dwlab.cli import main
 from dwlab.config import RunConfig
 from dwlab.grid import Grid, WeightField, write_weight_field
 from dwlab.harness import WeightGenerator, generate
+from dwlab.tb import gamma_zero, make_gamma, tb_run
 
 
 @pytest.fixture
@@ -54,6 +55,26 @@ def test_tb_run_zero_gamma(const_field, tmp_path):
         "carleson_norm", "assembled_bound", "violations",
         "per_sector", "partition_residual", "constants",
     }
+
+
+def test_tb_run_rejects_bad_parameters(const_field, tmp_path, capsys):
+    rep = tmp_path / "r.json"
+    base = ["tb-run", "--field", const_field, "--gamma", "constant", "--report", str(rep)]
+    for flag, value in (("--eps3", "-0.5"), ("--eps3", "0"), ("--eps3", "nan"), ("--eps3", "inf"),
+                        ("--lambda", "nan"), ("--lambda", "1"), ("--lambda", "inf"), ("--M", "0")):
+        assert main(base + [flag, value]) == 1
+        assert capsys.readouterr().err.startswith(f"tb-run: {flag} must be"), (flag, value)
+        assert not rep.exists()
+    # an eps3 above eps2^2/4 stays allowed from flags: the run is outside the regime
+    assert main(base + ["--eps3", "0.7"]) == 0
+    assert json.loads(rep.read_text())["proof_regime"] is False
+    w = WeightField(Grid(1, 2), np.broadcast_to(np.eye(2), (4, 2, 2)).copy())
+    for kwargs, name in ((dict(eps3=0.0), "eps3"), (dict(eps3=float("nan")), "eps3"),
+                         (dict(lam=float("nan")), "lam"), (dict(lam=float("inf")), "lam")):
+        with pytest.raises(ValueError, match=name):
+            tb_run(w, make_gamma("constant", w), **kwargs)
+    with pytest.raises(ValueError, match="M must"):
+        tb_run(w, gamma_zero(w.grid, 0, 2))
 
 
 def test_tb_run_violation_exit_code(tmp_path):
@@ -202,6 +223,11 @@ def test_config_roundtrip(tmp_path):
         RunConfig(lam=0.5).validate()
     with pytest.raises(ValueError):
         RunConfig(eps2=0.2, eps3=0.02).validate()  # 0.02 >= 0.2^2/4
+    for name in ("eps1", "eps2", "eps3", "lam", "loewner_tol", "doubling_cap"):
+        with pytest.raises(ValueError, match=name):
+            RunConfig(**{name: float("nan")}).validate()
+    with pytest.raises(ValueError, match="lambda"):
+        RunConfig(lam=float("inf")).validate()
 
 
 def test_config_file_feeds_tb_run(tmp_path, const_field):
