@@ -15,7 +15,6 @@ from .weights import (
     ClassReport,
     class_report,
     b2_constants,
-    ainf_constants,
     thewest_constant,
     det_chain_check,
     scalar_ainfty_report,
@@ -26,7 +25,6 @@ from .stopping import (
     StoppingResult,
     run_stopping,
     packing_constant,
-    iterated_sawtooth,
     volberg_stop,
     kato_stop,
     kato_family_stop,

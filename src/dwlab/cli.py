@@ -25,6 +25,7 @@ from .stopping import (
     first_generation_ratio,
     kato_family_stop,
     packing_constant,
+    partition_residual,
     volberg_stop,
 )
 from .tb import canonical_family, make_gamma, tb_run
@@ -65,17 +66,27 @@ def _load_config(args):
     return cfg.validate()
 
 
-def _parse_root(spec, n):
+def _parse_root(spec):
     if spec is None:
-        return root_cube(n)
-    parts = spec.split(",")
+        return None
     try:
-        nums = [int(p) for p in parts]
+        return [int(p) for p in spec.split(",")]
     except ValueError:
-        raise UsageError(f"bad --root {spec!r}; expected 'level,c1,...,cn'") from None
-    if len(nums) != n + 1:
-        raise UsageError(f"--root needs {n + 1} integers for dimension {n}")
-    return Cube(nums[0], tuple(nums[1:]))
+        raise UsageError(f"corona: bad --root {spec!r}; expected 'level,c1,...,cn'") from None
+
+
+def _root_in(nums, grid):
+    """The ``--root`` cube, refused unless it is a cube of ``grid``."""
+    if nums is None:
+        return root_cube(grid.n)
+    if len(nums) != grid.n + 1:
+        raise UsageError(f"corona: --root needs {grid.n + 1} integers for dimension {grid.n}")
+    level, coords = nums[0], tuple(nums[1:])
+    if not 0 <= level <= grid.L:
+        raise UsageError(f"corona: --root level {level} must lie in [0, {grid.L}], the field's L")
+    if not all(0 <= c < 2**level for c in coords):
+        raise UsageError(f"corona: --root coords must lie in [0, {2**level}) at level {level}")
+    return Cube(level, coords)
 
 
 def _meta(cfg, seed):
@@ -96,27 +107,35 @@ def _cmd_check_weight(args):
     return 0 if all(payload[k] >= floor for k in keys) else 2
 
 
+# Accepted --param of each corona criterion; NaN and infinities fail them all.
+_PARAM_RANGES = {
+    "volberg": (lambda p: 1.0 < p < np.inf, "a finite number above 1"),
+    "corona": (lambda p: 0.0 < p < np.inf, "a finite number above 0"),
+    "kato": (lambda p: 0.0 < p < 1.0, "a number in (0, 1)"),
+}
+
+
 def _cmd_corona(args):
     cfg = _load_config(args)
+    in_range, allowed = _PARAM_RANGES[args.criterion]
+    if not in_range(args.param):
+        raise UsageError(f"corona: --param must be {allowed} for --criterion {args.criterion}")
+    nums = _parse_root(args.root)
     field = read_weight_field(args.field)
-    root = _parse_root(args.root, field.grid.n)
+    root = _root_in(nums, field.grid)
     if args.criterion == "volberg":
         res, ratio = volberg_stop(root, field, args.param)
     elif args.criterion == "corona":
         res, _ = corona_stop(root, field, args.param)
         ratio = first_generation_ratio(res, field.grid)
-    elif args.criterion == "kato":
+    else:
         v0 = np.zeros(field.N)
         v0[0] = 1.0
         res, ratio = kato_family_stop(root, field, canonical_family(field), v0, args.param)
-    else:  # pragma: no cover - argparse choices forbid this
-        raise UsageError(f"unknown criterion {args.criterion!r}")
-    residual = res.partition_residual(values=lambda c: field.grid.measure(c))
-    gens = [[c.descriptor() for c in gen] for gen in res.generations]
-    gen_mass = [
-        sum(field.grid.measure(c) for c in gen) / field.grid.measure(root)
-        for gen in res.generations
-    ]
+    tree, mu = res.tree, res.tree.gather(field.grid._mu_tree)
+    residual = partition_residual(tree, res.criterion, res.root, res.cubes, res.owner, mu)
+    gens = [[tree.cube(i).descriptor() for i in gen] for gen in res.generations]
+    gen_mass = [sum(mu[gen].tolist()) / float(mu[res.root]) for gen in res.generations]
     payload = {
         "criterion": args.criterion,
         "param": args.param,

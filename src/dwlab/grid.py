@@ -318,7 +318,6 @@ class WeightField:
         self._cell_eigvecs = v
         self._cell_cache = {}
         self._tree_cache = {}
-        self._avg_cache = {}
 
     # Cell-wise derived quantities -------------------------------------------------
 
@@ -362,15 +361,8 @@ class WeightField:
         """Per-level arrays of the cube integrals of W**exponent d(mu)."""
         return self._tree(("pow", exponent), self.cell_power(exponent))
 
-    def cube_integral(self, cube, exponent):
-        return self.integral_tree(exponent)[cube.level][cube.coords]
-
     def avg_entries(self, cube, exponent=1):
-        key = (cube, exponent)
-        if key not in self._avg_cache:
-            mu_q = self.grid.measure(cube)
-            self._avg_cache[key] = self.cube_integral(cube, exponent) / mu_q
-        return self._avg_cache[key]
+        return self.integral_tree(exponent)[cube.level][cube.coords] / self.grid.measure(cube)
 
     def expectation_levels(self, f):
         """Weighted averages E_R f = (int_R W dmu)^{-1} int_R W f dmu of a vector

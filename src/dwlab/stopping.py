@@ -7,13 +7,18 @@ selected cubes; recursing into each selected cube yields the later
 generations.  The sawtooth of a root is its cube-box minus the boxes of its
 first-generation cubes, and the sawtooths over all generations partition the
 box exactly.
+
+Every walk runs on index arrays of one ``CubeTree``.  ``owner_levels``
+propagates owners down the levels and gives every decomposition;
+``first_generation_levels`` rebuilds first generations for the independent
+``partition_residual`` check and the Volberg packing.
 """
 
 from __future__ import annotations
 
 import itertools
 import zlib
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,11 +32,10 @@ __all__ = [
     "run_stopping",
     "packing_constant",
     "first_generation_ratio",
-    "iterated_sawtooth",
-    "IteratedDecomposition",
     "owner_levels",
     "chain_owners",
     "first_generation_levels",
+    "partition_residual",
     "corona_criterion",
     "volberg_criterion",
     "kato_criterion",
@@ -42,7 +46,6 @@ __all__ = [
     "corona_stop",
     "martingale_square_check",
     "loewner_geq",
-    "box_cubes",
     "bernoulli_criterion",
 ]
 
@@ -105,189 +108,107 @@ class CubeTree:
         first = self.offsets[k + 1] + ((idx - self.offsets[k]) << self.n)
         return (first[:, None] + np.arange(2**self.n)).reshape(-1)
 
+    def box(self, idx):
+        """The cubes of the box of cube ``idx``, level by level."""
+        k = int(self.level[idx])
+        first = int(idx - self.offsets[k])
+        return np.concatenate([
+            self.offsets[m] + (first << (self.n * (m - k))) + np.arange(2 ** (self.n * (m - k)))
+            for m in range(k, self.L + 1)
+        ])
+
     def preorder(self, idx):
-        """Sort key of the depth-first preorder of ``box_cubes``."""
+        """Sort key of the depth-first preorder of a box: every cube before
+        its children, and children in ``Cube.children()`` order."""
         k = self.level[idx]
         return ((idx - self.offsets[k]) << (self.n * (self.L - k))) * (self.L + 1) + k
 
 
 @dataclass(frozen=True)
 class StoppingCriterion:
-    """Named pure predicate (recursion root, candidate) -> fire?
-
-    ``many(s, r)``, when set, is the batched form over index arrays of the
-    field's ``CubeTree`` and ``fires`` is its one-row call; otherwise the
-    batched form loops over ``fires``.
-    """
+    """Named pure predicate (recursion root S, candidate R) -> fire?, batched:
+    ``fires_many(tree, s, r)`` decides every row of the index arrays ``s`` and
+    ``r`` of the ``CubeTree`` ``tree``."""
 
     name: str
-    fires: Callable[[Cube, Cube], bool]
-    many: Callable | None = None
-
-    def fires_many(self, tree, s, r):
-        if self.many is not None:
-            return self.many(s, r)
-        pairs = ((self.fires(tree.cube(a), tree.cube(b))) for a, b in zip(s, r))
-        return np.fromiter(pairs, dtype=bool, count=len(r))
-
-
-def box_cubes(root, L):
-    """All dyadic cubes contained in ``root`` down to level ``L``."""
-    out = []
-    stack = [root]
-    while stack:
-        cube = stack.pop()
-        out.append(cube)
-        if cube.level < L:
-            stack.extend(reversed(cube.children()))
-    return out
+    fires_many: Callable
 
 
 @dataclass
 class StoppingResult:
-    root: Cube
-    L: int
+    """A stopping decomposition under ``root`` as index arrays of ``tree``.
+
+    ``owner[i]`` is the stop whose sawtooth holds ``cubes[i]``, the box of
+    ``root`` level by level; the stops are the cubes that own themselves.
+    ``stops`` lists them generation by generation (``generations`` splits
+    it), each generation in box preorder, and ``parents`` holds the parent
+    stop of each (-1 at the root).
+    """
+
+    tree: CubeTree
+    root: int
+    criterion: StoppingCriterion
+    cubes: np.ndarray
+    owner: np.ndarray
+    stops: np.ndarray
+    parents: np.ndarray
     generations: list
-    first_gen: dict
-    parent_map: dict
-    _sawtooth_cache: dict = dc_field(default_factory=dict, repr=False)
-
-    @property
-    def all_cubes(self):
-        return [cube for gen in self.generations for cube in gen]
-
-    def sawtooth(self, s):
-        """Cubes of the box of ``s`` that sit above its first-generation cubes."""
-        if s not in self._sawtooth_cache:
-            selected = set(self.first_gen.get(s, ()))
-            out = []
-            stack = [s]
-            while stack:
-                cube = stack.pop()
-                out.append(cube)
-                if cube.level < self.L:
-                    for child in reversed(cube.children()):
-                        if child not in selected:
-                            stack.append(child)
-            self._sawtooth_cache[s] = out
-        return self._sawtooth_cache[s]
-
-    def partition_residual(self, values=None):
-        """Relative defect of the sawtooth partition of the box.
-
-        ``values`` maps cubes to nonnegative numbers; default is cube counting.
-        """
-        box = box_cubes(self.root, self.L)
-        weigh = (lambda c: 1.0) if values is None else values
-        total = sum(weigh(c) for c in box)
-        pieces = sum(
-            weigh(c) for s in self.all_cubes for c in self.sawtooth(s)
-        )
-        return abs(pieces - total) / max(total, 1e-300)
 
 
 def run_stopping(root, criterion, L):
-    """Full stopping decomposition under ``root`` on a depth-``L`` tree."""
-    generations = [[root]]
-    first_gen = {}
-    parent_map = {}
-    current = [root]
-    while current:
-        nxt = []
-        for s in current:
-            selected = _first_generation(s, criterion, L)
-            first_gen[s] = tuple(selected)
-            for r in selected:
-                parent_map[r] = s
-            nxt.extend(selected)
-        if not nxt:
-            break
-        generations.append(nxt)
-        current = nxt
+    """Full stopping decomposition under the cube ``root`` on a depth-``L`` tree.
+
+    The parent stop of a stop is the owner of its parent cube, and a stop's
+    generation is one more than its parent stop's.
+    """
+    tree = CubeTree(root.n, L)
+    cubes = tree.box(tree.index(root))
+    owner = np.concatenate(owner_levels(tree, criterion, cubes[:1]))
+    owner_of = np.full(tree.size, -1)
+    owner_of[cubes] = owner
+    stops = cubes[owner == cubes]
+    stops = stops[np.argsort(tree.preorder(stops))]
+    level = tree.level[stops]
+    parents = np.full(len(stops), -1)
+    below = level > root.level
+    parents[below] = owner_of[tree.ancestor(stops[below], level[below] - 1)]
+    depth = np.zeros(tree.size, dtype=int)
+    for k in range(root.level + 1, L + 1):
+        at = level == k
+        depth[stops[at]] = depth[parents[at]] + 1
+    order = np.argsort(depth[stops], kind="stable")
+    stops, parents = stops[order], parents[order]
+    ends = np.cumsum(np.bincount(depth[stops]))[:-1]
     return StoppingResult(
-        root=root, L=L, generations=generations, first_gen=first_gen, parent_map=parent_map
+        tree, cubes[0], criterion, cubes, owner, stops, parents, np.split(stops, ends)
     )
-
-
-def _first_generation(s, criterion, L):
-    out = []
-    if s.level >= L:
-        return out
-    stack = list(reversed(s.children()))
-    while stack:
-        cand = stack.pop()
-        if criterion.fires(s, cand):
-            out.append(cand)
-        elif cand.level < L:
-            stack.extend(reversed(cand.children()))
-    return out
 
 
 def packing_constant(result, grid):
     """(1/mu(Q)) * sum of mu(R) over every stopping generation, root included."""
-    total = sum(grid.measure(r) for r in result.all_cubes)
-    return total / grid.measure(result.root)
+    mu = result.tree.gather(grid._mu_tree)
+    return sum(mu[result.stops].tolist()) / float(mu[result.root])
 
 
 def first_generation_ratio(result, grid):
-    mass = sum(grid.measure(r) for r in result.first_gen.get(result.root, ()))
-    return mass / grid.measure(result.root)
-
-
-@dataclass
-class IteratedDecomposition:
-    root: Cube
-    pieces: dict
-
-    def partition_residual(self, L, values=None):
-        box = box_cubes(self.root, L)
-        weigh = (lambda c: 1.0) if values is None else values
-        total = sum(weigh(c) for c in box)
-        got = sum(weigh(c) for piece in self.pieces.values() for c in piece)
-        return abs(got - total) / max(total, 1e-300)
-
-
-def iterated_sawtooth(root, criteria, L):
-    """Nested decomposition for a finite list of criteria.
-
-    Every cube of the box lands in exactly one piece keyed by the chain
-    ``(S_1, ..., S_k)`` with ``S_1`` in the first decomposition under ``root``
-    and each later ``S_i`` in the decomposition of criterion ``i`` rooted at
-    ``S_{i-1}``.
-    """
-    if not 1 <= len(criteria) <= 3:
-        raise ValueError("iterated decomposition supports 1 to 3 criteria")
-    # Walk the box top-down.  A cube inherits its parent's chain.  If criterion
-    # i fires at it against the chain's i-th cube, it replaces that cube and,
-    # as the root of every later decomposition, all later ones.  So each
-    # criterion only looks at cubes inside the piece its decomposition refines.
-    k = len(criteria)
-    pieces = {}
-    stack = [(root, (root,) * k)]
-    while stack:
-        cube, chain = stack.pop()
-        if cube.level > root.level:
-            for i, crit in enumerate(criteria):
-                if crit.fires(chain[i], cube):
-                    chain = chain[:i] + (cube,) * (k - i)
-                    break
-        pieces.setdefault(chain, []).append(cube)
-        if cube.level < L:
-            stack.extend((child, chain) for child in reversed(cube.children()))
-    return IteratedDecomposition(root=root, pieces=pieces)
+    mu = result.tree.gather(grid._mu_tree)
+    first = result.generations[1] if len(result.generations) > 1 else []
+    return sum(mu[first].tolist()) / float(mu[result.root])
 
 
 # Level-array walks ---------------------------------------------------------------
 
 
-def owner_levels(tree, crit, j):
-    """Owner, under the level-``j`` cube above it, of every cube at levels
-    ``j..L``, one index array per level: a cube keeps its parent's owner
-    unless ``crit`` fires at it against that owner, and then owns itself."""
-    own = [tree.span(j)]
-    for k in range(j + 1, tree.L + 1):
-        cubes = tree.span(k)
-        par = np.repeat(own[-1], 2**tree.n)
+def owner_levels(tree, crit, anchors):
+    """Owner, under the anchor above it, of every cube in the boxes of
+    ``anchors`` (all at one level), one index array per level down to ``L``:
+    a cube keeps its parent's owner unless ``crit`` fires at it against that
+    owner, and then owns itself.  Each level's cubes are the children of the
+    previous level's, in order."""
+    cubes = np.asarray(anchors)
+    own = [cubes]
+    for _ in range(tree.level[cubes[0]], tree.L):
+        cubes, par = tree.children(cubes), np.repeat(own[-1], 2**tree.n)
         own.append(np.where(crit.fires_many(tree, par, cubes), cubes, par))
     return own
 
@@ -321,22 +242,41 @@ def first_generation_levels(tree, crit, anchors):
     return np.concatenate(picked)
 
 
+def partition_residual(tree, crit, top, cubes, owners, weight):
+    """Weighted share of ``cubes`` whose ``owners`` are not the stops of the
+    sawtooths that hold them under ``top``, rebuilt without the owner
+    propagation.
+
+    The stops are ``top`` and, level by level, the first generation of every
+    stop.  The sawtooth of S is its box minus the boxes of its first
+    generation, so a cube's owner is the deepest stop that holds it.
+    ``weight`` holds one nonnegative number per tree index; the share is of
+    its sum over the box of ``top``.
+    """
+    j = int(tree.level[top])
+    stop = np.zeros(tree.size, dtype=bool)
+    stop[top] = True
+    for k in range(j, tree.L):
+        span = tree.span(k)
+        if stop[span].any():
+            stop[first_generation_levels(tree, crit, span[stop[span]])] = True
+    deepest = np.arange(tree.size)
+    for k in range(j + 1, tree.L + 1):
+        span = tree.span(k)
+        up = np.repeat(deepest[tree.span(k - 1)], 2**tree.n)
+        deepest[span] = np.where(stop[span], span, up)
+    astray = cubes[deepest[cubes] != owners]
+    return float(np.sum(weight[astray]) / np.sum(weight[tree.box(top)]))
+
+
 # Concrete criteria ---------------------------------------------------------------
 
 
 def _field_criterion(name, field, rule):
-    """Criterion from ``rule(W_S, W_R, r)``, batched over the average stacks
-    of index arrays of the field's cube tree; ``fires`` is its one-row call."""
-    tree = CubeTree(field.grid.n, field.grid.L)
-    avg = tree.averages(field)
-
-    def many(s, r):
-        return rule(avg[s], avg[r], r)
-
-    def fires(s, r):
-        return bool(many(np.array([tree.index(s)]), np.array([tree.index(r)]))[0])
-
-    return StoppingCriterion(name, fires, many)
+    """Criterion from ``rule(W_S, W_R, r)`` over the average stacks of index
+    arrays of the field's cube tree."""
+    avg = CubeTree(field.grid.n, field.grid.L).averages(field)
+    return StoppingCriterion(name, lambda tree, s, r: rule(avg[s], avg[r], r))
 
 
 def volberg_criterion(field, lam):
@@ -430,15 +370,13 @@ def loewner_geq(a, b, tol=0.0):
 def martingale_square_check(root, field, result, rel_tol=1e-9):
     """Stopped martingale square bound: sum (W_R - W_{R*})^2 mu(R) against
     ((W^2)_Q - (W_Q)^2) mu(Q) in the positive-semidefinite order."""
-    g = field.grid
-    lhs = np.zeros((field.N, field.N))
-    for r in result.all_cubes:
-        if r == root:
-            continue
-        diff = field.avg_entries(r, 1) - field.avg_entries(result.parent_map[r], 1)
-        lhs += diff @ diff * g.measure(r)
-    avg_w = field.avg_entries(root, 1)
-    rhs = (field.avg_entries(root, 2) - avg_w @ avg_w) * g.measure(root)
+    tree = result.tree
+    avg, mu = tree.averages(field), tree.gather(field.grid._mu_tree)
+    r, p = result.stops[1:], result.parents[1:]
+    diff = avg[r] - avg[p]
+    lhs = np.einsum("rij,rjk,r->ik", diff, diff, mu[r])
+    avg_w = avg[result.root]
+    rhs = (field.avg_entries(root, 2) - avg_w @ avg_w) * mu[result.root]
     scale = float(np.max(np.abs(np.linalg.eigvalsh((rhs + rhs.T) / 2.0))))
     ok = loewner_geq(rhs, lhs, rel_tol * max(scale, 1e-300))
     return lhs, rhs, ok
@@ -451,4 +389,8 @@ def bernoulli_criterion(probability, seed):
         tag = f"{seed}|{s.level}:{s.coords}|{r.level}:{r.coords}"
         return (zlib.crc32(tag.encode()) % 2**32) / 2.0**32 < probability
 
-    return StoppingCriterion(name=f"bernoulli(p={probability:g})", fires=fires)
+    def fires_many(tree, s, r):
+        rows = (fires(tree.cube(a), tree.cube(b)) for a, b in zip(s, r))
+        return np.fromiter(rows, dtype=bool, count=len(r))
+
+    return StoppingCriterion(f"bernoulli(p={probability:g})", fires_many)

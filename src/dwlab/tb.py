@@ -138,9 +138,9 @@ def _box_mass_tree(grid, level_masses):
     return acc
 
 
-def carleson_norm(gamma, grid=None, norm="op"):
+def carleson_norm(gamma, norm="op"):
     """sup over cubes of the box-averaged Whitney mass of the multiplier."""
-    g = gamma.grid if grid is None else grid
+    g = gamma.grid
     masses = [
         nsq * g._mu_tree[k] * LN2 for k, nsq in enumerate(gamma.norms_sq(norm))
     ]
@@ -178,10 +178,6 @@ class CanonicalFamily:
         target = field.avg_entries(s_cube, 1) @ np.asarray(v0, dtype=float)
         out[sl] = np.einsum("...ij,j->...i", field.cell_power(-1)[sl], target)
         return out
-
-    def expectation(self, r_cube, s_cube, v0):
-        w_s, w_r = (self.field.avg_entries(c, 1)[None] for c in (s_cube, r_cube))
-        return _canonical_expectation(w_s, w_r, np.asarray(v0, dtype=float)[None])[0]
 
     def _sup_form(self, forms):
         """sqrt of the sup over cubes Q and unit v of u^T F_Q u / mu(Q), u = W_Q v,
@@ -309,12 +305,8 @@ def tb_run(field, gamma, eps1=None, eps2=0.1, eps3=None, lam=16.0, norm="op", sh
     tree = stopping.CubeTree(g.n, g.L)
     avg, mu = tree.averages(field), tree.gather(g._mu_tree)
 
-    norms_sq = gamma.norms_sq(norm)
-    masses = [nsq * m * LN2 for nsq, m in zip(norms_sq, g._mu_tree)]
-    carleson = max(float(np.max(a / m)) for a, m in zip(_box_mass_tree(g, masses), g._mu_tree))
-
     # Live cubes (nonzero multiplier) in the preorder of a box walk, and sectors.
-    gsq, gammas = tree.gather(norms_sq), tree.gather(gamma.levels)
+    gsq, gammas = tree.gather(gamma.norms_sq(norm)), tree.gather(gamma.levels)
     live = np.flatnonzero(gsq > 0.0)
     live = live[np.argsort(tree.preorder(live))]
     v1 = np.linalg.svd(gammas[live])[2][:, 0, :]
@@ -333,7 +325,7 @@ def tb_run(field, gamma, eps1=None, eps2=0.1, eps3=None, lam=16.0, norm="op", sh
     anchor_rows, s1 = [], []
     for j in range(g.L + 1):
         rows = np.flatnonzero(tree.level[live] >= j)
-        own = np.concatenate(stopping.owner_levels(tree, corona, j))
+        own = np.concatenate(stopping.owner_levels(tree, corona, tree.span(j)))
         anchor_rows.append(rows)
         s1.append(own[live[rows] - tree.offsets[j]])
     pairs, pair_of = np.unique(
@@ -386,7 +378,7 @@ def tb_run(field, gamma, eps1=None, eps2=0.1, eps3=None, lam=16.0, norm="op", sh
     first = stopping.first_generation_levels(tree, volberg, tree.span(0))
     volberg_ratio = sum(mu[first[np.argsort(tree.preorder(first))]].tolist()) / float(mu[0])
     return TbReport(
-        carleson_norm=carleson,
+        carleson_norm=carleson_norm(gamma, norm),
         assembled_bound=assembled,
         violations=violations,
         per_sector=per_sector,
@@ -432,25 +424,12 @@ def _chain_residual(tree, corona, kato, live, chain, weight):
     """Weighted share of the live cubes whose root chain (S1, S2) is not the
     one the sawtooth definition gives, rebuilt without the owner propagation.
 
-    The corona stops are the root and, level by level, the first generation
-    of every stop.  The sawtooth of S is its box minus the boxes of its first
-    generation, so a cube's S1 is the deepest stop that holds it.  Below S1,
-    the test-function stop on the cube's path moves to the first path cube of
-    its first generation, that is the first one where it fires.
+    ``stopping.partition_residual`` checks S1.  Below S1, the test-function
+    stop on the cube's path moves to the first path cube of its first
+    generation, that is the first one where it fires.
     """
-    stop = np.zeros(tree.size, dtype=bool)
-    stop[0] = True
-    for j in range(tree.L):
-        span = tree.span(j)
-        if stop[span].any():
-            stop[stopping.first_generation_levels(tree, corona, span[stop[span]])] = True
-    deepest = np.arange(tree.size)
-    for k in range(1, tree.L + 1):
-        span = tree.span(k)
-        up = np.repeat(deepest[tree.span(k - 1)], 2**tree.n)
-        deepest[span] = np.where(stop[span], span, up)
-    t1 = deepest[live]
-    t2, top, depth = t1.copy(), tree.level[t1], tree.level[live]
+    s1, s2 = chain
+    t2, top, depth = s1.copy(), tree.level[s1], tree.level[live]
     for d in range(1, tree.L + 1):
         rows = np.flatnonzero(depth - top >= d)
         if not rows.size:
@@ -458,5 +437,5 @@ def _chain_residual(tree, corona, kato, live, chain, weight):
         cube = tree.ancestor(live[rows], top[rows] + d)
         hit = kato(t2[rows], cube, rows)
         t2[rows[hit]] = cube[hit]
-    astray = (t1 != chain[0]) | (t2 != chain[1])
-    return float(np.sum(weight[live[astray]]) / np.sum(weight))
+    astray = float(np.sum(weight[live[t2 != s2]]) / np.sum(weight))
+    return stopping.partition_residual(tree, corona, 0, live, s1, weight) + astray

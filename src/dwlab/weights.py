@@ -20,7 +20,6 @@ __all__ = [
     "ClassReport",
     "class_report",
     "b2_constants",
-    "ainf_constants",
     "thewest_constant",
     "det_chain_check",
     "scalar_ainfty_report",
@@ -200,11 +199,6 @@ def class_report(field, shifts=None, directions=64, seed=0):
 def b2_constants(field, shifts=None, directions=64, seed=0):
     sups, _, _ = _family_scan(field, shifts, directions, seed)
     return sups["b2_i"], sups["b2_ii"], sups["b2_iii"], sups["b2_iv"]
-
-
-def ainf_constants(field, shifts=None, directions=64, seed=0):
-    sups, _, _ = _family_scan(field, shifts, directions, seed)
-    return sups["ainf_i"], sups["ainf_ii"]
 
 
 def thewest_constant(field, shifts=None):

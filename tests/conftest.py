@@ -2,6 +2,13 @@ import numpy as np
 import pytest
 
 from dwlab.grid import Grid, WeightField
+from dwlab.stopping import (
+    CubeTree,
+    StoppingCriterion,
+    chain_owners,
+    owner_levels,
+    partition_residual,
+)
 
 # one line per acceptance criterion, echoed after the run summary
 ACCEPTANCE_LINES = []
@@ -32,6 +39,69 @@ def random_weight_field(rng, n=1, N=2, L=3, spread=0.5, mu_spread=0.0):
     else:
         mu = None
     return WeightField(Grid(n, L, mu), values)
+
+
+NEVER = StoppingCriterion("never", lambda tree, s, r: np.zeros(len(r), dtype=bool))
+ALWAYS = StoppingCriterion("always", lambda tree, s, r: np.ones(len(r), dtype=bool))
+
+
+def first_generation(s, crit, L):
+    """Reference selection over Cube objects: the maximal cubes strictly below
+    ``s`` where ``crit`` fires against ``s``, in depth-first preorder."""
+    tree = CubeTree(s.n, L)
+    out = []
+    stack = list(reversed(s.children())) if s.level < L else []
+    while stack:
+        cand = stack.pop()
+        if crit.fires_many(tree, np.array([tree.index(s)]), np.array([tree.index(cand)]))[0]:
+            out.append(cand)
+        elif cand.level < L:
+            stack.extend(reversed(cand.children()))
+    return out
+
+
+def cube_walk(root, crit, L):
+    """Reference stopping decomposition: the generations as lists of Cubes,
+    each the first generations of the previous one's cubes in order, and the
+    parent stop of every stop below ``root``."""
+    generations, parent = [[root]], {}
+    while True:
+        nxt = []
+        for s in generations[-1]:
+            for r in first_generation(s, crit, L):
+                parent[r] = s
+                nxt.append(r)
+        if not nxt:
+            return generations, parent
+        generations.append(nxt)
+
+
+def chain_residual(tree, first, second, weight):
+    """Worst independent check of the two-criterion chain under the root cube:
+    S1 from the owner propagation against the stops of ``first``, and in each
+    sawtooth of S1, S2 from ``chain_owners`` against the stops of ``second``
+    restarted at S1."""
+    every = np.arange(tree.size)
+    s1 = np.concatenate(owner_levels(tree, first, tree.span(0)))
+    s2 = chain_owners(tree, s1, every, lambda s, a, rows: second.fires_many(tree, s, a))
+    worst = partition_residual(tree, first, 0, every, s1, weight)
+    for s in np.unique(s1):
+        held = every[s1 == s]
+        worst = max(worst, partition_residual(tree, second, s, held, s2[held], weight))
+    return worst
+
+
+def coarse_owner_levels(tree, crit, anchors):
+    """A wrong owner propagation: each owner is gathered one level too coarse,
+    so a cube takes its grandparent's owner and the children of a stop never
+    land in its sawtooth."""
+    cubes, own = [np.asarray(anchors)], [np.asarray(anchors)]
+    for k in range(1, tree.L - int(tree.level[cubes[0][0]]) + 1):
+        hops = min(2, k)
+        cubes.append(tree.children(cubes[-1]))
+        par = np.repeat(own[-hops], 2 ** (tree.n * hops))
+        own.append(np.where(crit.fires_many(tree, par, cubes[-1]), cubes[-1], par))
+    return own
 
 
 @pytest.fixture

@@ -27,19 +27,20 @@ from dwlab.haar import paraproduct_plus, product_identity_residual
 from dwlab.harness import WeightGenerator, generate
 from dwlab.rrt import conclusion_value, delta_of_eps_curve, hypothesis_margin
 from dwlab.stopping import (
+    CubeTree,
     bernoulli_criterion,
     corona_stop,
-    iterated_sawtooth,
     kato_family_stop,
     loewner_geq,
     martingale_square_check,
+    partition_residual,
     run_stopping,
     volberg_stop,
 )
 from dwlab.tb import canonical_family, make_gamma, tb_run
 from dwlab.weights import b2_constants, cube_ratios
 
-from conftest import random_weight_field
+from conftest import chain_residual, random_weight_field
 
 
 def _report(name, ok, detail=""):
@@ -119,14 +120,15 @@ def test_1e_sawtooth_partition_exact():
         L = int(rng.integers(2, 5))
         g = Grid(1, L, rng.uniform(0.3, 3.0, 2**L))
         res = run_stopping(root_cube(1), bernoulli_criterion(0.35, seed), L)
-        worst = max(worst, res.partition_residual())
-        worst = max(worst, res.partition_residual(values=g.measure))
+        for weight in (np.ones(res.tree.size), res.tree.gather(g._mu_tree)):
+            got = partition_residual(res.tree, res.criterion, res.root, res.cubes, res.owner, weight)
+            worst = max(worst, got)
     for seed in range(30):
         L = 3
         g = Grid(1, L, rng.uniform(0.3, 3.0, 2**L))
         crits = [bernoulli_criterion(0.4, seed), bernoulli_criterion(0.4, seed + 1000)]
-        dec = iterated_sawtooth(root_cube(1), crits, L)
-        worst = max(worst, dec.partition_residual(L, values=g.measure))
+        tree = CubeTree(1, L)
+        worst = max(worst, chain_residual(tree, *crits, tree.gather(g._mu_tree)))
     _report("1e sawtooth-partition", worst <= 1e-9, f"worst residual {worst:.3e}")
 
 

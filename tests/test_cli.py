@@ -7,12 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dwlab import weights
+from dwlab import stopping, weights
 from dwlab.cli import main
 from dwlab.config import RunConfig
 from dwlab.grid import Grid, WeightField, write_weight_field
 from dwlab.harness import WeightGenerator, generate
 from dwlab.tb import gamma_zero, make_gamma, tb_run
+
+from conftest import coarse_owner_levels
 
 
 @pytest.fixture
@@ -113,6 +115,42 @@ def test_corona_subcommand(random_field, tmp_path):
     ])
     assert rc == 0
     assert json.loads(rep.read_text())["root"] == "level=1 coords=1"
+
+
+def test_corona_rejects_bad_parameters(random_field, tmp_path, capsys):
+    rep = tmp_path / "r.json"
+    base = ["corona", "--report", str(rep), "--criterion"]
+    # Refused before the field is read, so a missing field file is not reached.
+    missing = ["--field", str(tmp_path / "missing.wf")]
+    for crit, value in (("corona", "0"), ("corona", "inf"), ("corona", "nan"),
+                        ("volberg", "1"), ("volberg", "inf"), ("volberg", "nan"),
+                        ("kato", "0"), ("kato", "1"), ("kato", "-inf"), ("kato", "nan")):
+        assert main(base + [crit, f"--param={value}"] + missing) == 1
+        assert capsys.readouterr().err.startswith("corona: --param must be"), (crit, value)
+    assert main(base + ["corona", "--param", "0.2", "--root", "1,x"] + missing) == 1
+    assert capsys.readouterr().err.startswith("corona: bad --root")
+    # The field has n=1 and L=3: a root deeper than L, with the wrong number
+    # of integers or off the grid is refused before the decomposition.
+    for root in ("12,0", "4,0", "-1,0", "1,0,0", "1,2"):
+        argv = base + ["corona", "--param", "0.2", "--field", random_field, f"--root={root}"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("corona: --root"), root
+    assert not rep.exists()
+
+
+def test_corona_partition_check_catches_wrong_engine(monkeypatch, tmp_path):
+    # The smooth field of the tb-run partition test: the corona stop fires at
+    # some cubes and owners are inherited at the others.
+    w = generate(WeightGenerator("log-gaussian", amplitude=0.08, seed=51), 1, 2, 5)
+    path, rep = tmp_path / "f.wf", tmp_path / "r.json"
+    write_weight_field(path, w)
+    argv = ["corona", "--field", str(path), "--criterion", "corona", "--param", "0.06125",
+            "--report", str(rep)]
+    assert main(argv) == 0
+    assert json.loads(rep.read_text())["partition_residual"] == 0.0
+    monkeypatch.setattr(stopping, "owner_levels", coarse_owner_levels)
+    assert main(argv) == 2
+    assert json.loads(rep.read_text())["partition_residual"] > 1e-9
 
 
 def test_cone_net_subcommand(tmp_path):

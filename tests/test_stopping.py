@@ -5,25 +5,34 @@ from hypothesis import strategies as st
 
 from dwlab.grid import Cube, Grid, WeightField, root_cube
 from dwlab.stopping import (
+    CubeTree,
     StoppingCriterion,
     bernoulli_criterion,
-    box_cubes,
+    chain_owners,
+    corona_criterion,
     corona_stop,
-    iterated_sawtooth,
+    kato_criterion,
     kato_family_stop,
     kato_stop,
     loewner_geq,
     martingale_square_check,
+    owner_levels,
     packing_constant,
+    partition_residual,
     run_stopping,
+    volberg_criterion,
     volberg_stop,
 )
-from dwlab.tb import canonical_family
+from dwlab.tb import CanonicalFamily, canonical_family
 
-from conftest import random_weight_field
-
-NEVER = StoppingCriterion("never", lambda s, r: False)
-ALWAYS = StoppingCriterion("always", lambda s, r: True)
+from conftest import (
+    ALWAYS,
+    NEVER,
+    chain_residual,
+    cube_walk,
+    first_generation,
+    random_weight_field,
+)
 
 
 def ones_field(L, n=1, N=1):
@@ -32,35 +41,56 @@ def ones_field(L, n=1, N=1):
     return WeightField(Grid(n, L), vals)
 
 
+def cubes(res, idx):
+    return [res.tree.cube(i) for i in idx]
+
+
+def residual(res, weight=None):
+    """The independent partition check of ``res``; cube counting by default."""
+    if weight is None:
+        weight = np.ones(res.tree.size)
+    return partition_residual(res.tree, res.criterion, res.root, res.cubes, res.owner, weight)
+
+
+def sawtooth(res, s):
+    """Cubes of the box of stop ``s`` whose owner is ``s``."""
+    return cubes(res, res.cubes[res.owner == res.tree.index(s)])
+
+
+def first_gen(res, s):
+    """The first generation of stop ``s``: the stops whose parent stop it is."""
+    return cubes(res, res.stops[res.parents == res.tree.index(s)])
+
+
 def test_never_fires():
     res = run_stopping(root_cube(1), NEVER, 2)
-    assert res.all_cubes == [root_cube(1)]
-    assert len(res.sawtooth(root_cube(1))) == 7
+    assert cubes(res, res.stops) == [root_cube(1)]
+    assert len(sawtooth(res, root_cube(1))) == 7
     assert packing_constant(res, Grid(1, 2)) == 1.0
-    assert res.partition_residual() == 0.0
+    assert residual(res) == 0.0
 
 
 def test_always_fires_full_subdivision():
     res = run_stopping(root_cube(1), ALWAYS, 2)
     assert [len(g) for g in res.generations] == [1, 2, 4]
     assert packing_constant(res, Grid(1, 2)) == 3.0  # depth d=2 gives d+1
-    assert all(res.sawtooth(s) == [s] for s in res.all_cubes)
-    assert res.partition_residual() == 0.0
+    assert all(sawtooth(res, s) == [s] for s in cubes(res, res.stops))
+    assert residual(res) == 0.0
 
 
 def test_hand_tree_left_half():
     target = Cube(1, (0,))
-    crit = StoppingCriterion("left", lambda s, r: r == target)
+    crit = StoppingCriterion("left", lambda tree, s, r: r == tree.index(target))
     res = run_stopping(root_cube(1), crit, 2)
-    assert list(res.first_gen[root_cube(1)]) == [target]
-    got = {c.descriptor() for c in res.sawtooth(root_cube(1))}
+    assert first_gen(res, root_cube(1)) == [target]
+    got = {c.descriptor() for c in sawtooth(res, root_cube(1))}
     assert got == {
         "level=0 coords=0",
         "level=1 coords=1",
         "level=2 coords=2",
         "level=2 coords=3",
     }
-    assert res.partition_residual() == 0.0
+    assert residual(res) == 0.0
     assert packing_constant(res, Grid(1, 2)) == 1.5
 
 
@@ -68,8 +98,9 @@ def test_parent_map_invariant(rng):
     for seed in range(20):
         crit = bernoulli_criterion(0.4, seed)
         res = run_stopping(root_cube(1), crit, 4)
-        stops = set(res.all_cubes)
-        for r, parent in res.parent_map.items():
+        stops = set(cubes(res, res.stops))
+        assert res.parents[0] == -1
+        for r, parent in zip(cubes(res, res.stops[1:]), cubes(res, res.parents[1:])):
             assert parent.contains(r) and parent != r
             # no stopping cube strictly between
             walk = r
@@ -84,8 +115,8 @@ def test_partition_residual_weighted(rng):
     g = Grid(1, 4, rng.uniform(0.3, 3.0, 16))
     for seed in range(10):
         res = run_stopping(root_cube(1), bernoulli_criterion(0.3, seed), 4)
-        assert res.partition_residual() <= 1e-12
-        assert res.partition_residual(values=g.measure) <= 1e-9
+        assert residual(res) == 0.0
+        assert residual(res, res.tree.gather(g._mu_tree)) == 0.0
 
 
 def test_geometric_packing_bound(rng):
@@ -95,48 +126,73 @@ def test_geometric_packing_bound(rng):
     for seed in range(12):
         res = run_stopping(root_cube(1), bernoulli_criterion(0.25, seed + 100), 5)
         ratios = []
-        for s in res.all_cubes:
-            mass = sum(g.measure(r) for r in res.first_gen.get(s, ()))
+        for s in cubes(res, res.stops):
+            mass = sum(g.measure(r) for r in first_gen(res, s))
             ratios.append(mass / g.measure(s))
         c = max(ratios)
         if c < 1.0:
             assert packing_constant(res, g) <= 1.0 / (1.0 - c) + 1e-9
 
 
+def chain_pieces(root, crits, L):
+    """The iterated sawtooth decomposition of ``crits`` under ``root``: S1 from
+    ``owner_levels``, each later owner from ``chain_owners`` started at the
+    previous one.  Maps each owner chain to its cubes, in box preorder."""
+    tree = CubeTree(root.n, L)
+    box = tree.box(tree.index(root))
+    chain = [np.concatenate(owner_levels(tree, crits[0], box[:1]))]
+    for crit in crits[1:]:
+        fires = lambda s, a, rows, crit=crit: crit.fires_many(tree, s, a)  # noqa: E731
+        chain.append(chain_owners(tree, chain[-1], box, fires))
+    pieces = {}
+    for i in np.argsort(tree.preorder(box), kind="stable"):
+        key = tuple(tree.cube(owner[i]) for owner in chain)
+        pieces.setdefault(key, []).append(tree.cube(box[i]))
+    return pieces
+
+
 def test_iterated_trivial_and_single():
-    dec = iterated_sawtooth(root_cube(1), [NEVER, NEVER], 2)
-    assert len(dec.pieces) == 1
-    assert dec.partition_residual(2) == 0.0
+    pieces = chain_pieces(root_cube(1), [NEVER, NEVER], 2)
+    assert list(pieces) == [(root_cube(1), root_cube(1))]
+    assert len(pieces[root_cube(1), root_cube(1)]) == 7
+    tree = CubeTree(1, 2)
+    assert chain_residual(tree, NEVER, NEVER, np.ones(tree.size)) == 0.0
     # k=1 reduces to plain sawtooths
     crit = bernoulli_criterion(0.5, 3)
-    dec = iterated_sawtooth(root_cube(1), [crit], 3)
+    pieces = chain_pieces(root_cube(1), [crit], 3)
     res = run_stopping(root_cube(1), crit, 3)
-    expected = {(s,): sorted(res.sawtooth(s)) for s in res.all_cubes}
-    got = {k: sorted(v) for k, v in dec.pieces.items()}
-    assert got == {k: v for k, v in expected.items() if v}
+    expected = {(s,): sawtooth(res, s) for s in cubes(res, res.stops)}
+    got = {k: sorted(v) for k, v in pieces.items()}
+    assert got == {k: sorted(v) for k, v in expected.items() if v}
+    assert {(s,) for gen in cube_walk(root_cube(1), crit, 3)[0] for s in gen} == set(expected)
 
 
 def test_iterated_always_singletons():
-    dec = iterated_sawtooth(root_cube(1), [ALWAYS, ALWAYS], 2)
-    assert all(len(v) == 1 for v in dec.pieces.values())
-    assert sum(len(v) for v in dec.pieces.values()) == 7
-    assert dec.partition_residual(2) == 0.0
+    pieces = chain_pieces(root_cube(1), [ALWAYS, ALWAYS], 2)
+    assert all(len(v) == 1 for v in pieces.values())
+    assert all(k == (v[0], v[0]) for k, v in pieces.items())
+    assert sum(len(v) for v in pieces.values()) == 7
+    tree = CubeTree(1, 2)
+    assert chain_residual(tree, ALWAYS, ALWAYS, np.ones(tree.size)) == 0.0
 
 
 def test_iterated_two_random_criteria(rng):
+    # The nested (S1, S2) decomposition of two criteria matches the rebuild
+    # from first generations, by count and by measure.
     g = Grid(1, 4, rng.uniform(0.4, 2.5, 16))
+    tree = CubeTree(1, 4)
     for seed in range(8):
         crits = [bernoulli_criterion(0.35, seed), bernoulli_criterion(0.35, seed + 77)]
-        dec = iterated_sawtooth(root_cube(1), crits, 4)
-        assert dec.partition_residual(4) <= 1e-12
-        assert dec.partition_residual(4, values=g.measure) <= 1e-9
+        assert chain_residual(tree, *crits, np.ones(tree.size)) == 0.0
+        assert chain_residual(tree, *crits, tree.gather(g._mu_tree)) == 0.0
 
 
-def _owner_walk(res, cube):
-    """The stopping cube of ``res`` whose sawtooth holds ``cube``."""
-    s = res.root
+def _owner_walk(anchor, cube, first_gen):
+    """The stop under ``anchor`` whose sawtooth holds ``cube``: step into the
+    first generation of the current stop while one of its cubes holds it."""
+    s = anchor
     while True:
-        selected = set(res.first_gen.get(s, ()))
+        selected = first_gen(s)
         for level in range(s.level + 1, cube.level + 1):
             anc = Cube(level, tuple(c >> (cube.level - level) for c in cube.coords))
             if anc in selected:
@@ -156,36 +212,89 @@ def _owner_walk(res, cube):
     seed=st.integers(0, 10**6),
 )
 def test_iterated_sawtooth_matches_owner_walk_oracle(n, k, L, root_level, p, seed):
-    # Oracle: full stopping trees per (criterion, root), and per cube the
-    # owner walk of each decomposition rooted at the previous owner.
+    # Oracle: the Cube-walk first generations per (criterion, stop), and per
+    # cube the owner walk of each decomposition rooted at the previous owner.
     L = min(L, 3) if n == 2 else L
-    root = Cube(min(root_level, L), (0,) * n)
+    level = min(root_level, L)
+    coords = np.random.default_rng(seed).integers(0, 2**level, n)
+    root = Cube(level, tuple(int(c) for c in coords))
     crits = [bernoulli_criterion(p, seed + 1000 * i) for i in range(k)]
-    trees = {}
-    expected = {}
-    for cube in box_cubes(root, L):
+    memo = {}
+
+    def first_gen(i):
+        def get(s):
+            if (i, s) not in memo:
+                memo[i, s] = set(first_generation(s, crits[i], L))
+            return memo[i, s]
+
+        return get
+
+    expected, stack = {}, [root]
+    while stack:  # the box of root in depth-first preorder
+        cube = stack.pop()
         chain, anchor = [], root
-        for i, crit in enumerate(crits):
-            if (i, anchor) not in trees:
-                trees[i, anchor] = run_stopping(anchor, crit, L)
-            anchor = _owner_walk(trees[i, anchor], cube)
+        for i in range(k):
+            anchor = _owner_walk(anchor, cube, first_gen(i))
             chain.append(anchor)
         expected.setdefault(tuple(chain), []).append(cube)
-    got = iterated_sawtooth(root, crits, L).pieces
+        if cube.level < L:
+            stack.extend(reversed(cube.children()))
+    got = chain_pieces(root, crits, L)
     assert got == expected  # the same pieces, with their cubes in the same order
+
+
+def _criterion(kind, w, rng):
+    if kind == "bernoulli":
+        return bernoulli_criterion(float(rng.uniform(0.1, 0.6)), int(rng.integers(10**6)))
+    if kind == "never":
+        return NEVER
+    if kind == "always":
+        return ALWAYS
+    if kind == "corona":
+        return corona_criterion(w, float(rng.uniform(0.02, 0.3)))
+    if kind == "volberg":
+        return volberg_criterion(w, float(rng.uniform(1.02, 1.6)))
+    v0 = rng.standard_normal(2)
+    v0 /= np.linalg.norm(v0)
+    expectation = lambda w_s, w_r, r: CanonicalFamily.expectations(w_s, w_r, v0)  # noqa: E731
+    return kato_criterion(w, v0, float(rng.uniform(0.8, 0.99)), expectation)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 2]),
+    L=st.integers(1, 4),
+    root_level=st.integers(0, 1),
+    kind=st.sampled_from(["bernoulli", "never", "always", "corona", "volberg", "kato"]),
+    seed=st.integers(0, 10**6),
+)
+def test_run_stopping_matches_cube_walk_oracle(n, L, root_level, kind, seed):
+    # The same stops in every generation, in the Cube walk's (depth-first)
+    # order, and the same parent stop for every stop.  Smooth fields, so that
+    # the field criteria fire at some cubes and not at others.
+    L = min(L, 3) if n == 2 else L
+    rng = np.random.default_rng(seed)
+    root = Cube(min(root_level, L), tuple(int(c) for c in rng.integers(0, 2 ** min(root_level, L), n)))
+    w = random_weight_field(rng, n=n, N=2, L=L, spread=float(rng.uniform(0.05, 0.4)), mu_spread=0.3)
+    crit = _criterion(kind, w, rng)
+    res = run_stopping(root, crit, L)
+    generations, parent = cube_walk(root, crit, L)
+    assert [cubes(res, gen) for gen in res.generations] == generations
+    assert res.parents[0] == -1
+    assert dict(zip(cubes(res, res.stops[1:]), cubes(res, res.parents[1:]))) == parent
 
 
 def test_volberg_examples():
     const = ones_field(2, N=2)
     res, ratio = volberg_stop(root_cube(1), const, 2.0)
-    assert ratio == 0.0 and res.all_cubes == [root_cube(1)]
+    assert ratio == 0.0 and cubes(res, res.stops) == [root_cube(1)]
 
     eps = 0.05
     w = WeightField(Grid(1, 1), np.array([1.0, eps]).reshape(2, 1, 1))
     w_q = (1 + eps) / 2
     res, ratio = volberg_stop(root_cube(1), w, 4.0)
     assert w_q / eps >= 4.0
-    assert [c.descriptor() for c in res.first_gen[root_cube(1)]] == ["level=1 coords=1"]
+    assert [c.descriptor() for c in first_gen(res, root_cube(1))] == ["level=1 coords=1"]
     assert ratio == 0.5
     # below the threshold nothing fires
     res, ratio = volberg_stop(root_cube(1), w, 1.0 + w_q / eps)
@@ -205,13 +314,13 @@ def test_kato_examples(rng):
     v0 = np.array([1.0, 0.0])
     b = np.broadcast_to(v0, (4, 2)).copy()
     res, ratio = kato_stop(root_cube(1), w, b, v0, 0.3)
-    assert ratio == 0.0 and res.all_cubes == [root_cube(1)]
+    assert ratio == 0.0 and cubes(res, res.stops) == [root_cube(1)]
 
     # a child with huge average is selected by the energy clause
     b_big = b.copy()
     b_big[0] = [50.0, 0.0]
     res, ratio = kato_stop(root_cube(1), w, b_big, v0, 0.3)
-    selected = res.first_gen[root_cube(1)]
+    selected = first_gen(res, root_cube(1))
     assert any(c.contains(Cube(2, (0,))) or c == Cube(2, (0,)) for c in selected)
 
     # orthogonal mean triggers the projection clause at the first child
@@ -227,7 +336,7 @@ def test_kato_family_canonical_contraction(rng):
         v0 /= np.linalg.norm(v0)
         res, ratio = kato_family_stop(root_cube(1), w, canonical_family(w), v0, 0.1)
         assert ratio <= 0.99
-        assert res.partition_residual() <= 1e-12
+        assert residual(res) == 0.0
 
 
 def test_corona_constant_and_two_scale():
@@ -241,14 +350,14 @@ def test_corona_constant_and_two_scale():
     eps3 = 0.2
     w = WeightField(Grid(1, 2), np.array([1.0, 1.0, 1 + 2 * eps3, 1 + 2 * eps3]).reshape(4, 1, 1))
     res, pack = corona_stop(root_cube(1), w, eps3)
-    assert res.all_cubes == [root_cube(1)] and pack == 1.0
+    assert cubes(res, res.stops) == [root_cube(1)] and pack == 1.0
 
     # Push the ratio past (1+eps3)/(1-eps3): both children fire, and inside
     # each half the field is constant, so the tree stops there.
     c = 1.3 * (1 + eps3) / (1 - eps3)
     w = WeightField(Grid(1, 2), np.array([1.0, 1.0, c, c]).reshape(4, 1, 1))
     res, pack = corona_stop(root_cube(1), w, eps3)
-    assert {x.descriptor() for x in res.first_gen[root_cube(1)]} == {
+    assert {x.descriptor() for x in first_gen(res, root_cube(1))} == {
         "level=1 coords=0",
         "level=1 coords=1",
     }
@@ -260,7 +369,7 @@ def test_corona_random_fields(rng):
         w = random_weight_field(rng, N=2, L=4, spread=0.6, mu_spread=0.3)
         res, pack = corona_stop(root_cube(1), w, 0.15)
         assert 1.0 <= pack <= 5.0 + 1e-12  # depth bound: L+1 generations
-        assert res.partition_residual() <= 1e-12
+        assert residual(res) == 0.0
 
 
 def test_corona_sawtooth_oscillation_bound(rng):
@@ -277,10 +386,10 @@ def test_corona_sawtooth_oscillation_bound(rng):
         w = random_weight_field(rng, n=n, N=2, L=4 if n == 1 else 3, spread=0.6, mu_spread=0.3)
         eps3 = 0.1 + 0.05 * i
         res, _ = corona_stop(root_cube(n), w, eps3)
-        assert len(res.all_cubes) > 1
-        for s in res.all_cubes:
+        assert len(res.stops) > 1
+        for s in cubes(res, res.stops):
             w_s = avg(w, s)
-            for r in res.sawtooth(s):
+            for r in sawtooth(res, s):
                 dev = np.linalg.solve(w_s, avg(w, r)) - np.eye(2)
                 assert np.linalg.norm(dev, 2) <= eps3 * (1.0 + 1e-12), (s, r)
 
@@ -309,5 +418,15 @@ def test_martingale_random_trees(rng):
 
 
 def test_box_cubes_count():
-    assert len(box_cubes(root_cube(1), 3)) == 15
-    assert len(box_cubes(Cube(1, (0, 0)), 2)) == 5  # 1 + 4 children at level 2
+    for root, L, count in ((root_cube(1), 3, 15), (Cube(1, (0, 1)), 2, 5)):
+        tree = CubeTree(root.n, L)
+        box = tree.box(tree.index(root))
+        assert len(box) == count  # 1 + 2**n children + ... down to level L
+        # sorted by the preorder key, the box is the depth-first Cube walk
+        walk, stack = [], [root]
+        while stack:
+            cube = stack.pop()
+            walk.append(cube)
+            if cube.level < L:
+                stack.extend(reversed(cube.children()))
+        assert [tree.cube(i) for i in box[np.argsort(tree.preorder(box))]] == walk

@@ -23,7 +23,7 @@ from dwlab.tb import (
     verify_hypotheses,
 )
 
-from conftest import random_weight_field
+from conftest import ALWAYS, NEVER, coarse_owner_levels, first_generation, random_weight_field
 
 
 def ones_field(L, n=1, N=1):
@@ -128,9 +128,7 @@ def test_testfun_carleson_two_dimensional(rng):
     b = fam.b_values(root, v)
     got = box_carleson_integral(g, b, root, w)
     brute = 0.0
-    from dwlab.stopping import box_cubes
-
-    for r in box_cubes(root, 2):
+    for r in filter(root.contains, w.grid.cubes()):
         e = weighted_avg(b, r, w)
         ge = g.value(r) @ e
         brute += float(ge @ ge) * w.grid.measure(r) * LN2
@@ -164,7 +162,8 @@ def test_canonical_normalization_dual_route(rng):
         cube = Cube(level, (int(rng.integers(0, 2**level)),))
         v = rng.standard_normal(N)
         v /= np.linalg.norm(v)
-        closed = fam.expectation(cube, cube, v)
+        w_q = w.avg_entries(cube, 1)[None]
+        closed = fam.expectations(w_q, w_q, v[None])[0]
         integral = weighted_avg(fam.b_values(cube, v), cube, w)
         assert np.allclose(closed, v, atol=1e-10)
         assert np.allclose(integral, v, atol=1e-10)
@@ -315,18 +314,7 @@ def test_partition_check_catches_wrong_owner_chains(monkeypatch, tmp_path):
     argv += ["--report", str(tmp_path / "r.json")]
     assert main(argv) == 0
 
-    # The propagation gathers each owner one level too coarse: a cube takes
-    # its grandparent's owner, so the children of a stop never land in its
-    # sawtooth.  A check that read these owner arrays would agree with them.
-    def coarse_owner_levels(tree, crit, j):
-        own = [tree.span(j)]
-        for k in range(j + 1, tree.L + 1):
-            hops = min(2, k - j)
-            cubes = tree.span(k)
-            par = np.repeat(own[-hops], 2 ** (tree.n * hops))
-            own.append(np.where(crit.fires_many(tree, par, cubes), cubes, par))
-        return own
-
+    # A check that read the wrong propagation's owner arrays would agree with them.
     monkeypatch.setattr(stopping, "owner_levels", coarse_owner_levels)
     assert tb_run(w, gam, eps2=0.7).partition_residual > 1e-9
     assert main(argv) == 2
@@ -352,7 +340,7 @@ def _first_gen_owner(cube, anchor, first_gen):
 @given(
     n=st.sampled_from([1, 2]),
     L=st.integers(1, 4),
-    kind=st.sampled_from(["bernoulli", "bernoulli-pair", "corona-kato"]),
+    kind=st.sampled_from(["bernoulli", "bernoulli-pair", "corona-kato", "never", "always"]),
     seed=st.integers(0, 10**6),
 )
 def test_level_engine_matches_cube_walk_oracle(n, L, kind, seed):
@@ -385,9 +373,11 @@ def test_level_engine_matches_cube_walk_oracle(n, L, kind, seed):
 
     else:
         p = float(rng.uniform(0.1, 0.6))
-        first = stopping.bernoulli_criterion(p, seed)
+        pair = (stopping.bernoulli_criterion(p, seed), stopping.bernoulli_criterion(p, seed + 1))
+        # "never" and "always" are the edge cases: one sawtooth, or one per cube.
+        first, other = {"never": (NEVER, NEVER), "always": (ALWAYS, ALWAYS)}.get(kind, pair)
         label = np.zeros(tree.size, dtype=int)
-        second = [stopping.bernoulli_criterion(p, seed + 1)]
+        second = [other]
 
         def fires2(s, a, rows, r):
             return second[0].fires_many(tree, s, a)
@@ -397,13 +387,13 @@ def test_level_engine_matches_cube_walk_oracle(n, L, kind, seed):
     def first_gen(crit, key):
         def get(s):
             if (key, s) not in memo:
-                memo[key, s] = set(stopping._first_generation(s, crit, L))
+                memo[key, s] = set(first_generation(s, crit, L))
             return memo[key, s]
 
         return get
 
     for j in range(L + 1):
-        own = np.concatenate(stopping.owner_levels(tree, first, j))
+        own = np.concatenate(stopping.owner_levels(tree, first, tree.span(j)))
         r = np.arange(tree.offsets[j], tree.size)
         s2 = stopping.chain_owners(tree, own, r, lambda s, a, rows: fires2(s, a, rows, r))
         for i, idx in enumerate(r):
@@ -421,9 +411,9 @@ def test_tb_run_skips_cube_walks(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Cube walk called")
 
-    for name in ("box_cubes", "_first_generation", "iterated_sawtooth", "volberg_stop"):
+    for name in ("run_stopping", "volberg_stop"):
         monkeypatch.setattr(stopping, name, refuse)
-    monkeypatch.setattr(tb.CanonicalFamily, "expectation", refuse)
+    monkeypatch.setattr(WeightField, "avg_entries", refuse)
     for n, N, L in ((1, 2, 5), (2, 2, 3)):
         w = generate(WeightGenerator("log-gaussian", amplitude=0.4, seed=52), n, N, L)
         rep = tb_run(w, make_gamma("martingale", w), eps2=0.3)

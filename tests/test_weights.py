@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from dwlab.grid import Grid, WeightField, root_cube
 from dwlab.weights import (
-    ainf_constants,
     b2_constants,
     box_ratios,
     class_report,
@@ -42,9 +41,9 @@ def test_two_cell_scalar_values():
     assert abs(b2i - b2ii) < 1e-12
     assert abs(b2iii - b2ii**2) < 1e-9
     assert abs(b2iv - expect) < 1e-12  # scalar: determinant ratio equals norm ratio
-    ainf_i, ainf_ii = ainf_constants(w, shifts=0)
-    assert abs(ainf_ii - 1.25) < 1e-12
-    assert abs(ainf_i - math.sqrt(1.25)) < 1e-12  # scalar identity
+    rep = class_report(w, shifts=0)
+    assert abs(rep.ainf_ii - 1.25) < 1e-12
+    assert abs(rep.ainf_i - math.sqrt(1.25)) < 1e-12  # scalar identity
     assert abs(thewest_constant(w, shifts=0) - 2.125) < 1e-12
 
 
@@ -389,7 +388,7 @@ def test_ainf_i_jensen_bound_nesting_and_basis(seed, n, N, depth):
     assert np.all(got <= jensen * (1.0 + 1e-12))
 
     # The direction set is prefix-nested in its count, so the sup only grows.
-    sups = [ainf_constants(w, shifts, directions=k, seed=seed)[0] for k in (0, 1, 3, 6)]
+    sups = [class_report(w, shifts, directions=k, seed=seed).ainf_i for k in (0, 1, 3, 6)]
     assert all(a <= b for a, b in zip(sups, sups[1:])), sups
     assert _close(sups[0], float(basis.max()))
 
