@@ -34,7 +34,6 @@ from .stopping import (
 )
 from .cones import (
     ConeNet,
-    NetInfeasibleError,
     maximizing_vector_bound,
     build_net,
     sector_membership,

@@ -13,12 +13,9 @@ around that net vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "NetInfeasibleError",
     "ConeNet",
     "maximizing_vector_bound",
     "build_net",
@@ -26,17 +23,14 @@ __all__ = [
     "min_over_cone",
     "coverage_check",
     "required_alignment",
-    "net_size_estimate",
-    "MAX_NET_VECTORS",
+    "MAX_NET_INDEX",
 ]
 
-MAX_NET_VECTORS = 400_000
+# Largest closed-form bound on a net's index range that the recursion walks.
+# It admits N=5 at eps1 0.15 (2.3e10) and keeps the ring tables under 30 MB.
+MAX_NET_INDEX = 2**35
 
 _DETERMINISTIC_PROBE_SEED = 0x5EED
-
-
-class NetInfeasibleError(RuntimeError):
-    """Raised when the direction net cannot reach the required density."""
 
 
 def required_alignment(eps1):
@@ -69,87 +63,147 @@ def maximizing_vector_bound(a, x, y):
     return lhs, rhs
 
 
-@dataclass
-class ConeNet:
-    eps1: float
-    dim: int
-    vectors: np.ndarray
-    kind: str
-    certificate_cos: float
-    certificate_gap: float
-    lookup_meta: dict
+def _count(k, sigma, step):
+    """Points of a circle (k = 2) or rings of a sphere (k = 1) at spacing
+    ``step / sigma``: ceil(k pi sigma / step), at least 1."""
+    return np.maximum(1, np.ceil(k * np.pi * sigma / step)).astype(np.int64)
 
-    @property
-    def size(self):
-        return self.vectors.shape[0]
+
+def _polar(n, r):
+    """Polar angle of ring ``r`` of a node with ``n`` rings."""
+    return (r + 0.5) * (np.pi / n)
+
+
+class _Level:
+    """Ring nodes of one dimension d >= 3, one table row per ring count n.
+
+    Row n lists its rings' child counts (rings of the (d-1)-sphere, or circle
+    points when d = 3) and, in ``first``, each child's first index as a running
+    total over all rows, so ``first - base[n]`` is the ring's offset in node n.
+    """
+
+    def __init__(self, ns, k):
+        self.ns = ns
+        self.child = np.concatenate(
+            [_count(k, np.sin(_polar(n, np.arange(n))), np.pi / n) for n in ns]
+        )
+        starts = np.cumsum(ns) - ns
+        self.row = np.full(int(ns[-1]) + 1, -1, dtype=np.int64)
+        self.row[ns] = starts
+
+    def count(self, child_size):
+        """Set the offsets from the sizes of the child nodes; return the node
+        sizes indexed by ring count."""
+        sizes = child_size[self.child]
+        self.first = np.cumsum(sizes) - sizes
+        self.base = np.zeros(len(self.row), dtype=np.int64)
+        self.base[self.ns] = self.first[self.row[self.ns]]
+        total = np.zeros(len(self.row), dtype=np.int64)
+        total[self.ns] = np.add.reduceat(sizes, self.row[self.ns])
+        return total
+
+
+class ConeNet:
+    """Unit-vector net of the sphere S^(dim-1) from one latitude-ring recursion.
+
+    Dimension 1 is +-e1 and dimension 2 a circle of ``ceil(2 pi / s)`` points.
+    Dimension d >= 3 has ``ceil(pi / s)`` rings at polar angles (r + 1/2) step
+    about the last coordinate; ring r carries the (d-1)-net of spacing
+    ``step / sin(phi_r)``, and the net's indices run ring by ring.  The top
+    spacing s is theta, 1.2 theta and 1.7 theta / sqrt(N - 1) for N = 2, 3 and
+    N >= 4, with theta = acos(required_cos).  No vector is stored: a node is
+    fixed by its dimension and ring count, so per-dimension tables of ring
+    counts give every index and ``vectors_at`` computes vectors by arithmetic.
+    """
+
+    def __init__(self, dim, eps1):
+        if dim < 1:
+            raise ValueError("N must be at least 1")
+        if not 0.0 < eps1 <= 0.5:
+            raise ValueError("eps1 must lie in (0, 1/2]")
+        self.dim, self.eps1 = dim, eps1
+        self.certificate_cos = self.certificate_gap = None
+        theta = math.acos(required_alignment(eps1))
+        if dim <= 3:
+            spacing = theta * 1.2 if dim == 3 else theta
+        else:
+            spacing = 1.7 * theta / math.sqrt(dim - 1)
+        # The top node: the two points +-e1, a circle, or a sphere's rings.
+        self.top = int(_count(2.0 if dim == 2 else 1.0, 1.0, spacing)) if dim > 1 else 2
+        # About `top` rings per level and at most 2 top + 1 points per circle.
+        bound = self.top if dim <= 2 else (2 * self.top + 1) * self.top ** (dim - 2)
+        if bound > MAX_NET_INDEX:
+            raise ValueError(
+                f"the cone net for N={dim}, eps1={eps1!r} spans up to {bound:.3g} indices,"
+                f" more than the {MAX_NET_INDEX} the recursion walks"
+            )
+        self.levels = []
+        ns = np.array([self.top], dtype=np.int64)
+        for d in range(dim, 2, -1):
+            self.levels.append(_Level(ns, 2.0 if d == 3 else 1.0))
+            ns = np.unique(self.levels[-1].child)
+        size = np.arange(int(ns[-1]) + 1, dtype=np.int64)
+        for level in reversed(self.levels):
+            size = level.count(size)
+        self.size = int(size[self.top])
 
     @property
     def required_cos(self):
         return required_alignment(self.eps1)
 
-    def cover_index(self, v1):
-        """Index of a net vector aligned with the unit vector ``v1``."""
-        return self.cover_indices(np.asarray(v1, dtype=float)[None, :])[0]
-
-    def cover_indices(self, v1s):
-        v1s = np.asarray(v1s, dtype=float)
-        if self.kind == "pm":
-            return np.where(v1s[:, 0] >= 0.0, 0, 1)
-        if self.kind == "circle":
-            spacing = self.lookup_meta["spacing"]
-            ang = np.arctan2(v1s[:, 1], v1s[:, 0]) % (2.0 * math.pi)
-            return np.rint(ang / spacing).astype(int) % self.size
-        if self.kind == "sphere-rings":
-            return self._ring_lookup(v1s)
-        # Greedy nets: chunked arg-max of the inner products.
-        out = np.empty(v1s.shape[0], dtype=int)
-        step = max(1, 10_000_000 // max(self.size, 1))
-        for start in range(0, v1s.shape[0], step):
-            block = v1s[start : start + step]
-            out[start : start + step] = np.argmax(block @ self.vectors.T, axis=1)
+    def vectors_at(self, idx):
+        """Net vectors of the indices ``idx``, one row each."""
+        idx = np.asarray(idx, dtype=np.int64)
+        if np.any((idx < 0) | (idx >= self.size)):
+            raise ValueError(f"net indices must lie in [0, {self.size})")
+        out = np.zeros((len(idx), self.dim))
+        if self.dim == 1:
+            out[:, 0] = np.where(idx == 0, 1.0, -1.0)
+            return out
+        n, scale = np.full(len(idx), self.top), np.ones(len(idx))
+        for d, level in zip(range(self.dim, 2, -1), self.levels):
+            e = np.searchsorted(level.first, level.base[n] + idx, side="right") - 1
+            phi = _polar(n, e - level.row[n])
+            idx = idx - (level.first[e] - level.base[n])
+            out[:, d - 1] = scale * np.cos(phi)
+            scale = scale * np.sin(phi)
+            n = level.child[e]
+        psi = idx * (2.0 * np.pi / n)
+        out[:, 0] = scale * np.cos(psi)
+        out[:, 1] = scale * np.sin(psi)
         return out
 
-    def _ring_lookup(self, v1s):
-        meta = self.lookup_meta
-        polar_step = meta["polar_step"]
-        offsets = meta["offsets"]
-        counts = meta["counts"]
-        n_rings = len(counts)
-        z = np.clip(v1s[:, 2], -1.0, 1.0)
-        phi = np.arccos(z)
-        psi = np.arctan2(v1s[:, 1], v1s[:, 0]) % (2.0 * math.pi)
-        base = np.clip((phi / polar_step).astype(int), 0, n_rings - 1)
-        best = np.zeros(v1s.shape[0], dtype=int)
-        best_dot = np.full(v1s.shape[0], -2.0)
-        for dr in (-1, 0, 1):
-            ring = np.clip(base + dr, 0, n_rings - 1)
-            m = counts[ring]
-            idx = offsets[ring] + (np.rint(psi / (2.0 * math.pi) * m).astype(int) % m)
-            dots = np.einsum("ij,ij->i", v1s, self.vectors[idx])
-            better = dots > best_dot
-            best[better] = idx[better]
-            best_dot[better] = dots[better]
-        return best
+    def _candidates(self, v1s):
+        """Indices of the lookup's candidates for the unit rows of ``v1s``: the
+        two nearest rings at every level, then the circle point nearest in
+        angle, so 2^(N-2) per row for N >= 3."""
+        v1s = np.asarray(v1s, dtype=float)
+        if self.dim == 1:
+            return np.where(v1s[:, :1] >= 0.0, 0, 1)
+        n = np.full((len(v1s), 1), self.top)
+        idx = np.zeros((len(v1s), 1), dtype=np.int64)
+        for d, level in zip(range(self.dim, 2, -1), self.levels):
+            rest = np.sqrt(np.sum(v1s[:, : d - 1] ** 2, axis=1))
+            phi = np.arctan2(rest, v1s[:, d - 1])[:, None]
+            r0 = np.clip(np.floor(phi / (np.pi / n) - 0.5).astype(np.int64), 0, n - 1)
+            r = np.stack([r0, np.minimum(r0 + 1, n - 1)], axis=-1).reshape(len(v1s), -1)
+            n, idx = np.repeat(n, 2, axis=1), np.repeat(idx, 2, axis=1)
+            e = level.row[n] + r
+            idx = idx + level.first[e] - level.base[n]
+            n = level.child[e]
+        psi = (np.arctan2(v1s[:, 1], v1s[:, 0]) % (2.0 * math.pi))[:, None]
+        return idx + np.rint(psi / (2.0 * math.pi) * n).astype(np.int64) % n
 
-
-def _grid_spacing(N, eps1):
-    """Per-angle step of the product grid that ``build_net`` uses for N >= 4."""
-    return 1.7 * math.acos(required_alignment(eps1)) / math.sqrt(N - 1)
-
-
-def net_size_estimate(N, eps1):
-    """Vectors in ``build_net``'s construction before densification; exact for
-    N <= 2, estimated for the latitude rings (N = 3) and product grids."""
-    theta = math.acos(required_alignment(eps1))
-    if N == 1:
-        return 2
-    if N == 2:
-        return int(math.ceil(2.0 * math.pi / theta))
-    if N == 3:
-        return int(8.0 / (1.2 * theta) ** 2) + 64
-    spacing = _grid_spacing(N, eps1)
-    rings = (2.0 / math.pi) * (2.0 * math.pi / spacing + 1)
-    return int((math.pi / spacing + 1) * rings ** (N - 2))
+    def cover_indices(self, v1s):
+        """Index of a net vector aligned with each unit row of ``v1s``: the
+        lookup candidate with the largest inner product."""
+        v1s = np.asarray(v1s, dtype=float)
+        cand = self._candidates(v1s)
+        if cand.shape[1] == 1:
+            return cand[:, 0]
+        rows = np.repeat(np.arange(len(v1s)), cand.shape[1])
+        dots = np.einsum("ij,ij->i", v1s[rows], self.vectors_at(cand.ravel()))
+        return cand[np.arange(len(v1s)), np.argmax(dots.reshape(cand.shape), axis=1)]
 
 
 def _unit_sphere_sample(rng, count, dim):
@@ -157,132 +211,24 @@ def _unit_sphere_sample(rng, count, dim):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _circle_net(eps1):
-    theta = math.acos(required_alignment(eps1))
-    count = int(math.ceil(2.0 * math.pi / theta))
-    ang = np.arange(count) * (2.0 * math.pi / count)
-    vectors = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    return vectors, {"spacing": 2.0 * math.pi / count}
+def build_net(N, eps1, seed=0, probes=20000):
+    """The cone net with its certificate: the worst alignment between the net
+    and ``probes`` deterministic plus ``probes`` seeded random unit vectors.
 
-
-def _ring_net(eps1):
-    theta = math.acos(required_alignment(eps1))
-    step = theta * 1.2  # worst offset is about step/sqrt(2), leaving margin
-    n_rings = int(math.ceil(math.pi / step))
-    polar_step = math.pi / n_rings
-    vectors = []
-    counts = []
-    offsets = []
-    for r in range(n_rings):
-        phi = (r + 0.5) * polar_step
-        m = max(1, int(math.ceil(2.0 * math.pi * math.sin(phi) / polar_step)))
-        offsets.append(len(vectors))
-        counts.append(m)
-        psi = np.arange(m) * (2.0 * math.pi / m)
-        ring = np.stack(
-            [
-                math.sin(phi) * np.cos(psi),
-                math.sin(phi) * np.sin(psi),
-                np.full(m, math.cos(phi)),
-            ],
-            axis=1,
-        )
-        vectors.extend(ring)
-    meta = {
-        "polar_step": polar_step,
-        "counts": np.array(counts, dtype=int),
-        "offsets": np.array(offsets, dtype=int),
-    }
-    return np.array(vectors), meta
-
-
-def _product_sphere(dim, spacing):
-    """Deterministic grid on the unit sphere of R^dim with per-angle step
-    at most ``spacing`` (so chordal covering radius about spacing*sqrt(dim-1)/2)."""
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
-    if dim == 2:
-        m = max(4, int(math.ceil(2.0 * math.pi / spacing)))
-        ang = np.arange(m) * (2.0 * math.pi / m)
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    rings = max(2, int(math.ceil(math.pi / spacing)))
-    step = math.pi / rings
-    blocks = []
-    for r in range(rings):
-        phi = (r + 0.5) * step
-        sub = _product_sphere(dim - 1, spacing / max(math.sin(phi), spacing / math.pi))
-        block = np.empty((sub.shape[0], dim))
-        block[:, 0] = math.cos(phi)
-        block[:, 1:] = math.sin(phi) * sub
-        blocks.append(block)
-    return np.concatenate(blocks)
-
-
-def build_net(N, eps1, seed=0, probes=20000, max_vectors=MAX_NET_VECTORS):
-    """Finite unit-vector net whose caps of the prescribed width cover the sphere.
-
-    Construction is deterministic (uniform circle, latitude rings, or a
-    recursive product grid); the certificate records the worst alignment over
-    a deterministic sample plus seeded random probes and densifies greedily on
-    any stragglers before giving up.
+    A net too large to walk raises ``ValueError``; a certificate below
+    ``required_cos`` is returned as data for the caller to refuse.
     """
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    if not 0.0 < eps1 <= 0.5:
-        raise ValueError("eps1 must lie in (0, 1/2]")
-    required = required_alignment(eps1)
-    if N == 1:
-        vectors = np.array([[1.0], [-1.0]])
-        return ConeNet(eps1, N, vectors, "pm", 1.0, 0.0, {})
-    if N == 2:
-        vectors, meta = _circle_net(eps1)
-        net = ConeNet(eps1, N, vectors, "circle", 1.0, 0.0, meta)
-    elif N == 3:
-        vectors, meta = _ring_net(eps1)
-        net = ConeNet(eps1, N, vectors, "sphere-rings", 1.0, 0.0, meta)
-    else:
-        est = net_size_estimate(N, eps1)
-        if est > max_vectors:
-            raise NetInfeasibleError(
-                f"estimated net size {est} exceeds the {max_vectors} vector budget"
-                f" for N={N}, eps1={eps1!r}"
-            )
-        vectors = _product_sphere(N, _grid_spacing(N, eps1))
-        if vectors.shape[0] > max_vectors:
-            raise NetInfeasibleError(
-                f"net size {vectors.shape[0]} exceeds the {max_vectors} vector budget"
-            )
-        net = ConeNet(eps1, N, vectors, "greedy", 1.0, 0.0, {})
-
-    det_rng = np.random.default_rng(_DETERMINISTIC_PROBE_SEED)
-    rng = np.random.default_rng(seed)
-    for _ in range(12):
-        probe = np.concatenate(
-            [
-                _unit_sphere_sample(det_rng, probes, N),
-                _unit_sphere_sample(rng, probes, N),
-                net.vectors,
-            ]
-        )
-        idx = net.cover_indices(probe)
-        dots = np.einsum("ij,ij->i", probe, net.vectors[idx])
-        worst = float(dots.min())
-        net.certificate_cos = worst
-        net.certificate_gap = math.acos(min(1.0, max(-1.0, worst)))
-        if worst >= required:
-            return net
-        if net.kind != "greedy":  # structured nets should never fail; densify anyway
-            net = ConeNet(eps1, N, net.vectors, "greedy", worst, net.certificate_gap, {})
-        bad = probe[dots < required]
-        if net.size + bad.shape[0] > max_vectors:
-            raise NetInfeasibleError(
-                f"net budget exhausted at {net.size} vectors, achieved alignment {worst!r}"
-                f" < required {required!r}"
-            )
-        net.vectors = np.concatenate([net.vectors, bad])
-    raise NetInfeasibleError(
-        f"net did not certify after densification, achieved {net.certificate_cos!r}"
+    net = ConeNet(N, eps1)
+    probe = np.concatenate(
+        [
+            _unit_sphere_sample(np.random.default_rng(_DETERMINISTIC_PROBE_SEED), probes, N),
+            _unit_sphere_sample(np.random.default_rng(seed), probes, N),
+        ]
     )
+    dots = np.einsum("ij,ij->i", probe, net.vectors_at(net.cover_indices(probe)))
+    net.certificate_cos = float(dots.min())
+    net.certificate_gap = math.acos(min(1.0, max(-1.0, net.certificate_cos)))
+    return net
 
 
 def _project_cone_cap(points, v0, eps1):
@@ -388,17 +334,15 @@ def coverage_check(net, trials, seed=0):
         live = norms > 0.0
         _, _, vt = np.linalg.svd(mats[live])
         v1 = vt[:, 0, :]
-        idx = net.cover_indices(v1)
-        dots = np.einsum("ij,ij->i", v1, net.vectors[idx])
+        dots = np.einsum("ij,ij->i", v1, net.vectors_at(net.cover_indices(v1)))
         for g_mat, d, v in zip(mats[live], dots, v1):
             if d >= required:
                 continue
-            # Cheap certificate missed; try the best few vectors properly.
-            inner = net.vectors @ v
-            order = np.argsort(inner)[::-1][:5]
+            # Cheap certificate missed; try the lookup's candidates properly.
+            vecs = net.vectors_at(net._candidates(v[None, :])[0])
             if any(
-                sector_membership(g_mat, net.vectors[j], net.eps1, seed=seed)
-                for j in order
+                sector_membership(g_mat, u, net.eps1, seed=seed)
+                for u in vecs[np.argsort(vecs @ v)[::-1]]
             ):
                 continue
             failures += 1

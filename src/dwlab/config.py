@@ -20,7 +20,7 @@ class RunConfig:
     L: int = 4
     shifts: int = 2
     # [epsilons]
-    eps1: float = -1.0  # negative means: derive from eps2 and net feasibility
+    eps1: float = -1.0  # negative means: eps2 / 2
     eps2: float = 0.1
     eps3: float = -1.0  # negative means: eps2**2 / 8
     lam: float = 16.0

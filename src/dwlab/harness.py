@@ -289,7 +289,7 @@ def inclusion_search(n, N, L, b2_cap, budget=2000, seed=0, penalty=100.0):
     # The anneal caps the dyadic-family constant; shrink once more so the
     # emitted instance honors the cap over the full translated-grid family.
     def full_b2(sym):
-        return (_family_scan(build(sym), directions=0)[0]["b2_iv"],)
+        return (_family_scan(build(sym), directions=None)[0]["b2_iv"],)
 
     if full_b2(best_sym)[0] > b2_cap:
         best_sym, _ = _shrink_to_cap(best_sym, full_b2, b2_cap)

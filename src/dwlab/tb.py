@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stopping
-from .cones import build_net, net_size_estimate
+from .cones import ConeNet
 from .grid import _coarsen
 from .weights import thewest_constant, default_shifts
 
@@ -36,19 +36,9 @@ __all__ = [
     "verify_hypotheses",
     "TbReport",
     "tb_run",
-    "feasible_eps1",
 ]
 
 LN2 = math.log(2.0)
-
-_NET_CACHE = {}
-
-
-def _cached_net(N, eps1, seed=0):
-    key = (N, round(float(eps1), 12), seed)
-    if key not in _NET_CACHE:
-        _NET_CACHE[key] = build_net(N, eps1, seed=seed)
-    return _NET_CACHE[key]
 
 
 @dataclass
@@ -237,18 +227,6 @@ def verify_hypotheses(field, gamma, shifts=None):
     return HypothesisConstants(C1=c1, C2=c2, C3=c3, C4=c4)
 
 
-def feasible_eps1(N, eps2, budget=200_000):
-    """Proof-compatible eps1 (eps2/2) when its net fits the budget, else the
-    smallest feasible larger aperture (which leaves the proof's regime)."""
-    target = eps2 / 2.0
-    if net_size_estimate(N, target) <= budget:
-        return target
-    for eps1 in (0.1, 0.15, 0.2, 0.3, 0.4, 0.5):
-        if eps1 > target and net_size_estimate(N, eps1) <= budget:
-            return eps1
-    return 0.5
-
-
 @dataclass
 class TbReport:
     carleson_norm: float
@@ -299,9 +277,9 @@ def tb_run(field, gamma, eps1=None, eps2=0.1, eps3=None, lam=16.0, norm="op", sh
     if gamma.M < 1:
         raise ValueError("M must be at least 1")
     if eps1 is None:
-        eps1 = feasible_eps1(field.N, eps2)
+        eps1 = eps2 / 2.0
     proof_regime = (eps1 <= eps2 / 2.0 + 1e-12) and (eps3 < eps2**2 / 4.0)
-    net = _cached_net(field.N, eps1)
+    net = ConeNet(field.N, eps1)
     tree = stopping.CubeTree(g.n, g.L)
     avg, mu = tree.averages(field), tree.gather(g._mu_tree)
 
@@ -311,7 +289,7 @@ def tb_run(field, gamma, eps1=None, eps2=0.1, eps3=None, lam=16.0, norm="op", sh
     live = live[np.argsort(tree.preorder(live))]
     v1 = np.linalg.svd(gammas[live])[2][:, 0, :]
     sector = net.cover_indices(v1)
-    v0 = net.vectors[sector]
+    v0 = net.vectors_at(sector)
     dots = np.einsum("ij,ij->i", v1, v0)
     gap = np.flatnonzero(dots < net.required_cos)
     violations = [
@@ -357,17 +335,19 @@ def tb_run(field, gamma, eps1=None, eps2=0.1, eps3=None, lam=16.0, norm="op", sh
         start += len(rows)
 
     root = pair_of[: len(live)]
-    count = np.bincount(sector, minlength=net.size)
-    direct = np.bincount(sector, weights=gsq[live] * mu[live] * LN2, minlength=net.size)
-    bound = np.bincount(sector, weights=contrib[root], minlength=net.size)
+    # Per-sector tallies over the sectors in use, added in cube order.
+    used, slot = np.unique(sector, return_inverse=True)
+    count = np.bincount(slot)
+    direct = np.bincount(slot, weights=gsq[live] * mu[live] * LN2)
+    bound = np.bincount(slot, weights=contrib[root])
     per_sector = {
         str(s): {
-            "vector": [float(x) for x in net.vectors[s]],
-            "cubes": int(count[s]),
-            "direct_mass": float(direct[s]),
-            "bound_mass": float(bound[s]),
+            "vector": [float(x) for x in vec],
+            "cubes": int(count[i]),
+            "direct_mass": float(direct[i]),
+            "bound_mass": float(bound[i]),
         }
-        for s in np.flatnonzero(count)
+        for i, (s, vec) in enumerate(zip(used, net.vectors_at(used)))
     }
     residual = _chain_residual(
         tree, corona, kato, live, (p_s1[root], p_s2[root]), mu * (1.0 + gsq * LN2)

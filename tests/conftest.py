@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from dwlab.cones import required_alignment
 from dwlab.grid import Grid, WeightField
 from dwlab.stopping import (
     CubeTree,
@@ -102,6 +105,73 @@ def coarse_owner_levels(tree, crit, anchors):
         par = np.repeat(own[-hops], 2 ** (tree.n * hops))
         own.append(np.where(crit.fires_many(tree, par, cubes[-1]), cubes[-1], par))
     return own
+
+
+def oracle_circle_net(eps1):
+    """Reference circle net of N=2: ``ceil(2 pi / theta)`` equally spaced
+    points, and the lookup by rounded angle."""
+    theta = math.acos(required_alignment(eps1))
+    count = int(math.ceil(2.0 * math.pi / theta))
+    ang = np.arange(count) * (2.0 * math.pi / count)
+    vectors = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+
+    def lookup(v1s):
+        ang = np.arctan2(v1s[:, 1], v1s[:, 0]) % (2.0 * math.pi)
+        return np.rint(ang / (2.0 * math.pi / count)).astype(int) % count
+
+    return vectors, lookup
+
+
+def oracle_ring_net(eps1):
+    """Reference latitude-ring net of N=3, materialized ring by ring, and its
+    lookup: the nearest point of the ring below, at and above the probe's
+    polar angle, best by inner product."""
+    theta = math.acos(required_alignment(eps1))
+    step = theta * 1.2
+    n_rings = int(math.ceil(math.pi / step))
+    polar_step = math.pi / n_rings
+    blocks, counts = [], []
+    for r in range(n_rings):
+        phi = (r + 0.5) * polar_step
+        m = max(1, int(math.ceil(2.0 * math.pi * math.sin(phi) / polar_step)))
+        counts.append(m)
+        psi = np.arange(m) * (2.0 * math.pi / m)
+        blocks.append(
+            np.stack(
+                [
+                    math.sin(phi) * np.cos(psi),
+                    math.sin(phi) * np.sin(psi),
+                    np.full(m, math.cos(phi)),
+                ],
+                axis=1,
+            )
+        )
+    vectors = np.concatenate(blocks)
+    counts = np.array(counts, dtype=int)
+    offsets = np.cumsum(counts) - counts
+
+    def lookup(v1s):
+        phi = np.arccos(np.clip(v1s[:, 2], -1.0, 1.0))
+        psi = np.arctan2(v1s[:, 1], v1s[:, 0]) % (2.0 * math.pi)
+        base = np.clip((phi / polar_step).astype(int), 0, n_rings - 1)
+        best = np.zeros(v1s.shape[0], dtype=int)
+        best_dot = np.full(v1s.shape[0], -2.0)
+        for dr in (-1, 0, 1):
+            ring = np.clip(base + dr, 0, n_rings - 1)
+            m = counts[ring]
+            idx = offsets[ring] + (np.rint(psi / (2.0 * math.pi) * m).astype(int) % m)
+            dots = np.einsum("ij,ij->i", v1s, vectors[idx])
+            better = dots > best_dot
+            best[better] = idx[better]
+            best_dot[better] = dots[better]
+        return best
+
+    return vectors, lookup
+
+
+def unit_rows(rng, count, dim):
+    v = rng.standard_normal((count, dim))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 @pytest.fixture

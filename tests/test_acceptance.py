@@ -329,12 +329,15 @@ def test_2e_reverse_triangle_and_scalar_identity():
 
 def test_3_cone_coverage():
     failures = {}
-    for N in (1, 2, 3):
-        for eps1 in (0.2, 0.3, 0.5):
-            net = build_net(N, eps1)
-            failures[(N, eps1)] = coverage_check(net, 10000, seed=N * 100 + int(10 * eps1))
+    cases = [(N, eps1) for N in (1, 2, 3, 4) for eps1 in (0.2, 0.3, 0.5)]
+    for N, eps1 in cases + [(5, 0.3), (5, 0.5)]:
+        net = build_net(N, eps1)
+        failures[(N, eps1)] = coverage_check(net, 10000, seed=N * 100 + int(10 * eps1))
+        failures[(N, eps1)] += int(net.certificate_cos < net.required_cos)
     bad = {k: v for k, v in failures.items() if v}
-    _report("3 cone-coverage", not bad, f"failures {bad or 0} over 9 x 10000 matrices")
+    _report(
+        "3 cone-coverage", not bad, f"failures {bad or 0} over {len(failures)} x 10000 matrices"
+    )
 
 
 # 4. Packing trends -----------------------------------------------------------------
@@ -403,15 +406,17 @@ def test_4c_kato_first_generation_contraction(packing_fields):
 
 def test_5_tb_run_proof_skeleton():
     bad = []
-    for i in range(50):
+    # 50 instances at N <= 2 and the default eps2 0.1, then N=3 at eps2 0.1
+    # and N=4 at eps2 0.3.
+    for i in range(52):
         n = 2 if i % 5 == 4 else 1
-        N = 1 if i % 5 == 3 else 2
+        N = (1 if i % 5 == 3 else 2) if i < 50 else i - 47
         L = 2 if n == 2 else 4
         kind = ["log-gaussian", "rotated-diagonal", "two-scale-adversarial"][i % 3]
         amp = (0.25 + 0.3 * (i % 7) / 6.0) / math.sqrt(N)
         w = generate(WeightGenerator(kind, amplitude=amp, seed=7000 + i), n, N, L)
         gamma = make_gamma(["constant", "martingale", "random"][i % 3], w, seed=i)
-        rep = tb_run(w, gamma)
+        rep = tb_run(w, gamma, eps2=0.3 if N == 4 else 0.1)
         if (
             rep.violations
             or rep.partition_residual > 1e-9
@@ -419,7 +424,7 @@ def test_5_tb_run_proof_skeleton():
             or not rep.proof_regime
         ):
             bad.append(i)
-    _report("5 tb-run", not bad, f"failing instances {bad or 'none'} of 50")
+    _report("5 tb-run", not bad, f"failing instances {bad or 'none'} of 52")
 
 
 # 6. Reproducibility ----------------------------------------------------------------

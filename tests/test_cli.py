@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dwlab import stopping, weights
+from dwlab.cones import ConeNet
 from dwlab.cli import main
 from dwlab.config import RunConfig
 from dwlab.grid import Grid, WeightField, write_weight_field
@@ -160,6 +161,46 @@ def test_cone_net_subcommand(tmp_path):
     d = json.loads(rep.read_text())
     assert d["size"] >= 51 and d["failures"] == 0
     assert d["certificate_cos"] >= d["required_cos"]
+
+
+def _wrong_neighbour(monkeypatch):
+    """Make the net lookup answer the next index after the right one."""
+    lookup = ConeNet.cover_indices
+    monkeypatch.setattr(
+        ConeNet, "cover_indices", lambda self, v1s: (lookup(self, v1s) + 1) % self.size
+    )
+
+
+def test_cone_net_refuses_uncertified_net(monkeypatch, tmp_path):
+    rep = tmp_path / "r.json"
+    argv = ["cone-net", "--N", "3", "--eps1", "0.3", "--trials", "20", "--report", str(rep)]
+    assert main(argv) == 0
+    _wrong_neighbour(monkeypatch)
+    assert main(argv) == 2
+    d = json.loads(rep.read_text())  # report still written
+    assert d["certificate_cos"] < d["required_cos"]
+
+
+def test_tb_run_net_gap_catches_wrong_lookup(monkeypatch, random_field, tmp_path):
+    rep = tmp_path / "r.json"
+    argv = ["tb-run", "--field", random_field, "--gamma", "random", "--report", str(rep)]
+    assert main(argv) == 0
+    _wrong_neighbour(monkeypatch)
+    assert main(argv) == 2
+    kinds = {v["kind"] for v in json.loads(rep.read_text())["violations"]}
+    assert "net-gap" in kinds
+
+
+def test_net_too_large_to_walk_exits_1(tmp_path, capsys):
+    assert main(["cone-net", "--N", "6", "--eps1", "0.05"]) == 1
+    assert "N=6, eps1=0.05" in capsys.readouterr().err
+    path = tmp_path / "six.wf"
+    write_weight_field(path, WeightField(Grid(1, 2), np.broadcast_to(np.eye(6), (4, 6, 6)).copy()))
+    rep = tmp_path / "r.json"
+    argv = ["tb-run", "--field", str(path), "--gamma", "random", "--report", str(rep)]
+    assert main(argv) == 1
+    assert "N=6, eps1=0.05" in capsys.readouterr().err
+    assert not rep.exists()
 
 
 def test_rrt_search_subcommand(tmp_path):

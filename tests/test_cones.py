@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dwlab.cones import (
-    NetInfeasibleError,
+    MAX_NET_INDEX,
+    ConeNet,
     build_net,
     coverage_check,
     maximizing_vector_bound,
@@ -12,6 +13,8 @@ from dwlab.cones import (
     required_alignment,
     sector_membership,
 )
+
+from conftest import oracle_circle_net, oracle_ring_net, unit_rows
 
 
 def test_bound_orthogonal_case():
@@ -67,7 +70,8 @@ def test_bound_randomized(rng):
 def test_net_one_dimensional():
     net = build_net(1, 0.3)
     assert net.size == 2
-    assert sorted(net.vectors.ravel()) == [-1.0, 1.0]
+    assert net.vectors_at(np.arange(2)).tolist() == [[1.0], [-1.0]]
+    assert net.cover_indices(np.array([[1.0], [-1.0]])).tolist() == [0, 1]
 
 
 def test_net_circle_minimum_size():
@@ -85,7 +89,7 @@ def test_net_sphere_certificate():
     probes = rng.standard_normal((20000, 3))
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
     idx = net.cover_indices(probes)
-    dots = np.einsum("ij,ij->i", probes, net.vectors[idx])
+    dots = np.einsum("ij,ij->i", probes, net.vectors_at(idx))
     assert dots.min() >= net.required_cos
 
 
@@ -94,9 +98,66 @@ def test_net_four_dimensional_smoke():
     assert net.certificate_cos >= net.required_cos
 
 
-def test_net_budget_error():
-    with pytest.raises(NetInfeasibleError, match="budget"):
-        build_net(4, 0.2, probes=2000, max_vectors=500)
+@pytest.mark.parametrize("eps1", [0.05, 0.15, 0.3, 0.5])
+def test_net_matches_circle_and_ring_oracles(eps1):
+    rng = np.random.default_rng(int(eps1 * 100))
+    for N, oracle in ((2, oracle_circle_net), (3, oracle_ring_net)):
+        vectors, lookup = oracle(eps1)
+        net = ConeNet(N, eps1)
+        assert net.size == len(vectors)
+        for start in range(0, net.size, 1 << 20):
+            chunk = np.arange(start, min(start + (1 << 20), net.size))
+            assert np.array_equal(net.vectors_at(chunk), vectors[chunk])
+        probes = unit_rows(rng, 100_000, N)
+        assert np.array_equal(net.cover_indices(probes), lookup(probes))
+
+
+def test_net_brute_force_four_dimensional():
+    # The N=4 eps1 0.4 net materialized: every vector is a unit vector found
+    # by the lookup at its own index, and every probe has a net vector within
+    # the cap, both by brute force over the whole net and through the lookup.
+    net = ConeNet(4, 0.4)
+    every = np.arange(net.size)
+    vectors = net.vectors_at(every)
+    assert 40_000 < net.size < 45_000
+    assert np.max(np.abs(np.linalg.norm(vectors, axis=1) - 1.0)) < 1e-12
+    assert np.array_equal(net.cover_indices(vectors), every)
+    probes = unit_rows(np.random.default_rng(4), 10_000, 4)
+    brute = np.concatenate([np.max(p @ vectors.T, axis=1) for p in np.split(probes, 40)])
+    got = np.einsum("ij,ij->i", probes, net.vectors_at(net.cover_indices(probes)))
+    assert brute.min() >= net.required_cos
+    assert got.min() >= net.required_cos
+    assert np.all(got <= brute + 1e-12)
+
+
+@pytest.mark.parametrize("N,eps1", [(4, 0.15), (5, 0.4), (5, 0.15), (6, 0.5)])
+def test_net_lookup_meets_required_cos(N, eps1):
+    net = ConeNet(N, eps1)
+    rng = np.random.default_rng(N)
+    near_pole = rng.standard_normal((2000, N)) * 1e-4
+    near_pole[:, -1] += 1.0
+    probes = np.concatenate(
+        [unit_rows(rng, 20_000, N), np.eye(N), -np.eye(N), near_pole, -near_pole]
+    )
+    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+    dots = np.einsum("ij,ij->i", probes, net.vectors_at(net.cover_indices(probes)))
+    assert dots.min() >= net.required_cos
+
+
+def test_net_size_is_counted_not_stored():
+    # 3.2e9 vectors at N=5 eps1 0.15 are counted from the ring tables alone.
+    net = ConeNet(5, 0.15)
+    assert net.size == 3_203_054_654
+    assert net.vectors_at(np.array([0, net.size - 1])).shape == (2, 5)
+    with pytest.raises(ValueError, match="indices"):
+        net.vectors_at(np.array([net.size]))
+
+
+def test_net_too_large_to_walk_is_refused():
+    for N, eps1 in ((6, 0.05), (5, 0.05), (12, 0.3)):
+        with pytest.raises(ValueError, match=f"N={N}, eps1={eps1}") as err:
+            ConeNet(N, eps1)
+        assert str(MAX_NET_INDEX) in str(err.value)
 
 
 def test_net_rejects_bad_eps():
@@ -152,7 +213,7 @@ def test_proof_tracking_bounds(rng):
             continue
         _, _, vt = np.linalg.svd(gamma)
         v1 = vt[0]
-        v0 = net.vectors[net.cover_index(v1)]
+        v0 = net.vectors_at(net.cover_indices(v1[None, :]))[0]
         assert v0 @ v1 >= req
         assert np.linalg.norm(gamma @ v0) >= (1 - eps1**4 / 8) * norm * (1 - 1e-12)
         for _ in range(20):
@@ -174,6 +235,5 @@ def test_coverage_zero_failures(rng):
 
 def test_coverage_rank_one_aligned():
     net = build_net(2, 0.3)
-    for j in (0, 5, 17):
-        gamma = np.outer([1.0], net.vectors[j])
-        assert sector_membership(gamma, net.vectors[j], 0.3)
+    for v in net.vectors_at(np.array([0, 5, 17])):
+        assert sector_membership(np.outer([1.0], v), v, 0.3)

@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 
 from dwlab import stopping, tb
 from dwlab.cli import main
-from dwlab.cones import MAX_NET_VECTORS, net_size_estimate
+from dwlab.cones import ConeNet
 from dwlab.grid import Cube, Grid, WeightField, root_cube, weighted_avg, write_weight_field
 from dwlab.harness import WeightGenerator, generate
 from dwlab.tb import (
     LN2,
     canonical_family,
     carleson_norm,
-    feasible_eps1,
     gamma_constant,
     gamma_martingale,
     gamma_random,
@@ -182,15 +181,18 @@ def test_verify_hypotheses_two_cell_cross_module():
     assert hc.C3 >= 1.0 and hc.C4 == 0.0
 
 
-def test_feasible_eps1():
-    assert feasible_eps1(1, 0.1) == 0.05
-    assert feasible_eps1(2, 0.1) == 0.05
-    # N=3 at eps2=0.1 would need millions of net vectors; a larger aperture is picked
-    assert feasible_eps1(3, 0.1) > 0.05
-    # N=4 uses build_net's own estimate, so the aperture picked fits its budget
-    assert feasible_eps1(4, 0.1) == 0.4
-    assert net_size_estimate(4, 0.4) == 109_018 <= MAX_NET_VECTORS
-    assert net_size_estimate(4, 0.3) > MAX_NET_VECTORS
+def test_tb_run_default_eps1_is_half_eps2():
+    # The net is never materialized, so eps1 = eps2/2 for every N and each run
+    # stays in the proof regime; N=5 at the default eps2 0.1 is too large to walk.
+    for N in range(1, 6):
+        w = random_weight_field(np.random.default_rng(N), N=N, L=3, spread=0.3)
+        runs = [(0.15, tb_run(w, gamma_martingale(w), eps2=0.3))]
+        if N < 5:
+            runs.append((0.05, tb_run(w, gamma_martingale(w))))
+        for eps1, rep in runs:
+            assert rep.eps["eps1"] == eps1 and rep.proof_regime, (N, eps1)
+            assert rep.sector_count == ConeNet(N, eps1).size
+            assert not [v for v in rep.violations if v["kind"] == "net-gap"], (N, eps1)
 
 
 def test_tb_run_zero_gamma():
