@@ -15,24 +15,19 @@ __all__ = ["RunConfig", "canonical_json", "config_hash"]
 @dataclass
 class RunConfig:
     # [grid]
-    n: int = 1
-    N: int = 2
-    L: int = 4
     shifts: int = 2
     # [epsilons]
     eps1: float = -1.0  # negative means: eps2 / 2
     eps2: float = 0.1
     eps3: float = -1.0  # negative means: eps2**2 / 8
     lam: float = 16.0
-    # [seeds]
-    seed: int = 0
     # [tolerances]
     loewner_tol: float = 1e-9
     doubling_cap: float = 100.0
 
     def validate(self):
-        if self.n < 1 or self.L < 0 or self.N < 1 or self.shifts < 0:
-            raise ValueError("grid parameters out of range")
+        if self.shifts < 0:
+            raise ValueError("shifts must not be negative")
         for name in ("eps1", "eps2", "eps3", "lam", "loewner_tol", "doubling_cap"):
             if math.isnan(getattr(self, name)):
                 raise ValueError(f"{name} must not be NaN")
@@ -51,19 +46,13 @@ class RunConfig:
     def to_text(self):
         cp = configparser.ConfigParser()
         cp.optionxform = str
-        cp["grid"] = {
-            "n": str(self.n),
-            "N": str(self.N),
-            "L": str(self.L),
-            "shifts": str(self.shifts),
-        }
+        cp["grid"] = {"shifts": str(self.shifts)}
         cp["epsilons"] = {
             "eps1": repr(self.eps1),
             "eps2": repr(self.eps2),
             "eps3": repr(self.eps3),
             "lambda": repr(self.lam),
         }
-        cp["seeds"] = {"seed": str(self.seed)}
         cp["tolerances"] = {
             "loewner_tol": repr(self.loewner_tol),
             "doubling_cap": repr(self.doubling_cap),
@@ -78,15 +67,11 @@ class RunConfig:
         cp.optionxform = str
         cp.read_string(text)
         cfg = cls(
-            n=cp.getint("grid", "n", fallback=1),
-            N=cp.getint("grid", "N", fallback=2),
-            L=cp.getint("grid", "L", fallback=4),
             shifts=cp.getint("grid", "shifts", fallback=2),
             eps1=cp.getfloat("epsilons", "eps1", fallback=-1.0),
             eps2=cp.getfloat("epsilons", "eps2", fallback=0.1),
             eps3=cp.getfloat("epsilons", "eps3", fallback=-1.0),
             lam=cp.getfloat("epsilons", "lambda", fallback=16.0),
-            seed=cp.getint("seeds", "seed", fallback=0),
             loewner_tol=cp.getfloat("tolerances", "loewner_tol", fallback=1e-9),
             doubling_cap=cp.getfloat("tolerances", "doubling_cap", fallback=100.0),
         )

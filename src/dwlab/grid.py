@@ -48,10 +48,6 @@ class Cube:
     def n(self):
         return len(self.coords)
 
-    @property
-    def sidelength(self):
-        return 2.0 ** (-self.level)
-
     def children(self):
         base = tuple(2 * c for c in self.coords)
         return [
@@ -70,11 +66,6 @@ class Cube:
         shift = other.level - self.level
         return all(oc >> shift == c for oc, c in zip(other.coords, self.coords))
 
-    def bounds(self):
-        h = self.sidelength
-        lo = np.array([c * h for c in self.coords])
-        return lo, lo + h
-
     def cell_slices(self, finest_level):
         if self.level > finest_level:
             raise ValueError(f"cube level {self.level} exceeds finest level {finest_level}")
@@ -92,18 +83,19 @@ def root_cube(n):
 # Boxes per batch of a (shift, level) family; bounds the memory of a batch.
 _BATCH_BOXES = 128
 
+# Every box endpoint lies on the lattice of step 1/(9 * 2**(L+2)): shifts are
+# ninths, levels run to L+1 for the doubled cubes, and 2Q moves each side by
+# half the box side.  A finest cell is _CELL_UNITS lattice steps wide.
+_CELL_UNITS = 36
+
 
 class BoxBatch:
     """The product of per-axis intervals ``[lo[i][j], hi[i][j])``, flattened in
-    C order; ``pos`` holds their per-axis positions in a translated grid."""
+    C order, in integer lattice steps; ``pos`` holds their per-axis positions
+    in a translated grid."""
 
     def __init__(self, lo, hi, pos, shift=0, level=0):
         self.lo, self.hi, self.pos, self.shift, self.level = lo, hi, pos, shift, level
-
-    @classmethod
-    def single(cls, lo, hi):
-        """The one box [lo, hi)."""
-        return cls(*(tuple(np.array([v]) for v in x) for x in (lo, hi, np.zeros(len(lo), int))))
 
     def descriptors(self):
         head = f"shift={self.shift} level={self.level} pos="
@@ -111,9 +103,12 @@ class BoxBatch:
         return [head + ",".join(pos) for pos in itertools.product(*labels)]
 
     def doubled(self):
-        """The boxes 2Q: each side moved out by half the width ``hi - lo``, clipped to [0, 1]."""
-        lo = tuple(np.clip(a - (b - a) / 2.0, 0.0, 1.0) for a, b in zip(self.lo, self.hi))
-        hi = tuple(np.clip(b + (b - a) / 2.0, 0.0, 1.0) for a, b in zip(self.lo, self.hi))
+        """The boxes 2Q: each side moved out by half the box side, clipped to the
+        unit cube, whose side is the box side times ``2**level``."""
+        h = int(self.hi[0][0] - self.lo[0][0])
+        top = h << self.level
+        lo = tuple(np.maximum(a - h // 2, 0) for a in self.lo)
+        hi = tuple(np.minimum(b + h // 2, top) for b in self.hi)
         return BoxBatch(lo, hi, self.pos, self.shift, self.level)
 
 
@@ -188,20 +183,27 @@ class Grid:
         return float(self._mu_tree[cube.level][cube.coords])
 
     def shift_vectors(self, shifts):
-        """Deterministic translation vectors; prefix-nested as ``shifts`` grows."""
-        out = [np.zeros(self.n)]
-        offsets = [1.0 / 3.0, 2.0 / 3.0, 1.0 / 9.0, 4.0 / 9.0, 7.0 / 9.0, 2.0 / 9.0]
-        pool = itertools.product(offsets, repeat=self.n)
-        lattice = sorted(set(itertools.product((0.0, 1.0 / 3.0, 2.0 / 3.0), repeat=self.n)))
-        lattice.remove((0.0,) * self.n)
-        candidates = [np.array(v) for v in lattice] + [np.array(v) for v in pool]
-        for vec in candidates:
+        """The zero vector and ``shifts`` distinct translations, in integer
+        ninths of the unit side: every third-shift, then the ninth-shifts.
+        Prefix-nested as ``shifts`` grows."""
+        # 3**n third-shifts and 6**n ninth-shifts share 2**n vectors; less zero.
+        limit = 3**self.n + 6**self.n - 2**self.n - 1
+        if not 0 <= shifts <= limit:
+            raise ValueError(
+                f"shifts must lie in [0, {limit}] for n={self.n}, the distinct"
+                f" ninth-shifts of the unit cube; got {shifts}"
+            )
+        pool = itertools.chain(
+            sorted(itertools.product((0, 3, 6), repeat=self.n)),
+            itertools.product((3, 6, 1, 4, 7, 2), repeat=self.n),
+        )
+        out = []
+        for vec in pool:
             if len(out) > shifts:
                 break
-            if any(np.allclose(vec, have) for have in out):
-                continue
-            out.append(vec)
-        return out[: shifts + 1]
+            if vec not in out:
+                out.append(vec)
+        return out
 
     @property
     def cell_masses(self):
@@ -217,43 +219,50 @@ class Grid:
         """
         if levels is None:
             levels = range(self.L + 1)
+        units = _CELL_UNITS * self.side
         for s_idx, s in enumerate(self.shift_vectors(shifts)):
+            offset = [v * units // 9 for v in s]
             for k in levels:
-                h = 2.0 ** (-k)
-                counts = [int(np.floor((1.0 - s[i]) / h + 1e-12)) for i in range(self.n)]
-                if any(c <= 0 for c in counts):
+                h = units >> k
+                pos = [np.arange((units - o) // h) for o in offset]
+                if any(len(p) == 0 for p in pos):
                     continue
-                pos = [np.arange(c) for c in counts]
-                lo = [s[i] + p * h for i, p in enumerate(pos)]
-                keep = [a + h <= 1.0 + 1e-12 for a in lo]
-                pos = [p[ok] for p, ok in zip(pos, keep)]
-                lo = [a[ok] for a, ok in zip(lo, keep)]
+                lo = [o + p * h for o, p in zip(offset, pos)]
                 hi = [a + h for a in lo]
                 rows = max(1, _BATCH_BOXES // math.prod(len(p) for p in pos[1:]))
                 for r in range(0, len(pos[0]), rows):
                     first_axis = ((x[0][r : r + rows], *x[1:]) for x in (lo, hi, pos))
                     yield BoxBatch(*first_axis, s_idx, k)
 
+    def cube_box(self, cube):
+        """The dyadic ``cube`` as a one-box batch."""
+        h = _CELL_UNITS << (self.L - cube.level)
+        pos = tuple(np.array([c]) for c in cube.coords)
+        lo, hi = (tuple((p + d) * h for p in pos) for d in (0, 1))
+        return BoxBatch(lo, hi, pos, 0, cube.level)
+
     def box_cells(self, batch):
         """Where the boxes of ``batch`` sit on the finest cells.
 
         Along one axis an interval [lo, hi) overlaps at most
-        ``ceil((hi - lo) * 2**L) + 1`` consecutive cells, so per axis a start
-        index and a ``(count, m)`` band of overlaps, in cell widths, cover the
-        boxes.  Returns an index tuple that gathers a cell array into shape
+        ``ceil((hi - lo) / _CELL_UNITS) + 1`` consecutive cells, so per axis a
+        start index and a ``(count, m)`` band of overlaps cover the boxes.  Each
+        band entry is the exact overlap in lattice steps, so every box integral
+        is ``_CELL_UNITS**n`` times the mass of the box; its readers take ratios.
+        Returns an index tuple that gathers a cell array into shape
         ``(count_0, ..., count_{n-1}, m_0, ..., m_{n-1}) + tail`` and the bands.
         """
-        n, side, scale = self.n, self.side, 2.0**self.L
+        n, side, w = self.n, self.side, _CELL_UNITS
         index, bands = [], []
         for axis, (lo, hi) in enumerate(zip(batch.lo, batch.hi)):
-            first = np.floor(lo * scale).astype(int)
-            m = int(min(side, np.max(np.ceil(hi * scale).astype(int) - first)))
+            first = lo // w
+            m = int(min(side, np.max(-(-hi // w) - first)))
             j = np.clip(first, 0, side - m)[:, None] + np.arange(m)
-            band = np.minimum(hi[:, None], (j + 1) / scale) - np.maximum(lo[:, None], j / scale)
+            band = np.minimum(hi[:, None], (j + 1) * w) - np.maximum(lo[:, None], j * w)
             shape = [1] * (2 * n)
             shape[axis], shape[n + axis] = j.shape
             index.append(j.reshape(shape))
-            bands.append(np.clip(band, 0.0, None) * scale)
+            bands.append(np.maximum(band, 0).astype(float))
         return tuple(index), bands
 
     @staticmethod
@@ -269,23 +278,20 @@ class Grid:
             masses = np.einsum(masses, sub, band, [axis, n], sub[:n] + sub[n + 1 :])
         return masses.reshape((-1,) + masses.shape[n:])
 
-    def doubling_constant(self, shifts=0, levels=None):
-        """Sup over sampled cubes of mu(2Q)/mu(Q), with 2Q clipped to [0,1)^n.
-
-        Memoised per ``(shifts, levels)``; ``mu`` is read-only.
-        """
-        levels = tuple(range(self.L + 2) if levels is None else levels)
-        key = (shifts, levels)
-        if key not in self._doubling:
+    def doubling_constant(self, shifts=0):
+        """Sup over sampled cubes of mu(2Q)/mu(Q), with 2Q clipped to [0,1)^n;
+        the sampled levels run to L+1.  Memoised per ``shifts``; ``mu`` is
+        read-only."""
+        if shifts not in self._doubling:
             worst = 0.0
-            for batch in self.box_batches(shifts, levels):
+            for batch in self.box_batches(shifts, range(self.L + 2)):
                 mass, mass2 = (
                     self.box_integrals(self.cell_masses[index], bands)
                     for index, bands in map(self.box_cells, (batch, batch.doubled()))
                 )
                 worst = max(worst, float(np.max(mass2 / mass)))
-            self._doubling[key] = worst
-        return self._doubling[key]
+            self._doubling[shifts] = worst
+        return self._doubling[shifts]
 
 
 class WeightField:

@@ -130,10 +130,12 @@ def _box_mass_tree(grid, level_masses):
 
 def carleson_norm(gamma, norm="op"):
     """sup over cubes of the box-averaged Whitney mass of the multiplier."""
-    g = gamma.grid
-    masses = [
-        nsq * g._mu_tree[k] * LN2 for k, nsq in enumerate(gamma.norms_sq(norm))
-    ]
+    return _carleson_sup(gamma.grid, gamma.norms_sq(norm))
+
+
+def _carleson_sup(g, norms_sq):
+    """``carleson_norm`` from the per-level squared multiplier norms."""
+    masses = [nsq * g._mu_tree[k] * LN2 for k, nsq in enumerate(norms_sq)]
     acc = _box_mass_tree(g, masses)
     best = 0.0
     for k in range(g.L + 1):
@@ -284,7 +286,8 @@ def tb_run(field, gamma, eps1=None, eps2=0.1, eps3=None, lam=16.0, norm="op", sh
     avg, mu = tree.averages(field), tree.gather(g._mu_tree)
 
     # Live cubes (nonzero multiplier) in the preorder of a box walk, and sectors.
-    gsq, gammas = tree.gather(gamma.norms_sq(norm)), tree.gather(gamma.levels)
+    norms_sq = gamma.norms_sq(norm)
+    gsq, gammas = tree.gather(norms_sq), tree.gather(gamma.levels)
     live = np.flatnonzero(gsq > 0.0)
     live = live[np.argsort(tree.preorder(live))]
     v1 = np.linalg.svd(gammas[live])[2][:, 0, :]
@@ -358,7 +361,7 @@ def tb_run(field, gamma, eps1=None, eps2=0.1, eps3=None, lam=16.0, norm="op", sh
     first = stopping.first_generation_levels(tree, volberg, tree.span(0))
     volberg_ratio = sum(mu[first[np.argsort(tree.preorder(first))]].tolist()) / float(mu[0])
     return TbReport(
-        carleson_norm=carleson_norm(gamma, norm),
+        carleson_norm=_carleson_sup(g, norms_sq),
         assembled_bound=assembled,
         violations=violations,
         per_sector=per_sector,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import BoxBatch, Cube, WeightField
+from .grid import WeightField
 
 __all__ = [
     "ClassReport",
@@ -111,9 +111,9 @@ def box_ratios(field, batch, directions=None):
     return out
 
 
-def cube_ratios(field, lo, hi):
-    """``box_ratios`` of the single axis box [lo, hi), as floats."""
-    r = box_ratios(field, BoxBatch.single(lo, hi))
+def cube_ratios(field, cube):
+    """``box_ratios`` of one dyadic cube, as floats."""
+    r = box_ratios(field, field.grid.cube_box(cube))
     r["chain"] = tuple(float(v[0]) for v in r["chain"])
     return {k: v if k == "chain" else float(v[0]) for k, v in r.items()}
 
@@ -121,7 +121,7 @@ def cube_ratios(field, lo, hi):
 _SUP_KEYS = ("b2_i", "b2_ii", "b2_iii", "b2_iv", "ainf_i", "ainf_ii", "a2", "thewest")
 
 
-def _family_scan(field, shifts=None, directions=64, seed=0, levels=None):
+def _family_scan(field, shifts=None, directions=64, seed=0):
     """Sups and worst boxes of the class ratios over the translated family.
 
     ``directions`` random draws are added to the signed basis; ``None`` scans
@@ -134,7 +134,7 @@ def _family_scan(field, shifts=None, directions=64, seed=0, levels=None):
     sups = {}
     worst = {}
     count = 0
-    for batch in g.box_batches(shifts, levels):
+    for batch in g.box_batches(shifts):
         descs = batch.descriptors()
         ratios = box_ratios(field, batch, directions=dirs)
         count += len(descs)
@@ -217,17 +217,13 @@ def thewest_constant(field, shifts=None):
     return sups["thewest"]
 
 
-def det_chain_check(field, cube_or_box, rel_tol=1e-9):
+def det_chain_check(field, cube, rel_tol=1e-9):
     """The five-term determinant chain for one cube, asserted monotone.
 
     Returns (det(avg W^2)^{1/2}, det(avg W), exp(avg ln det W),
     det(avg W^{-1})^{-1}, det(avg W^{-2})^{-1/2}), which must be nonincreasing.
     """
-    if isinstance(cube_or_box, Cube):
-        lo, hi = cube_or_box.bounds()
-    else:
-        lo, hi = cube_or_box
-    chain = cube_ratios(field, lo, hi)["chain"]
+    chain = cube_ratios(field, cube)["chain"]
     for a, b in zip(chain, chain[1:]):
         if a < b - rel_tol * max(abs(a), abs(b), 1.0):
             raise AssertionError(f"determinant chain out of order: {chain}")

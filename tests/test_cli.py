@@ -47,6 +47,17 @@ def test_check_weight_constant(const_field, tmp_path):
     assert {"config_hash", "seed"} <= set(d["meta"])
 
 
+def test_check_weight_refuses_shifts_out_of_range(const_field, tmp_path, capsys):
+    # n=1 has 6 distinct shifts beyond the zero vector: thirds, then ninths
+    rep = tmp_path / "r.json"
+    for shifts in ("-3", "50", "7"):
+        argv = ["check-weight", "--field", const_field, "--shifts", shifts, "--report", str(rep)]
+        assert main(argv) == 1
+        assert "shifts must lie in [0, 6] for n=1" in capsys.readouterr().err
+    assert not rep.exists()
+    assert main(["check-weight", "--field", const_field, "--shifts", "6", "--report", str(rep)]) == 0
+
+
 def test_tb_run_zero_gamma(const_field, tmp_path):
     rep = tmp_path / "r.json"
     assert main(["tb-run", "--field", const_field, "--gamma", "zero", "--report", str(rep)]) == 0
@@ -288,7 +299,7 @@ def test_usage_errors():
 
 
 def test_config_roundtrip(tmp_path):
-    cfg = RunConfig(n=2, N=3, L=3, shifts=4, eps2=0.25, lam=8.0, seed=9)
+    cfg = RunConfig(shifts=4, eps2=0.25, lam=8.0)
     path = tmp_path / "run.cfg"
     cfg.to_file(path)
     back = RunConfig.from_file(path)
@@ -307,6 +318,23 @@ def test_config_roundtrip(tmp_path):
             RunConfig(**{name: float("nan")}).validate()
     with pytest.raises(ValueError, match="lambda"):
         RunConfig(lam=float("inf")).validate()
+
+
+def test_config_with_retired_keys_still_loads(tmp_path):
+    # Files written before the grid size and seed left the config still load;
+    # the keys are ignored, since the field file and --seed fix them.
+    old = "[grid]\nn = 2\nN = 3\nL = 3\nshifts = 4\n\n[seeds]\nseed = 9\n"
+    cfg = RunConfig.from_text(old)
+    assert cfg == RunConfig(shifts=4)
+    assert "seed" not in cfg.to_text() and "L =" not in cfg.to_text()
+    path = tmp_path / "old.cfg"
+    path.write_text(old)
+    rep = tmp_path / "r.json"
+    field = tmp_path / "const.wf"
+    write_weight_field(field, WeightField(Grid(1, 2), np.broadcast_to(np.eye(2), (4, 2, 2)).copy()))
+    argv = ["--config", str(path), "check-weight", "--field", str(field), "--report", str(rep)]
+    assert main(argv) == 0
+    assert json.loads(rep.read_text())["meta"]["config_hash"] == cfg.hash()
 
 
 def test_config_file_feeds_tb_run(tmp_path, const_field):

@@ -113,20 +113,26 @@ def test_expectation_levels_match_weighted_avg(rng):
         assert np.array_equal(got, np.linalg.solve(iw, iwf[cube.level][cube.coords]))
 
 
+def _one_box(lo, hi):
+    """The single box [lo, hi) in lattice steps."""
+    return BoxBatch(*(tuple(np.array([v]) for v in x) for x in (lo, hi, [0] * len(lo))))
+
+
 def test_box_avg_matches_cell_sum(rng):
     w = random_weight_field(rng, n=1, N=2, L=3, spread=0.7, mu_spread=0.4)
     g = w.grid
-    lo, hi = np.array([0.3]), np.array([0.8])
-    index, bands = g.box_cells(BoxBatch.single(lo, hi))
+    # [86/288, 230/288): lattice steps of 1/288 at L=3, partial cells at both ends
+    lo, hi = 86, 230
+    index, bands = g.box_cells(_one_box([lo], [hi]))
     masses = w.values * g.cell_masses[:, None, None]
     mu_q = g.box_integrals(g.cell_masses[index], bands)[0]
     got = g.box_integrals(masses[index], bands)[0] / mu_q
     # brute-force cell loop with exact partial overlaps
-    width = 2.0**-3
+    lo, hi, width = lo / 288, hi / 288, 2.0**-3
     num = np.zeros((2, 2))
     den = 0.0
     for c in range(8):
-        overlap = max(0.0, min(hi[0], (c + 1) * width) - max(lo[0], c * width))
+        overlap = max(0.0, min(hi, (c + 1) * width) - max(lo, c * width))
         num += w.values[c] * g.mu[c] * overlap
         den += g.mu[c] * overlap
     assert np.allclose(got, num / den, atol=1e-14)
@@ -164,18 +170,19 @@ def test_doubling_examples():
 def test_doubling_constant_memoised(monkeypatch):
     g = Grid(1, 3, np.linspace(1.0, 3.0, 8))
     first = g.doubling_constant(2)
-    # Later calls with the same (shifts, levels) do not enumerate boxes again.
+    # Later calls with the same shifts do not enumerate boxes again.
     monkeypatch.setattr(Grid, "box_batches", lambda self, shifts, levels=None: iter(()))
     assert g.doubling_constant(2) == first
-    assert g.doubling_constant(2, levels=range(g.L + 2)) == first
     assert g.doubling_constant(1) == 0.0
 
 
 def test_box_measure_partial_cells():
     g = Grid(1, 1, [1.0, 9.0])
-    # [1/8, 5/8) overlaps 3/8 of the first cell and 1/8 of the second
-    index, bands = g.box_cells(BoxBatch.single(np.array([0.125]), np.array([0.625])))
-    assert abs(g.box_integrals(g.cell_masses[index], bands)[0] - 1.5) < 1e-14
+    # [1/8, 5/8) = [9, 45) in steps of 1/72 overlaps 3/8 of the first cell and
+    # 1/8 of the second; the integral counts each cell in steps, 36 per cell
+    index, bands = g.box_cells(_one_box([9], [45]))
+    assert [list(b) for b in bands[0]] == [[27.0, 9.0]]
+    assert g.box_integrals(g.cell_masses[index], bands)[0] == 1.5 * 36
 
 
 def test_cube_geometry():

@@ -173,7 +173,7 @@ def test_cube_ratios_brute_force_cross_check(rng):
     ww2, vv2 = np.linalg.eigh(avg2)
     transfer = (vv2 * np.sqrt(ww2)) @ vv2.T @ np.linalg.inv(avg1)
     expected_b2 = np.linalg.svd(transfer, compute_uv=False)[0]
-    got = cube_ratios(w, *root_cube(1).bounds())
+    got = cube_ratios(w, root_cube(1))
     assert abs(got["b2_ii"] - expected_b2) < 1e-12
     assert abs(got["ainf_ii"] - np.linalg.det(avg1) / np.exp(avg_lndet)) < 1e-12
     assert abs(got["thewest"] - np.linalg.det(avg2) / np.exp(2 * avg_lndet)) < 1e-12
@@ -227,7 +227,8 @@ def test_corollary_random_scalar_bound(rng):
 
 def _oracle_boxes(g, shifts, levels):
     """(lo, hi, descriptor) for every sampled cube, enumerated box by box."""
-    for s_idx, s in enumerate(g.shift_vectors(shifts)):
+    for s_idx, ninths in enumerate(g.shift_vectors(shifts)):
+        s = np.array(ninths) / 9.0
         for k in levels:
             h = 2.0**-k
             counts = [int(math.floor((1.0 - s[i]) / h + 1e-12)) for i in range(g.n)]
@@ -326,15 +327,15 @@ def test_batched_scan_matches_per_cell_oracle(seed, n, N, depth):
 
     sups, worst, count = {}, {}, 0
     dirs = _oracle_directions(N, 3, seed)
-    for lo, hi, desc in _oracle_boxes(g, shifts, range(L + 1)):
+    chains = [c for b in g.box_batches(shifts) for c in zip(*box_ratios(w, b)["chain"])]
+    for (lo, hi, desc), got in zip(_oracle_boxes(g, shifts, range(L + 1)), chains):
         r = _oracle_ratios(w, lo, hi, dirs)
         count += 1
         for key, val in r.items():
             if key != "chain" and (key not in sups or val > sups[key]):
                 sups[key], worst[key] = val, desc
-        got = cube_ratios(w, lo, hi)["chain"]
         assert all(_close(x, y) for x, y in zip(got, r["chain"])), (desc, got, r["chain"])
-    assert rep.cube_count == count
+    assert rep.cube_count == count == len(chains)
     assert rep.worst_cubes == worst
     order = [d for *_, d in _oracle_boxes(g, shifts, range(L + 1))]
     assert [d for b in g.box_batches(shifts) for d in b.descriptors()] == order
@@ -415,7 +416,44 @@ def test_class_report_seeds_one_direction_stream(monkeypatch):
     assert len(made) == 1
 
 
-@pytest.mark.parametrize("n, L", [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (2, 2)])
+@pytest.mark.parametrize(
+    "n, L",
+    [(1, L) for L in range(1, 8)] + [(2, L) for L in range(1, 6)] + [(3, 1), (3, 2)],
+)
 def test_doubling_uniform_grid_is_two_to_the_n(n, L):
     g = Grid(n, L)
     assert g.doubling_constant(default_shifts(g)) == 2.0**n
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2]), depth=st.integers(1, 3))
+def test_integer_bands_match_float_overlaps(seed, n, depth):
+    # Every band entry is the exact overlap in lattice steps: divided by the
+    # 36 steps of a cell it is the float overlap fraction of the oracle, on the
+    # translated boxes and on their doubles.
+    g = Grid(n, depth if n == 1 else min(depth, 2))
+    shifts = int(np.random.default_rng(seed).integers(0, 3**n + 6**n - 2**n))
+    boxes = list(_oracle_boxes(g, shifts, range(g.L + 2)))
+    batches = list(g.box_batches(shifts, range(g.L + 2)))
+    width = 2.0**-g.L
+    for doubled in (False, True):
+        got = []
+        for batch in batches:
+            index, bands = g.box_cells(batch.doubled() if doubled else batch)
+            cells = np.broadcast_arrays(*index)
+            for box in itertools.product(*(range(len(b)) for b in bands)):
+                fracs = {}
+                for band_pos in itertools.product(*(range(b.shape[1]) for b in bands)):
+                    cell = tuple(int(c[box + band_pos]) for c in cells)
+                    frac = math.prod(b[i, j] for b, i, j in zip(bands, box, band_pos)) / 36**n
+                    if frac:
+                        fracs[cell] = frac
+                got.append(fracs)
+        assert len(got) == len(boxes)
+        for fracs, (lo, hi, desc) in zip(got, boxes):
+            if doubled:
+                h = hi - lo
+                lo, hi = np.clip(lo - h / 2.0, 0.0, 1.0), np.clip(hi + h / 2.0, 0.0, 1.0)
+            want = {c: m / g.cell_volume for c, m in _oracle_cells(g, lo, hi)}
+            assert fracs.keys() == want.keys(), desc
+            assert all(abs(fracs[c] - want[c]) <= 1e-15 for c in want), desc
