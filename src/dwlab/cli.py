@@ -28,8 +28,8 @@ from .stopping import (
     partition_residual,
     volberg_stop,
 )
-from .tb import canonical_family, make_gamma, tb_run
-from .weights import class_report
+from .tb import HYPOTHESIS_KEYS, canonical_family, make_gamma, tb_run
+from .weights import class_report, family_scan
 
 __all__ = ["main"]
 
@@ -181,7 +181,7 @@ def _cmd_tb_run(args):
         if not ok:
             raise UsageError(f"tb-run: {message}")
     field = read_weight_field(args.field)
-    doubling = field.grid.doubling_constant(cfg.shifts)
+    doubling = family_scan(field, HYPOTHESIS_KEYS, cfg.shifts).sups["doubling"]
     if doubling > cfg.doubling_cap:
         raise UsageError(
             f"measure fails the doubling cap: {doubling:.3g} > {cfg.doubling_cap:.3g};"

@@ -20,6 +20,7 @@ __all__ = [
     "Cube",
     "BoxBatch",
     "Grid",
+    "MOMENTS",
     "WeightField",
     "FieldFormatError",
     "CellValueError",
@@ -55,17 +56,6 @@ class Cube:
             for offs in itertools.product((0, 1), repeat=self.n)
         ]
 
-    def parent(self):
-        if self.level == 0:
-            raise ValueError("root cube has no parent")
-        return Cube(self.level - 1, tuple(c // 2 for c in self.coords))
-
-    def contains(self, other):
-        if other.level < self.level:
-            return False
-        shift = other.level - self.level
-        return all(oc >> shift == c for oc, c in zip(other.coords, self.coords))
-
     def cell_slices(self, finest_level):
         if self.level > finest_level:
             raise ValueError(f"cube level {self.level} exceeds finest level {finest_level}")
@@ -80,8 +70,12 @@ def root_cube(n):
     return Cube(0, (0,) * n)
 
 
-# Boxes per batch of a (shift, level) family; bounds the memory of a batch.
-_BATCH_BOXES = 128
+# Floats a batch may hold at once (boxes x the floats its reader holds per
+# box, by default its band cells), unless one row of boxes alone needs more.
+# At 3 * 2**15 the full class scan of log-gaussian fields at n=2 L=5 and n=1
+# L=9 holds less at once than under a fixed 128 boxes per batch (traced), and
+# its largest gather is no larger; scans that read fewer channels get more boxes.
+_BATCH_FLOATS = 3 * 2**15
 
 # Every box endpoint lies on the lattice of step 1/(9 * 2**(L+2)): shifts are
 # ninths, levels run to L+1 for the doubled cubes, and 2Q moves each side by
@@ -97,10 +91,14 @@ class BoxBatch:
     def __init__(self, lo, hi, pos, shift=0, level=0):
         self.lo, self.hi, self.pos, self.shift, self.level = lo, hi, pos, shift, level
 
-    def descriptors(self):
-        head = f"shift={self.shift} level={self.level} pos="
-        labels = [[str(int(p)) for p in axis] for axis in self.pos]
-        return [head + ",".join(pos) for pos in itertools.product(*labels)]
+    def __len__(self):
+        return math.prod(len(p) for p in self.pos)
+
+    def descriptor(self, i):
+        """The label of box ``i`` in C order."""
+        at = np.unravel_index(i, tuple(len(p) for p in self.pos))
+        pos = ",".join(str(int(p[j])) for p, j in zip(self.pos, at))
+        return f"shift={self.shift} level={self.level} pos={pos}"
 
     def doubled(self):
         """The boxes 2Q: each side moved out by half the box side, clipped to the
@@ -166,7 +164,6 @@ class Grid:
         self.cell_volume = 2.0 ** (-self.n * self.L)
         # Integral of mu over every dyadic cube, one array per level.
         self._mu_tree = _level_sums(mu * self.cell_volume, self.n, self.L)
-        self._doubling = {}
 
     @property
     def side(self):
@@ -210,12 +207,15 @@ class Grid:
         """The mu-measure of every finest cell."""
         return self._mu_tree[-1]
 
-    def box_batches(self, shifts, levels=None):
+    def box_batches(self, shifts, levels=None, box_floats=None):
         """The finite surrogate for "all cubes": dyadic plus translated grids.
 
         Yields the cubes of every translated grid that lie fully inside [0,1)^n,
         one (shift, level) family at a time split along its first axis into
-        batches of at most ``_BATCH_BOXES`` boxes, in enumeration order.
+        batches, in enumeration order.  ``box_floats(level, cells, doubled)``
+        is the number of floats a reader holds at once per box, given the band
+        cells of a box and of its double 2Q (default ``cells``, one gathered
+        channel).  A batch holds at most ``_BATCH_FLOATS`` floats, or one row.
         """
         if levels is None:
             levels = range(self.L + 1)
@@ -229,7 +229,11 @@ class Grid:
                     continue
                 lo = [o + p * h for o, p in zip(offset, pos)]
                 hi = [a + h for a in lo]
-                rows = max(1, _BATCH_BOXES // math.prod(len(p) for p in pos[1:]))
+                family = BoxBatch(lo, hi, pos, s_idx, k)
+                cells = self._band_cells(family)
+                if box_floats is not None:
+                    cells = box_floats(k, cells, self._band_cells(family.doubled()))
+                rows = max(1, _BATCH_FLOATS // (cells * math.prod(len(p) for p in pos[1:])))
                 for r in range(0, len(pos[0]), rows):
                     first_axis = ((x[0][r : r + rows], *x[1:]) for x in (lo, hi, pos))
                     yield BoxBatch(*first_axis, s_idx, k)
@@ -255,15 +259,22 @@ class Grid:
         n, side, w = self.n, self.side, _CELL_UNITS
         index, bands = [], []
         for axis, (lo, hi) in enumerate(zip(batch.lo, batch.hi)):
-            first = lo // w
-            m = int(min(side, np.max(-(-hi // w) - first)))
-            j = np.clip(first, 0, side - m)[:, None] + np.arange(m)
+            m = self._band_width(lo, hi)
+            j = np.clip(lo // w, 0, side - m)[:, None] + np.arange(m)
             band = np.minimum(hi[:, None], (j + 1) * w) - np.maximum(lo[:, None], j * w)
             shape = [1] * (2 * n)
             shape[axis], shape[n + axis] = j.shape
             index.append(j.reshape(shape))
             bands.append(np.maximum(band, 0).astype(float))
         return tuple(index), bands
+
+    def _band_width(self, lo, hi):
+        """Cells in the band of intervals [lo, hi) along one axis."""
+        return int(min(self.side, np.max(-(-hi // _CELL_UNITS) - lo // _CELL_UNITS)))
+
+    def _band_cells(self, batch):
+        """Cells each box of ``batch`` gathers in ``box_cells``."""
+        return math.prod(self._band_width(lo, hi) for lo, hi in zip(batch.lo, batch.hi))
 
     @staticmethod
     def box_integrals(masses, bands):
@@ -278,20 +289,11 @@ class Grid:
             masses = np.einsum(masses, sub, band, [axis, n], sub[:n] + sub[n + 1 :])
         return masses.reshape((-1,) + masses.shape[n:])
 
-    def doubling_constant(self, shifts=0):
-        """Sup over sampled cubes of mu(2Q)/mu(Q), with 2Q clipped to [0,1)^n;
-        the sampled levels run to L+1.  Memoised per ``shifts``; ``mu`` is
-        read-only."""
-        if shifts not in self._doubling:
-            worst = 0.0
-            for batch in self.box_batches(shifts, range(self.L + 2)):
-                mass, mass2 = (
-                    self.box_integrals(self.cell_masses[index], bands)
-                    for index, bands in map(self.box_cells, (batch, batch.doubled()))
-                )
-                worst = max(worst, float(np.max(mass2 / mass)))
-            self._doubling[shifts] = worst
-        return self._doubling[shifts]
+
+# The moments a family scan may gather, in channel order: W, W^2, W^-1, W^-2
+# and log det W.
+MOMENTS = ("w", "w2", "winv", "winv2", "logdet")
+_POWERS = {"w": 1, "w2": 2, "winv": -1, "winv2": -2}
 
 
 class WeightField:
@@ -324,6 +326,8 @@ class WeightField:
         self._cell_eigvecs = v
         self._cell_cache = {}
         self._tree_cache = {}
+        # Family scans by (keys, shifts, direction draws, seed); see weights.family_scan.
+        self._scans = {}
 
     # Cell-wise derived quantities -------------------------------------------------
 
@@ -378,13 +382,18 @@ class WeightField:
             np.linalg.solve(iw, x[..., None])[..., 0] for iw, x in zip(self.integral_tree(1), iwf)
         ]
 
-    def moment_masses(self):
-        """Cell masses of 1, W, W^2, W^-1, W^-2 and log det W, on one last axis."""
-        key = ("moments",)
+    def moment_masses(self, moments=MOMENTS):
+        """Cell masses of 1 and of the named ``moments`` on one last axis: each
+        power of ``W`` takes N*N channels (row-major), ``logdet`` one."""
+        key = ("moments", tuple(moments))
         if key not in self._cell_cache:
             lead = self.values.shape[:-2]
-            parts = [self.cell_power(e).reshape(lead + (-1,)) for e in (1, 2, -1, -2)]
-            parts = [np.ones(lead + (1,))] + parts + [self.cell_log_det()[..., None]]
+            parts = [np.ones(lead + (1,))]
+            for m in moments:
+                if m == "logdet":
+                    parts.append(self.cell_log_det()[..., None])
+                else:
+                    parts.append(self.cell_power(_POWERS[m]).reshape(lead + (-1,)))
             masses = np.concatenate(parts, axis=-1) * self.grid.cell_masses[..., None]
             self._cell_cache[key] = masses
         return self._cell_cache[key]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import Grid, WeightField
-from .weights import ClassReport, _family_scan, class_report
+from .weights import ClassReport, class_report, family_scan
 
 __all__ = [
     "WeightGenerator",
@@ -85,7 +85,7 @@ def generate(gen, n, N, L, doubling_cap=100.0, retries=8):
             np.random.SeedSequence([gen.seed, attempt])
         )
         field = _generate_once(gen, n, N, L, rng)
-        if field.grid.doubling_constant(0) <= doubling_cap:
+        if family_scan(field, ("doubling",), 0).sups["doubling"] <= doubling_cap:
             return field
     raise RuntimeError(
         f"generator {gen.kind!r} exceeded doubling cap {doubling_cap} after {retries} draws"
@@ -184,7 +184,7 @@ def _dyadic_constants(field):
 
     Every dyadic cube at once, read from the field's exact integral trees:
     one batched ``eigvalsh`` of the averages of W and W^2, determinants as
-    eigenvalue products (as in ``box_ratios``), both floored at 1.
+    eigenvalue products, both floored at 1.
     """
     n = field.grid.n
     trees = (
@@ -289,7 +289,7 @@ def inclusion_search(n, N, L, b2_cap, budget=2000, seed=0, penalty=100.0):
     # The anneal caps the dyadic-family constant; shrink once more so the
     # emitted instance honors the cap over the full translated-grid family.
     def full_b2(sym):
-        return (_family_scan(build(sym), directions=None)[0]["b2_iv"],)
+        return (family_scan(build(sym), ("b2_iv",)).sups["b2_iv"],)
 
     if full_b2(best_sym)[0] > b2_cap:
         best_sym, _ = _shrink_to_cap(best_sym, full_b2, b2_cap)

@@ -17,7 +17,6 @@ propagates owners down the levels and gives every decomposition;
 from __future__ import annotations
 
 import itertools
-import zlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,7 +45,6 @@ __all__ = [
     "corona_stop",
     "martingale_square_check",
     "loewner_geq",
-    "bernoulli_criterion",
 ]
 
 
@@ -380,17 +378,3 @@ def martingale_square_check(root, field, result, rel_tol=1e-9):
     scale = float(np.max(np.abs(np.linalg.eigvalsh((rhs + rhs.T) / 2.0))))
     ok = loewner_geq(rhs, lhs, rel_tol * max(scale, 1e-300))
     return lhs, rhs, ok
-
-
-def bernoulli_criterion(probability, seed):
-    """Pure pseudo-random criterion: fires on a stable hash of (root, cand)."""
-
-    def fires(s, r):
-        tag = f"{seed}|{s.level}:{s.coords}|{r.level}:{r.coords}"
-        return (zlib.crc32(tag.encode()) % 2**32) / 2.0**32 < probability
-
-    def fires_many(tree, s, r):
-        rows = (fires(tree.cube(a), tree.cube(b)) for a, b in zip(s, r))
-        return np.fromiter(rows, dtype=bool, count=len(r))
-
-    return StoppingCriterion(f"bernoulli(p={probability:g})", fires_many)

@@ -19,7 +19,7 @@ import numpy as np
 from . import stopping
 from .cones import ConeNet
 from .grid import _coarsen
-from .weights import thewest_constant, default_shifts
+from .weights import family_scan
 
 __all__ = [
     "LN2",
@@ -33,6 +33,7 @@ __all__ = [
     "CanonicalFamily",
     "canonical_family",
     "HypothesisConstants",
+    "HYPOTHESIS_KEYS",
     "verify_hypotheses",
     "TbReport",
     "tb_run",
@@ -49,9 +50,6 @@ class CarlesonField:
     M: int
     N: int
     levels: list
-
-    def value(self, cube):
-        return self.levels[cube.level][cube.coords]
 
     def norms_sq(self, norm="op"):
         out = []
@@ -216,17 +214,18 @@ class HypothesisConstants:
         return {"C1": self.C1, "C2": self.C2, "C3": self.C3, "C4": self.C4}
 
 
+# The family scan C1 and C2 read; the command line's doubling-cap refusal reads
+# the same memoised scan before the run.
+HYPOTHESIS_KEYS = ("doubling", "thewest")
+
+
 def verify_hypotheses(field, gamma, shifts=None):
     """Measured doubling, squared-average log-det, energy and test Carleson constants."""
-    g = field.grid
     fam = canonical_family(field)
-    if shifts is None:
-        shifts = default_shifts(g)
-    c1 = g.doubling_constant(shifts)
-    c2 = math.sqrt(thewest_constant(field, shifts))
-    c3 = fam.c3()
-    c4 = fam.c4(gamma)
-    return HypothesisConstants(C1=c1, C2=c2, C3=c3, C4=c4)
+    sups = family_scan(field, HYPOTHESIS_KEYS, shifts).sups
+    return HypothesisConstants(
+        C1=sups["doubling"], C2=math.sqrt(sups["thewest"]), C3=fam.c3(), C4=fam.c4(gamma)
+    )
 
 
 @dataclass

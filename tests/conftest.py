@@ -1,10 +1,11 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
 
 from dwlab.cones import required_alignment
-from dwlab.grid import Grid, WeightField
+from dwlab.grid import Cube, Grid, WeightField
 from dwlab.stopping import (
     CubeTree,
     StoppingCriterion,
@@ -12,6 +13,7 @@ from dwlab.stopping import (
     owner_levels,
     partition_residual,
 )
+from dwlab.weights import family_scan
 
 # one line per acceptance criterion, echoed after the run summary
 ACCEPTANCE_LINES = []
@@ -42,6 +44,49 @@ def random_weight_field(rng, n=1, N=2, L=3, spread=0.5, mu_spread=0.0):
     else:
         mu = None
     return WeightField(Grid(n, L, mu), values)
+
+
+def cube_parent(cube):
+    if cube.level == 0:
+        raise ValueError("root cube has no parent")
+    return Cube(cube.level - 1, tuple(c // 2 for c in cube.coords))
+
+
+def cube_contains(outer, inner):
+    if inner.level < outer.level:
+        return False
+    shift = inner.level - outer.level
+    return all(ic >> shift == c for ic, c in zip(inner.coords, outer.coords))
+
+
+def gamma_value(gamma, cube):
+    """The multiplier matrix of ``gamma`` on ``cube``."""
+    return gamma.levels[cube.level][cube.coords]
+
+
+def family_labels(grid, shifts):
+    """The descriptor of every box of the translated family, in enumeration order."""
+    return [b.descriptor(i) for b in grid.box_batches(shifts) for i in range(len(b))]
+
+
+def doubling_of(grid, shifts=0):
+    """The doubling constant of ``grid``'s measure, from a scan of a flat 1x1 field."""
+    flat = WeightField(grid, np.ones(grid.mu.shape + (1, 1)))
+    return family_scan(flat, ("doubling",), shifts).sups["doubling"]
+
+
+def bernoulli_criterion(probability, seed):
+    """Pure pseudo-random criterion: fires on a stable hash of (root, cand)."""
+
+    def fires(s, r):
+        tag = f"{seed}|{s.level}:{s.coords}|{r.level}:{r.coords}"
+        return (zlib.crc32(tag.encode()) % 2**32) / 2.0**32 < probability
+
+    def fires_many(tree, s, r):
+        rows = (fires(tree.cube(a), tree.cube(b)) for a, b in zip(s, r))
+        return np.fromiter(rows, dtype=bool, count=len(r))
+
+    return StoppingCriterion(f"bernoulli(p={probability:g})", fires_many)
 
 
 NEVER = StoppingCriterion("never", lambda tree, s, r: np.zeros(len(r), dtype=bool))

@@ -28,7 +28,6 @@ from dwlab.harness import WeightGenerator, generate
 from dwlab.rrt import conclusion_value, delta_of_eps_curve, hypothesis_margin
 from dwlab.stopping import (
     CubeTree,
-    bernoulli_criterion,
     corona_stop,
     kato_family_stop,
     loewner_geq,
@@ -40,7 +39,7 @@ from dwlab.stopping import (
 from dwlab.tb import canonical_family, make_gamma, tb_run
 from dwlab.weights import b2_constants, cube_ratios
 
-from conftest import chain_residual, random_weight_field
+from conftest import bernoulli_criterion, chain_residual, random_weight_field
 
 
 def _report(name, ok, detail=""):

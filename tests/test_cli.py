@@ -421,3 +421,40 @@ def test_tb_run_refuses_non_doubling_measure(tmp_path, capsys):
     rc = main(["tb-run", "--field", str(path), "--gamma", "zero"])
     assert rc == 1
     assert "doubling cap" in capsys.readouterr().err
+
+
+def test_one_family_pass_per_report(random_field, tmp_path, monkeypatch):
+    # check-weight reads every class constant and doubling from one pass over
+    # the translated family; tb-run's doubling-cap refusal and its C1 and C2
+    # read one pass too.
+    calls = []
+    real = Grid.box_batches
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Grid, "box_batches", counted)
+    rep = str(tmp_path / "r.json")
+    for argv in (
+        ["check-weight", "--field", random_field, "--report", rep],
+        ["tb-run", "--field", random_field, "--gamma", "martingale", "--report", rep],
+    ):
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) == 1, (argv[0], calls)
+
+    # A refused run scans once and stops before the owner engine.
+    side = 16
+    mu = np.ones(side)
+    mu[: side // 2] = 1e7
+    wild = tmp_path / "wild.wf"
+    write_weight_field(wild, WeightField(Grid(1, 4, mu), np.ones((side, 1, 1))))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("owner engine ran")
+
+    monkeypatch.setattr(stopping, "owner_levels", refuse)
+    calls.clear()
+    assert main(["tb-run", "--field", str(wild), "--gamma", "zero"]) == 1
+    assert len(calls) == 1

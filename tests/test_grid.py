@@ -17,7 +17,7 @@ from dwlab.grid import (
 )
 from dwlab.weights import b2_constants
 
-from conftest import random_weight_field
+from conftest import cube_contains, cube_parent, doubling_of, family_labels, random_weight_field
 
 
 def test_measure_examples():
@@ -160,20 +160,11 @@ def test_partition_exactness(rng):
 
 
 def test_doubling_examples():
-    assert Grid(1, 2).doubling_constant(0) == 2.0
-    assert Grid(1, 1, [1.0, 1.0]).doubling_constant(0) == 2.0
+    assert doubling_of(Grid(1, 2)) == 2.0
+    assert doubling_of(Grid(1, 1, [1.0, 1.0])) == 2.0
     # density (1, 9): Q=[1/4,1/2), 2Q=[1/8,5/8) gives (3/8 + 9/8)/(1/4) = 6
-    assert abs(Grid(1, 1, [1.0, 9.0]).doubling_constant(0) - 6.0) < 1e-12
-    assert Grid(2, 1).doubling_constant(0) == 4.0
-
-
-def test_doubling_constant_memoised(monkeypatch):
-    g = Grid(1, 3, np.linspace(1.0, 3.0, 8))
-    first = g.doubling_constant(2)
-    # Later calls with the same shifts do not enumerate boxes again.
-    monkeypatch.setattr(Grid, "box_batches", lambda self, shifts, levels=None: iter(()))
-    assert g.doubling_constant(2) == first
-    assert g.doubling_constant(1) == 0.0
+    assert abs(doubling_of(Grid(1, 1, [1.0, 9.0])) - 6.0) < 1e-12
+    assert doubling_of(Grid(2, 1)) == 4.0
 
 
 def test_box_measure_partial_cells():
@@ -188,19 +179,19 @@ def test_box_measure_partial_cells():
 def test_cube_geometry():
     q = Cube(1, (0, 1))
     kids = q.children()
-    assert len(kids) == 4 and all(q.contains(c) for c in kids)
-    assert kids[0].parent() == q
-    assert not q.contains(Cube(0, (0, 0)))
+    assert len(kids) == 4 and all(cube_contains(q, c) for c in kids)
+    assert cube_parent(kids[0]) == q
+    assert not cube_contains(q, Cube(0, (0, 0)))
     with pytest.raises(ValueError):
         Cube(1, (2,))
     with pytest.raises(ValueError):
-        root_cube(2).parent()
+        cube_parent(root_cube(2))
 
 
 def test_shift_families_are_prefix_nested():
     g = Grid(1, 2)
-    fam2 = [d for b in g.box_batches(2) for d in b.descriptors()]
-    fam4 = [d for b in g.box_batches(4) for d in b.descriptors()]
+    fam2 = family_labels(g, 2)
+    fam4 = family_labels(g, 4)
     assert fam4[: len(fam2)] == fam2
 
 

@@ -22,7 +22,16 @@ from dwlab.tb import (
     verify_hypotheses,
 )
 
-from conftest import ALWAYS, NEVER, coarse_owner_levels, first_generation, random_weight_field
+from conftest import (
+    ALWAYS,
+    NEVER,
+    bernoulli_criterion,
+    coarse_owner_levels,
+    cube_contains,
+    first_generation,
+    gamma_value,
+    random_weight_field,
+)
 
 
 def ones_field(L, n=1, N=1):
@@ -127,9 +136,9 @@ def test_testfun_carleson_two_dimensional(rng):
     b = fam.b_values(root, v)
     got = box_carleson_integral(g, b, root, w)
     brute = 0.0
-    for r in filter(root.contains, w.grid.cubes()):
+    for r in (c for c in w.grid.cubes() if cube_contains(root, c)):
         e = weighted_avg(b, r, w)
-        ge = g.value(r) @ e
+        ge = gamma_value(g, r) @ e
         brute += float(ge @ ge) * w.grid.measure(r) * LN2
     assert abs(got - brute) <= 1e-12 * max(brute, 1.0)
 
@@ -375,7 +384,7 @@ def test_level_engine_matches_cube_walk_oracle(n, L, kind, seed):
 
     else:
         p = float(rng.uniform(0.1, 0.6))
-        pair = (stopping.bernoulli_criterion(p, seed), stopping.bernoulli_criterion(p, seed + 1))
+        pair = (bernoulli_criterion(p, seed), bernoulli_criterion(p, seed + 1))
         # "never" and "always" are the edge cases: one sawtooth, or one per cube.
         first, other = {"never": (NEVER, NEVER), "always": (ALWAYS, ALWAYS)}.get(kind, pair)
         label = np.zeros(tree.size, dtype=int)

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dwlab import weights
 from dwlab.grid import Grid, WeightField, root_cube
 from dwlab.weights import (
+    CLASS_KEYS,
     b2_constants,
     box_ratios,
     class_report,
@@ -15,11 +17,12 @@ from dwlab.weights import (
     cube_ratios,
     default_shifts,
     det_chain_check,
+    family_scan,
     scalar_ainfty_report,
     thewest_constant,
 )
 
-from conftest import random_weight_field
+from conftest import doubling_of, family_labels, random_weight_field
 
 
 def two_cell_scalar(lo, hi):
@@ -338,7 +341,7 @@ def test_batched_scan_matches_per_cell_oracle(seed, n, N, depth):
     assert rep.cube_count == count == len(chains)
     assert rep.worst_cubes == worst
     order = [d for *_, d in _oracle_boxes(g, shifts, range(L + 1))]
-    assert [d for b in g.box_batches(shifts) for d in b.descriptors()] == order
+    assert family_labels(g, shifts) == order
     for key, val in sups.items():
         assert _close(getattr(rep, key), val), (key, getattr(rep, key), val)
 
@@ -349,6 +352,90 @@ def test_batched_scan_matches_per_cell_oracle(seed, n, N, depth):
         mass = sum(m for _, m in _oracle_cells(g, lo, hi))
         doubling = max(doubling, sum(m for _, m in _oracle_cells(g, lo2, hi2)) / mass)
     assert _close(rep.doubling, doubling)
+
+
+def _oracle_scan(w, shifts, dirs):
+    """Sups, first worst boxes and box count of the per-cell oracle over the
+    family, and the doubling constant over levels 0..L+1."""
+    g = w.grid
+    sups, worst, count = {}, {}, 0
+    for lo, hi, desc in _oracle_boxes(g, shifts, range(g.L + 1)):
+        count += 1
+        for key, val in _oracle_ratios(w, lo, hi, dirs).items():
+            if key != "chain" and (key not in sups or val > sups[key]):
+                sups[key], worst[key] = val, desc
+    sups["doubling"] = 0.0
+    for lo, hi, _ in _oracle_boxes(g, shifts, range(g.L + 2)):
+        h = hi - lo
+        lo2, hi2 = np.clip(lo - h / 2.0, 0.0, 1.0), np.clip(hi + h / 2.0, 0.0, 1.0)
+        mass = sum(m for _, m in _oracle_cells(g, lo, hi))
+        ratio = sum(m for _, m in _oracle_cells(g, lo2, hi2)) / mass
+        sups["doubling"] = max(sups["doubling"], ratio)
+    return sups, worst, count
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2]),
+    N=st.integers(1, 3),
+    depth=st.integers(1, 3),
+    keys=st.sets(st.sampled_from(CLASS_KEYS), min_size=1),
+)
+def test_key_subsets_match_full_scan_and_oracle(seed, n, N, depth, keys):
+    # A scan asked for some keys gathers and solves less, and may take a
+    # determinant by LU where the full scan multiplies eigenvalues; its sups
+    # agree with the full scan and the oracle, and its worst boxes are the same.
+    rng = np.random.default_rng(seed)
+    L = depth if n == 1 else min(depth, 2)
+    w = random_weight_field(rng, n=n, N=N, L=L, spread=0.5, mu_spread=0.5)
+    shifts = int(rng.integers(0, default_shifts(w.grid) + 1))
+    full = family_scan(w, CLASS_KEYS, shifts, directions=3, seed=seed)
+    lean = family_scan(WeightField(w.grid, w.values), keys, shifts, directions=3, seed=seed)
+    oracle, worst, count = _oracle_scan(w, shifts, _oracle_directions(N, 3, seed))
+
+    def close(a, b):
+        return abs(a - b) <= 1e-13 * max(abs(a), abs(b))
+
+    assert set(lean.sups) == keys
+    assert lean.count == full.count == count
+    assert lean.worst == {k: full.worst[k] for k in keys - {"doubling"}} == {
+        k: worst[k] for k in keys - {"doubling"}
+    }
+    for key in keys:
+        assert close(lean.sups[key], full.sups[key]), (key, lean.sups[key], full.sups[key])
+        assert close(lean.sups[key], oracle[key]), (key, lean.sups[key], oracle[key])
+
+
+@pytest.mark.parametrize(
+    "keys, key, bound",
+    [
+        (("b2_i",), "b2_sampled", "b2_ii"),
+        (("b2_ii", "thewest"), "b2_sampled", "b2_ii"),
+        (("ainf_i",), "ainf_i", "ainf_i_jensen"),
+        (CLASS_KEYS, "ainf_i", "ainf_i_jensen"),
+    ],
+)
+def test_self_checks_run_with_their_keys(monkeypatch, keys, key, bound):
+    real = weights.box_ratios
+
+    def inflated(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if key in out:
+            out[key] = out[bound] * 2.0
+        return out
+
+    monkeypatch.setattr(weights, "box_ratios", inflated)
+    w = random_weight_field(np.random.default_rng(2), n=1, N=2, L=2)
+    with pytest.raises(AssertionError, match="on shift=0 level=0 pos=0$"):
+        family_scan(w, keys, shifts=1)
+
+
+def test_family_scan_rejects_unknown_keys(rng):
+    w = random_weight_field(rng, n=1, N=2, L=1)
+    for keys in (("chain",), ("thewest", "b2_v")):
+        with pytest.raises(ValueError, match="unknown scan keys"):
+            family_scan(w, keys)
 
 
 def _oracle_jensen_and_basis(w, lo, hi):
@@ -422,7 +509,7 @@ def test_class_report_seeds_one_direction_stream(monkeypatch):
 )
 def test_doubling_uniform_grid_is_two_to_the_n(n, L):
     g = Grid(n, L)
-    assert g.doubling_constant(default_shifts(g)) == 2.0**n
+    assert doubling_of(g, default_shifts(g)) == 2.0**n
 
 
 @settings(max_examples=25, deadline=None)
