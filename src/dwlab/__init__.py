@@ -49,7 +49,7 @@ from .haar import (
 from .tb import (
     CarlesonField,
     carleson_norm,
-    canonical_family,
+    CanonicalFamily,
     verify_hypotheses,
     tb_run,
 )

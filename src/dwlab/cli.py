@@ -28,7 +28,7 @@ from .stopping import (
     partition_residual,
     volberg_stop,
 )
-from .tb import HYPOTHESIS_KEYS, canonical_family, make_gamma, tb_run
+from .tb import HYPOTHESIS_KEYS, CanonicalFamily, make_gamma, tb_run
 from .weights import class_report, family_scan
 
 __all__ = ["main"]
@@ -131,7 +131,7 @@ def _cmd_corona(args):
     else:
         v0 = np.zeros(field.N)
         v0[0] = 1.0
-        res, ratio = kato_family_stop(root, field, canonical_family(field), v0, args.param)
+        res, ratio = kato_family_stop(root, field, CanonicalFamily(field), v0, args.param)
     tree, mu = res.tree, res.tree.gather(field.grid._mu_tree)
     residual = partition_residual(tree, res.criterion, res.root, res.cubes, res.owner, mu)
     gens = [[tree.cube(i).descriptor() for i in gen] for gen in res.generations]
@@ -153,6 +153,8 @@ def _cmd_corona(args):
 
 def _cmd_cone_net(args):
     cfg = _load_config(args)
+    if args.trials < 0:
+        raise UsageError("cone-net: --trials must be at least 0")
     net = build_net(args.N, args.eps1, seed=args.seed)
     failures = coverage_check(net, args.trials, seed=args.seed)
     payload = {
@@ -214,6 +216,8 @@ def _cmd_rrt_search(args):
     jobs = _effective_jobs(args)
     if (args.delta is None) == (args.eps_grid is None):
         raise UsageError("give exactly one of --delta or --eps-grid")
+    if args.budget < 0:
+        raise UsageError("rrt-search: --budget must be at least 0")
     if args.delta is not None:
         inst = worst_case_search(
             args.m, args.delta, budget=args.budget, seed=args.seed, jobs=jobs
@@ -278,6 +282,8 @@ def _cmd_inclusion_search(args):
 
 def _cmd_paraproduct_demo(args):
     cfg = _load_config(args)
+    if args.depth < 0:
+        raise UsageError("paraproduct-demo: --depth must be at least 0")
     rng = np.random.default_rng(args.seed)
     size = 2**args.depth
     b = rng.standard_normal(size)

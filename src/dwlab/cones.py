@@ -311,6 +311,8 @@ def coverage_check(net, trials, seed=0):
     its maximizing input direction to the required cap width; stragglers fall
     back to the full optimization-based membership test.
     """
+    if trials < 0:
+        raise ValueError("trials must be non-negative")
     rng = np.random.default_rng(seed)
     n = net.dim
     failures = 0

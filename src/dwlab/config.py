@@ -41,6 +41,10 @@ class RunConfig:
             )
         if self.eps1 > 0.5:
             raise ValueError("eps1 must not exceed 1/2")
+        if not 0.0 <= self.loewner_tol < 1.0:
+            raise ValueError("loewner_tol must lie in [0, 1)")
+        if self.doubling_cap < 1.0:
+            raise ValueError("doubling_cap must be at least 1, the least doubling constant")
         return self
 
     def to_text(self):

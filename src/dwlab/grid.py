@@ -176,9 +176,6 @@ class Grid:
             for coords in itertools.product(range(2**k), repeat=self.n):
                 yield Cube(k, coords)
 
-    def measure(self, cube):
-        return float(self._mu_tree[cube.level][cube.coords])
-
     def shift_vectors(self, shifts):
         """The zero vector and ``shifts`` distinct translations, in integer
         ninths of the unit side: every third-shift, then the ninth-shifts.
@@ -237,13 +234,6 @@ class Grid:
                 for r in range(0, len(pos[0]), rows):
                     first_axis = ((x[0][r : r + rows], *x[1:]) for x in (lo, hi, pos))
                     yield BoxBatch(*first_axis, s_idx, k)
-
-    def cube_box(self, cube):
-        """The dyadic ``cube`` as a one-box batch."""
-        h = _CELL_UNITS << (self.L - cube.level)
-        pos = tuple(np.array([c]) for c in cube.coords)
-        lo, hi = (tuple((p + d) * h for p in pos) for d in (0, 1))
-        return BoxBatch(lo, hi, pos, 0, cube.level)
 
     def box_cells(self, batch):
         """Where the boxes of ``batch`` sit on the finest cells.
@@ -322,8 +312,8 @@ class WeightField:
         self.grid = grid
         self.values = values
         self.N = N
-        self._cell_eigvals = w
-        self._cell_eigvecs = v
+        self.cell_eigvals = w
+        self.cell_eigvecs = v
         self._cell_cache = {}
         self._tree_cache = {}
         # Family scans by (keys, shifts, direction draws, seed); see weights.family_scan.
@@ -331,18 +321,10 @@ class WeightField:
 
     # Cell-wise derived quantities -------------------------------------------------
 
-    @property
-    def cell_eigvals(self):
-        return self._cell_eigvals
-
-    @property
-    def cell_eigvecs(self):
-        return self._cell_eigvecs
-
     def cell_power(self, exponent):
         key = ("pow", exponent)
         if key not in self._cell_cache:
-            w, v = self._cell_eigvals, self._cell_eigvecs
+            w, v = self.cell_eigvals, self.cell_eigvecs
             self._cell_cache[key] = np.einsum(
                 "...ij,...j,...kj->...ik", v, np.power(w, float(exponent)), v
             )
@@ -351,7 +333,7 @@ class WeightField:
     def cell_log_det(self):
         key = ("logdet",)
         if key not in self._cell_cache:
-            self._cell_cache[key] = np.sum(np.log(self._cell_eigvals), axis=-1)
+            self._cell_cache[key] = np.sum(np.log(self.cell_eigvals), axis=-1)
         return self._cell_cache[key]
 
     # Cube integrals ----------------------------------------------------------------
@@ -362,17 +344,27 @@ class WeightField:
         mu = g.mu.reshape(g.mu.shape + (1,) * (cell_values.ndim - g.n))
         return _level_sums(cell_values * mu * g.cell_volume, g.n, g.L)
 
-    def _tree(self, key, cell_values):
-        if key not in self._tree_cache:
-            self._tree_cache[key] = self._integrals(cell_values)
-        return self._tree_cache[key]
-
     def integral_tree(self, exponent):
         """Per-level arrays of the cube integrals of W**exponent d(mu)."""
-        return self._tree(("pow", exponent), self.cell_power(exponent))
+        key = ("pow", exponent)
+        if key not in self._tree_cache:
+            self._tree_cache[key] = self._integrals(self.cell_power(exponent))
+        return self._tree_cache[key]
 
-    def avg_entries(self, cube, exponent=1):
-        return self.integral_tree(exponent)[cube.level][cube.coords] / self.grid.measure(cube)
+    def averages(self, moment):
+        """Per-level arrays of the mu-averages of the named moment (see ``MOMENTS``)
+        over every dyadic cube: the one source of dyadic averages."""
+        key = ("avg", moment)
+        if key not in self._tree_cache:
+            if moment == "logdet":
+                tree, at = self._integrals(self.cell_log_det()), ...
+            else:
+                tree, at = self.integral_tree(_POWERS[moment]), (..., None, None)
+            self._tree_cache[key] = [t / m[at] for t, m in zip(tree, self.grid._mu_tree)]
+        return self._tree_cache[key]
+
+    def avg_entries(self, cube, moment="w"):
+        return self.averages(moment)[cube.level][cube.coords]
 
     def expectation_levels(self, f):
         """Weighted averages E_R f = (int_R W dmu)^{-1} int_R W f dmu of a vector
@@ -405,9 +397,9 @@ class WeightField:
         if key not in self._cell_cache:
             sq = np.zeros(self.values.shape[:-2] + (len(directions),))
             for i in range(self.N):
-                proj = self._cell_eigvecs[..., i] @ directions.T
+                proj = self.cell_eigvecs[..., i] @ directions.T
                 proj *= proj
-                proj /= self._cell_eigvals[..., i, None]
+                proj /= self.cell_eigvals[..., i, None]
                 sq += proj
             del proj
             np.log(sq, out=sq)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import Grid, WeightField
-from .weights import ClassReport, class_report, family_scan
+from .weights import ClassReport, class_report, dyadic_ratios, family_scan
 
 __all__ = [
     "WeightGenerator",
@@ -180,27 +180,10 @@ class InclusionSearchResult:
 
 
 def _dyadic_constants(field):
-    """Cheap dyadic-only (b2_iv, ainf_ii) pair used inside the search loop.
-
-    Every dyadic cube at once, read from the field's exact integral trees:
-    one batched ``eigvalsh`` of the averages of W and W^2, determinants as
-    eigenvalue products, both floored at 1.
-    """
-    n = field.grid.n
-    trees = (
-        field.grid._mu_tree,
-        field.integral_tree(1),
-        field.integral_tree(2),
-        field._tree(("logdet",), field.cell_log_det()),
-    )
-    mu, w, w2, logdet = (
-        np.concatenate([lvl.reshape((-1,) + lvl.shape[n:]) for lvl in tree]) for tree in trees
-    )
-    avgs = np.concatenate([w, w2]) / np.concatenate([mu, mu])[:, None, None]
-    det_w, det_w2 = np.prod(np.linalg.eigvalsh(avgs), axis=-1).reshape(2, -1)
-    b2_iv = np.sqrt(det_w2) / det_w
-    ainf_ii = det_w / np.exp(logdet / mu)
-    return max(1.0, float(b2_iv.max())), max(1.0, float(ainf_ii.max()))
+    """Cheap dyadic-only (b2_iv, ainf_ii) pair used inside the search loop: the
+    ratio kernel over every dyadic cube at once, both floored at 1."""
+    r = dyadic_ratios(field, ("b2_iv", "ainf_ii"))
+    return max(1.0, float(r["b2_iv"].max())), max(1.0, float(r["ainf_ii"].max()))
 
 
 def _shrink_to_cap(sym, screen, b2_cap):

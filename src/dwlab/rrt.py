@@ -124,6 +124,8 @@ def worst_case_search(
         raise ValueError("search needs m >= 2; the one-dimensional case is the identity")
     if not 0.0 <= delta < 1.0:
         raise ValueError("delta must lie in [0, 1)")
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
     if delta == 0.0:
         eye = np.eye(m)
         return RrtInstance(m, eye, eye, 0.0, 0.0)
@@ -152,6 +154,8 @@ def worst_case_search(
 def delta_of_eps_curve(m, eps_grid, budget=10000, seed=0, bisect_steps=8, jobs=1):
     """Empirical inverse: for each eps, the largest tested delta whose worst
     case stays at or below eps.  Returns a list of (eps, delta, worst) rows."""
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
     rows = []
     for i, eps in enumerate(eps_grid):
         if not 0.0 < eps < 1.0:

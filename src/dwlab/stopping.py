@@ -82,11 +82,6 @@ class CubeTree:
         flat = [arr.reshape((-1,) + arr.shape[self.n :]) for arr in levels]
         return np.concatenate(flat)[self.grid_key]
 
-    def averages(self, field):
-        """W_Q for every cube Q, in index order."""
-        tree = zip(field.integral_tree(1), field.grid._mu_tree)
-        return self.gather([w / mu[..., None, None] for w, mu in tree])
-
     def index(self, cube):
         flat = np.ravel_multi_index(cube.coords, (2**cube.level,) * self.n)
         return int(self._index[self.offsets[cube.level] + flat])
@@ -273,7 +268,7 @@ def partition_residual(tree, crit, top, cubes, owners, weight):
 def _field_criterion(name, field, rule):
     """Criterion from ``rule(W_S, W_R, r)`` over the average stacks of index
     arrays of the field's cube tree."""
-    avg = CubeTree(field.grid.n, field.grid.L).averages(field)
+    avg = CubeTree(field.grid.n, field.grid.L).gather(field.averages("w"))
     return StoppingCriterion(name, lambda tree, s, r: rule(avg[s], avg[r], r))
 
 
@@ -369,12 +364,12 @@ def martingale_square_check(root, field, result, rel_tol=1e-9):
     """Stopped martingale square bound: sum (W_R - W_{R*})^2 mu(R) against
     ((W^2)_Q - (W_Q)^2) mu(Q) in the positive-semidefinite order."""
     tree = result.tree
-    avg, mu = tree.averages(field), tree.gather(field.grid._mu_tree)
+    avg, mu = tree.gather(field.averages("w")), tree.gather(field.grid._mu_tree)
     r, p = result.stops[1:], result.parents[1:]
     diff = avg[r] - avg[p]
     lhs = np.einsum("rij,rjk,r->ik", diff, diff, mu[r])
     avg_w = avg[result.root]
-    rhs = (field.avg_entries(root, 2) - avg_w @ avg_w) * mu[result.root]
+    rhs = (field.avg_entries(root, "w2") - avg_w @ avg_w) * mu[result.root]
     scale = float(np.max(np.abs(np.linalg.eigvalsh((rhs + rhs.T) / 2.0))))
     ok = loewner_geq(rhs, lhs, rel_tol * max(scale, 1e-300))
     return lhs, rhs, ok

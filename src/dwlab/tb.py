@@ -18,7 +18,7 @@ import numpy as np
 
 from . import stopping
 from .cones import ConeNet
-from .grid import _coarsen
+from .grid import _coarsen, _refine
 from .weights import family_scan
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "make_gamma",
     "carleson_norm",
     "CanonicalFamily",
-    "canonical_family",
     "HypothesisConstants",
     "HYPOTHESIS_KEYS",
     "verify_hypotheses",
@@ -82,16 +81,10 @@ def gamma_constant(grid, M, N, value=None):
 def gamma_martingale(field, rows=1):
     """Rows of the jump of the weight averages between a cube and its parent."""
     g = field.grid
+    avg = field.averages("w")
     levels = [np.zeros((1,) * g.n + (rows, field.N))]
-    prev = field.integral_tree(1)[0] / g._mu_tree[0][..., None, None]
     for k in range(1, g.L + 1):
-        avg_k = field.integral_tree(1)[k] / g._mu_tree[k][..., None, None]
-        # Broadcast each parent average onto its 2**n children.
-        rep = prev
-        for axis in range(g.n):
-            rep = np.repeat(rep, 2, axis=axis)
-        levels.append((avg_k - rep)[..., :rows, :])
-        prev = avg_k
+        levels.append((avg[k] - _refine(avg[k - 1], g.n))[..., :rows, :])
     return CarlesonField(g, rows, field.N, levels)
 
 
@@ -165,7 +158,7 @@ class CanonicalFamily:
         g = field.grid
         out = np.zeros(g.mu.shape + (field.N,))
         sl = s_cube.cell_slices(g.L)
-        target = field.avg_entries(s_cube, 1) @ np.asarray(v0, dtype=float)
+        target = field.avg_entries(s_cube) @ np.asarray(v0, dtype=float)
         out[sl] = np.einsum("...ij,j->...i", field.cell_power(-1)[sl], target)
         return out
 
@@ -175,12 +168,11 @@ class CanonicalFamily:
         of W_Q F_Q W_Q, one batched ``eigvalsh`` per level."""
         g, N = self.field.grid, self.field.N
         worst = 0.0
-        for k, form in enumerate(forms):
-            mu = g._mu_tree[k].reshape(-1)
-            avg = self.field.integral_tree(1)[k].reshape(-1, N, N) / mu[:, None, None]
+        for form, avg, mu in zip(forms, self.field.averages("w"), g._mu_tree):
+            avg = avg.reshape(-1, N, N)
             m = avg @ form.reshape(-1, N, N) @ avg
             top = np.linalg.eigvalsh((m + np.swapaxes(m, -1, -2)) / 2.0)[:, -1]
-            worst = max(worst, float(np.max(top / mu)))
+            worst = max(worst, float(np.max(top / mu.reshape(-1))))
         return math.sqrt(worst)
 
     def c3(self):
@@ -192,15 +184,10 @@ class CanonicalFamily:
         M_Q = ln2 sum_{R in Q} mu(R) W_R^-1 gamma_R^T gamma_R W_R^-1."""
         g = self.field.grid
         masses = []
-        for k, mu in enumerate(g._mu_tree):
-            avg = self.field.integral_tree(1)[k] / mu[..., None, None]
-            x = np.linalg.solve(avg, np.swapaxes(gamma.levels[k], -1, -2))
+        for avg, mu, gam in zip(self.field.averages("w"), g._mu_tree, gamma.levels):
+            x = np.linalg.solve(avg, np.swapaxes(gam, -1, -2))
             masses.append(x @ np.swapaxes(x, -1, -2) * (mu * LN2)[..., None, None])
         return self._sup_form(_box_mass_tree(g, masses))
-
-
-def canonical_family(field):
-    return CanonicalFamily(field)
 
 
 @dataclass
@@ -221,7 +208,7 @@ HYPOTHESIS_KEYS = ("doubling", "thewest")
 
 def verify_hypotheses(field, gamma, shifts=None):
     """Measured doubling, squared-average log-det, energy and test Carleson constants."""
-    fam = canonical_family(field)
+    fam = CanonicalFamily(field)
     sups = family_scan(field, HYPOTHESIS_KEYS, shifts).sups
     return HypothesisConstants(
         C1=sups["doubling"], C2=math.sqrt(sups["thewest"]), C3=fam.c3(), C4=fam.c4(gamma)
@@ -282,7 +269,7 @@ def tb_run(field, gamma, eps1=None, eps2=0.1, eps3=None, lam=16.0, norm="op", sh
     proof_regime = (eps1 <= eps2 / 2.0 + 1e-12) and (eps3 < eps2**2 / 4.0)
     net = ConeNet(field.N, eps1)
     tree = stopping.CubeTree(g.n, g.L)
-    avg, mu = tree.averages(field), tree.gather(g._mu_tree)
+    avg, mu = tree.gather(field.averages("w")), tree.gather(g._mu_tree)
 
     # Live cubes (nonzero multiplier) in the preorder of a box walk, and sectors.
     norms_sq = gamma.norms_sq(norm)

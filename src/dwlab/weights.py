@@ -75,9 +75,16 @@ _SCAN_KEYS = frozenset(RATIO_KEYS) - {"chain"} | {"doubling"}
 _SAMPLED = {"b2_i", "b2_ii", "ainf_i"}
 
 
-def box_ratios(field, batch, directions=None, keys=RATIO_KEYS):
-    """The per-box ratios named in ``keys`` of a ``BoxBatch``, as arrays over its
-    boxes, computed from only the moments those keys read.
+def _moments(keys):
+    """The moments the ratios named in ``keys`` read past mu, in channel order."""
+    return sorted({m for k in keys for m in _READS[k]}, key=MOMENTS.index)
+
+
+def ratio_kernel(avg, keys, directions=None):
+    """The per-cube ratios named in ``keys`` from ``avg``, which maps each moment
+    the keys read to its stack of averages, one row per cube, and for a sampled
+    ainf_i holds under ``lognorm`` the averages of log|W^{-1/2} d| over the rows
+    d of ``directions``.
 
     Keys: b2_i, b2_ii, b2_iii, b2_iv, ainf_ii, a2, thewest, chain (the five-term
     determinant chain) and identity_residual (the relative gap in
@@ -89,20 +96,7 @@ def box_ratios(field, batch, directions=None, keys=RATIO_KEYS):
     A determinant is the product of the eigenvalues of its matrix when another
     key needs them anyway, else one batched LU (``np.linalg.det``).
     """
-    N = field.N
-    g = field.grid
     keys = set(keys)
-    moments = [m for m in MOMENTS if any(m in _READS[k] for k in keys)]
-    index, bands = g.box_cells(batch)
-    sums = g.box_integrals(field.moment_masses(moments)[index], bands)
-    mu_q = sums[:, 0]
-    avg, at = {}, 1
-    for m in moments:
-        width = 1 if m == "logdet" else N * N
-        part = sums[:, at : at + width] / mu_q[:, None]
-        avg[m] = part[:, 0] if m == "logdet" else part.reshape(-1, N, N)
-        at += width
-    boxes = len(mu_q)
     sampled = directions is not None
     det = {}
 
@@ -127,7 +121,7 @@ def box_ratios(field, batch, directions=None, keys=RATIO_KEYS):
     if stack:
         inverses = [m for m in ("winv", "winv2") if m in avg]
         eig = np.linalg.eigvalsh(np.concatenate(stack + [avg[m] for m in inverses]))
-        eig = eig.reshape(-1, boxes, N)
+        eig = eig.reshape(len(stack) + len(inverses), -1, eig.shape[-1])
         for m, e in zip(inverses, eig[len(stack) :]):
             det[m] = np.prod(e, axis=-1)
 
@@ -167,20 +161,48 @@ def box_ratios(field, batch, directions=None, keys=RATIO_KEYS):
             1.0 / np.sqrt(det_of("winv2")),
         )
     if "ainf_i" in keys and sampled:
-        # The log-norms of the directions are D more channels of the gather.
-        avg_log = g.box_integrals(field.log_norm_masses(directions)[index], bands)
-        avg_log /= mu_q[:, None]
         den_i = np.sqrt(np.sum((directions @ inv_w) * directions, axis=-1))
-        out["ainf_i"] = np.max(np.exp(avg_log) / den_i, axis=-1)
+        out["ainf_i"] = np.max(np.exp(avg["lognorm"]) / den_i, axis=-1)
         out["ainf_i_jensen"] = np.sqrt(eig[len(stack) - 1, :, -1])
     return out
 
 
+def box_ratios(field, batch, directions=None, keys=RATIO_KEYS):
+    """``ratio_kernel`` over the boxes of a ``BoxBatch``, from band gathers of the
+    moments the keys read and of the log-norms of the directions."""
+    N = field.N
+    g = field.grid
+    moments = _moments(keys)
+    index, bands = g.box_cells(batch)
+    sums = g.box_integrals(field.moment_masses(moments)[index], bands)
+    mu_q = sums[:, 0]
+    avg, at = {}, 1
+    for m in moments:
+        width = 1 if m == "logdet" else N * N
+        part = sums[:, at : at + width] / mu_q[:, None]
+        avg[m] = part[:, 0] if m == "logdet" else part.reshape(-1, N, N)
+        at += width
+    if "ainf_i" in keys and directions is not None:
+        avg["lognorm"] = g.box_integrals(field.log_norm_masses(directions)[index], bands)
+        avg["lognorm"] /= mu_q[:, None]
+    return ratio_kernel(avg, keys, directions)
+
+
+def dyadic_ratios(field, keys=RATIO_KEYS):
+    """``ratio_kernel`` over every dyadic cube, level by level in C order, from
+    the field's cached average trees."""
+    avg = {}
+    for m in _moments(keys):
+        tree = field.averages(m)
+        avg[m] = np.concatenate(tree, axis=None).reshape((-1,) + tree[0].shape[field.grid.n :])
+    return ratio_kernel(avg, keys)
+
+
 def cube_ratios(field, cube):
-    """``box_ratios`` of one dyadic cube, as floats."""
-    r = box_ratios(field, field.grid.cube_box(cube))
-    r["chain"] = tuple(float(v[0]) for v in r["chain"])
-    return {k: v if k == "chain" else float(v[0]) for k, v in r.items()}
+    """``ratio_kernel`` of one dyadic cube, from the field's average trees, as floats."""
+    avg = {m: field.averages(m)[cube.level][cube.coords][None] for m in MOMENTS}
+    r = ratio_kernel(avg, RATIO_KEYS)
+    return {k: tuple(float(x[0]) for x in v) if k == "chain" else float(v[0]) for k, v in r.items()}
 
 
 class FamilyScan(NamedTuple):

@@ -46,6 +46,11 @@ def random_weight_field(rng, n=1, N=2, L=3, spread=0.5, mu_spread=0.0):
     return WeightField(Grid(n, L, mu), values)
 
 
+def cube_measure(grid, cube):
+    """mu(cube), read from the grid's dyadic mass tree."""
+    return float(grid._mu_tree[cube.level][cube.coords])
+
+
 def cube_parent(cube):
     if cube.level == 0:
         raise ValueError("root cube has no parent")

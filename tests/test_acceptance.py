@@ -36,7 +36,7 @@ from dwlab.stopping import (
     run_stopping,
     volberg_stop,
 )
-from dwlab.tb import canonical_family, make_gamma, tb_run
+from dwlab.tb import CanonicalFamily, make_gamma, tb_run
 from dwlab.weights import b2_constants, cube_ratios
 
 from conftest import bernoulli_criterion, chain_residual, random_weight_field
@@ -81,7 +81,7 @@ def test_1c_canonical_normalization():
     for i in range(50):
         N = [1, 2, 3][i % 3]
         w = random_weight_field(rng, n=1, N=N, L=3, spread=0.8, mu_spread=0.4)
-        fam = canonical_family(w)
+        fam = CanonicalFamily(w)
         for _ in range(20):
             level = int(rng.integers(0, 4))
             cube = Cube(level, (int(rng.integers(0, 2**level)),))
@@ -395,7 +395,7 @@ def test_4c_kato_first_generation_contraction(packing_fields):
     for i, f in enumerate(packing_fields):
         v0 = np.random.default_rng(i).standard_normal(f.N)
         v0 /= np.linalg.norm(v0)
-        _, ratio = kato_family_stop(root, f, canonical_family(f), v0, 0.1)
+        _, ratio = kato_family_stop(root, f, CanonicalFamily(f), v0, 0.1)
         worst = max(worst, ratio)
     _report("4c kato-contraction", worst <= 0.99, f"worst first-generation mass {worst:.4f}")
 

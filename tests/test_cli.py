@@ -165,13 +165,16 @@ def test_corona_partition_check_catches_wrong_engine(monkeypatch, tmp_path):
     assert json.loads(rep.read_text())["partition_residual"] > 1e-9
 
 
-def test_cone_net_subcommand(tmp_path):
+def test_cone_net_subcommand(tmp_path, capsys):
     rep = tmp_path / "r.json"
     rc = main(["cone-net", "--N", "2", "--eps1", "0.5", "--trials", "300", "--report", str(rep)])
     assert rc == 0
     d = json.loads(rep.read_text())
     assert d["size"] >= 51 and d["failures"] == 0
     assert d["certificate_cos"] >= d["required_cos"]
+    capsys.readouterr()
+    assert main(["cone-net", "--N", "2", "--eps1", "0.5", "--trials", "-5"]) == 1
+    assert capsys.readouterr().err.startswith("cone-net: --trials must be at least 0")
 
 
 def _wrong_neighbour(monkeypatch):
@@ -214,7 +217,7 @@ def test_net_too_large_to_walk_exits_1(tmp_path, capsys):
     assert not rep.exists()
 
 
-def test_rrt_search_subcommand(tmp_path):
+def test_rrt_search_subcommand(tmp_path, capsys):
     rep = tmp_path / "r.json"
     rc = main([
         "rrt-search", "--m", "2", "--delta", "0.1",
@@ -231,6 +234,10 @@ def test_rrt_search_subcommand(tmp_path):
     assert [r["delta"] for r in json.loads(rep.read_text())["rows"]] == [0.1, 0.2]
     # exactly one mode must be given
     assert main(["rrt-search", "--m", "2"]) == 1
+    capsys.readouterr()
+    for mode in (["--delta", "0.1"], ["--eps-grid", "0.1"]):
+        assert main(["rrt-search", "--m", "2", *mode, "--budget", "-3"]) == 1
+        assert capsys.readouterr().err.startswith("rrt-search: --budget must be at least 0")
 
 
 def test_inclusion_search_subcommand(tmp_path, capsys):
@@ -255,11 +262,14 @@ def test_inclusion_search_subcommand(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"inclusion-search: {flag} must be"), flag
 
 
-def test_paraproduct_demo(tmp_path):
+def test_paraproduct_demo(tmp_path, capsys):
     rep = tmp_path / "r.json"
     assert main(["paraproduct-demo", "--depth", "6", "--report", str(rep)]) == 0
     d = json.loads(rep.read_text())
     assert d["product_identity_residual"] <= 1e-10
+    capsys.readouterr()
+    assert main(["paraproduct-demo", "--depth", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("paraproduct-demo: --depth must be at least 0")
 
 
 def test_malformed_field_exit_code(tmp_path, capsys):
@@ -318,6 +328,13 @@ def test_config_roundtrip(tmp_path):
             RunConfig(**{name: float("nan")}).validate()
     with pytest.raises(ValueError, match="lambda"):
         RunConfig(lam=float("inf")).validate()
+    for tol in (-1.0, 1.0, 5.0, float("inf")):
+        with pytest.raises(ValueError, match="loewner_tol"):
+            RunConfig(loewner_tol=tol).validate()
+    for cap in (0.5, -1.0, float("-inf")):
+        with pytest.raises(ValueError, match="doubling_cap"):
+            RunConfig(doubling_cap=cap).validate()
+    RunConfig(loewner_tol=0.0, doubling_cap=1.0).validate()
 
 
 def test_config_with_retired_keys_still_loads(tmp_path):

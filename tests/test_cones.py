@@ -231,6 +231,8 @@ def test_coverage_zero_failures(rng):
     for N, eps1 in ((1, 0.3), (2, 0.3), (3, 0.5), (4, 0.5)):
         net = build_net(N, eps1, probes=4000)
         assert coverage_check(net, 2000, seed=7) == 0
+    with pytest.raises(ValueError, match="trials"):
+        coverage_check(net, -5)
 
 
 def test_coverage_rank_one_aligned():

@@ -17,24 +17,31 @@ from dwlab.grid import (
 )
 from dwlab.weights import b2_constants
 
-from conftest import cube_contains, cube_parent, doubling_of, family_labels, random_weight_field
+from conftest import (
+    cube_contains,
+    cube_measure,
+    cube_parent,
+    doubling_of,
+    family_labels,
+    random_weight_field,
+)
 
 
 def test_measure_examples():
-    assert Grid(1, 0).measure(root_cube(1)) == 1.0
-    assert Grid(1, 1).measure(Cube(1, (0,))) == 0.5
+    assert cube_measure(Grid(1, 0), root_cube(1)) == 1.0
+    assert cube_measure(Grid(1, 1), Cube(1, (0,))) == 0.5
     # density 2 on [0,1/2), 1 on [1/2,1): single-cell sum 2 * 1/2 = 1
-    assert Grid(1, 1, [2.0, 1.0]).measure(Cube(1, (0,))) == 1.0
+    assert cube_measure(Grid(1, 1, [2.0, 1.0]), Cube(1, (0,))) == 1.0
 
 
 def test_avg_matrix_examples():
     g = Grid(1, 1)
     w = WeightField(g, np.array([np.diag([1.0, 1.0]), np.diag([3.0, 1.0])]))
-    assert np.allclose(w.avg_entries(root_cube(1), 1), np.diag([2.0, 1.0]))
+    assert np.allclose(w.avg_entries(root_cube(1)), np.diag([2.0, 1.0]))
     # single finest cell returns the cell value
-    assert np.allclose(w.avg_entries(Cube(1, (1,)), 1), np.diag([3.0, 1.0]))
+    assert np.allclose(w.avg_entries(Cube(1, (1,))), np.diag([3.0, 1.0]))
     const = WeightField(Grid(1, 2), np.broadcast_to(np.diag([2.0, 5.0]), (4, 2, 2)).copy())
-    assert np.allclose(const.avg_entries(root_cube(1), 1), np.diag([2.0, 5.0]))
+    assert np.allclose(const.avg_entries(root_cube(1)), np.diag([2.0, 5.0]))
 
 
 def test_weighted_avg_hand_case():
@@ -155,8 +162,8 @@ def test_expectation_l2_bound_by_reverse_holder_constant(rng):
 def test_partition_exactness(rng):
     g = Grid(2, 2, rng.uniform(0.25, 4.0, (4, 4)))
     for cube in g.cubes(range(2)):
-        kids = sum(g.measure(c) for c in cube.children())
-        assert abs(kids - g.measure(cube)) <= 1e-14 * g.measure(cube)
+        kids = sum(cube_measure(g, c) for c in cube.children())
+        assert abs(kids - cube_measure(g, cube)) <= 1e-14 * cube_measure(g, cube)
 
 
 def test_doubling_examples():

@@ -115,6 +115,20 @@ def test_tree_screen_matches_box_path(seed, n, N, L):
     w = random_weight_field(rng, n=n, N=N, L=L, spread=0.5, mu_spread=0.5)
     got, want = harness._dyadic_constants(w), _box_path_screen(w)
     assert all(_close(x, y) for x, y in zip(got, want)), (got, want)
+    # Every per-cube ratio of the tree source against the band path at shift 0,
+    # whose batches list the dyadic cubes level by level in C order.
+    tree = weights.dyadic_ratios(w)
+    band = [weights.box_ratios(w, batch) for batch in w.grid.box_batches(0)]
+    assert sorted(tree) == sorted(band[0]) and "chain" in tree
+    for key, values in tree.items():
+        if key == "chain":
+            pairs = zip(values, (np.concatenate(t) for t in zip(*(r[key] for r in band))))
+        else:
+            pairs = [(values, np.concatenate([r[key] for r in band]))]
+        for a, b in pairs:
+            # identity_residual is already relative to thewest
+            scale = 1.0 if key == "identity_residual" else np.maximum(abs(a), abs(b))
+            assert np.all(np.abs(a - b) <= 1e-12 * scale), key
 
 
 def test_tree_screen_skips_box_path(monkeypatch):
@@ -124,6 +138,7 @@ def test_tree_screen_skips_box_path(monkeypatch):
     w = random_weight_field(np.random.default_rng(5), n=2, N=2, L=3, mu_spread=0.5)
     monkeypatch.setattr(weights, "box_ratios", refuse)
     monkeypatch.setattr(Grid, "box_batches", refuse)
+    monkeypatch.setattr(Grid, "box_cells", refuse)
     b2, ainf = harness._dyadic_constants(w)
     assert b2 > 1.0 and ainf > 1.0
 

@@ -67,6 +67,10 @@ def test_search_guards():
         worst_case_search(1, 0.1)
     with pytest.raises(ValueError):
         worst_case_search(2, 1.5)
+    with pytest.raises(ValueError, match="budget"):
+        worst_case_search(2, 0.1, budget=-3)
+    with pytest.raises(ValueError, match="budget"):
+        delta_of_eps_curve(2, [0.1], budget=-3)
 
 
 def test_search_beats_scalar_witness():

@@ -22,7 +22,7 @@ from dwlab.stopping import (
     volberg_criterion,
     volberg_stop,
 )
-from dwlab.tb import CanonicalFamily, canonical_family
+from dwlab.tb import CanonicalFamily
 
 from conftest import (
     ALWAYS,
@@ -30,6 +30,7 @@ from conftest import (
     bernoulli_criterion,
     chain_residual,
     cube_contains,
+    cube_measure,
     cube_parent,
     cube_walk,
     first_generation,
@@ -129,8 +130,8 @@ def test_geometric_packing_bound(rng):
         res = run_stopping(root_cube(1), bernoulli_criterion(0.25, seed + 100), 5)
         ratios = []
         for s in cubes(res, res.stops):
-            mass = sum(g.measure(r) for r in first_gen(res, s))
-            ratios.append(mass / g.measure(s))
+            mass = sum(cube_measure(g, r) for r in first_gen(res, s))
+            ratios.append(mass / cube_measure(g, s))
         c = max(ratios)
         if c < 1.0:
             assert packing_constant(res, g) <= 1.0 / (1.0 - c) + 1e-9
@@ -336,7 +337,7 @@ def test_kato_family_canonical_contraction(rng):
         w = random_weight_field(rng, N=2, L=4, spread=0.5)
         v0 = rng.standard_normal(2)
         v0 /= np.linalg.norm(v0)
-        res, ratio = kato_family_stop(root_cube(1), w, canonical_family(w), v0, 0.1)
+        res, ratio = kato_family_stop(root_cube(1), w, CanonicalFamily(w), v0, 0.1)
         assert ratio <= 0.99
         assert residual(res) == 0.0
 

@@ -10,8 +10,8 @@ from dwlab.cones import ConeNet
 from dwlab.grid import Cube, Grid, WeightField, root_cube, weighted_avg, write_weight_field
 from dwlab.harness import WeightGenerator, generate
 from dwlab.tb import (
+    CanonicalFamily,
     LN2,
-    canonical_family,
     carleson_norm,
     gamma_constant,
     gamma_martingale,
@@ -28,6 +28,7 @@ from conftest import (
     bernoulli_criterion,
     coarse_owner_levels,
     cube_contains,
+    cube_measure,
     first_generation,
     gamma_value,
     random_weight_field,
@@ -69,7 +70,7 @@ def sampled_sup(fam, value, samples, seed):
     worst = 0.0
     for cube, cube_dirs in zip(cubes, dirs):
         for v0 in cube_dirs:
-            worst = max(worst, value(cube, fam.b_values(cube, v0)) / g.measure(cube))
+            worst = max(worst, value(cube, fam.b_values(cube, v0)) / cube_measure(g, cube))
     return math.sqrt(worst)
 
 
@@ -130,7 +131,7 @@ def test_testfun_carleson_two_dimensional(rng):
     # subtree slicing for n=2: compare against a brute-force cube loop
     w = random_weight_field(rng, n=2, N=2, L=2, spread=0.5, mu_spread=0.3)
     g = gamma_random(w.grid, 1, 2, seed=4)
-    fam = canonical_family(w)
+    fam = CanonicalFamily(w)
     root = Cube(1, (0, 1))
     v = np.array([1.0, 0.0])
     b = fam.b_values(root, v)
@@ -139,13 +140,13 @@ def test_testfun_carleson_two_dimensional(rng):
     for r in (c for c in w.grid.cubes() if cube_contains(root, c)):
         e = weighted_avg(b, r, w)
         ge = gamma_value(g, r) @ e
-        brute += float(ge @ ge) * w.grid.measure(r) * LN2
+        brute += float(ge @ ge) * cube_measure(w.grid, r) * LN2
     assert abs(got - brute) <= 1e-12 * max(brute, 1.0)
 
 
 def test_canonical_family_constant_weight():
     w = ones_field(2, N=2)
-    fam = canonical_family(w)
+    fam = CanonicalFamily(w)
     v = np.array([0.6, 0.8])
     b = fam.b_values(root_cube(1), v)
     assert np.allclose(b, v)
@@ -154,7 +155,7 @@ def test_canonical_family_constant_weight():
 
 def test_canonical_family_two_cell_energy():
     w = WeightField(Grid(1, 1), np.array([1.0, 3.0]).reshape(2, 1, 1))
-    fam = canonical_family(w)
+    fam = CanonicalFamily(w)
     b = fam.b_values(root_cube(1), np.array([1.0]))
     assert np.allclose(b.ravel(), [2.0, 2.0 / 3.0])
     assert abs(fam.c3() - math.sqrt(20.0 / 9.0)) < 1e-12
@@ -165,12 +166,12 @@ def test_canonical_normalization_dual_route(rng):
     for _ in range(40):
         N = int(rng.integers(1, 4))
         w = random_weight_field(rng, N=N, L=3, spread=0.8, mu_spread=0.4)
-        fam = canonical_family(w)
+        fam = CanonicalFamily(w)
         level = int(rng.integers(0, 4))
         cube = Cube(level, (int(rng.integers(0, 2**level)),))
         v = rng.standard_normal(N)
         v /= np.linalg.norm(v)
-        w_q = w.avg_entries(cube, 1)[None]
+        w_q = w.avg_entries(cube)[None]
         closed = fam.expectations(w_q, w_q, v[None])[0]
         integral = weighted_avg(fam.b_values(cube, v), cube, w)
         assert np.allclose(closed, v, atol=1e-10)
@@ -269,8 +270,8 @@ def test_gamma_martingale_root_zero(rng):
     assert np.allclose(g.levels[0], 0.0)
     assert g.levels[2].shape == (4, 1, 2)
     # level-1 values equal the average jumps
-    top = w.avg_entries(root_cube(1), 1)
-    child = w.avg_entries(Cube(1, (0,)), 1)
+    top = w.avg_entries(root_cube(1))
+    child = w.avg_entries(Cube(1, (0,)))
     assert np.allclose(g.levels[1][0], (child - top)[:1, :])
 
 
@@ -290,7 +291,7 @@ def test_canonical_c3_c4_match_generic_paths(n, N, kind, samples, seed):
     L = int(rng.integers(1, 5 if n == 1 else 3))
     w = random_weight_field(rng, n=n, N=N, L=L, spread=0.6, mu_spread=0.3)
     gam = make_gamma(kind, w, seed=seed)
-    fam = canonical_family(w)
+    fam = CanonicalFamily(w)
     pairs = (
         (fam.c3(), sampled_c3(fam, samples, seed)),
         (fam.c4(gam), sampled_c4(fam, gam, samples, seed)),
@@ -370,7 +371,7 @@ def test_level_engine_matches_cube_walk_oracle(n, L, kind, seed):
         vectors = rng.standard_normal((3, 2))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         label = rng.integers(0, 3, tree.size)  # each cube's own sector
-        avg = tree.averages(w)
+        avg = tree.gather(w.averages("w"))
 
         def canonical(v):
             return lambda w_s, w_r, r: tb.CanonicalFamily.expectations(w_s, w_r, v)
