@@ -347,7 +347,13 @@ def _build_parser():
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--eps-grid", default=None)
-    p.add_argument("--budget", type=int, default=10000)
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=10000,
+        help="annealing steps, split evenly over the 50 restarts (each also "
+        "evaluates its initial pair; a budget below 50 anneals nothing)",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_rrt_search)

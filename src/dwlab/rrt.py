@@ -118,6 +118,8 @@ def worst_case_search(
 
     Annealing over (diagonal B, symmetric perturbation); the margin constraint
     is enforced exactly by the spectral clipping in the parametrization.
+    Each restart evaluates its initial pair and then ``budget // restarts``
+    annealing steps, so a budget below ``restarts`` anneals nothing.
     Deterministic for fixed seed regardless of worker count.
     """
     if m < 2:
@@ -129,7 +131,7 @@ def worst_case_search(
     if delta == 0.0:
         eye = np.eye(m)
         return RrtInstance(m, eye, eye, 0.0, 0.0)
-    steps = max(1, budget // max(restarts, 1))
+    steps = budget // max(restarts, 1)
     seeds = np.random.SeedSequence(seed).spawn(restarts)
     tasks = [
         (m, delta, steps, int(s.generate_state(1)[0]), t0, ratio) for s in seeds

@@ -17,6 +17,7 @@ propagates owners down the levels and gives every decomposition;
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,6 +39,7 @@ __all__ = [
     "corona_criterion",
     "volberg_criterion",
     "kato_criterion",
+    "norm_exceeds",
     "kato_fires",
     "volberg_stop",
     "kato_stop",
@@ -272,13 +274,42 @@ def _field_criterion(name, field, rule):
     return StoppingCriterion(name, lambda tree, s, r: rule(avg[s], avg[r], r))
 
 
+def _norm_criterion(name, field, product, threshold, strict):
+    """Criterion firing when the operator norm of ``product(avg, inv, s, r)``
+    passes ``threshold`` (``>`` if ``strict``, else ``>=``), with ``avg`` the
+    tree-order stack of W averages and ``inv`` its inverses, both built once."""
+    avg = CubeTree(field.grid.n, field.grid.L).gather(field.averages("w"))
+    inv = np.linalg.inv(avg)
+    return StoppingCriterion(
+        name, lambda tree, s, r: norm_exceeds(product(avg, inv, s, r), threshold, strict)
+    )
+
+
+def norm_exceeds(a, t, strict):
+    """Per matrix of the stack ``a``: is ``|A|_2 > t`` (``strict``) or
+    ``|A|_2 >= t``, decided as the top singular value of ``svd`` decides it.
+
+    ``f / sqrt(N) <= |A|_2 <= f`` for ``f = |A|_F``. A row with ``f`` below
+    ``t (1 - 1e-12)`` does not fire and one with ``f / sqrt(N)`` above
+    ``t (1 + 1e-12)`` fires: that margin is far wider than the few ulps by
+    which the computed ``f`` and the SVD's top value can stray from the exact
+    norms, so neither side can flip a decision. Only the rows in between reach
+    the SVD.
+    """
+    f = np.sqrt(np.einsum("rij,rij->r", a, a))
+    out = f > t * (1.0 + 1e-12) * math.sqrt(a.shape[-1])
+    open_ = np.flatnonzero(~out & (f >= t * (1.0 - 1e-12)))
+    if open_.size:
+        top = np.linalg.svd(a[open_], compute_uv=False)[:, 0]
+        out[open_] = top > t if strict else top >= t
+    return out
+
+
 def volberg_criterion(field, lam):
     """Fires when |W_S W_R^{-1}| >= lam."""
-
-    def rule(w_s, w_r, r):
-        return np.linalg.svd(w_s @ np.linalg.inv(w_r), compute_uv=False)[:, 0] >= lam
-
-    return _field_criterion(f"volberg(lam={lam:g})", field, rule)
+    return _norm_criterion(
+        f"volberg(lam={lam:g})", field, lambda avg, inv, s, r: avg[s] @ inv[r], lam, False
+    )
 
 
 def volberg_stop(root, field, lam):
@@ -332,11 +363,9 @@ def kato_family_stop(root, field, family, v0, eps2):
 def corona_criterion(field, eps3):
     """Fires when |W_S^{-1} W_R - I| > eps3."""
     eye = np.eye(field.N)
-
-    def rule(w_s, w_r, r):
-        return np.linalg.svd(np.linalg.inv(w_s) @ w_r - eye, compute_uv=False)[:, 0] > eps3
-
-    return _field_criterion(f"corona(eps3={eps3:g})", field, rule)
+    return _norm_criterion(
+        f"corona(eps3={eps3:g})", field, lambda avg, inv, s, r: inv[s] @ avg[r] - eye, eps3, True
+    )
 
 
 def corona_stop(root, field, eps3):

@@ -94,6 +94,30 @@ def bernoulli_criterion(probability, seed):
     return StoppingCriterion(f"bernoulli(p={probability:g})", fires_many)
 
 
+def _avg_criterion(name, field, rule):
+    avg = CubeTree(field.grid.n, field.grid.L).gather(field.averages("w"))
+    return StoppingCriterion(name, lambda tree, s, r: rule(avg[s], avg[r], r))
+
+
+def oracle_volberg_criterion(field, lam):
+    """The unscreened Volberg rule: one ``inv`` and one full ``svd`` per row."""
+
+    def rule(w_s, w_r, r):
+        return np.linalg.svd(w_s @ np.linalg.inv(w_r), compute_uv=False)[:, 0] >= lam
+
+    return _avg_criterion(f"volberg(lam={lam:g})", field, rule)
+
+
+def oracle_corona_criterion(field, eps3):
+    """The unscreened corona rule: one ``inv`` and one full ``svd`` per row."""
+    eye = np.eye(field.N)
+
+    def rule(w_s, w_r, r):
+        return np.linalg.svd(np.linalg.inv(w_s) @ w_r - eye, compute_uv=False)[:, 0] > eps3
+
+    return _avg_criterion(f"corona(eps3={eps3:g})", field, rule)
+
+
 NEVER = StoppingCriterion("never", lambda tree, s, r: np.zeros(len(r), dtype=bool))
 ALWAYS = StoppingCriterion("always", lambda tree, s, r: np.ones(len(r), dtype=bool))
 

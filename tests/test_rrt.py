@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dwlab import rrt
 from dwlab.rrt import (
     conclusion_value,
     delta_of_eps_curve,
@@ -60,6 +61,16 @@ def test_reverse_triangle_converse(rng):
 def test_search_zero_delta():
     inst = worst_case_search(2, 0.0, budget=10, seed=0)
     assert inst.epsilon_measured == 0.0 and np.allclose(inst.a, inst.b)
+
+
+@pytest.mark.parametrize("budget,calls", [(0, 50), (10, 50), (49, 50), (50, 100), (100, 150)])
+def test_search_budget_counts_steps(monkeypatch, budget, calls):
+    # One evaluation of each restart's initial pair, then budget // 50 steps each.
+    seen = []
+    real = rrt.conclusion_value
+    monkeypatch.setattr(rrt, "conclusion_value", lambda a, b: seen.append(1) or real(a, b))
+    worst_case_search(2, 0.1, budget=budget, seed=0)
+    assert len(seen) == calls
 
 
 def test_search_guards():

@@ -10,11 +10,13 @@ from dwlab.stopping import (
     chain_owners,
     corona_criterion,
     corona_stop,
+    first_generation_levels,
     kato_criterion,
     kato_family_stop,
     kato_stop,
     loewner_geq,
     martingale_square_check,
+    norm_exceeds,
     owner_levels,
     packing_constant,
     partition_residual,
@@ -34,6 +36,8 @@ from conftest import (
     cube_parent,
     cube_walk,
     first_generation,
+    oracle_corona_criterion,
+    oracle_volberg_criterion,
     random_weight_field,
 )
 
@@ -395,6 +399,77 @@ def test_corona_sawtooth_oscillation_bound(rng):
             for r in sawtooth(res, s):
                 dev = np.linalg.solve(w_s, avg(w, r)) - np.eye(2)
                 assert np.linalg.norm(dev, 2) <= eps3 * (1.0 + 1e-12), (s, r)
+
+
+def _near_threshold_rows(rng, kind, N, count, t0):
+    """``count`` matrices of ``kind`` scaled so that each top singular value
+    is ``t0`` to a few ulps."""
+    g = rng.standard_normal((count, N, N))
+    if kind == "rank_one":
+        a = g[:, :, :1] * g[:, :1, :]
+    elif kind == "scaled_orthogonal":
+        a = np.linalg.qr(g)[0]
+    else:
+        a = g
+    return a * (t0 / np.linalg.svd(a, compute_uv=False)[:, 0])[:, None, None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["rank_one", "scaled_orthogonal", "general"]),
+    N=st.integers(1, 4),
+    ulps=st.integers(-2, 2),
+    strict=st.booleans(),
+    t0=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_norm_screen_matches_svd_at_the_threshold(kind, N, ulps, strict, t0, seed):
+    # Rows whose computed top singular value lies within 1e-15 relative of t,
+    # on both sides.  Rank-one rows meet the upper bound |A|_F and scaled
+    # orthogonal rows the lower bound |A|_F / sqrt(N), so only the margin
+    # keeps the Frobenius screen from deciding them by rounding.
+    a = _near_threshold_rows(np.random.default_rng(seed), kind, N, 256, t0)
+    t = np.float64(t0)
+    for _ in range(abs(ulps)):
+        t = np.nextafter(t, ulps * np.inf)
+    top = np.linalg.svd(a, compute_uv=False)[:, 0]
+    near = np.abs(top - t) <= 1e-15 * t
+    assert near.sum() >= 8
+    a, top = a[near], top[near]
+    assert np.array_equal(norm_exceeds(a, t, strict), top > t if strict else top >= t)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n,N,L", [(1, 2, 6), (1, 3, 5), (2, 2, 3), (2, 3, 3)])
+def test_screened_walks_match_svd_oracle(n, N, L, seed):
+    # Thresholds are exact computed norms of rows under the root, so some
+    # rows tie and the walks hold both fired and unfired cubes.
+    w = random_weight_field(np.random.default_rng(seed), n, N, L, spread=0.6, mu_spread=0.3)
+    tree = CubeTree(n, L)
+    avg = tree.gather(w.averages("w"))
+    cor = np.linalg.svd(np.linalg.inv(avg[0]) @ avg - np.eye(N), compute_uv=False)[1:, 0]
+    vol = np.linalg.svd(avg[0] @ np.linalg.inv(avg), compute_uv=False)[1:, 0]
+    pairs = []
+    for q in (0.2, 0.5, 0.8):
+        eps3 = float(np.quantile(cor, q, method="lower"))
+        lam = float(np.quantile(vol, q, method="lower"))
+        pairs.append((corona_criterion(w, eps3), oracle_corona_criterion(w, eps3)))
+        pairs.append((volberg_criterion(w, lam), oracle_volberg_criterion(w, lam)))
+    rows = np.arange(1, tree.size)
+    for crit, oracle in pairs:
+        fired = crit.fires_many(tree, np.zeros_like(rows), rows)
+        assert 0 < fired.sum() < rows.size
+        assert np.array_equal(fired, oracle.fires_many(tree, np.zeros_like(rows), rows))
+        for j in range(L + 1):
+            span = tree.span(j)
+            for got, want in zip(owner_levels(tree, crit, span), owner_levels(tree, oracle, span)):
+                assert np.array_equal(got, want)
+            got = first_generation_levels(tree, crit, span)
+            assert np.array_equal(got, first_generation_levels(tree, oracle, span))
+        for root in (root_cube(n), Cube(1, (1,) * n)):
+            got, want = run_stopping(root, crit, L), run_stopping(root, oracle, L)
+            for name in ("cubes", "owner", "stops", "parents"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_martingale_two_cell_equality():
