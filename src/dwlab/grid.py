@@ -86,10 +86,12 @@ _CELL_UNITS = 36
 class BoxBatch:
     """The product of per-axis intervals ``[lo[i][j], hi[i][j])``, flattened in
     C order, in integer lattice steps; ``pos`` holds their per-axis positions
-    in a translated grid."""
+    in a translated grid.  A batch of ``Grid.box_batches`` also holds the
+    ``rows`` (first, stop) of its (shift, level) family along the first axis."""
 
-    def __init__(self, lo, hi, pos, shift=0, level=0):
+    def __init__(self, lo, hi, pos, shift=0, level=0, rows=None):
         self.lo, self.hi, self.pos, self.shift, self.level = lo, hi, pos, shift, level
+        self.rows = rows
 
     def __len__(self):
         return math.prod(len(p) for p in self.pos)
@@ -118,14 +120,6 @@ def _coarsen(arr, n):
         sum(((half, 2) for _ in range(n)), ()) + shape[n:]
     )
     return new.sum(axis=tuple(2 * k + 1 for k in range(n)))
-
-
-def _level_sums(finest, n, L):
-    """Sums of ``finest`` over the dyadic cubes of each level, coarsest first."""
-    tree = [finest]
-    for _ in range(L):
-        tree.append(_coarsen(tree[-1], n))
-    return tree[::-1]
 
 
 class CellValueError(ValueError):
@@ -162,12 +156,47 @@ class Grid:
         mu.setflags(write=False)
         self.mu = mu
         self.cell_volume = 2.0 ** (-self.n * self.L)
-        # Integral of mu over every dyadic cube, one array per level.
-        self._mu_tree = _level_sums(mu * self.cell_volume, self.n, self.L)
+        # First row of each level in a flat stack of dyadic cubes, and the end.
+        self._starts = [(2 ** (self.n * k) - 1) // (2**self.n - 1) for k in range(self.L + 2)]
+        # Integral of mu over every dyadic cube: one flat stack, and its levels.
+        self._mu_stack = self.integrals(np.ones(shape))
+        self._mu_stack.setflags(write=False)
+        self._mu_tree = self.levels(self._mu_stack)
+        # Translated-grid geometry, built once per grid; see _family and box_cells.
+        self._families = {}
+        self._cells = {}
 
     @property
     def side(self):
         return 2**self.L
+
+    def integrals(self, cell_values):
+        """Integrals of ``cell_values`` d(mu) over every dyadic cube as one flat
+        stack, one row per cube: levels coarsest first, each level's cubes in
+        C order.  Each level sums the 2x...x2 sibling blocks of the level below
+        in one reduction over its first ``n`` axes, written in place."""
+        n, starts = self.n, self._starts
+        tail = cell_values.shape[n:]
+        out = np.empty((starts[-1],) + tail)
+        finest = out[starts[-2] :].reshape(cell_values.shape)
+        np.multiply(cell_values, self.mu.reshape(self.mu.shape + (1,) * len(tail)), out=finest)
+        finest *= self.cell_volume
+        siblings = tuple(range(1, 2 * n, 2))
+        for k in range(self.L, 0, -1):
+            side = 2 ** (k - 1)
+            blocks = out[starts[k] : starts[k + 1]].reshape((side, 2) * n + tail)
+            parents = out[starts[k - 1] : starts[k]].reshape((side,) * n + tail)
+            np.add.reduce(blocks, axis=siblings, out=parents)
+        return out
+
+    def levels(self, stack):
+        """Per-level views of a flat stack of dyadic cubes, each with leading
+        axes ``(2**k,) * n``."""
+        s = self._starts
+        return [
+            stack[s[k] : s[k + 1]].reshape((2**k,) * self.n + stack.shape[1:])
+            for k in range(self.L + 1)
+        ]
 
     def cubes(self, levels=None):
         if levels is None:
@@ -216,27 +245,45 @@ class Grid:
         """
         if levels is None:
             levels = range(self.L + 1)
-        units = _CELL_UNITS * self.side
         for s_idx, s in enumerate(self.shift_vectors(shifts)):
-            offset = [v * units // 9 for v in s]
             for k in levels:
-                h = units >> k
-                pos = [np.arange((units - o) // h) for o in offset]
-                if any(len(p) == 0 for p in pos):
+                family = self._family(s_idx, s, k)
+                if family is None:
                     continue
+                boxes, cells, doubled = family
+                if box_floats is not None:
+                    cells = box_floats(k, cells, doubled)
+                count = len(boxes.pos[0])
+                rows = max(1, _BATCH_FLOATS // (cells * math.prod(len(p) for p in boxes.pos[1:])))
+                for r in range(0, count, rows):
+                    first_axis = ((x[0][r : r + rows], *x[1:]) for x in (boxes.lo, boxes.hi, boxes.pos))
+                    yield BoxBatch(*first_axis, s_idx, k, (r, min(r + rows, count)))
+
+    def _family(self, s_idx, vec, k):
+        """The boxes of the level-``k`` grid translated by ``vec`` (in ninths)
+        that lie inside [0,1)^n, with the band cells of a box and of its double
+        2Q, or None when there are none.  Built once per grid and read-only;
+        ``s_idx`` names ``vec``, since the shift vectors are prefix-nested."""
+        key = (s_idx, k)
+        if key not in self._families:
+            units = _CELL_UNITS * self.side
+            h = units >> k
+            offset = [v * units // 9 for v in vec]
+            pos = [np.arange((units - o) // h) for o in offset]
+            family = None
+            if all(len(p) for p in pos):
                 lo = [o + p * h for o, p in zip(offset, pos)]
                 hi = [a + h for a in lo]
-                family = BoxBatch(lo, hi, pos, s_idx, k)
-                cells = self._band_cells(family)
-                if box_floats is not None:
-                    cells = box_floats(k, cells, self._band_cells(family.doubled()))
-                rows = max(1, _BATCH_FLOATS // (cells * math.prod(len(p) for p in pos[1:])))
-                for r in range(0, len(pos[0]), rows):
-                    first_axis = ((x[0][r : r + rows], *x[1:]) for x in (lo, hi, pos))
-                    yield BoxBatch(*first_axis, s_idx, k)
+                for a in (*pos, *lo, *hi):
+                    a.setflags(write=False)
+                boxes = BoxBatch(lo, hi, pos, s_idx, k)
+                family = (boxes, self._band_cells(boxes), self._band_cells(boxes.doubled()))
+            self._families[key] = family
+        return self._families[key]
 
-    def box_cells(self, batch):
-        """Where the boxes of ``batch`` sit on the finest cells.
+    def box_cells(self, batch, doubled=False):
+        """Where the boxes of ``batch``, or their doubles 2Q if ``doubled``, sit
+        on the finest cells.
 
         Along one axis an interval [lo, hi) overlaps at most
         ``ceil((hi - lo) / _CELL_UNITS) + 1`` consecutive cells, so per axis a
@@ -245,7 +292,16 @@ class Grid:
         is ``_CELL_UNITS**n`` times the mass of the box; its readers take ratios.
         Returns an index tuple that gathers a cell array into shape
         ``(count_0, ..., count_{n-1}, m_0, ..., m_{n-1}) + tail`` and the bands.
+
+        ``m`` is the widest band among the batch's own rows (a clipped double is
+        narrower), so the arrays of a batch of ``box_batches`` are memoised per
+        grid under its family (shift, level, doubled) and rows, read-only.
         """
+        key = None if batch.rows is None else (batch.shift, batch.level, doubled, batch.rows)
+        if key is not None and key in self._cells:
+            return self._cells[key]
+        if doubled:
+            batch = batch.doubled()
         n, side, w = self.n, self.side, _CELL_UNITS
         index, bands = [], []
         for axis, (lo, hi) in enumerate(zip(batch.lo, batch.hi)):
@@ -256,7 +312,12 @@ class Grid:
             shape[axis], shape[n + axis] = j.shape
             index.append(j.reshape(shape))
             bands.append(np.maximum(band, 0).astype(float))
-        return tuple(index), bands
+        out = tuple(index), tuple(bands)
+        if key is not None:
+            for a in (*index, *bands):
+                a.setflags(write=False)
+            self._cells[key] = out
+        return out
 
     def _band_width(self, lo, hi):
         """Cells in the band of intervals [lo, hi) along one axis."""
@@ -338,30 +399,43 @@ class WeightField:
 
     # Cube integrals ----------------------------------------------------------------
 
-    def _integrals(self, cell_values):
-        """Per-level arrays of the cube integrals of ``cell_values`` d(mu)."""
+    def _trees(self, moments):
+        """Cache the flat stacks of cube integrals and mu-averages of the named
+        ``moments`` not cached yet.  The powers of W asked for together are
+        summed in one pass and divided once by the grid's flat mu stack; a
+        scalar channel (log det W, or a power at N = 1) stacked beside others
+        is summed in another order, so each of those keeps its own tree."""
+        new = [m for m in MOMENTS if m in moments and ("avg", m) not in self._tree_cache]
+        powers = [m for m in new if m != "logdet"]
+        groups = [[m] for m in powers] if self.N == 1 else [powers] if powers else []
+        if "logdet" in new:
+            groups.append(["logdet"])
         g = self.grid
-        mu = g.mu.reshape(g.mu.shape + (1,) * (cell_values.ndim - g.n))
-        return _level_sums(cell_values * mu * g.cell_volume, g.n, g.L)
+        for group in groups:
+            if group == ["logdet"]:
+                cells = self.cell_log_det()[..., None]
+            else:
+                cells = np.stack([self.cell_power(_POWERS[m]) for m in group], axis=g.n)
+            sums = g.integrals(cells)
+            avgs = sums / g._mu_stack.reshape((-1,) + (1,) * (sums.ndim - 1))
+            for i, m in enumerate(group):
+                self._tree_cache["sum", m], self._tree_cache["avg", m] = sums[:, i], avgs[:, i]
 
-    def integral_tree(self, exponent):
-        """Per-level arrays of the cube integrals of W**exponent d(mu)."""
-        key = ("pow", exponent)
-        if key not in self._tree_cache:
-            self._tree_cache[key] = self._integrals(self.cell_power(exponent))
-        return self._tree_cache[key]
+    def average_stacks(self, moments):
+        """Flat stacks of the mu-averages of the named ``moments`` (see
+        ``MOMENTS``) over every dyadic cube, one row per cube, levels coarsest
+        first and each in C order: the one source of dyadic averages."""
+        self._trees(moments)
+        return [self._tree_cache["avg", m] for m in moments]
 
     def averages(self, moment):
-        """Per-level arrays of the mu-averages of the named moment (see ``MOMENTS``)
-        over every dyadic cube: the one source of dyadic averages."""
-        key = ("avg", moment)
-        if key not in self._tree_cache:
-            if moment == "logdet":
-                tree, at = self._integrals(self.cell_log_det()), ...
-            else:
-                tree, at = self.integral_tree(_POWERS[moment]), (..., None, None)
-            self._tree_cache[key] = [t / m[at] for t, m in zip(tree, self.grid._mu_tree)]
-        return self._tree_cache[key]
+        """Per-level views of the average stack of ``moment``."""
+        return self.grid.levels(self.average_stacks((moment,))[0])
+
+    def integral_tree(self, moment):
+        """Per-level views of the stack of cube integrals of ``moment`` d(mu)."""
+        self._trees((moment,))
+        return self.grid.levels(self._tree_cache["sum", moment])
 
     def avg_entries(self, cube, moment="w"):
         return self.averages(moment)[cube.level][cube.coords]
@@ -369,10 +443,9 @@ class WeightField:
     def expectation_levels(self, f):
         """Weighted averages E_R f = (int_R W dmu)^{-1} int_R W f dmu of a vector
         field ``f`` over every dyadic cube R, one array per level."""
-        iwf = self._integrals(np.einsum("...ij,...j->...i", self.values, np.asarray(f, float)))
-        return [
-            np.linalg.solve(iw, x[..., None])[..., 0] for iw, x in zip(self.integral_tree(1), iwf)
-        ]
+        iwf = self.grid.integrals(np.einsum("...ij,...j->...i", self.values, np.asarray(f, float)))
+        self._trees(("w",))
+        return self.grid.levels(np.linalg.solve(self._tree_cache["sum", "w"], iwf[..., None])[..., 0])
 
     def moment_masses(self, moments=MOMENTS):
         """Cell masses of 1 and of the named ``moments`` on one last axis: each

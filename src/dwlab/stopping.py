@@ -277,9 +277,13 @@ def _field_criterion(name, field, rule):
 def _norm_criterion(name, field, product, threshold, strict):
     """Criterion firing when the operator norm of ``product(avg, inv, s, r)``
     passes ``threshold`` (``>`` if ``strict``, else ``>=``), with ``avg`` the
-    tree-order stack of W averages and ``inv`` its inverses, both built once."""
-    avg = CubeTree(field.grid.n, field.grid.L).gather(field.averages("w"))
-    inv = np.linalg.inv(avg)
+    tree-order stack of W averages and ``inv`` its inverses, built once per
+    field for every such criterion."""
+    key = ("tree-order", "w", "inv")
+    if key not in field._tree_cache:
+        avg = field.average_stacks(("w",))[0][CubeTree(field.grid.n, field.grid.L).grid_key]
+        field._tree_cache[key] = avg, np.linalg.inv(avg)
+    avg, inv = field._tree_cache[key]
     return StoppingCriterion(
         name, lambda tree, s, r: norm_exceeds(product(avg, inv, s, r), threshold, strict)
     )

@@ -177,7 +177,7 @@ class CanonicalFamily:
 
     def c3(self):
         """Energy of b_Q^v over mu(Q) is u^T (W^-2)_Q u with u = W_Q v."""
-        return self._sup_form(self.field.integral_tree(-2))
+        return self._sup_form(self.field.integral_tree("winv2"))
 
     def c4(self, gamma):
         """E_R b_Q^v = W_R^-1 u for R in Q, so the Carleson sum is u^T M_Q u with

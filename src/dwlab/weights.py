@@ -94,13 +94,15 @@ def ratio_kernel(avg, keys, directions=None):
     ainf_i_jensen (its upper bound from the moments alone).
 
     A determinant is the product of the eigenvalues of its matrix when another
-    key needs them anyway, else one batched LU (``np.linalg.det``).
+    key needs them anyway; the others come from one ``np.linalg.det`` call over
+    the concatenated stacks, whose LU factors each matrix on its own.
     """
     keys = set(keys)
     sampled = directions is not None
     det = {}
+    eigen_keys = {"b2_i", "b2_ii", "b2_iii", "ainf_i"}
 
-    if keys & {"b2_i", "b2_ii", "b2_iii", "ainf_i"}:
+    if keys & eigen_keys:
         ew, vv = np.linalg.eigh(avg["w"])
         det["w"] = np.prod(ew, axis=-1)
         inv_w = (vv / ew[:, None, :]) @ vv.transpose(0, 2, 1)
@@ -125,10 +127,12 @@ def ratio_kernel(avg, keys, directions=None):
         for m, e in zip(inverses, eig[len(stack) :]):
             det[m] = np.prod(e, axis=-1)
 
-    def det_of(m):
-        if m not in det:
-            det[m] = np.linalg.det(avg[m])
-        return det[m]
+    # Every other key reads the determinant of each power of W it reads.
+    need = {m for k in keys - eigen_keys for m in _READS[k]}
+    lu = [m for m in MOMENTS if m in need and m != "logdet" and m not in det]
+    if lu:
+        dets = np.linalg.det(np.concatenate([avg[m] for m in lu]))
+        det.update(zip(lu, dets.reshape(len(lu), -1)))
 
     out = {}
     if keys & {"b2_i", "b2_ii"}:
@@ -142,23 +146,23 @@ def ratio_kernel(avg, keys, directions=None):
     if "b2_iii" in keys:
         out["b2_iii"] = np.max(np.abs(eig[0]), axis=-1)
     if keys & {"b2_iv", "identity_residual"}:
-        out["b2_iv"] = np.sqrt(det_of("w2")) / det_of("w")
+        out["b2_iv"] = np.sqrt(det["w2"]) / det["w"]
     if keys & {"ainf_ii", "identity_residual"}:
-        out["ainf_ii"] = det_of("w") / np.exp(avg["logdet"])
+        out["ainf_ii"] = det["w"] / np.exp(avg["logdet"])
     if "a2" in keys:
-        out["a2"] = det_of("w") * det_of("winv")
+        out["a2"] = det["w"] * det["winv"]
     if keys & {"thewest", "identity_residual"}:
-        out["thewest"] = det_of("w2") / np.exp(2.0 * avg["logdet"])
+        out["thewest"] = det["w2"] / np.exp(2.0 * avg["logdet"])
     if "identity_residual" in keys:
         combined = (out["b2_iv"] * out["ainf_ii"]) ** 2
         out["identity_residual"] = np.abs(out["thewest"] - combined) / np.maximum(out["thewest"], 1.0)
     if "chain" in keys:
         out["chain"] = (
-            np.sqrt(det_of("w2")),
-            det_of("w"),
+            np.sqrt(det["w2"]),
+            det["w"],
             np.exp(avg["logdet"]),
-            1.0 / det_of("winv"),
-            1.0 / np.sqrt(det_of("winv2")),
+            1.0 / det["winv"],
+            1.0 / np.sqrt(det["winv2"]),
         )
     if "ainf_i" in keys and sampled:
         den_i = np.sqrt(np.sum((directions @ inv_w) * directions, axis=-1))
@@ -190,12 +194,9 @@ def box_ratios(field, batch, directions=None, keys=RATIO_KEYS):
 
 def dyadic_ratios(field, keys=RATIO_KEYS):
     """``ratio_kernel`` over every dyadic cube, level by level in C order, from
-    the field's cached average trees."""
-    avg = {}
-    for m in _moments(keys):
-        tree = field.averages(m)
-        avg[m] = np.concatenate(tree, axis=None).reshape((-1,) + tree[0].shape[field.grid.n :])
-    return ratio_kernel(avg, keys)
+    the field's flat average stacks."""
+    moments = _moments(keys)
+    return ratio_kernel(dict(zip(moments, field.average_stacks(moments))), keys)
 
 
 def cube_ratios(field, cube):
@@ -262,7 +263,7 @@ def family_scan(field, keys, shifts=None, directions=64, seed=0):
             # another order than a channel of a stack.
             mass, mass2 = (
                 g.box_integrals(g.cell_masses[index], bands)
-                for index, bands in map(g.box_cells, (batch, batch.doubled()))
+                for index, bands in (g.box_cells(batch), g.box_cells(batch, doubled=True))
             )
             sups["doubling"] = max(sups.get("doubling", 0.0), float(np.max(mass2 / mass)))
         if batch.level > g.L:

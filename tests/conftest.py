@@ -46,6 +46,42 @@ def random_weight_field(rng, n=1, N=2, L=3, spread=0.5, mu_spread=0.0):
     return WeightField(Grid(n, L, mu), values)
 
 
+def _oracle_level_sums(finest, n, L):
+    """Per-level sums of ``finest``, coarsest first, one sibling block at a time."""
+    tree = [finest]
+    for _ in range(L):
+        half = tree[-1].shape[0] // 2
+        blocks = tree[-1].reshape((half, 2) * n + tree[-1].shape[n:])
+        tree.append(blocks.sum(axis=tuple(range(1, 2 * n, 2))))
+    return tree[::-1]
+
+
+def oracle_averages(field, moment):
+    """Per-level mu-averages of one moment: its own tree of cube integrals,
+    divided level by level by the grid's per-level mu tree."""
+    g = field.grid
+    if moment == "logdet":
+        cells, at = field.cell_log_det(), ...
+    else:
+        cells, at = field.cell_power({"w": 1, "w2": 2, "winv": -1, "winv2": -2}[moment]), (..., None, None)
+    mu = g.mu.reshape(g.mu.shape + (1,) * (cells.ndim - g.n))
+    tree = _oracle_level_sums(cells * mu * g.cell_volume, g.n, g.L)
+    mu_tree = _oracle_level_sums(g.mu * g.cell_volume, g.n, g.L)
+    return [t / m[at] for t, m in zip(tree, mu_tree)]
+
+
+def oracle_dyadic_constants(field):
+    """The inclusion screen's (b2_iv, ainf_ii) from the oracle trees, one LU
+    determinant call per moment, both floored at 1."""
+    avg = {
+        m: np.concatenate([t.reshape((-1,) + t.shape[field.grid.n :]) for t in oracle_averages(field, m)])
+        for m in ("w", "w2", "logdet")
+    }
+    det_w, det_w2 = np.linalg.det(avg["w"]), np.linalg.det(avg["w2"])
+    b2, ainf = np.sqrt(det_w2) / det_w, det_w / np.exp(avg["logdet"])
+    return max(1.0, float(b2.max())), max(1.0, float(ainf.max()))
+
+
 def cube_measure(grid, cube):
     """mu(cube), read from the grid's dyadic mass tree."""
     return float(grid._mu_tree[cube.level][cube.coords])

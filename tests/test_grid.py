@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwlab.grid import (
+    MOMENTS,
     BoxBatch,
     Cube,
     FieldFormatError,
@@ -23,6 +24,7 @@ from conftest import (
     cube_parent,
     doubling_of,
     family_labels,
+    oracle_averages,
     random_weight_field,
 )
 
@@ -111,12 +113,12 @@ def test_expectation_levels_match_weighted_avg(rng):
     w = random_weight_field(rng, n=2, N=3, L=2, spread=0.6, mu_spread=0.3)
     f = rng.standard_normal((4, 4, 3))
     levels = w.expectation_levels(f)
-    iwf = w._integrals(np.einsum("...ij,...j->...i", w.values, f))
+    iwf = w.grid.levels(w.grid.integrals(np.einsum("...ij,...j->...i", w.values, f)))
     for cube in w.grid.cubes():
         got = levels[cube.level][cube.coords]
         assert np.allclose(got, weighted_avg(f, cube, w), atol=1e-12)
         # the batched solve is the per-cube solve, bit for bit
-        iw = w.integral_tree(1)[cube.level][cube.coords]
+        iw = w.integral_tree("w")[cube.level][cube.coords]
         assert np.array_equal(got, np.linalg.solve(iw, iwf[cube.level][cube.coords]))
 
 
@@ -295,3 +297,57 @@ def test_weight_field_rejects_bad_cells():
         WeightField(g, bad)
     with pytest.raises(ValueError, match="positive"):
         Grid(1, 1, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("n, N", [(n, N) for n in (1, 2, 3) for N in (2, 3, 4)])
+def test_flat_stacks_match_per_moment_trees(n, N):
+    # The moments summed together (every power in one pass) and one at a
+    # time give the oracle's per-moment trees bit for bit, as flat stacks and
+    # as the per-level views of averages().
+    rng = np.random.default_rng(10 * n + N)
+    for L in range(4 if n < 3 else 3):
+        together = random_weight_field(rng, n=n, N=N, L=L, spread=0.7, mu_spread=0.6)
+        alone = WeightField(together.grid, together.values)
+        stacks = dict(zip(MOMENTS, together.average_stacks(MOMENTS)))
+        for m in MOMENTS:
+            want = oracle_averages(together, m)
+            flat = np.concatenate([t.reshape((-1,) + t.shape[n:]) for t in want])
+            assert np.array_equal(stacks[m], flat), (L, m)
+            assert np.array_equal(alone.average_stacks((m,))[0], flat), (L, m)
+            for field in (together, alone):
+                got = field.averages(m)
+                assert len(got) == L + 1
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), (L, m)
+
+
+def test_flat_stacks_scalar_field():
+    # At N = 1 a power is a scalar channel; each keeps its own tree and still
+    # matches the oracle at n = 2, where a stacked scalar sums in another order.
+    w = random_weight_field(np.random.default_rng(3), n=2, N=1, L=3, spread=0.8, mu_spread=0.5)
+    for m, stack in zip(MOMENTS, w.average_stacks(MOMENTS)):
+        flat = np.concatenate([t.reshape(-1, *t.shape[2:]) for t in oracle_averages(w, m)])
+        assert np.array_equal(stack, flat), m
+
+
+@pytest.mark.parametrize("n, L", [(1, 3), (2, 2), (3, 2)])
+def test_box_cells_memo_matches_fresh(n, L):
+    # Every batch of every shift vector up to the limit, at the default split
+    # and one row per batch (edge rows of 2Q are narrower than the family):
+    # the memoised arrays equal a fresh computation and are read-only.
+    g = Grid(n, L)
+    limit = 3**n + 6**n - 2**n - 1
+    one_row = lambda k, cells, doubled: 2**30  # noqa: E731
+    for box_floats in (None, one_row):
+        batches = list(g.box_batches(limit, range(g.L + 2), box_floats))
+        assert {b.shift for b in batches} == set(range(limit + 1))
+        for batch in batches:
+            bare = BoxBatch(batch.lo, batch.hi, batch.pos, batch.shift, batch.level)
+            for doubled, fresh in ((False, bare), (True, bare.doubled())):
+                memo = g.box_cells(batch, doubled)
+                assert g.box_cells(batch, doubled) is memo
+                want = g.box_cells(fresh)
+                for got, ref in zip((*memo[0], *memo[1]), (*want[0], *want[1])):
+                    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+                    assert not got.flags.writeable
+                    with pytest.raises(ValueError):
+                        got[...] = 0

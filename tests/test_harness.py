@@ -8,7 +8,7 @@ from dwlab.grid import Grid, WeightField, read_weight_field, write_weight_field
 from dwlab.harness import GENERATOR_KINDS, WeightGenerator, generate, inclusion_search
 from dwlab.weights import b2_constants, class_report
 
-from conftest import random_weight_field
+from conftest import oracle_dyadic_constants, random_weight_field
 
 
 def test_constant_kind():
@@ -154,6 +154,17 @@ def test_inclusion_search_matches_box_path_screen(monkeypatch):
     assert _close(fast.objective, slow.objective)
     for a, b in zip(fast.trail, slow.trail):
         assert all(_close(a[k], b[k]) for k in ("score", "b2_iv", "ainf_ii"))
+
+
+def test_inclusion_search_matches_oracle_trees(monkeypatch):
+    # n=2 N=2 L=3, cap 2 binds at seed 1 (eleven projections): the screen on
+    # the flat stacks with one LU call gives the run of the per-moment oracle
+    # trees with one LU call per moment, to the bit.
+    fast = inclusion_search(2, 2, 3, b2_cap=2.0, budget=40, seed=1)
+    monkeypatch.setattr(harness, "_dyadic_constants", oracle_dyadic_constants)
+    slow = inclusion_search(2, 2, 3, b2_cap=2.0, budget=40, seed=1)
+    assert fast.as_dict() == slow.as_dict()
+    assert np.array_equal(fast.field.values, slow.field.values)
 
 
 def test_shrink_to_cap_returns_the_accepted_screen():

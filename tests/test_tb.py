@@ -433,6 +433,20 @@ def test_tb_run_skips_cube_walks(monkeypatch):
         assert rep.per_sector
 
 
+def test_tb_run_inverts_the_averages_once(monkeypatch):
+    # The corona and Volberg criteria share one tree-order inverse per field.
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+    for n, N, L in ((1, 2, 5), (2, 3, 3)):
+        w = generate(WeightGenerator("log-gaussian", amplitude=0.4, seed=52), n, N, L)
+        calls.clear()
+        tb_run(w, make_gamma("martingale", w), eps2=0.3)
+        assert calls == [(stopping.CubeTree(n, L).size, N, N)]
+        tb_run(w, make_gamma("martingale", w), eps2=0.3, lam=4.0)
+        assert len(calls) == 1
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.sampled_from([1, 2]), lam=st.floats(1.2, 6.0), seed=st.integers(0, 10**6))
 def test_volberg_packing_matches_volberg_stop(n, lam, seed):

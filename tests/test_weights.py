@@ -544,3 +544,29 @@ def test_integer_bands_match_float_overlaps(seed, n, depth):
             want = {c: m / g.cell_volume for c, m in _oracle_cells(g, lo, hi)}
             assert fracs.keys() == want.keys(), desc
             assert all(abs(fracs[c] - want[c]) <= 1e-15 for c in want), desc
+
+
+def test_ratio_kernel_takes_every_lu_determinant_in_one_call(monkeypatch):
+    # The chain reads four determinants and the screen two; each kernel makes
+    # one batched det call, and every value is the per-stack LU determinant.
+    w = random_weight_field(np.random.default_rng(8), n=2, N=3, L=3, spread=0.8, mu_spread=0.5)
+    avg = dict(zip(weights.MOMENTS, w.average_stacks(weights.MOMENTS)))
+    want = {m: np.linalg.det(avg[m]) for m in ("w", "w2", "winv", "winv2")}
+    calls = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(len(a)) or det(a))
+    chain = weights.ratio_kernel(avg, ("chain",))["chain"]
+    assert calls == [4 * len(avg["w"])]
+    expected = (
+        np.sqrt(want["w2"]),
+        want["w"],
+        np.exp(avg["logdet"]),
+        1.0 / want["winv"],
+        1.0 / np.sqrt(want["winv2"]),
+    )
+    assert all(np.array_equal(a, b) for a, b in zip(chain, expected))
+    calls.clear()
+    r = weights.ratio_kernel(avg, ("b2_iv", "ainf_ii"))
+    assert calls == [2 * len(avg["w"])]
+    assert np.array_equal(r["b2_iv"], np.sqrt(want["w2"]) / want["w"])
+    assert np.array_equal(r["ainf_ii"], want["w"] / np.exp(avg["logdet"]))

@@ -1,0 +1,134 @@
+"""Alternating benchmark pairs: a parent and a change checkout, run in turn.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \\
+        --workload inclusion-anneal --pairs 10 --seconds 36 --seed 301 \\
+        --out pairs.json
+
+Each pair runs ``python3 dwbench/run.py --workload W --seed S --seconds T
+--trace 0`` once in each checkout, with ``S`` the base seed plus the pair
+number; the side that runs first alternates from pair to pair, so a drift of
+the host's speed weighs on both sides alike.  Every run reads the metrics
+from the last line of its output and the report digests from its ``digest``
+lines.
+
+Printed per workload and metric: each side's median and quartiles over its
+runs, and the number of pairs in which the change is better (lower).  The
+JSON written to ``--out`` holds every run and that summary; it is the source
+of a ``BENCH_*.json``.  Standard library only; nothing under ``dwbench/`` is
+changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+METRICS = ("run_s", "setup_s", "peak_rss_mb")
+SIDES = ("parent", "change")
+
+
+def run_once(checkout, workload, seed, seconds):
+    """One ``dwbench/run.py`` run in ``checkout``: its metrics, failures and digests."""
+    argv = [
+        sys.executable, "dwbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"no output from {checkout}: {proc.stderr.strip()[-2000:]}")
+    result = json.loads(lines[-1])
+    return {
+        "exit_code": proc.returncode,
+        "failed": result["failed"],
+        "attempted": result["attempted"],
+        **{m: result["metrics"][m]["value"] for m in METRICS},
+        "digests": [line[len("digest ") :] for line in lines if line.startswith("digest ")],
+    }
+
+
+def spread(values):
+    """Median and quartiles of ``values``."""
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(pairs):
+    out = {}
+    for m in METRICS:
+        sides = {s: [p[s][m] for p in pairs] for s in SIDES}
+        out[m] = {s: spread(v) for s, v in sides.items()}
+        out[m]["change_wins"] = sum(c < p for p, c in zip(sides["parent"], sides["change"]))
+        out[m]["pairs"] = len(pairs)
+    out["failed"] = {s: sum(p[s]["failed"] for p in pairs) for s in SIDES}
+    out["digests_equal"] = sum(p["parent"]["digests"] == p["change"]["digests"] for p in pairs)
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
+    parser.add_argument("--workload", action="append", required=True, help="repeatable")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=36.0)
+    parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+    report = {
+        "command": (
+            "python3 dwbench/run.py --workload W --seed S --seconds"
+            f" {args.seconds:g} --trace 0, S = {args.seed} + pair"
+        ),
+        "host": f"{platform.machine()}, {platform.system()} {platform.release()},"
+        f" Python {platform.python_version()}",
+        "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "workloads": {},
+    }
+    for workload in args.workload:
+        pairs = []
+        for i in range(args.pairs):
+            seed = args.seed + i
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_once(checkouts[side], workload, seed, args.seconds)
+            pairs.append(pair)
+            print(
+                f"{workload} pair {i + 1}/{args.pairs} seed {seed}: run_s"
+                f" parent {pair['parent']['run_s']:.4f} change {pair['change']['run_s']:.4f}",
+                flush=True,
+            )
+        summary = summarize(pairs)
+        report["workloads"][workload] = {"pairs": pairs, "summary": summary}
+        for m in METRICS:
+            s = summary[m]
+            print(
+                f"{workload} {m}: parent {s['parent']['median']:.4f}"
+                f" ({s['parent']['q1']:.4f}-{s['parent']['q3']:.4f}),"
+                f" change {s['change']['median']:.4f}"
+                f" ({s['change']['q1']:.4f}-{s['change']['q3']:.4f}),"
+                f" change lower in {s['change_wins']} of {s['pairs']}"
+            )
+        print(
+            f"{workload}: failed parent {summary['failed']['parent']} change"
+            f" {summary['failed']['change']}; digests equal in {summary['digests_equal']} of {len(pairs)}"
+        )
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
