@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from pathlib import Path
@@ -301,7 +302,9 @@ def _cmd_paraproduct_demo(args):
     return 0 if residual <= 1e-9 else 2
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parsing does not change it."""
     parser = _Parser(prog="dwlab", description=__doc__)
     parser.add_argument("--config", help="run configuration file")
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)

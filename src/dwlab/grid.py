@@ -551,6 +551,17 @@ def write_weight_field(path, weight):
         fh.write("\n".join(lines) + "\n")
 
 
+def _first_bad_line(lines, width):
+    """The error of the first cell line that does not hold ``width`` numbers."""
+    for line, parts in enumerate(map(str.split, lines), start=2):
+        if len(parts) != width:
+            return FieldFormatError(f"expected {width} numbers, found {len(parts)}", line)
+        try:
+            list(map(float, parts))
+        except ValueError:
+            return FieldFormatError("unparsable number", line)
+
+
 def read_weight_field(path):
     with open(path) as fh:
         raw = fh.read().splitlines()
@@ -571,23 +582,23 @@ def read_weight_field(path):
     for i in range(cells + 1, len(raw)):
         if raw[i].strip():
             raise FieldFormatError("unexpected line after the last cell", i + 1)
-    mu = np.empty(cells)
-    values = np.empty((cells, N, N))
-    for i in range(cells):
-        parts = raw[i + 1].split()
-        if len(parts) != 1 + N * N:
-            raise FieldFormatError(
-                f"expected {1 + N * N} numbers, found {len(parts)}", i + 2
-            )
+    # Two streaming passes over the cell lines, every count and then every
+    # number; only a bad file is walked again to name its first bad line.
+    body = raw[1 : cells + 1]
+    width = 1 + N * N
+    nums = None
+    if all(len(line.split()) == width for line in body):
+        tokens = itertools.chain.from_iterable(map(str.split, body))
         try:
-            nums = np.array([float(p) for p in parts])
+            nums = np.fromiter(map(float, tokens), float, cells * width)
         except ValueError:
-            raise FieldFormatError("unparsable number", i + 2) from None
-        mu[i] = nums[0]
-        values[i] = nums[1:].reshape(N, N)
+            pass
+    if nums is None:
+        raise _first_bad_line(body, width)
+    nums = nums.reshape(cells, width)
     side = 2**L
     try:
-        grid = Grid(n, L, mu.reshape((side,) * n))
-        return WeightField(grid, values.reshape((side,) * n + (N, N)))
+        grid = Grid(n, L, nums[:, 0].reshape((side,) * n))
+        return WeightField(grid, nums[:, 1:].reshape((side,) * n + (N, N)))
     except CellValueError as exc:
         raise FieldFormatError(str(exc), exc.index + 2) from None

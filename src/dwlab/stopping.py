@@ -47,6 +47,7 @@ __all__ = [
     "corona_stop",
     "martingale_square_check",
     "loewner_geq",
+    "tree_averages",
 ]
 
 
@@ -267,10 +268,21 @@ def partition_residual(tree, crit, top, cubes, owners, weight):
 # Concrete criteria ---------------------------------------------------------------
 
 
+def tree_averages(field):
+    """The ``CubeTree`` of the field's grid and the stack of its W averages in
+    that tree's index order, built once per field for ``tb_run`` and every
+    criterion."""
+    key = ("tree-order", "w")
+    if key not in field._tree_cache:
+        tree = CubeTree(field.grid.n, field.grid.L)
+        field._tree_cache[key] = tree, field.average_stacks(("w",))[0][tree.grid_key]
+    return field._tree_cache[key]
+
+
 def _field_criterion(name, field, rule):
     """Criterion from ``rule(W_S, W_R, r)`` over the average stacks of index
     arrays of the field's cube tree."""
-    avg = CubeTree(field.grid.n, field.grid.L).gather(field.averages("w"))
+    avg = tree_averages(field)[1]
     return StoppingCriterion(name, lambda tree, s, r: rule(avg[s], avg[r], r))
 
 
@@ -279,11 +291,11 @@ def _norm_criterion(name, field, product, threshold, strict):
     passes ``threshold`` (``>`` if ``strict``, else ``>=``), with ``avg`` the
     tree-order stack of W averages and ``inv`` its inverses, built once per
     field for every such criterion."""
+    avg = tree_averages(field)[1]
     key = ("tree-order", "w", "inv")
     if key not in field._tree_cache:
-        avg = field.average_stacks(("w",))[0][CubeTree(field.grid.n, field.grid.L).grid_key]
-        field._tree_cache[key] = avg, np.linalg.inv(avg)
-    avg, inv = field._tree_cache[key]
+        field._tree_cache[key] = np.linalg.inv(avg)
+    inv = field._tree_cache[key]
     return StoppingCriterion(
         name, lambda tree, s, r: norm_exceeds(product(avg, inv, s, r), threshold, strict)
     )

@@ -67,17 +67,46 @@ RATIO_KEYS = tuple(_READS)
 # The class report: the sups of the eight class ratios and the doubling constant.
 CLASS_KEYS = ("b2_i", "b2_ii", "b2_iii", "b2_iv", "ainf_i", "ainf_ii", "a2", "thewest", "doubling")
 # Arrays of (D, N) floats per box that box_ratios holds at once for the
-# direction keys (measured with tracemalloc), for the batch budget.
+# direction keys, for the batch budget.  Measured with tracemalloc as the growth
+# of the kernel's peak with D: one (B, N, D) product and two (B, D) rows, 1 + 2/N
+# (3 at N = 1, 2 at N = 2) below N = 8 and about 2.1 at N = 8 and 9, plus the
+# (B, D) log-norm averages it reads: at most 4 at every N.  The value also sets
+# the batch rows, which key the band memo and set band widths, and so the bits.
 _STACKS = 4
 # Every sup a family scan can return.
 _SCAN_KEYS = frozenset(RATIO_KEYS) - {"chain"} | {"doubling"}
 # Keys that read the direction set: ainf_i, and b2_sampled, the self-check of b2.
 _SAMPLED = {"b2_i", "b2_ii", "ainf_i"}
+# numpy adds fewer than 8 terms in turn, over a contiguous last axis as over
+# axis 1; from 8 terms on it sums a contiguous axis pairwise, and from 17 on BLAS
+# rounds the transposed product differently, so ainf_i keeps the (B, D, N) form
+# from _IN_TURN on.
+_IN_TURN = 8
 
 
 def _moments(keys):
     """The moments the ratios named in ``keys`` read past mu, in channel order."""
     return sorted({m for k in keys for m in _READS[k]}, key=MOMENTS.index)
+
+
+def _forms(m, directions, square=False):
+    """Per matrix M of the stack ``m`` and row d of ``directions``, as a (B, D)
+    array: d^T M d, or |M d|^2 if ``square``; one (B, N, D) product summed over N."""
+    dT = np.ascontiguousarray(directions.T)
+    q = m @ dT
+    q *= q if square else dT
+    return np.sum(q, axis=1)
+
+
+def _inverse_norms(inv_w, directions):
+    """|W_Q^{-1/2} d| = (d^T W_Q^{-1} d)^{1/2} per matrix of the stack ``inv_w``
+    (the W_Q^{-1}) and row d of ``directions``, as a (B, D) array, in the bits of
+    the (B, D, N) form ``(directions @ inv_w) * directions`` summed over N."""
+    if directions.shape[1] < _IN_TURN:
+        sq = _forms(inv_w.transpose(0, 2, 1), directions)
+    else:
+        sq = np.sum((directions @ inv_w) * directions, axis=-1)
+    return np.sqrt(sq, out=sq)
 
 
 def ratio_kernel(avg, keys, directions=None):
@@ -139,10 +168,12 @@ def ratio_kernel(avg, keys, directions=None):
         out["b2_i"] = out["b2_ii"] = np.linalg.svd(sqrt_w2 @ inv_w, compute_uv=False)[:, 0]
         if sampled:
             # Sampled lower bound for the direction-sup form of the reverse
-            # Hoelder constant; the exact value is the operator norm above.
-            num = np.linalg.norm(directions @ sqrt_w2.transpose(0, 2, 1), axis=-1)
-            den = np.linalg.norm(directions @ avg["w"].transpose(0, 2, 1), axis=-1)
-            out["b2_sampled"] = np.max(num / den, axis=-1)
+            # Hoelder constant, |S d| / |W_Q d| with |S d|^2 = d^T (W^2)_Q d:
+            # read from the averages alone, it checks the eigh, sqrt and SVD
+            # above from outside them.
+            ratio = _forms(avg["w2"], directions)
+            ratio /= _forms(avg["w"], directions, square=True)
+            out["b2_sampled"] = np.sqrt(np.max(ratio, axis=-1))
     if "b2_iii" in keys:
         out["b2_iii"] = np.max(np.abs(eig[0]), axis=-1)
     if keys & {"b2_iv", "identity_residual"}:
@@ -165,8 +196,9 @@ def ratio_kernel(avg, keys, directions=None):
             1.0 / np.sqrt(det["winv2"]),
         )
     if "ainf_i" in keys and sampled:
-        den_i = np.sqrt(np.sum((directions @ inv_w) * directions, axis=-1))
-        out["ainf_i"] = np.max(np.exp(avg["lognorm"]) / den_i, axis=-1)
+        ratio = np.exp(avg["lognorm"])
+        ratio /= _inverse_norms(inv_w, directions)
+        out["ainf_i"] = np.max(ratio, axis=-1)
         out["ainf_i_jensen"] = np.sqrt(eig[len(stack) - 1, :, -1])
     return out
 

@@ -82,6 +82,22 @@ def oracle_dyadic_constants(field):
     return max(1.0, float(b2.max())), max(1.0, float(ainf.max()))
 
 
+def oracle_inverse_norms(directions, inv_w):
+    """|W^{-1/2} d| for the rows d of ``directions`` and each matrix of the stack
+    ``inv_w`` (the W^{-1}), in the (B, D, N) form summed over its last axis."""
+    return np.sqrt(np.sum((directions @ inv_w) * directions, -1))
+
+
+def oracle_b2_sampled(avg, directions):
+    """Per row: max over the rows d of ``directions`` of |S d| / |W_Q d|, with S
+    the eigh square root of (W^2)_Q and each norm taken of a (B, D, N) product."""
+    ew2, vv2 = np.linalg.eigh(avg["w2"])
+    root = (vv2 * np.sqrt(ew2)[:, None, :]) @ vv2.transpose(0, 2, 1)
+    num = np.linalg.norm(directions @ root.transpose(0, 2, 1), axis=-1)
+    den = np.linalg.norm(directions @ avg["w"].transpose(0, 2, 1), axis=-1)
+    return np.max(num / den, axis=-1)
+
+
 def cube_measure(grid, cube):
     """mu(cube), read from the grid's dyadic mass tree."""
     return float(grid._mu_tree[cube.level][cube.coords])

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dwlab import stopping, weights
+from dwlab import cli, stopping, weights
 from dwlab.cones import ConeNet
 from dwlab.cli import main
 from dwlab.config import RunConfig
@@ -300,6 +300,23 @@ def test_violated_invariant_exit_code(const_field, monkeypatch, capsys):
         monkeypatch.setattr(weights, "box_ratios", oversampled)
         assert main(["check-weight", "--field", const_field]) == 2
         assert f"invariant violated: {message} on shift=0 level=0 pos=0" in capsys.readouterr().err
+
+
+def test_b2_self_check_guards_the_svd(random_field, monkeypatch, capsys):
+    # b2_sampled reads the averages, not the SVD that gives b2_i: an SVD that
+    # halves its values trips the check.
+    svd = np.linalg.svd
+    monkeypatch.setattr(weights.np.linalg, "svd", lambda a, **kw: svd(a, **kw) / 2.0)
+    assert main(["check-weight", "--field", random_field]) == 2
+    assert "sampled direction ratio exceeded the operator norm" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_parses_afresh():
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    a = parser.parse_args(["check-weight", "--field", "f", "--seed", "3"])
+    b = parser.parse_args(["check-weight", "--field", "g"])
+    assert (a.field, a.seed, b.field, b.seed) == ("f", 3, "g", 0)
 
 
 def test_usage_errors():

@@ -351,3 +351,21 @@ def test_box_cells_memo_matches_fresh(n, L):
                     assert not got.flags.writeable
                     with pytest.raises(ValueError):
                         got[...] = 0
+
+
+def test_field_reader_counts_numbers_line_by_line(tmp_path):
+    # A token moved to another line keeps the file's total count; the reader
+    # still refuses the first line whose count is off.
+    p = tmp_path / "moved.wf"
+    for text, line, found in (
+        ("1 1 1\n1.0\n1.0 2.0 3.0\n", 2, 1),
+        ("1 1 1\n1.0 2.0 3.0\n1.0\n", 2, 3),
+        ("1 1 1\n1.0 2.0\n1.0 x\n", 3, None),
+    ):
+        p.write_text(text)
+        with pytest.raises(FieldFormatError) as err:
+            read_weight_field(p)
+        assert err.value.line == line
+        assert str(err.value).endswith(
+            f"expected 2 numbers, found {found}" if found else "unparsable number"
+        ), str(err.value)

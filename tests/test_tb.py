@@ -447,6 +447,28 @@ def test_tb_run_inverts_the_averages_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_tb_run_builds_one_cube_tree_per_field(monkeypatch):
+    # tb_run, its corona and Volberg criteria and a Kato criterion on the same
+    # field share one cube tree and one tree-order stack of W averages.
+    built = []
+    real = stopping.CubeTree
+
+    class Counted(real):
+        def __init__(self, n, L):
+            built.append((n, L))
+            super().__init__(n, L)
+
+    monkeypatch.setattr(stopping, "CubeTree", Counted)
+    for n, N, L in ((1, 2, 5), (2, 3, 3)):
+        w = generate(WeightGenerator("log-gaussian", amplitude=0.4, seed=53), n, N, L)
+        built.clear()
+        tb_run(w, make_gamma("martingale", w), eps2=0.3)
+        stopping.kato_criterion(w, np.eye(N)[0], 0.3, lambda w_s, w_r, r: w_r[:, 0])
+        assert built == [(n, L)]
+        tree, avg = stopping.tree_averages(w)
+        assert np.array_equal(avg, real(n, L).gather(w.averages("w")))
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.sampled_from([1, 2]), lam=st.floats(1.2, 6.0), seed=st.integers(0, 10**6))
 def test_volberg_packing_matches_volberg_stop(n, lam, seed):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,15 @@ from dwlab.weights import (
     thewest_constant,
 )
 
-from conftest import doubling_of, family_labels, random_weight_field
+from conftest import (
+    doubling_of,
+    family_labels,
+    oracle_b2_sampled,
+    oracle_inverse_norms,
+    random_spd_cells,
+    random_weight_field,
+    unit_rows,
+)
 
 
 def two_cell_scalar(lo, hi):
@@ -570,3 +579,94 @@ def test_ratio_kernel_takes_every_lu_determinant_in_one_call(monkeypatch):
     assert calls == [2 * len(avg["w"])]
     assert np.array_equal(r["b2_iv"], np.sqrt(want["w2"]) / want["w"])
     assert np.array_equal(r["ainf_ii"], want["w"] / np.exp(avg["logdet"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    N=st.integers(1, 9),
+    B=st.integers(1, 40),
+    D=st.integers(1, 80),
+)
+def test_inverse_norms_match_the_old_form_bit_for_bit(seed, N, B, D):
+    # The (B, N, D) quadratic forms of ainf_i carry the bits of the (B, D, N)
+    # form at every N, also where numpy sums a contiguous axis pairwise.
+    rng = np.random.default_rng(seed)
+    ew, vv = np.linalg.eigh(random_spd_cells(rng, B, N, spread=0.8))
+    inv_w = (vv / ew[:, None, :]) @ vv.transpose(0, 2, 1)
+    dirs = unit_rows(rng, D, N)
+    assert np.array_equal(weights._inverse_norms(inv_w, dirs), oracle_inverse_norms(dirs, inv_w))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2]),
+    N=st.integers(1, 4),
+    count=st.integers(0, 40),
+)
+def test_sampled_ratios_of_the_kernel_match_their_first_form(seed, n, N, count):
+    # b2_sampled, now a Rayleigh quotient of (W^2)_Q and W_Q, stays within
+    # 1e-12 of the norm ratio through the eigh root and below the operator
+    # norm; ainf_i is bit for bit the (B, D, N) form.
+    rng = np.random.default_rng(seed)
+    w = random_weight_field(rng, n=n, N=N, L=3 if n == 1 else 2, spread=1.0, mu_spread=0.5)
+    avg = dict(zip(("w", "w2", "winv"), w.average_stacks(("w", "w2", "winv"))))
+    dirs = weights._directions(N, count, seed)
+    avg["lognorm"] = rng.standard_normal((len(avg["w"]), len(dirs)))
+    r = weights.ratio_kernel(avg, ("b2_i", "ainf_i"), dirs)
+    old = oracle_b2_sampled(avg, dirs)
+    assert np.all(np.abs(r["b2_sampled"] - old) <= 1e-12 * old)
+    assert np.all(r["b2_sampled"] <= r["b2_ii"] * (1.0 + 1e-9))
+    ew, vv = np.linalg.eigh(avg["w"])
+    inv_w = (vv / ew[:, None, :]) @ vv.transpose(0, 2, 1)
+    want = np.max(np.exp(avg["lognorm"]) / oracle_inverse_norms(dirs, inv_w), axis=-1)
+    assert np.array_equal(r["ainf_i"], want)
+
+
+def test_b2_sampled_checks_the_root_of_the_squared_average(monkeypatch):
+    # A wrong eigen-root of (W^2)_Q shrinks b2_i by half.  b2_sampled reads
+    # (W^2)_Q itself, so it flags every box; the norm ratio through that same
+    # root shrinks with it and flags none.
+    w = random_weight_field(np.random.default_rng(9), n=1, N=3, L=3, spread=0.8)
+    avg = dict(zip(("w", "w2"), w.average_stacks(("w", "w2"))))
+    dirs = weights._directions(3, 30, 0)
+    eigh = np.linalg.eigh
+
+    def quartered(a):
+        ew, vv = eigh(a)
+        return (ew / 4.0, vv) if a is avg["w2"] else (ew, vv)
+
+    monkeypatch.setattr(np.linalg, "eigh", quartered)
+    r = weights.ratio_kernel(avg, ("b2_i",), dirs)
+    assert np.all(r["b2_sampled"] > r["b2_ii"] * (1.0 + 1e-9))
+    assert np.all(oracle_b2_sampled(avg, dirs) <= r["b2_ii"] * (1.0 + 1e-9))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 9])
+def test_direction_stacks_fit_the_batch_budget(N):
+    # Per box, the direction keys hold at most _STACKS arrays of (D, N) floats:
+    # the kernel's peak grows with D and the box count together by no more,
+    # counting the (B, D) log-norm averages it reads (tracemalloc also counts
+    # a few bytes of Python objects).
+    w = random_weight_field(np.random.default_rng(N), n=1, N=N, L=8)
+    keys = [k for k in weights.RATIO_KEYS if k in CLASS_KEYS]
+    moments = weights._moments(keys)
+
+    def peak(rows, D):
+        avg = {m: s[:rows].copy() for m, s in zip(moments, w.average_stacks(moments))}
+        avg["lognorm"] = np.zeros((rows, D))
+        dirs = weights._directions(N, D - 2 * N, 0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            weights.ratio_kernel(avg, keys, dirs)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def growth(rows):
+        return peak(rows, 1500) - peak(rows, 500)
+
+    per_box = (growth(256) - growth(128)) / (128 * 1000 * N * 8)
+    assert per_box + 1.0 / N <= weights._STACKS + 1e-3
