@@ -68,20 +68,15 @@ RATIO_KEYS = tuple(_READS)
 CLASS_KEYS = ("b2_i", "b2_ii", "b2_iii", "b2_iv", "ainf_i", "ainf_ii", "a2", "thewest", "doubling")
 # Arrays of (D, N) floats per box that box_ratios holds at once for the
 # direction keys, for the batch budget.  Measured with tracemalloc as the growth
-# of the kernel's peak with D: one (B, N, D) product and two (B, D) rows, 1 + 2/N
-# (3 at N = 1, 2 at N = 2) below N = 8 and about 2.1 at N = 8 and 9, plus the
-# (B, D) log-norm averages it reads: at most 4 at every N.  The value also sets
-# the batch rows, which key the band memo and set band widths, and so the bits.
+# of the kernel's peak with D: one product of B * D * N floats and two (B, D)
+# rows, 1 + 2/N (3 at N = 1, 2 at N = 2, 1.25 at N = 8), plus the (B, D)
+# log-norm averages it reads: at most 4 at every N.  The value also sets the
+# batch rows, which key the band memo and set band widths, and so the bits.
 _STACKS = 4
 # Every sup a family scan can return.
 _SCAN_KEYS = frozenset(RATIO_KEYS) - {"chain"} | {"doubling"}
 # Keys that read the direction set: ainf_i, and b2_sampled, the self-check of b2.
 _SAMPLED = {"b2_i", "b2_ii", "ainf_i"}
-# numpy adds fewer than 8 terms in turn, over a contiguous last axis as over
-# axis 1; from 8 terms on it sums a contiguous axis pairwise, and from 17 on BLAS
-# rounds the transposed product differently, so ainf_i keeps the (B, D, N) form
-# from _IN_TURN on.
-_IN_TURN = 8
 
 
 def _moments(keys):
@@ -96,17 +91,6 @@ def _forms(m, directions, square=False):
     q = m @ dT
     q *= q if square else dT
     return np.sum(q, axis=1)
-
-
-def _inverse_norms(inv_w, directions):
-    """|W_Q^{-1/2} d| = (d^T W_Q^{-1} d)^{1/2} per matrix of the stack ``inv_w``
-    (the W_Q^{-1}) and row d of ``directions``, as a (B, D) array, in the bits of
-    the (B, D, N) form ``(directions @ inv_w) * directions`` summed over N."""
-    if directions.shape[1] < _IN_TURN:
-        sq = _forms(inv_w.transpose(0, 2, 1), directions)
-    else:
-        sq = np.sum((directions @ inv_w) * directions, axis=-1)
-    return np.sqrt(sq, out=sq)
 
 
 def ratio_kernel(avg, keys, directions=None):
@@ -196,8 +180,15 @@ def ratio_kernel(avg, keys, directions=None):
             1.0 / np.sqrt(det["winv2"]),
         )
     if "ainf_i" in keys and sampled:
+        # |W_Q^{-1/2} d|^2 = d^T W_Q^{-1} d, summed over the contiguous last axis
+        # of a (B, D, N) product.  A (B, N, D) sum over axis 1 adds in turn,
+        # which numpy's pairwise sum of a contiguous axis does not from 8 terms
+        # on, so ainf_i keeps this order, and its bits, at every N.
+        sq = directions @ inv_w
+        sq *= directions
+        sq = np.sum(sq, axis=-1)
         ratio = np.exp(avg["lognorm"])
-        ratio /= _inverse_norms(inv_w, directions)
+        ratio /= np.sqrt(sq, out=sq)
         out["ainf_i"] = np.max(ratio, axis=-1)
         out["ainf_i_jensen"] = np.sqrt(eig[len(stack) - 1, :, -1])
     return out
