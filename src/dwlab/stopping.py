@@ -362,7 +362,7 @@ def kato_stop(root, field, b_values, v0, eps2):
     Fires when |E_R b| > 1/eps2 or (v0, W_S^{-1} W_R E_R b) < eps2, with S the
     current recursion root.  Returns the result and first-generation mass.
     """
-    levels = CubeTree(field.grid.n, field.grid.L).gather(field.expectation_levels(b_values))
+    levels = tree_averages(field)[0].gather(field.expectation_levels(b_values))
     crit = kato_criterion(field, v0, eps2, lambda w_s, w_r, r: levels[r])
     res = run_stopping(root, crit, field.grid.L)
     return res, first_generation_ratio(res, field.grid)

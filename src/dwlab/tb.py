@@ -50,16 +50,9 @@ class CarlesonField:
     N: int
     levels: list
 
-    def norms_sq(self, norm="op"):
-        out = []
-        for arr in self.levels:
-            if norm == "op":
-                out.append(np.linalg.svd(arr, compute_uv=False)[..., 0] ** 2)
-            elif norm == "fro":
-                out.append(np.sum(arr**2, axis=(-2, -1)))
-            else:
-                raise ValueError(f"unknown matrix norm {norm!r}")
-        return out
+    def norms_sq(self):
+        """The squared operator norm of every multiplier, one array per level."""
+        return [np.linalg.svd(arr, compute_uv=False)[..., 0] ** 2 for arr in self.levels]
 
 
 def gamma_zero(grid, M, N):
@@ -119,9 +112,9 @@ def _box_mass_tree(grid, level_masses):
     return acc
 
 
-def carleson_norm(gamma, norm="op"):
+def carleson_norm(gamma):
     """sup over cubes of the box-averaged Whitney mass of the multiplier."""
-    return _carleson_sup(gamma.grid, gamma.norms_sq(norm))
+    return _carleson_sup(gamma.grid, gamma.norms_sq())
 
 
 def _carleson_sup(g, norms_sq):
@@ -243,7 +236,7 @@ class TbReport:
         }
 
 
-def tb_run(field, gamma, eps1=None, eps2=0.1, eps3=None, lam=16.0, norm="op", shifts=None):
+def tb_run(field, gamma, eps1=None, eps2=0.1, eps3=None, lam=16.0, shifts=None):
     """Numerical proof-skeleton run for one instance.
 
     Every cube with a nonzero multiplier gets the net sector of its top right
@@ -272,7 +265,7 @@ def tb_run(field, gamma, eps1=None, eps2=0.1, eps3=None, lam=16.0, norm="op", sh
     mu = tree.gather(g._mu_tree)
 
     # Live cubes (nonzero multiplier) in the preorder of a box walk, and sectors.
-    norms_sq = gamma.norms_sq(norm)
+    norms_sq = gamma.norms_sq()
     gsq, gammas = tree.gather(norms_sq), tree.gather(gamma.levels)
     live = np.flatnonzero(gsq > 0.0)
     live = live[np.argsort(tree.preorder(live))]

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import MOMENTS, WeightField
+from .grid import _BATCH_FLOATS, MOMENTS, WeightField
 
 __all__ = [
     "ClassReport",
@@ -27,7 +27,7 @@ __all__ = [
     "ScalarAinftyReport",
     "corollary_relations",
     "CorollaryReport",
-    "box_ratios",
+    "box_averages",
     "cube_ratios",
     "default_shifts",
     "family_scan",
@@ -66,12 +66,13 @@ _READS = {
 RATIO_KEYS = tuple(_READS)
 # The class report: the sups of the eight class ratios and the doubling constant.
 CLASS_KEYS = ("b2_i", "b2_ii", "b2_iii", "b2_iv", "ainf_i", "ainf_ii", "a2", "thewest", "doubling")
-# Arrays of (D, N) floats per box that box_ratios holds at once for the
-# direction keys, for the batch budget.  Measured with tracemalloc as the growth
-# of the kernel's peak with D: one product of B * D * N floats and two (B, D)
-# rows, 1 + 2/N (3 at N = 1, 2 at N = 2, 1.25 at N = 8), plus the (B, D)
-# log-norm averages it reads: at most 4 at every N.  The value also sets the
-# batch rows, which key the band memo and set band widths, and so the bits.
+# Arrays of (D, N) floats per box that the direction keys of ratio_kernel hold
+# at once, for the batch budget.  Measured with tracemalloc as the growth of the
+# kernel's peak with D: ainf_i's product of B * D * N floats and one (B, D) row,
+# 1 + 1/N (2 at N = 1, 1.5 at N = 2, 1.125 at N = 8; b2_sampled's two (B, D)
+# forms are freed before it), plus the (B, D) log-norm averages it reads: at
+# most 3 at every N.  The value stays 4 because it also sets the gather batch
+# rows, which key the band memo and set band widths, and so the bits.
 _STACKS = 4
 # Every sup a family scan can return.
 _SCAN_KEYS = frozenset(RATIO_KEYS) - {"chain"} | {"doubling"}
@@ -84,13 +85,22 @@ def _moments(keys):
     return sorted({m for k in keys for m in _READS[k]}, key=MOMENTS.index)
 
 
-def _forms(m, directions, square=False):
-    """Per matrix M of the stack ``m`` and row d of ``directions``, as a (B, D)
-    array: d^T M d, or |M d|^2 if ``square``; one (B, N, D) product summed over N."""
-    dT = np.ascontiguousarray(directions.T)
-    q = m @ dT
-    q *= q if square else dT
-    return np.sum(q, axis=1)
+def _b2_sampled(avg, directions):
+    """Sampled lower bound for the direction-sup form of the reverse Hoelder
+    constant: per cube, the max over the rows d of ``directions`` of
+    |S d| / |W_Q d|, with |S d|^2 = d^T (W^2)_Q d and |W_Q d|^2 = d^T W_Q^T W_Q d.
+
+    Each quadratic form reads the N*N entries of its matrix against the (N*N, D)
+    table of the products d_i d_j, one (1, N*N) @ (N*N, D) product per cube, so
+    no (B, N, D) product is held, and no BLAS call is one large 2-D product.
+    """
+    products = (directions[:, :, None] * directions[:, None, :]).reshape(len(directions), -1).T
+    w = avg["w"]
+    ratio, norms = (
+        (m.reshape(len(m), 1, -1) @ products)[:, 0] for m in (avg["w2"], w.transpose(0, 2, 1) @ w)
+    )
+    ratio /= norms
+    return np.sqrt(np.max(ratio, axis=-1))
 
 
 def ratio_kernel(avg, keys, directions=None):
@@ -151,13 +161,9 @@ def ratio_kernel(avg, keys, directions=None):
     if keys & {"b2_i", "b2_ii"}:
         out["b2_i"] = out["b2_ii"] = np.linalg.svd(sqrt_w2 @ inv_w, compute_uv=False)[:, 0]
         if sampled:
-            # Sampled lower bound for the direction-sup form of the reverse
-            # Hoelder constant, |S d| / |W_Q d| with |S d|^2 = d^T (W^2)_Q d:
-            # read from the averages alone, it checks the eigh, sqrt and SVD
+            # Read from the averages alone, it checks the eigh, sqrt and SVD
             # above from outside them.
-            ratio = _forms(avg["w2"], directions)
-            ratio /= _forms(avg["w"], directions, square=True)
-            out["b2_sampled"] = np.sqrt(np.max(ratio, axis=-1))
+            out["b2_sampled"] = _b2_sampled(avg, directions)
     if "b2_iii" in keys:
         out["b2_iii"] = np.max(np.abs(eig[0]), axis=-1)
     if keys & {"b2_iv", "identity_residual"}:
@@ -194,9 +200,10 @@ def ratio_kernel(avg, keys, directions=None):
     return out
 
 
-def box_ratios(field, batch, directions=None, keys=RATIO_KEYS):
-    """``ratio_kernel`` over the boxes of a ``BoxBatch``, from band gathers of the
-    moments the keys read and of the log-norms of the directions."""
+def box_averages(field, batch, directions=None, keys=RATIO_KEYS):
+    """The stacks of averages ``ratio_kernel`` reads for ``keys`` over the boxes
+    of a ``BoxBatch``, from band gathers of the moments the keys read and of the
+    log-norms of the directions."""
     N = field.N
     g = field.grid
     moments = _moments(keys)
@@ -212,7 +219,7 @@ def box_ratios(field, batch, directions=None, keys=RATIO_KEYS):
     if "ainf_i" in keys and directions is not None:
         avg["lognorm"] = g.box_integrals(field.log_norm_masses(directions)[index], bands)
         avg["lognorm"] /= mu_q[:, None]
-    return ratio_kernel(avg, keys, directions)
+    return avg
 
 
 def dyadic_ratios(field, keys=RATIO_KEYS):
@@ -241,13 +248,17 @@ class FamilyScan(NamedTuple):
 def family_scan(field, keys, shifts=None, directions=64, seed=0):
     """One pass over the translated family that returns the sups named in
     ``keys`` and gathers only what they read: ``doubling`` and the per-box
-    ratios of ``box_ratios`` except the chain.
+    ratios of ``ratio_kernel`` except the chain.
 
     ``doubling`` is the sup of mu(2Q)/mu(Q), with 2Q clipped to [0,1)^n, over
     levels 0..L+1; the ratios run over levels 0..L.  b2_i, b2_ii and ainf_i read
     one direction set: the signed basis, then ``directions`` draws seeded with
     ``seed``, and they assert their sampled bounds on every box.  The result is
     memoised on the field, whose values and density are read-only.
+
+    The averages of each gather batch wait in a chunk, and the kernel runs once
+    per chunk: the chunk is run before the next batch would take its boxes
+    times the kernel's floats per box past ``grid._BATCH_FLOATS``.
     """
     g = field.grid
     keys = frozenset(keys)
@@ -279,7 +290,46 @@ def family_scan(field, keys, shifts=None, directions=64, seed=0):
             return held
         return max(held, moment_width * cells, log_width * cells) + _STACKS * D * field.N
 
+    # Floats the kernel holds per box: the averages it reads and the stacks.
+    kernel_floats = moment_width - 1 + log_width + _STACKS * D * field.N
     sups, argmax, count = {}, {}, 0
+    chunk = []  # (batch, its averages), waiting for one kernel call
+
+    def run_chunk():
+        batches = [batch for batch, _ in chunk]
+        avg = {m: np.concatenate([a[m] for _, a in chunk]) for m in chunk[0][1]}
+        chunk.clear()  # the batches' copies go before the kernel allocates
+        r = ratio_kernel(avg, ratios, dirs)
+        starts = np.cumsum([0] + [len(batch) for batch in batches])
+
+        def box(i):
+            j = int(np.searchsorted(starts, i, side="right")) - 1
+            return batches[j], i - int(starts[j])
+
+        for key, bound, what in (
+            ("b2_sampled", "b2_ii", "sampled direction ratio exceeded the operator norm"),
+            ("ainf_i", "ainf_i_jensen", "ainf_i exceeded its Jensen bound"),
+        ):
+            if key not in r:
+                continue
+            over = r[key] > r[bound] * (1.0 + 1e-9)
+            if over.any():
+                batch, i = box(int(np.argmax(over)))
+                raise AssertionError(f"{what} on {batch.descriptor(i)}")
+        for key in ratios:
+            values = r[key]
+            i = int(np.argmax(values))
+            # The chunk's first maximum is the first box to attain the sup.  A
+            # NaN stops the scan's sup wherever it falls in a batch's argmax, so
+            # a chunk holding one is taken batch by batch.
+            spans = zip(starts[:-1], starts[1:]) if np.isnan(values[i]) else [(0, len(values))]
+            for lo, hi in spans:
+                i = int(lo + np.argmax(values[lo:hi]))
+                val = float(values[i])
+                if key not in sups or val > sups[key]:
+                    sups[key] = val
+                    argmax[key] = box(i)
+
     for batch in g.box_batches(shifts, levels, box_floats):
         if doubling:
             # mu(Q) is its own bare gather: einsum sums a lone channel in
@@ -294,22 +344,11 @@ def family_scan(field, keys, shifts=None, directions=64, seed=0):
         count += len(batch)
         if not ratios:
             continue
-        r = box_ratios(field, batch, directions=dirs, keys=ratios)
-        for key, bound, what in (
-            ("b2_sampled", "b2_ii", "sampled direction ratio exceeded the operator norm"),
-            ("ainf_i", "ainf_i_jensen", "ainf_i exceeded its Jensen bound"),
-        ):
-            if key not in r:
-                continue
-            over = r[key] > r[bound] * (1.0 + 1e-9)
-            if over.any():
-                raise AssertionError(f"{what} on {batch.descriptor(int(np.argmax(over)))}")
-        for key in ratios:
-            i = int(np.argmax(r[key]))
-            val = float(r[key][i])
-            if key not in sups or val > sups[key]:
-                sups[key] = val
-                argmax[key] = (batch, i)
+        if chunk and (sum(len(b) for b, _ in chunk) + len(batch)) * kernel_floats > _BATCH_FLOATS:
+            run_chunk()
+        chunk.append((batch, box_averages(field, batch, dirs, ratios)))
+    if chunk:
+        run_chunk()
     worst = {key: batch.descriptor(i) for key, (batch, i) in argmax.items()}
     field._scans[memo] = FamilyScan(sups, worst, count)
     return field._scans[memo]

@@ -13,6 +13,7 @@ from dwlab.stopping import (
     owner_levels,
     partition_residual,
 )
+from dwlab import weights
 from dwlab.weights import family_scan
 
 # one line per acceptance criterion, echoed after the run summary
@@ -96,6 +97,61 @@ def oracle_b2_sampled(avg, directions):
     num = np.linalg.norm(directions @ root.transpose(0, 2, 1), axis=-1)
     den = np.linalg.norm(directions @ avg["w"].transpose(0, 2, 1), axis=-1)
     return np.max(num / den, axis=-1)
+
+
+def oracle_family_scan(field, keys, shifts, directions=64, seed=0):
+    """The family scan with one kernel call per gather batch, unmemoised:
+    ``(sups, worst, count)``.  The batches, their gathers and the sup and
+    self-check rules are ``weights.family_scan``'s; the kernel and the band
+    source are looked up on ``weights`` at every call."""
+    g = field.grid
+    keys = frozenset(keys)
+    ratios = [k for k in weights.RATIO_KEYS if k in keys]
+    sampled = not weights._SAMPLED.isdisjoint(ratios)
+    dirs = weights._directions(field.N, directions, seed) if sampled else None
+    reads = {m for k in ratios for m in weights._READS[k]}
+    moment_width = 1 + sum(1 if m == "logdet" else field.N**2 for m in reads) if ratios else 0
+    D = len(dirs) if sampled else 0
+    log_width = D if "ainf_i" in ratios else 0
+    doubling = "doubling" in keys
+    levels = range(g.L + 2 if doubling else g.L + 1)
+
+    def box_floats(k, cells, doubled):
+        held = max(cells, doubled) if doubling else 1
+        if k > g.L:
+            return held
+        return max(held, moment_width * cells, log_width * cells) + weights._STACKS * D * field.N
+
+    sups, argmax, count = {}, {}, 0
+    for batch in g.box_batches(shifts, levels, box_floats):
+        if doubling:
+            mass, mass2 = (
+                g.box_integrals(g.cell_masses[index], bands)
+                for index, bands in (g.box_cells(batch), g.box_cells(batch, doubled=True))
+            )
+            sups["doubling"] = max(sups.get("doubling", 0.0), float(np.max(mass2 / mass)))
+        if batch.level > g.L:
+            continue
+        count += len(batch)
+        if not ratios:
+            continue
+        r = weights.ratio_kernel(weights.box_averages(field, batch, dirs, ratios), ratios, dirs)
+        for key, bound, what in (
+            ("b2_sampled", "b2_ii", "sampled direction ratio exceeded the operator norm"),
+            ("ainf_i", "ainf_i_jensen", "ainf_i exceeded its Jensen bound"),
+        ):
+            if key not in r:
+                continue
+            over = r[key] > r[bound] * (1.0 + 1e-9)
+            if over.any():
+                raise AssertionError(f"{what} on {batch.descriptor(int(np.argmax(over)))}")
+        for key in ratios:
+            i = int(np.argmax(r[key]))
+            val = float(r[key][i])
+            if key not in sups or val > sups[key]:
+                sups[key] = val
+                argmax[key] = (batch, i)
+    return sups, {key: batch.descriptor(i) for key, (batch, i) in argmax.items()}, count
 
 
 def cube_measure(grid, cube):

@@ -285,7 +285,7 @@ def test_malformed_field_exit_code(tmp_path, capsys):
 
 
 def test_violated_invariant_exit_code(const_field, monkeypatch, capsys):
-    real = weights.box_ratios
+    real = weights.ratio_kernel
     cases = (
         ("b2_sampled", "b2_ii", "sampled direction ratio exceeded the operator norm"),
         ("ainf_i", "ainf_i_jensen", "ainf_i exceeded its Jensen bound"),
@@ -297,7 +297,7 @@ def test_violated_invariant_exit_code(const_field, monkeypatch, capsys):
             out[key] = out[bound] * 2.0
             return out
 
-        monkeypatch.setattr(weights, "box_ratios", oversampled)
+        monkeypatch.setattr(weights, "ratio_kernel", oversampled)
         assert main(["check-weight", "--field", const_field]) == 2
         assert f"invariant violated: {message} on shift=0 level=0 pos=0" in capsys.readouterr().err
 

@@ -93,7 +93,7 @@ def _box_path_screen(field):
     """The dyadic screen through the per-box kernel: the exact slow path."""
     best_b2 = best_ainf = 1.0
     for batch in field.grid.box_batches(0):
-        r = weights.box_ratios(field, batch)
+        r = weights.ratio_kernel(weights.box_averages(field, batch), weights.RATIO_KEYS)
         best_b2 = max(best_b2, float(r["b2_iv"].max()))
         best_ainf = max(best_ainf, float(r["ainf_ii"].max()))
     return best_b2, best_ainf
@@ -118,7 +118,10 @@ def test_tree_screen_matches_box_path(seed, n, N, L):
     # Every per-cube ratio of the tree source against the band path at shift 0,
     # whose batches list the dyadic cubes level by level in C order.
     tree = weights.dyadic_ratios(w)
-    band = [weights.box_ratios(w, batch) for batch in w.grid.box_batches(0)]
+    band = [
+        weights.ratio_kernel(weights.box_averages(w, batch), weights.RATIO_KEYS)
+        for batch in w.grid.box_batches(0)
+    ]
     assert sorted(tree) == sorted(band[0]) and "chain" in tree
     for key, values in tree.items():
         if key == "chain":
@@ -136,7 +139,7 @@ def test_tree_screen_skips_box_path(monkeypatch):
         raise AssertionError("per-box path called")
 
     w = random_weight_field(np.random.default_rng(5), n=2, N=2, L=3, mu_spread=0.5)
-    monkeypatch.setattr(weights, "box_ratios", refuse)
+    monkeypatch.setattr(weights, "box_averages", refuse)
     monkeypatch.setattr(Grid, "box_batches", refuse)
     monkeypatch.setattr(Grid, "box_cells", refuse)
     b2, ainf = harness._dyadic_constants(w)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dwlab import stopping
 from dwlab.grid import Cube, Grid, WeightField, root_cube
 from dwlab.stopping import (
     CubeTree,
@@ -334,6 +335,29 @@ def test_kato_examples(rng):
     b_orth = np.broadcast_to([0.0, 1.0], (4, 2)).copy()
     res, ratio = kato_stop(root_cube(1), w, b_orth, v0, 0.3)
     assert ratio == 1.0  # both children selected immediately
+
+
+def test_kato_stop_reads_the_cached_tree(monkeypatch, rng):
+    # kato_stop gathers its expectation levels on the cube tree cached on the
+    # field: the first call builds that tree and the walk's own, a second call
+    # only the walk's.
+    built = []
+    real = stopping.CubeTree
+
+    class Counted(real):
+        def __init__(self, n, L):
+            built.append((n, L))
+            super().__init__(n, L)
+
+    monkeypatch.setattr(stopping, "CubeTree", Counted)
+    w = random_weight_field(rng, n=2, N=2, L=3)
+    b = rng.standard_normal((8, 8, 2))
+    v0 = np.array([1.0, 0.0])
+    first = kato_stop(root_cube(2), w, b, v0, 0.3)
+    assert len(built) == 2
+    second = kato_stop(root_cube(2), w, b, v0, 0.3)
+    assert built == [(2, 3)] * 3
+    assert first[1] == second[1] and np.array_equal(first[0].stops, second[0].stops)
 
 
 def test_kato_family_canonical_contraction(rng):

@@ -7,18 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwlab import weights
+from dwlab import grid, weights
 from dwlab.grid import Grid, WeightField, root_cube
 from dwlab.weights import (
     CLASS_KEYS,
+    RATIO_KEYS,
     b2_constants,
-    box_ratios,
+    box_averages,
     class_report,
     corollary_relations,
     cube_ratios,
     default_shifts,
     det_chain_check,
     family_scan,
+    ratio_kernel,
     scalar_ainfty_report,
     thewest_constant,
 )
@@ -27,6 +29,7 @@ from conftest import (
     doubling_of,
     family_labels,
     oracle_b2_sampled,
+    oracle_family_scan,
     oracle_inverse_norms,
     random_spd_cells,
     random_weight_field,
@@ -159,9 +162,7 @@ def test_diagonal_ainf_product_structure(rng):
     s1 = WeightField(Grid(1, 3), d1.reshape(8, 1, 1))
     s2 = WeightField(Grid(1, 3), d2.reshape(8, 1, 1))
     for batch in w.grid.box_batches(0):
-        r = box_ratios(w, batch)["ainf_ii"]
-        r1 = box_ratios(s1, batch)["ainf_ii"]
-        r2 = box_ratios(s2, batch)["ainf_ii"]
+        r, r1, r2 = (ratio_kernel(box_averages(f, batch), RATIO_KEYS)["ainf_ii"] for f in (w, s1, s2))
         assert np.all(np.abs(r - r1 * r2) < 1e-10 * np.maximum(1.0, r))
 
 
@@ -339,7 +340,9 @@ def test_batched_scan_matches_per_cell_oracle(seed, n, N, depth):
 
     sups, worst, count = {}, {}, 0
     dirs = _oracle_directions(N, 3, seed)
-    chains = [c for b in g.box_batches(shifts) for c in zip(*box_ratios(w, b)["chain"])]
+    chains = [
+        c for b in g.box_batches(shifts) for c in zip(*ratio_kernel(box_averages(w, b), RATIO_KEYS)["chain"])
+    ]
     for (lo, hi, desc), got in zip(_oracle_boxes(g, shifts, range(L + 1)), chains):
         r = _oracle_ratios(w, lo, hi, dirs)
         count += 1
@@ -426,7 +429,7 @@ def test_key_subsets_match_full_scan_and_oracle(seed, n, N, depth, keys):
     ],
 )
 def test_self_checks_run_with_their_keys(monkeypatch, keys, key, bound):
-    real = weights.box_ratios
+    real = weights.ratio_kernel
 
     def inflated(*args, **kwargs):
         out = real(*args, **kwargs)
@@ -434,7 +437,7 @@ def test_self_checks_run_with_their_keys(monkeypatch, keys, key, bound):
             out[key] = out[bound] * 2.0
         return out
 
-    monkeypatch.setattr(weights, "box_ratios", inflated)
+    monkeypatch.setattr(weights, "ratio_kernel", inflated)
     w = random_weight_field(np.random.default_rng(2), n=1, N=2, L=2)
     with pytest.raises(AssertionError, match="on shift=0 level=0 pos=0$"):
         family_scan(w, keys, shifts=1)
@@ -479,7 +482,9 @@ def test_ainf_i_jensen_bound_nesting_and_basis(seed, n, N, depth):
     g = w.grid
     shifts = default_shifts(g)
     dirs = _oracle_directions(N, 6, seed)
-    got = np.concatenate([box_ratios(w, b, directions=dirs)["ainf_i"] for b in g.box_batches(shifts)])
+    got = np.concatenate(
+        [ratio_kernel(box_averages(w, b, dirs), RATIO_KEYS, dirs)["ainf_i"] for b in g.box_batches(shifts)]
+    )
     brute = [_oracle_jensen_and_basis(w, lo, hi) for lo, hi, _ in _oracle_boxes(g, shifts, range(L + 1))]
     jensen, basis = (np.array(x) for x in zip(*brute))
     assert np.all(got <= jensen * (1.0 + 1e-12))
@@ -652,7 +657,9 @@ def test_direction_stacks_fit_the_batch_budget(N):
     # Per box, the direction keys hold at most _STACKS arrays of (D, N) floats:
     # the kernel's peak grows with D and the box count together by no more,
     # counting the (B, D) log-norm averages it reads (tracemalloc also counts
-    # a few bytes of Python objects).
+    # a few bytes of Python objects).  Measured: 1 + 2/N, ainf_i's (B, D, N)
+    # product and one (B, D) row next to the log-norms (3 at N = 1, 2 at N = 2,
+    # 1.25 at N = 8); b2_sampled's (B, D) forms are freed before it.
     w = random_weight_field(np.random.default_rng(N), n=1, N=N, L=8)
     keys = [k for k in weights.RATIO_KEYS if k in CLASS_KEYS]
     moments = weights._moments(keys)
@@ -674,3 +681,138 @@ def test_direction_stacks_fit_the_batch_budget(N):
 
     per_box = (growth(256) - growth(128)) / (128 * 1000 * N * 8)
     assert per_box + 1.0 / N <= weights._STACKS + 1e-3
+
+
+_SCAN_KEYS = sorted(weights._SCAN_KEYS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2, 3]),
+    N=st.sampled_from([1, 2, 3, 4, 9]),
+    depth=st.integers(1, 6),
+    keys=st.sets(st.sampled_from(_SCAN_KEYS), min_size=1),
+    shifts=st.integers(0, 2),
+    directions=st.sampled_from([0, 5, 64]),
+)
+def test_family_scan_matches_the_per_batch_oracle(seed, n, N, depth, keys, shifts, directions):
+    # One kernel call per chunk of gather batches gives the sups, worst boxes
+    # and count of one call per batch, bit for bit.
+    rng = np.random.default_rng(seed)
+    L = min(depth, {1: 6, 2: 3, 3: 2}[n])
+    w = random_weight_field(rng, n=n, N=N, L=L, spread=0.8, mu_spread=0.5)
+    want = oracle_family_scan(w, keys, shifts, directions, seed)
+    assert family_scan(w, keys, shifts, directions, seed) == want
+
+
+def _fresh_field(seed, n, N, L):
+    """The same random field at every call, with no memoised scans."""
+    return random_weight_field(np.random.default_rng(seed), n=n, N=N, L=L, mu_spread=0.5)
+
+
+def _record_kernel_calls(monkeypatch):
+    """Patch ``weights.box_averages`` and ``weights.ratio_kernel`` to log, in
+    order, ``("batch", boxes)`` and ``("kernel", rows, avg, directions)``."""
+    events = []
+    averages, kernel = weights.box_averages, weights.ratio_kernel
+
+    def logged_averages(field, batch, *args, **kwargs):
+        events.append(("batch", len(batch)))
+        return averages(field, batch, *args, **kwargs)
+
+    def logged_kernel(avg, keys, directions=None):
+        events.append(("kernel", len(avg[next(iter(avg))]), avg, directions))
+        return kernel(avg, keys, directions)
+
+    monkeypatch.setattr(weights, "box_averages", logged_averages)
+    monkeypatch.setattr(weights, "ratio_kernel", logged_kernel)
+    return events
+
+
+@pytest.mark.parametrize(
+    "n, N, L, keys, one_call",
+    [
+        (1, 3, 7, CLASS_KEYS, False),
+        (2, 2, 4, CLASS_KEYS, False),
+        (1, 9, 5, ("ainf_i", "thewest"), False),
+        (2, 2, 4, ("thewest", "doubling"), True),
+        (3, 1, 3, ("b2_iv",), True),
+    ],
+)
+def test_kernel_chunks_stay_within_the_batch_budget(monkeypatch, n, N, L, keys, one_call):
+    # Every kernel call holds whole gather batches, at most _BATCH_FLOATS
+    # floats (its boxes times the averages it reads plus _STACKS (D, N) arrays
+    # per box) unless it holds one batch alone, and a chunk is run only when
+    # the next batch would take it past the budget.  Scans without direction
+    # keys hold a few floats per box and run the kernel once.
+    events = _record_kernel_calls(monkeypatch)
+    family_scan(_fresh_field(L, n, N, L), keys, shifts=2)
+    chunks, pending = [], []
+    for event in events:
+        if event[0] == "batch":
+            pending.append(event[1])
+            continue
+        _, rows, avg, dirs = event
+        D = 0 if dirs is None else len(dirs)
+        per_box = sum(a.size for a in avg.values()) / rows + weights._STACKS * D * N
+        assert rows == sum(pending)
+        assert len(pending) == 1 or rows * per_box <= grid._BATCH_FLOATS
+        chunks.append((rows, per_box, pending))
+        pending = []
+    assert not pending and (len(chunks) == 1) == one_call
+    for (rows, per_box, _), (_, _, batches) in zip(chunks, chunks[1:]):
+        assert (rows + batches[0]) * per_box > grid._BATCH_FLOATS
+
+
+def _mark_boxes(monkeypatch, marked, key, value):
+    """Patch ``weights.ratio_kernel`` to set ``key`` to ``value(out)`` on the
+    boxes whose (W_Q)_00 is in ``marked``."""
+    kernel = weights.ratio_kernel
+
+    def marking(avg, keys, directions=None):
+        out = kernel(avg, keys, directions)
+        hit = np.isin(avg["w"][:, 0, 0], marked)
+        out[key][hit] = value(out)[hit]
+        return out
+
+    monkeypatch.setattr(weights, "ratio_kernel", marking)
+
+
+def test_a_self_check_in_a_later_chunk_names_the_oracles_box(monkeypatch):
+    events = _record_kernel_calls(monkeypatch)
+    family_scan(_fresh_field(4, 1, 3, 7), CLASS_KEYS, shifts=1)
+    chunks = [e[2]["w"][:, 0, 0] for e in events if e[0] == "kernel"]
+    assert len(chunks) >= 3
+    # Boxes in the middle of the second chunk and at the start of the third.
+    marked = np.concatenate([chunks[1][len(chunks[1]) // 2 :], chunks[2][:3]])
+    assert not np.isin(chunks[0], marked).any()
+    monkeypatch.undo()
+    _mark_boxes(monkeypatch, marked, "b2_sampled", lambda out: out["b2_ii"] * 2.0)
+    with pytest.raises(AssertionError, match="sampled direction ratio") as want:
+        oracle_family_scan(_fresh_field(4, 1, 3, 7), CLASS_KEYS, 1)
+    with pytest.raises(AssertionError, match="sampled direction ratio") as got:
+        family_scan(_fresh_field(4, 1, 3, 7), CLASS_KEYS, shifts=1)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("at", [0, 1])
+def test_a_nan_ratio_stops_the_sup_as_the_per_batch_scan_did(monkeypatch, at):
+    # thewest is inf / inf = NaN where W^2 overflows.  A NaN in a batch's
+    # argmax becomes the sup in the first batch and hides its whole batch in a
+    # later one; one chunk holding many batches keeps both rules.
+    events = _record_kernel_calls(monkeypatch)
+    keys = ("thewest", "b2_iv")
+    family_scan(_fresh_field(6, 2, 2, 3), keys, shifts=1)
+    batches = [e[1] for e in events if e[0] == "batch"]
+    (_, rows, avg, _), = [e for e in events if e[0] == "kernel"]
+    assert rows == sum(batches) and len(batches) > 3
+    # A box of the first batch, or of the fourth and of the sixth.
+    start = np.cumsum([0] + batches)
+    marked = avg["w"][[0] if at == 0 else [start[3] + 1, start[5]], 0, 0]
+    monkeypatch.undo()
+    _mark_boxes(monkeypatch, marked, "thewest", lambda out: np.full(len(out["thewest"]), np.nan))
+    want = oracle_family_scan(_fresh_field(6, 2, 2, 3), keys, 1)
+    got = family_scan(_fresh_field(6, 2, 2, 3), keys, shifts=1)
+    assert repr(got) == repr(type(got)(*want))
+    assert np.isnan(got.sups["thewest"]) == (at == 0)

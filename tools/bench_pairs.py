@@ -14,8 +14,10 @@ lines.
 Printed per workload and metric: each side's median and quartiles over its
 runs, and the number of pairs in which the change is better (lower).  The
 JSON written to ``--out`` holds every run and that summary; it is the source
-of a ``BENCH_*.json``.  Standard library only; nothing under ``dwbench/`` is
-changed.
+of a ``BENCH_*.json``.  The exit code is 1, after every pair has run, when a
+run of either side exits non-zero or reports failed invocations; each such run
+is named on standard error.  Standard library only; nothing under ``dwbench/``
+is changed.
 """
 
 from __future__ import annotations
@@ -127,7 +129,17 @@ def main(argv=None):
             f" {summary['failed']['change']}; digests equal in {summary['digests_equal']} of {len(pairs)}"
         )
         args.out.write_text(json.dumps(report, indent=1) + "\n")
-    return 0
+    bad = [
+        f"{workload} pair seed {pair['seed']} {side}: exit code {pair[side]['exit_code']},"
+        f" {pair[side]['failed']} failed"
+        for workload, runs in report["workloads"].items()
+        for pair in runs["pairs"]
+        for side in SIDES
+        if pair[side]["exit_code"] or pair[side]["failed"]
+    ]
+    for line in bad:
+        print(f"bad run: {line}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
