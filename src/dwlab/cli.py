@@ -238,12 +238,16 @@ def _cmd_rrt_search(args):
 
 def _cmd_inclusion_search(args):
     cfg = _load_config(args)
+    out = Path(args.out)
+    # The nearest existing path of --out must be a directory to write into.
+    existing = next(p for p in (out, *out.parents) if p.exists())
     for ok, message in (
         (args.n >= 1, "--n must be at least 1"),
         (args.N >= 2, "--N must be at least 2; the scalar inclusion is known"),
         (args.L >= 0, "--L must be at least 0"),
         (1.0 < args.b2_cap < np.inf, "--b2-cap must be a finite number above 1"),
         (args.budget >= 0, "--budget must be at least 0"),
+        (existing.is_dir(), f"--out must name a directory; {existing} is not one"),
     ):
         if not ok:
             raise UsageError(f"inclusion-search: {message}")
@@ -264,7 +268,6 @@ def _cmd_inclusion_search(args):
             }
         )
         result = res
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_weight_field(out / "best_field.wf", result.field)
     payload = result.as_dict()

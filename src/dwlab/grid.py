@@ -138,6 +138,19 @@ def _reject_cells(bad, message):
         raise CellValueError(message.format(cell), index)
 
 
+def _reject_nonfinite(values):
+    """Raise CellValueError for the first weight cell of ``values`` with a
+    non-finite entry."""
+    _reject_cells(~np.all(np.isfinite(values), axis=(-2, -1)), "weight cell {} is not finite")
+
+
+def _reject_singular(eigvals):
+    """Raise CellValueError for the first weight cell whose smallest eigenvalue
+    (``eigvals`` ascending) is at most 1e-13 of its largest in magnitude."""
+    scale = np.max(np.abs(eigvals), axis=-1)
+    _reject_cells(eigvals[..., 0] <= 1e-13 * scale, "weight cell {} is not positive definite")
+
+
 class Grid:
     """Measured dyadic grid: dimension ``n``, finest level ``L``, density ``mu``."""
 
@@ -188,6 +201,11 @@ class Grid:
             parents = out[starts[k - 1] : starts[k]].reshape((side,) * n + tail)
             np.add.reduce(blocks, axis=siblings, out=parents)
         return out
+
+    def mu_averages(self, sums):
+        """The mu-averages over every dyadic cube from ``sums``, a flat stack of
+        their integrals as ``integrals`` returns it."""
+        return sums / self._mu_stack.reshape((-1,) + (1,) * (sums.ndim - 1))
 
     def levels(self, stack):
         """Per-level views of a flat stack of dyadic cubes, each with leading
@@ -364,11 +382,10 @@ class WeightField:
         N = values.shape[-1]
         if values.shape[-2] != N:
             raise ValueError("weight cells must be square matrices")
-        _reject_cells(~np.all(np.isfinite(values), axis=(-2, -1)), "weight cell {} is not finite")
+        _reject_nonfinite(values)
         values = (values + np.swapaxes(values, -1, -2)) / 2.0
         w, v = np.linalg.eigh(values)
-        scale = np.max(np.abs(w), axis=-1)
-        _reject_cells(w[..., 0] <= 1e-13 * scale, "weight cell {} is not positive definite")
+        _reject_singular(w)
         values.setflags(write=False)
         self.grid = grid
         self.values = values
@@ -417,7 +434,7 @@ class WeightField:
             else:
                 cells = np.stack([self.cell_power(_POWERS[m]) for m in group], axis=g.n)
             sums = g.integrals(cells)
-            avgs = sums / g._mu_stack.reshape((-1,) + (1,) * (sums.ndim - 1))
+            avgs = g.mu_averages(sums)
             for i, m in enumerate(group):
                 self._tree_cache["sum", m], self._tree_cache["avg", m] = sums[:, i], avgs[:, i]
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import Grid, WeightField
-from .weights import ClassReport, class_report, dyadic_ratios, family_scan
+from .grid import Grid, WeightField, _reject_nonfinite, _reject_singular
+from .weights import ClassReport, class_report, family_scan, ratio_kernel
 
 __all__ = [
     "WeightGenerator",
@@ -179,11 +179,40 @@ class InclusionSearchResult:
         }
 
 
-def _dyadic_constants(field):
-    """Cheap dyadic-only (b2_iv, ainf_ii) pair used inside the search loop: the
-    ratio kernel over every dyadic cube at once, both floored at 1."""
-    r = dyadic_ratios(field, ("b2_iv", "ainf_ii"))
+def _dyadic_constants(grid, sym):
+    """Cheap dyadic-only (b2_iv, ainf_ii) pair of the field ``exp(sym)`` on
+    ``grid``, used inside the search loop: the ratio kernel over every dyadic
+    cube at once, both floored at 1.
+
+    One ``eigh`` of the log-matrices gives every cell the kernel reads:
+    ``W = v e^w v^T``, ``W^2 = v e^{2w} v^T`` and ``log det W = sum w``.  The
+    cells are refused as ``WeightField`` refuses them and summed up the tree
+    as its stacks are, the two powers in one stack and ``log det W`` alone;
+    no ``WeightField`` is built."""
+    w, v = np.linalg.eigh(sym)
+    exp_w = np.exp(w)
+    exps = np.stack([exp_w, exp_w * exp_w], axis=-2)
+    powers = np.einsum("...ij,...aj,...kj->...aik", v, exps, v)
+    _reject_nonfinite(powers[..., 0, :, :])
+    _reject_singular(exp_w)
+    stack = grid.mu_averages(grid.integrals(powers))
+    logdet = grid.mu_averages(grid.integrals(np.sum(w, axis=-1)[..., None]))[:, 0]
+    avg = {"w": stack[:, 0], "w2": stack[:, 1], "logdet": logdet}
+    r = ratio_kernel(avg, ("b2_iv", "ainf_ii"))
     return max(1.0, float(r["b2_iv"].max())), max(1.0, float(r["ainf_ii"].max()))
+
+
+def _propose(sym, rng, temp):
+    """A candidate: a copy of ``sym`` with a symmetric Gaussian bump of scale
+    ``0.3 * temp`` added to each of ``cells // 8`` cells drawn with repeats,
+    in draw order."""
+    N = sym.shape[-1]
+    cand = sym.copy()
+    flat = cand.reshape(-1, N, N)
+    touched = rng.integers(0, len(flat), size=max(1, len(flat) // 8))
+    bump = rng.normal(0.0, 0.3 * temp, size=(len(touched), N, N))
+    np.add.at(flat, touched, (bump + bump.transpose(0, 2, 1)) / 2.0)
+    return cand
 
 
 def _shrink_to_cap(sym, screen, b2_cap):
@@ -227,7 +256,7 @@ def inclusion_search(n, N, L, b2_cap, budget=2000, seed=0, penalty=100.0):
         return WeightField(grid, _sym_expm(sym))
 
     def screen(sym):
-        return _dyadic_constants(build(sym))
+        return _dyadic_constants(grid, sym)
 
     def feasible(sym):
         """Score ``sym``; over the cap, shrink it toward the mean field and
@@ -248,16 +277,8 @@ def inclusion_search(n, N, L, b2_cap, budget=2000, seed=0, penalty=100.0):
     best_sym, best_score = sym.copy(), cur_score
     trail = [{"step": 0, "score": cur_score, "b2_iv": cur_b2, "ainf_ii": cur_ainf}]
     temp = 1.0
-    cells = int(np.prod(shape))
     for step in range(1, budget + 1):
-        cand = sym.copy()
-        flat = cand.reshape(cells, N, N)
-        touched = rng.integers(0, cells, size=max(1, cells // 8))
-        for c in touched:
-            bump = rng.normal(0.0, 0.3 * temp, size=(N, N))
-            flat[c] += (bump + bump.T) / 2.0
-        cand = flat.reshape(shape + (N, N))
-        cand, score, b2, ainf = feasible(cand)
+        cand, score, b2, ainf = feasible(_propose(sym, rng, temp))
         if score > cur_score or rng.random() < np.exp(
             min((score - cur_score) / max(temp, 1e-9), 0.0)
         ):

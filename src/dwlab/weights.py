@@ -222,13 +222,6 @@ def box_averages(field, batch, directions=None, keys=RATIO_KEYS):
     return avg
 
 
-def dyadic_ratios(field, keys=RATIO_KEYS):
-    """``ratio_kernel`` over every dyadic cube, level by level in C order, from
-    the field's flat average stacks."""
-    moments = _moments(keys)
-    return ratio_kernel(dict(zip(moments, field.average_stacks(moments))), keys)
-
-
 def cube_ratios(field, cube):
     """``ratio_kernel`` of one dyadic cube, from the field's average trees, as floats."""
     avg = {m: field.averages(m)[cube.level][cube.coords][None] for m in MOMENTS}

@@ -57,30 +57,63 @@ def _oracle_level_sums(finest, n, L):
     return tree[::-1]
 
 
-def oracle_averages(field, moment):
-    """Per-level mu-averages of one moment: its own tree of cube integrals,
+def _oracle_tree_averages(grid, cells):
+    """Per-level mu-averages of a cell array: its own tree of cube integrals,
     divided level by level by the grid's per-level mu tree."""
-    g = field.grid
-    if moment == "logdet":
-        cells, at = field.cell_log_det(), ...
-    else:
-        cells, at = field.cell_power({"w": 1, "w2": 2, "winv": -1, "winv2": -2}[moment]), (..., None, None)
-    mu = g.mu.reshape(g.mu.shape + (1,) * (cells.ndim - g.n))
-    tree = _oracle_level_sums(cells * mu * g.cell_volume, g.n, g.L)
+    g = grid
+    tail = (1,) * (cells.ndim - g.n)
+    tree = _oracle_level_sums(cells * g.mu.reshape(g.mu.shape + tail) * g.cell_volume, g.n, g.L)
     mu_tree = _oracle_level_sums(g.mu * g.cell_volume, g.n, g.L)
-    return [t / m[at] for t, m in zip(tree, mu_tree)]
+    return [t / m.reshape(m.shape + tail) for t, m in zip(tree, mu_tree)]
 
 
-def oracle_dyadic_constants(field):
-    """The inclusion screen's (b2_iv, ainf_ii) from the oracle trees, one LU
-    determinant call per moment, both floored at 1."""
+def oracle_averages(field, moment):
+    """Per-level mu-averages of one moment, from its own tree."""
+    if moment == "logdet":
+        cells = field.cell_log_det()
+    else:
+        cells = field.cell_power({"w": 1, "w2": 2, "winv": -1, "winv2": -2}[moment])
+    return _oracle_tree_averages(field.grid, cells)
+
+
+def dyadic_ratios(field):
+    """``ratio_kernel`` over every dyadic cube, level by level in C order, from
+    the field's flat average stacks: the tree source."""
+    moments = weights.MOMENTS
+    return weights.ratio_kernel(dict(zip(moments, field.average_stacks(moments))), weights.RATIO_KEYS)
+
+
+def oracle_sym_screen(grid, sym):
+    """The inclusion screen's (b2_iv, ainf_ii) of the field exp(sym), both
+    floored at 1: the cells W, W^2 and log det W from one eigh of ``sym``,
+    each moment summed in its own tree, one LU determinant call per moment."""
+    w, v = np.linalg.eigh(sym)
+    exp_w = np.exp(w)
+    cells = {
+        "w": np.einsum("...ij,...j,...kj->...ik", v, exp_w, v),
+        "w2": np.einsum("...ij,...j,...kj->...ik", v, exp_w * exp_w, v),
+        "logdet": np.sum(w, axis=-1),
+    }
     avg = {
-        m: np.concatenate([t.reshape((-1,) + t.shape[field.grid.n :]) for t in oracle_averages(field, m)])
-        for m in ("w", "w2", "logdet")
+        m: np.concatenate([t.reshape((-1,) + t.shape[grid.n :]) for t in _oracle_tree_averages(grid, c)])
+        for m, c in cells.items()
     }
     det_w, det_w2 = np.linalg.det(avg["w"]), np.linalg.det(avg["w2"])
     b2, ainf = np.sqrt(det_w2) / det_w, det_w / np.exp(avg["logdet"])
     return max(1.0, float(b2.max())), max(1.0, float(ainf.max()))
+
+
+def loop_propose(sym, rng, temp):
+    """The anneal's candidate drawn one touched cell at a time: a symmetric
+    Gaussian bump of scale 0.3 temp added to each of cells // 8 cells."""
+    N = sym.shape[-1]
+    cand = sym.copy()
+    flat = cand.reshape(-1, N, N)
+    touched = rng.integers(0, len(flat), size=max(1, len(flat) // 8))
+    for c in touched:
+        bump = rng.normal(0.0, 0.3 * temp, size=(N, N))
+        flat[c] += (bump + bump.T) / 2.0
+    return cand
 
 
 def oracle_inverse_norms(directions, inv_w):

@@ -53,3 +53,61 @@ def test_bench_pairs_exits_0_when_every_run_passes(tmp_path, capsys):
     parent, change = _checkout(tmp_path, "parent"), _checkout(tmp_path, "change")
     assert _tool().main(_argv(tmp_path, parent, change)) == 0
     assert capsys.readouterr().err == ""
+
+
+# Stand-ins for a run.py that gives no result line.
+SILENT = """import sys
+sys.stderr.write("Traceback (most recent call last):\\nRuntimeError: boom\\n")
+sys.exit(3)
+"""
+NOT_JSON = """print("digest stub: sha256=0")
+print("pass 1 of 40")
+"""
+
+
+@pytest.mark.parametrize(
+    "script, code, problem",
+    [
+        (SILENT, 3, "exit code 3, no output; stderr: RuntimeError: boom"),
+        (NOT_JSON, 0, "exit code 0, last line is not a JSON result"),
+    ],
+)
+def test_bench_pairs_keeps_pairs_past_a_run_without_result(tmp_path, capsys, script, code, problem):
+    parent = _checkout(tmp_path, "parent")
+    change = _checkout(tmp_path, "change")
+    (change / "dwbench" / "run.py").write_text(script)
+    argv = _argv(tmp_path, parent, change)
+    argv[argv.index("--pairs") + 1] = "3"
+    assert _tool().main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"bad run: class-scan pair seed {seed} change: {problem}" for seed in (5, 6, 7)
+    ]
+    assert "change bad run" in captured.out
+    assert "class-scan run_s: no pair in which both runs gave a result" in captured.out
+    # Every pair ran and was written out, the bad runs with their exit code
+    # and the tail of their standard error.
+    written = json.loads((tmp_path / "pairs.json").read_text())["workloads"]["class-scan"]
+    assert [p["seed"] for p in written["pairs"]] == [5, 6, 7]
+    for pair in written["pairs"]:
+        assert pair["parent"]["run_s"] == 1.0
+        assert pair["change"]["exit_code"] == code and "run_s" not in pair["change"]
+        tail = "" if code == 0 else "Traceback (most recent call last):\nRuntimeError: boom"
+        assert pair["change"]["stderr_tail"] == tail
+    assert written["summary"]["run_s"]["pairs"] == 0
+    assert written["summary"]["failed"] == {"parent": 0, "change": 0}
+
+
+def test_bench_pairs_summarizes_the_whole_pairs():
+    bench = _tool()
+    good = {"exit_code": 0, "failed": 0, "digests": [], "run_s": 2.0, "setup_s": 1.0, "peak_rss_mb": 3.0}
+    bad = {"exit_code": 1, "error": "no output", "stderr_tail": ""}
+    faster = dict(good, run_s=1.0)
+    summary = bench.summarize([
+        {"seed": 1, "parent": good, "change": faster},
+        {"seed": 2, "parent": bad, "change": faster},
+        {"seed": 3, "parent": good, "change": bad},
+    ])
+    assert summary["run_s"]["pairs"] == 1 and summary["run_s"]["change_wins"] == 1
+    assert summary["run_s"]["parent"]["median"] == 2.0 and summary["run_s"]["change"]["median"] == 1.0
+    assert summary["digests_equal"] == 1

@@ -262,6 +262,21 @@ def test_inclusion_search_subcommand(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"inclusion-search: {flag} must be"), flag
 
 
+def test_inclusion_search_refuses_an_out_that_is_not_a_directory(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("annealed before the --out check")
+
+    monkeypatch.setattr(cli, "inclusion_search", refuse)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "sub"):
+        argv = ["inclusion-search", "--N", "2", "--b2-cap", "2.0", "--budget", "3", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"inclusion-search: --out must name a directory; {taken} is not one\n"
+    assert taken.read_text() == ""
+
+
 def test_paraproduct_demo(tmp_path, capsys):
     rep = tmp_path / "r.json"
     assert main(["paraproduct-demo", "--depth", "6", "--report", str(rep)]) == 0

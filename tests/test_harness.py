@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwlab import harness, weights
-from dwlab.grid import Grid, WeightField, read_weight_field, write_weight_field
-from dwlab.harness import GENERATOR_KINDS, WeightGenerator, generate, inclusion_search
+from dwlab.grid import CellValueError, Grid, WeightField, read_weight_field, write_weight_field
+from dwlab.harness import GENERATOR_KINDS, WeightGenerator, _sym_expm, generate, inclusion_search
 from dwlab.weights import b2_constants, class_report
 
-from conftest import oracle_dyadic_constants, random_weight_field
+from conftest import dyadic_ratios, loop_propose, oracle_sym_screen
 
 
 def test_constant_kind():
@@ -103,21 +103,30 @@ def _close(a, b):
     return abs(a - b) <= 1e-12 * max(abs(a), abs(b))
 
 
+def _random_screen_input(seed, n, N, L, spread=0.5):
+    """A log-matrix field ``sym`` of symmetric Gaussian cells and a grid with a
+    log-normal density."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((2**L,) * n + (N, N)) * spread
+    grid = Grid(n, L, np.exp(rng.standard_normal((2**L,) * n) * 0.5))
+    return grid, (g + np.swapaxes(g, -1, -2)) / 2.0
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.sampled_from([1, 2]),
-    N=st.integers(2, 3),
+    n=st.sampled_from([1, 2, 3]),
+    N=st.integers(2, 4),
     L=st.integers(0, 4),
 )
 def test_tree_screen_matches_box_path(seed, n, N, L):
-    rng = np.random.default_rng(seed)
-    w = random_weight_field(rng, n=n, N=N, L=L, spread=0.5, mu_spread=0.5)
-    got, want = harness._dyadic_constants(w), _box_path_screen(w)
+    grid, sym = _random_screen_input(seed, n, N, L)
+    w = WeightField(grid, _sym_expm(sym))
+    got, want = harness._dyadic_constants(grid, sym), _box_path_screen(w)
     assert all(_close(x, y) for x, y in zip(got, want)), (got, want)
     # Every per-cube ratio of the tree source against the band path at shift 0,
     # whose batches list the dyadic cubes level by level in C order.
-    tree = weights.dyadic_ratios(w)
+    tree = dyadic_ratios(w)
     band = [
         weights.ratio_kernel(weights.box_averages(w, batch), weights.RATIO_KEYS)
         for batch in w.grid.box_batches(0)
@@ -134,22 +143,64 @@ def test_tree_screen_matches_box_path(seed, n, N, L):
             assert np.all(np.abs(a - b) <= 1e-12 * scale), key
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2, 3]),
+    N=st.integers(2, 4),
+    L=st.integers(0, 4),
+)
+def test_screen_matches_oracle_trees(seed, n, N, L):
+    # The powers summed in one stack and one LU call over both give the
+    # per-moment trees and LU calls, to the bit.
+    grid, sym = _random_screen_input(seed, n, N, L, spread=1.0)
+    assert harness._dyadic_constants(grid, sym) == oracle_sym_screen(grid, sym)
+
+
+def test_screen_refuses_cells_as_weight_field_does():
+    grid = Grid(2, 1)
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    overflow = rot @ np.diag([800.0, 0.0]) @ rot.T
+    spread = rot @ np.diag([15.5, -15.5]) @ rot.T
+    cases = [
+        ("is not finite", {(1, 0): overflow}),
+        ("is not positive definite", {(0, 1): spread}),
+        # the finite check comes first, as in WeightField
+        ("is not finite", {(0, 1): spread, (1, 1): overflow}),
+    ]
+    for what, cells in cases:
+        sym = np.zeros((2, 2, 2, 2))
+        for cell, value in cells.items():
+            sym[cell] = value
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(CellValueError) as want:
+                WeightField(grid, _sym_expm(sym))
+            with pytest.raises(CellValueError) as got:
+                harness._dyadic_constants(grid, sym)
+        assert str(got.value) == str(want.value) and got.value.index == want.value.index
+        assert str(got.value).endswith(what), str(got.value)
+
+
 def test_tree_screen_skips_box_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("per-box path called")
 
-    w = random_weight_field(np.random.default_rng(5), n=2, N=2, L=3, mu_spread=0.5)
+    grid, sym = _random_screen_input(5, 2, 2, 3)
     monkeypatch.setattr(weights, "box_averages", refuse)
     monkeypatch.setattr(Grid, "box_batches", refuse)
     monkeypatch.setattr(Grid, "box_cells", refuse)
-    b2, ainf = harness._dyadic_constants(w)
+    monkeypatch.setattr(WeightField, "__init__", refuse)
+    b2, ainf = harness._dyadic_constants(grid, sym)
     assert b2 > 1.0 and ainf > 1.0
 
 
 def test_inclusion_search_matches_box_path_screen(monkeypatch):
     # cap 2 binds at seed 2: the anneal projects five times and shrinks at the end
     fast = inclusion_search(1, 2, 3, b2_cap=2.0, budget=60, seed=2)
-    monkeypatch.setattr(harness, "_dyadic_constants", _box_path_screen)
+    monkeypatch.setattr(
+        harness, "_dyadic_constants", lambda grid, sym: _box_path_screen(WeightField(grid, _sym_expm(sym)))
+    )
     slow = inclusion_search(1, 2, 3, b2_cap=2.0, budget=60, seed=2)
     assert [t["step"] for t in fast.trail] == [t["step"] for t in slow.trail]
     assert np.array_equal(fast.field.values, slow.field.values)
@@ -164,7 +215,7 @@ def test_inclusion_search_matches_oracle_trees(monkeypatch):
     # the flat stacks with one LU call gives the run of the per-moment oracle
     # trees with one LU call per moment, to the bit.
     fast = inclusion_search(2, 2, 3, b2_cap=2.0, budget=40, seed=1)
-    monkeypatch.setattr(harness, "_dyadic_constants", oracle_dyadic_constants)
+    monkeypatch.setattr(harness, "_dyadic_constants", oracle_sym_screen)
     slow = inclusion_search(2, 2, 3, b2_cap=2.0, budget=40, seed=1)
     assert fast.as_dict() == slow.as_dict()
     assert np.array_equal(fast.field.values, slow.field.values)
@@ -193,9 +244,9 @@ def test_inclusion_search_screens_each_field_once(monkeypatch):
     seen = []
     screen = harness._dyadic_constants
 
-    def counting(field):
-        seen.append(field.values.tobytes())
-        return screen(field)
+    def counting(grid, sym):
+        seen.append(sym.tobytes())
+        return screen(grid, sym)
 
     monkeypatch.setattr(harness, "_dyadic_constants", counting)
     # cap 2 binds at seed 2: the anneal projects five times, so the initial
@@ -203,3 +254,56 @@ def test_inclusion_search_screens_each_field_once(monkeypatch):
     inclusion_search(1, 2, 3, b2_cap=2.0, budget=60, seed=2)
     assert len(seen) == 61 + 5 * 12
     assert len(set(seen)) == len(seen)
+
+
+def test_inclusion_search_builds_fields_only_past_the_anneal(monkeypatch):
+    counts = {"eigh": 0, "fields": 0}
+    eigh, init, screen = np.linalg.eigh, WeightField.__init__, harness._dyadic_constants
+    per_screen = []
+
+    def counting_eigh(*args, **kwargs):
+        counts["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        counts["fields"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_screen(grid, sym):
+        before = dict(counts)
+        out = screen(grid, sym)
+        per_screen.append((counts["eigh"] - before["eigh"], counts["fields"] - before["fields"]))
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(WeightField, "__init__", counting_init)
+    monkeypatch.setattr(harness, "_dyadic_constants", counting_screen)
+    # cap 2 binds at seed 2: 61 + 5 * 12 screens of one eigh and no field each;
+    # then one field for the first full-family b2 scan, twelve for the final
+    # shrink's bisection and one for the report.
+    inclusion_search(1, 2, 3, b2_cap=2.0, budget=60, seed=2)
+    assert per_screen == [(1, 0)] * (61 + 5 * 12)
+    assert counts["fields"] == 1 + 12 + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cells=st.integers(4, 512),
+    N=st.integers(2, 3),
+    temp=st.floats(1e-3, 1.0),
+)
+def test_propose_matches_the_per_cell_loop(seed, cells, N, temp):
+    sym = np.random.default_rng(seed + 1).standard_normal((cells, N, N))
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(harness._propose(sym, a, temp), loop_propose(sym, b, temp))
+    # and both leave the generator at the same draw
+    assert a.random() == b.random()
+
+
+def test_propose_adds_a_repeated_cell_once_per_draw():
+    sym = np.zeros((8, 8, 3, 3))
+    a, b = np.random.default_rng(11), np.random.default_rng(11)
+    touched = np.random.default_rng(11).integers(0, 64, size=8)
+    assert len(set(touched.tolist())) < len(touched)
+    assert np.array_equal(harness._propose(sym, a, 0.5), loop_propose(sym, b, 0.5))

@@ -14,9 +14,12 @@ lines.
 Printed per workload and metric: each side's median and quartiles over its
 runs, and the number of pairs in which the change is better (lower).  The
 JSON written to ``--out`` holds every run and that summary; it is the source
-of a ``BENCH_*.json``.  The exit code is 1, after every pair has run, when a
-run of either side exits non-zero or reports failed invocations; each such run
-is named on standard error.  Standard library only; nothing under ``dwbench/``
+of a ``BENCH_*.json``.  A run that prints no output, or whose last line is
+not a JSON result, is kept as a bad run (its exit code and the tail of its
+standard error) and the summary reads the pairs in which both runs gave a
+result.  The exit code is 1, after every pair has run, when a run of either
+side is bad, exits non-zero or reports failed invocations; each such run is
+named on standard error.  Standard library only; nothing under ``dwbench/``
 is changed.
 """
 
@@ -43,9 +46,17 @@ def run_once(checkout, workload, seed, seconds):
     ]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"no output from {checkout}: {proc.stderr.strip()[-2000:]}")
-    result = json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict):
+        # A bad run: no result line to read metrics from.
+        return {
+            "exit_code": proc.returncode,
+            "error": "last line is not a JSON result" if lines else "no output",
+            "stderr_tail": proc.stderr.strip()[-2000:],
+        }
     return {
         "exit_code": proc.returncode,
         "failed": result["failed"],
@@ -64,15 +75,32 @@ def spread(values):
 
 
 def summarize(pairs):
+    """Spreads and wins over the pairs in which both runs gave a result."""
+    whole = [p for p in pairs if not any("error" in p[s] for s in SIDES)]
     out = {}
     for m in METRICS:
-        sides = {s: [p[s][m] for p in pairs] for s in SIDES}
-        out[m] = {s: spread(v) for s, v in sides.items()}
+        sides = {s: [p[s][m] for p in whole] for s in SIDES}
+        out[m] = {s: spread(v) if v else None for s, v in sides.items()}
         out[m]["change_wins"] = sum(c < p for p, c in zip(sides["parent"], sides["change"]))
-        out[m]["pairs"] = len(pairs)
-    out["failed"] = {s: sum(p[s]["failed"] for p in pairs) for s in SIDES}
-    out["digests_equal"] = sum(p["parent"]["digests"] == p["change"]["digests"] for p in pairs)
+        out[m]["pairs"] = len(whole)
+    out["failed"] = {s: sum(p[s].get("failed", 0) for p in pairs) for s in SIDES}
+    out["digests_equal"] = sum(p["parent"]["digests"] == p["change"]["digests"] for p in whole)
     return out
+
+
+def _value(run, metric):
+    return "bad run" if "error" in run else f"{run[metric]:.4f}"
+
+
+def _problem(run):
+    """Why a run is bad, or None when it is not."""
+    if "error" in run:
+        tail = run["stderr_tail"].splitlines()
+        last = f"; stderr: {tail[-1]}" if tail else ""
+        return f"exit code {run['exit_code']}, {run['error']}{last}"
+    if run["exit_code"] or run["failed"]:
+        return f"exit code {run['exit_code']}, {run['failed']} failed"
+    return None
 
 
 def main(argv=None):
@@ -110,13 +138,17 @@ def main(argv=None):
             pairs.append(pair)
             print(
                 f"{workload} pair {i + 1}/{args.pairs} seed {seed}: run_s"
-                f" parent {pair['parent']['run_s']:.4f} change {pair['change']['run_s']:.4f}",
+                f" parent {_value(pair['parent'], 'run_s')}"
+                f" change {_value(pair['change'], 'run_s')}",
                 flush=True,
             )
         summary = summarize(pairs)
         report["workloads"][workload] = {"pairs": pairs, "summary": summary}
         for m in METRICS:
             s = summary[m]
+            if not s["pairs"]:
+                print(f"{workload} {m}: no pair in which both runs gave a result")
+                continue
             print(
                 f"{workload} {m}: parent {s['parent']['median']:.4f}"
                 f" ({s['parent']['q1']:.4f}-{s['parent']['q3']:.4f}),"
@@ -126,16 +158,16 @@ def main(argv=None):
             )
         print(
             f"{workload}: failed parent {summary['failed']['parent']} change"
-            f" {summary['failed']['change']}; digests equal in {summary['digests_equal']} of {len(pairs)}"
+            f" {summary['failed']['change']}; digests equal in {summary['digests_equal']}"
+            f" of {summary['run_s']['pairs']}"
         )
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     bad = [
-        f"{workload} pair seed {pair['seed']} {side}: exit code {pair[side]['exit_code']},"
-        f" {pair[side]['failed']} failed"
+        f"{workload} pair seed {pair['seed']} {side}: {_problem(pair[side])}"
         for workload, runs in report["workloads"].items()
         for pair in runs["pairs"]
         for side in SIDES
-        if pair[side]["exit_code"] or pair[side]["failed"]
+        if _problem(pair[side])
     ]
     for line in bad:
         print(f"bad run: {line}", file=sys.stderr)
