@@ -141,12 +141,17 @@ def _reject_cells(bad, message):
 def _reject_nonfinite(values):
     """Raise CellValueError for the first weight cell of ``values`` with a
     non-finite entry."""
+    if np.isfinite(values).all():
+        return
     _reject_cells(~np.all(np.isfinite(values), axis=(-2, -1)), "weight cell {} is not finite")
 
 
 def _reject_singular(eigvals):
     """Raise CellValueError for the first weight cell whose smallest eigenvalue
-    (``eigvals`` ascending) is at most 1e-13 of its largest in magnitude."""
+    (``eigvals`` ascending) is at most 1e-13 of its largest in magnitude.
+    Passing that test against the largest magnitude of all cells suffices."""
+    if eigvals[..., 0].min() > 1e-13 * np.abs(eigvals).max():
+        return
     scale = np.max(np.abs(eigvals), axis=-1)
     _reject_cells(eigvals[..., 0] <= 1e-13 * scale, "weight cell {} is not positive definite")
 
@@ -449,10 +454,11 @@ class WeightField:
         """Per-level views of the average stack of ``moment``."""
         return self.grid.levels(self.average_stacks((moment,))[0])
 
-    def integral_tree(self, moment):
-        """Per-level views of the stack of cube integrals of ``moment`` d(mu)."""
+    def integral_stack(self, moment):
+        """The flat stack of cube integrals of ``moment`` d(mu), one row per cube
+        as in ``average_stacks``."""
         self._trees((moment,))
-        return self.grid.levels(self._tree_cache["sum", moment])
+        return self._tree_cache["sum", moment]
 
     def avg_entries(self, cube, moment="w"):
         return self.averages(moment)[cube.level][cube.coords]

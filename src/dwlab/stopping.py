@@ -8,8 +8,9 @@ generations.  The sawtooth of a root is its cube-box minus the boxes of its
 first-generation cubes, and the sawtooths over all generations partition the
 box exactly.
 
-Every walk runs on index arrays of one ``CubeTree``.  ``owner_levels``
-propagates owners down the levels and gives every decomposition;
+Every walk runs on index arrays of one ``CubeTree``.  ``anchor_owners``
+propagates owners down the levels under every anchor at once and gives every
+decomposition;
 ``first_generation_levels`` rebuilds first generations for the independent
 ``partition_residual`` check and the Volberg packing.
 """
@@ -32,7 +33,8 @@ __all__ = [
     "run_stopping",
     "packing_constant",
     "first_generation_ratio",
-    "owner_levels",
+    "AnchorOwners",
+    "anchor_owners",
     "chain_owners",
     "first_generation_levels",
     "partition_residual",
@@ -159,7 +161,7 @@ def run_stopping(root, criterion, L):
     """
     tree = CubeTree(root.n, L)
     cubes = tree.box(tree.index(root))
-    owner = np.concatenate(owner_levels(tree, criterion, cubes[:1]))
+    owner = np.concatenate(anchor_owners(tree, criterion, cubes[0], root.level).levels(root.level))
     owner_of = np.full(tree.size, -1)
     owner_of[cubes] = owner
     stops = cubes[owner == cubes]
@@ -195,18 +197,62 @@ def first_generation_ratio(result, grid):
 # Level-array walks ---------------------------------------------------------------
 
 
-def owner_levels(tree, crit, anchors):
-    """Owner, under the anchor above it, of every cube in the boxes of
-    ``anchors`` (all at one level), one index array per level down to ``L``:
-    a cube keeps its parent's owner unless ``crit`` fires at it against that
-    owner, and then owns itself.  Each level's cubes are the children of the
-    previous level's, in order."""
-    cubes = np.asarray(anchors)
-    own = [cubes]
-    for _ in range(tree.level[cubes[0]], tree.L):
-        cubes, par = tree.children(cubes), np.repeat(own[-1], 2**tree.n)
-        own.append(np.where(crit.fires_many(tree, par, cubes), cubes, par))
-    return own
+class AnchorOwners:
+    """Owners in the box of ``top`` under all its anchors down to a deepest
+    level, as each level's distinct (owner, cube) pairs (``anchor_owners``).
+
+    Entry ``i`` of each list is level ``level(top) + i``, whose box cubes in
+    order are its columns: column c has the children ``c * 2**n + s``.
+    ``owner[i]`` and ``column[i]`` give each pair, the ``(cube, cube)`` pairs
+    first in column order (every column down to the deepest anchor level,
+    below it only where the criterion fired); ``step[i][p, s]`` is the pair
+    of the child in slot ``s`` of pair ``p``'s cube under the same anchor.
+    """
+
+    def __init__(self, tree, top, owner, column, step):
+        self.tree, self.top = tree, top
+        self.owner, self.column, self.step = owner, column, step
+
+    def pair_ids(self, j):
+        """The pair of every column under its level-``j`` anchor, one array
+        per level from ``j`` down."""
+        skip = j - int(self.tree.level[self.top])
+        ids = np.arange(2 ** (self.tree.n * skip))
+        yield ids
+        for step in self.step[skip:]:
+            ids = step[ids].reshape(-1)
+            yield ids
+
+    def levels(self, j):
+        """The owner of every column under its level-``j`` anchor, one array
+        per level from ``j`` down."""
+        skip = j - int(self.tree.level[self.top])
+        return [own[ids] for own, ids in zip(self.owner[skip:], self.pair_ids(j))]
+
+
+def anchor_owners(tree, crit, top, deepest):
+    """Owners under every anchor of ``top``'s box down to level ``deepest``
+    in one top-down propagation: a cube keeps its parent's owner unless
+    ``crit`` fires at it against that owner, and then owns itself.  A level's
+    rows are its parent level's distinct pairs against their cube's children,
+    so each (owner, cube) pair is decided once however many anchors share it,
+    which is exact as a criterion is a pure predicate of the pair."""
+    slots = 2**tree.n
+    cubes = np.array([top])
+    owner, column, step = [cubes], [np.zeros(1, dtype=np.intp)], []
+    for k in range(tree.level[top], tree.L):
+        cubes = tree.children(cubes)
+        col = (column[-1][:, None] * slots + np.arange(slots)).reshape(-1)
+        par = np.repeat(owner[-1], slots)
+        fired = crit.fires_many(tree, par, cubes[col])
+        own = np.arange(len(cubes)) if k < deepest else np.unique(col[fired])
+        self_pair = np.empty(len(cubes), dtype=np.intp)
+        self_pair[own] = np.arange(len(own))
+        kept = ~fired
+        step.append(np.where(kept, len(own) + np.cumsum(kept) - 1, self_pair[col]).reshape(-1, slots))
+        owner.append(np.concatenate([cubes[own], par[kept]]))
+        column.append(np.concatenate([own, col[kept]]))
+    return AnchorOwners(tree, top, owner, column, step)
 
 
 def chain_owners(tree, s1, r, fires):

@@ -104,12 +104,10 @@ def make_gamma(kind, field, M=1, seed=0, scale=1.0):
 
 
 def _box_mass_tree(grid, level_masses):
-    """acc[k][Q] = sum of per-cube masses over the box of Q."""
-    acc = [None] * len(level_masses)
-    acc[-1] = level_masses[-1].copy()
+    """Sum per-level per-cube masses over the box of every cube Q, in place:
+    each level adds the box sums of the level below, from the finest up."""
     for k in range(len(level_masses) - 2, -1, -1):
-        acc[k] = level_masses[k] + _coarsen(acc[k + 1], grid.n)
-    return acc
+        level_masses[k] += _coarsen(level_masses[k + 1], grid.n)
 
 
 def carleson_norm(gamma):
@@ -120,10 +118,10 @@ def carleson_norm(gamma):
 def _carleson_sup(g, norms_sq):
     """``carleson_norm`` from the per-level squared multiplier norms."""
     masses = [nsq * g._mu_tree[k] * LN2 for k, nsq in enumerate(norms_sq)]
-    acc = _box_mass_tree(g, masses)
+    _box_mass_tree(g, masses)
     best = 0.0
     for k in range(g.L + 1):
-        ratios = acc[k] / g._mu_tree[k]
+        ratios = masses[k] / g._mu_tree[k]
         best = max(best, float(ratios.max()))
     return best
 
@@ -157,30 +155,27 @@ class CanonicalFamily:
 
     def _sup_form(self, forms):
         """sqrt of the sup over cubes Q and unit v of u^T F_Q u / mu(Q), u = W_Q v,
-        for per-level arrays ``forms`` of N x N matrices F_Q: the top eigenvalue
-        of W_Q F_Q W_Q, one batched ``eigvalsh`` per level."""
-        g, N = self.field.grid, self.field.N
-        worst = 0.0
-        for form, avg, mu in zip(forms, self.field.averages("w"), g._mu_tree):
-            avg = avg.reshape(-1, N, N)
-            m = avg @ form.reshape(-1, N, N) @ avg
-            top = np.linalg.eigvalsh((m + np.swapaxes(m, -1, -2)) / 2.0)[:, -1]
-            worst = max(worst, float(np.max(top / mu.reshape(-1))))
-        return math.sqrt(worst)
+        for a flat stack ``forms`` of N x N matrices F_Q, one per dyadic cube:
+        the top eigenvalue of W_Q F_Q W_Q, one batched ``eigvalsh`` over every
+        cube."""
+        avg = self.field.average_stacks(("w",))[0]
+        m = avg @ forms @ avg
+        top = np.linalg.eigvalsh((m + np.swapaxes(m, -1, -2)) / 2.0)[:, -1]
+        return math.sqrt(max(0.0, float(np.max(top / self.field.grid._mu_stack))))
 
     def c3(self):
         """Energy of b_Q^v over mu(Q) is u^T (W^-2)_Q u with u = W_Q v."""
-        return self._sup_form(self.field.integral_tree("winv2"))
+        return self._sup_form(self.field.integral_stack("winv2"))
 
     def c4(self, gamma):
         """E_R b_Q^v = W_R^-1 u for R in Q, so the Carleson sum is u^T M_Q u with
         M_Q = ln2 sum_{R in Q} mu(R) W_R^-1 gamma_R^T gamma_R W_R^-1."""
-        g = self.field.grid
-        masses = []
-        for avg, mu, gam in zip(self.field.averages("w"), g._mu_tree, gamma.levels):
-            x = np.linalg.solve(avg, np.swapaxes(gam, -1, -2))
-            masses.append(x @ np.swapaxes(x, -1, -2) * (mu * LN2)[..., None, None])
-        return self._sup_form(_box_mass_tree(g, masses))
+        g, N = self.field.grid, self.field.N
+        gam = np.concatenate([lv.reshape(-1, gamma.M, N) for lv in gamma.levels])
+        x = np.linalg.solve(self.field.average_stacks(("w",))[0], np.swapaxes(gam, -1, -2))
+        masses = x @ np.swapaxes(x, -1, -2) * (g._mu_stack * LN2)[:, None, None]
+        _box_mass_tree(g, g.levels(masses))
+        return self._sup_form(masses)
 
 
 @dataclass
@@ -279,19 +274,31 @@ def tb_run(field, gamma, eps1=None, eps2=0.1, eps3=None, lam=16.0, shifts=None):
         for i in gap[np.argsort(tree.grid_key[live[gap]])]
     ]
 
-    # S1 of every live cube under each anchor level j, then S2 once per
-    # distinct (S1, cube) pair.
+    # S1 of every live cube under every anchor, from one propagation whose
+    # pairs are the distinct (S1, cube) of each level; then S2 once per
+    # distinct (S1, R) with R live: the propagation's pairs with a live cube.
     corona = stopping.corona_criterion(field, eps3)
-    anchor_rows, s1 = [], []
-    for j in range(g.L + 1):
-        rows = np.flatnonzero(tree.level[live] >= j)
-        own = np.concatenate(stopping.owner_levels(tree, corona, tree.span(j)))
-        anchor_rows.append(rows)
-        s1.append(own[live[rows] - tree.offsets[j]])
-    pairs, pair_of = np.unique(
-        np.concatenate(s1) * len(live) + np.concatenate(anchor_rows), return_inverse=True
-    )
-    p_s1, p_row = np.divmod(pairs, len(live))
+    chains = stopping.anchor_owners(tree, corona, 0, g.L)
+    base = np.cumsum([0] + [len(own) for own in chains.owner])
+    row_of = np.full(tree.size, -1)
+    row_of[live] = np.arange(len(live))
+    rows = row_of[np.concatenate([tree.offsets[k] + c for k, c in enumerate(chains.column)])]
+    held = rows >= 0
+    p_s1, p_row = np.concatenate(chains.owner)[held], rows[held]
+    # The number among the (S1, R) pairs of each propagation pair with a live R.
+    number = np.cumsum(held) - 1
+    depth = tree.level[live]
+    column = live - tree.offsets[depth]
+    by_level = [np.flatnonzero(depth == k) for k in range(g.L + 1)]
+
+    def anchor_pairs(j):
+        """The pair of every live row of level >= j under its level-j anchor
+        (the other rows are left unset)."""
+        out = np.empty(len(live), dtype=np.intp)
+        for k, ids in enumerate(chains.pair_ids(j), j):
+            out[by_level[k]] = number[base[k] + ids[column[by_level[k]]]]
+        return out
+
     r, v = live[p_row], v0[p_row]
 
     def kato(s, a, rows):
@@ -307,29 +314,26 @@ def tb_run(field, gamma, eps1=None, eps2=0.1, eps3=None, lam=16.0, shifts=None):
         tree, (sector[p_row], p_s1, p_s2, r), e, v, gsq[r], factor * ge_sq, eps1, eps2
     )
 
-    assembled, start = 0.0, 0
-    for j, rows in enumerate(anchor_rows):
+    assembled = 0.0
+    for j in range(g.L + 1):
         # Per anchor Q, sum over the cubes of its box in preorder.
-        q = tree.ancestor(live[rows], j) - tree.offsets[j]
-        got = contrib[pair_of[start : start + len(rows)]]
+        at = np.flatnonzero(depth >= j)
+        q = tree.ancestor(live[at], j) - tree.offsets[j]
+        got = contrib[anchor_pairs(j)[at]]
         acc = np.bincount(q, weights=got, minlength=2 ** (g.n * j))
         assembled = max(assembled, float(np.max(acc / mu[tree.span(j)])))
-        start += len(rows)
 
-    root = pair_of[: len(live)]
+    root = anchor_pairs(0)
     # Per-sector tallies over the sectors in use, added in cube order.
     used, slot = np.unique(sector, return_inverse=True)
     count = np.bincount(slot)
     direct = np.bincount(slot, weights=gsq[live] * mu[live] * LN2)
     bound = np.bincount(slot, weights=contrib[root])
     per_sector = {
-        str(s): {
-            "vector": [float(x) for x in vec],
-            "cubes": int(count[i]),
-            "direct_mass": float(direct[i]),
-            "bound_mass": float(bound[i]),
-        }
-        for i, (s, vec) in enumerate(zip(used, net.vectors_at(used)))
+        str(s): {"vector": vec, "cubes": c, "direct_mass": d, "bound_mass": b}
+        for s, vec, c, d, b in zip(
+            used.tolist(), net.vectors_at(used).tolist(), count.tolist(), direct.tolist(), bound.tolist()
+        )
     }
     residual = _chain_residual(
         tree, corona, kato, live, (p_s1[root], p_s2[root]), mu * (1.0 + gsq * LN2)

@@ -7,10 +7,11 @@ import pytest
 from dwlab.cones import required_alignment
 from dwlab.grid import Cube, Grid, WeightField
 from dwlab.stopping import (
+    AnchorOwners,
     CubeTree,
     StoppingCriterion,
+    anchor_owners,
     chain_owners,
-    owner_levels,
     partition_residual,
 )
 from dwlab import weights
@@ -300,7 +301,7 @@ def chain_residual(tree, first, second, weight):
     sawtooth of S1, S2 from ``chain_owners`` against the stops of ``second``
     restarted at S1."""
     every = np.arange(tree.size)
-    s1 = np.concatenate(owner_levels(tree, first, tree.span(0)))
+    s1 = np.concatenate(anchor_owners(tree, first, 0, 0).levels(0))
     s2 = chain_owners(tree, s1, every, lambda s, a, rows: second.fires_many(tree, s, a))
     worst = partition_residual(tree, first, 0, every, s1, weight)
     for s in np.unique(s1):
@@ -309,17 +310,53 @@ def chain_residual(tree, first, second, weight):
     return worst
 
 
-def coarse_owner_levels(tree, crit, anchors):
+def owner_levels(tree, crit, anchors):
+    """The per-anchor owner walk, the oracle of ``anchor_owners``: the owner,
+    under the anchor above it, of every cube in the boxes of ``anchors`` (all
+    at one level), one index array per level down to ``L``.  A cube keeps its
+    parent's owner unless ``crit`` fires at it against that owner, and then
+    owns itself; every row is decided, whether or not another anchor's
+    walk decided the same pair."""
+    cubes = np.asarray(anchors)
+    own = [cubes]
+    for _ in range(tree.level[cubes[0]], tree.L):
+        cubes, par = tree.children(cubes), np.repeat(own[-1], 2**tree.n)
+        own.append(np.where(crit.fires_many(tree, par, cubes), cubes, par))
+    return own
+
+
+def anchor_loop(tree, crit, top, deepest):
+    """``owner_levels`` once per anchor level of the box of ``top``: for each
+    level j from ``top``'s down to ``deepest``, the owners of the box's cubes
+    from level j down under their level-j anchors, as one array."""
+    box = tree.box(top)
+    return [
+        np.concatenate(owner_levels(tree, crit, box[tree.level[box] == j]))
+        for j in range(int(tree.level[top]), deepest + 1)
+    ]
+
+
+def coarse_anchor_owners(tree, crit, top, deepest):
     """A wrong owner propagation: each owner is gathered one level too coarse,
     so a cube takes its grandparent's owner and the children of a stop never
-    land in its sawtooth."""
-    cubes, own = [np.asarray(anchors)], [np.asarray(anchors)]
-    for k in range(1, tree.L - int(tree.level[cubes[0][0]]) + 1):
-        hops = min(2, k)
-        cubes.append(tree.children(cubes[-1]))
-        par = np.repeat(own[-hops], 2 ** (tree.n * hops))
-        own.append(np.where(crit.fires_many(tree, par, cubes[-1]), cubes[-1], par))
-    return own
+    land in its sawtooth.  Its pairs are the distinct (owner, parent's owner,
+    cube) states of a level, each cube's own state ``(cube, cube, cube)``
+    first, for every anchor whatever ``deepest``."""
+    slots = 2**tree.n
+    cubes = np.array([top])
+    owner, above, column, step = [cubes], [cubes], [np.zeros(1, dtype=np.intp)], []
+    for _ in range(tree.level[top], tree.L):
+        cubes = tree.children(cubes)
+        col = (column[-1][:, None] * slots + np.arange(slots)).reshape(-1)
+        par = np.repeat(above[-1], slots)
+        own = np.where(crit.fires_many(tree, par, cubes[col]), cubes[col], par)
+        states = np.stack([own, np.repeat(owner[-1], slots), col], axis=1)
+        distinct, state = np.unique(states, axis=0, return_inverse=True)
+        step.append((len(cubes) + state.reshape(-1)).reshape(-1, slots))
+        owner.append(np.concatenate([cubes, distinct[:, 0]]))
+        above.append(np.concatenate([cubes, distinct[:, 1]]))
+        column.append(np.concatenate([np.arange(len(cubes)), distinct[:, 2]]))
+    return AnchorOwners(tree, top, owner, column, step)
 
 
 def oracle_circle_net(eps1):

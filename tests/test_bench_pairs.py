@@ -111,3 +111,25 @@ def test_bench_pairs_summarizes_the_whole_pairs():
     assert summary["run_s"]["pairs"] == 1 and summary["run_s"]["change_wins"] == 1
     assert summary["run_s"]["parent"]["median"] == 2.0 and summary["run_s"]["change"]["median"] == 1.0
     assert summary["digests_equal"] == 1
+
+
+def test_bench_pairs_keeps_the_pairs_of_an_interrupted_session(tmp_path, monkeypatch):
+    # A session stopped during its second pair still leaves the first pair,
+    # both sides, in the --out JSON.
+    bench = _tool()
+    real, calls = bench.run_once, []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append(seed)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return real(checkout, workload, seed, seconds)
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    parent, change = _checkout(tmp_path, "parent"), _checkout(tmp_path, "change")
+    with pytest.raises(KeyboardInterrupt):
+        bench.main(_argv(tmp_path, parent, change))
+    written = json.loads((tmp_path / "pairs.json").read_text())["workloads"]["class-scan"]
+    assert [p["seed"] for p in written["pairs"]] == [5]
+    assert written["pairs"][0]["parent"]["run_s"] == written["pairs"][0]["change"]["run_s"] == 1.0
+    assert "summary" not in written

@@ -15,7 +15,7 @@ from dwlab.grid import Grid, WeightField, write_weight_field
 from dwlab.harness import WeightGenerator, generate
 from dwlab.tb import gamma_zero, make_gamma, tb_run
 
-from conftest import coarse_owner_levels
+from conftest import coarse_anchor_owners
 
 
 @pytest.fixture
@@ -160,7 +160,7 @@ def test_corona_partition_check_catches_wrong_engine(monkeypatch, tmp_path):
             "--report", str(rep)]
     assert main(argv) == 0
     assert json.loads(rep.read_text())["partition_residual"] == 0.0
-    monkeypatch.setattr(stopping, "owner_levels", coarse_owner_levels)
+    monkeypatch.setattr(stopping, "anchor_owners", coarse_anchor_owners)
     assert main(argv) == 2
     assert json.loads(rep.read_text())["partition_residual"] > 1e-9
 
@@ -260,6 +260,25 @@ def test_inclusion_search_subcommand(tmp_path, capsys):
                         ("--budget", "-5"), ("--n", "0"), ("--L", "-1")):
         assert main(base + [flag, value]) == 1
         assert capsys.readouterr().err.startswith(f"inclusion-search: {flag} must be"), flag
+
+
+def test_inclusion_search_report_is_check_weight_at_its_shift_count(tmp_path):
+    # The search reports the class constants over 3**n - 1 shifts, so at n=2
+    # check-weight reproduces them bit for bit with --shifts 8; its default
+    # of 2 shifts scans fewer boxes and reads lower constants.
+    out = tmp_path / "incl"
+    argv = ["inclusion-search", "--n", "2", "--N", "2", "--L", "3", "--b2-cap", "4"]
+    assert main(argv + ["--budget", "100", "--seed", "7", "--out", str(out)]) == 0
+    block = json.loads((out / "report.json").read_text())["report"]
+    reports = {}
+    for shifts in ("8", None):
+        rep = tmp_path / f"check-{shifts}.json"
+        extra = ["--shifts", shifts] if shifts else []
+        assert main(["check-weight", "--field", str(out / "best_field.wf"), "--report", str(rep)] + extra) == 0
+        reports[shifts] = json.loads(rep.read_text())
+        del reports[shifts]["meta"]
+    assert reports["8"] == block
+    assert reports[None]["b2_iv"] < block["b2_iv"] and reports[None]["ainf_ii"] < block["ainf_ii"]
 
 
 def test_inclusion_search_refuses_an_out_that_is_not_a_directory(tmp_path, capsys, monkeypatch):
@@ -503,7 +522,7 @@ def test_one_family_pass_per_report(random_field, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("owner engine ran")
 
-    monkeypatch.setattr(stopping, "owner_levels", refuse)
+    monkeypatch.setattr(stopping, "anchor_owners", refuse)
     calls.clear()
     assert main(["tb-run", "--field", str(wild), "--gamma", "zero"]) == 1
     assert len(calls) == 1

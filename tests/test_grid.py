@@ -118,7 +118,7 @@ def test_expectation_levels_match_weighted_avg(rng):
         got = levels[cube.level][cube.coords]
         assert np.allclose(got, weighted_avg(f, cube, w), atol=1e-12)
         # the batched solve is the per-cube solve, bit for bit
-        iw = w.integral_tree("w")[cube.level][cube.coords]
+        iw = w.grid.levels(w.integral_stack("w"))[cube.level][cube.coords]
         assert np.array_equal(got, np.linalg.solve(iw, iwf[cube.level][cube.coords]))
 
 

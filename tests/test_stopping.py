@@ -8,6 +8,7 @@ from dwlab.grid import Cube, Grid, WeightField, root_cube
 from dwlab.stopping import (
     CubeTree,
     StoppingCriterion,
+    anchor_owners,
     chain_owners,
     corona_criterion,
     corona_stop,
@@ -18,7 +19,6 @@ from dwlab.stopping import (
     loewner_geq,
     martingale_square_check,
     norm_exceeds,
-    owner_levels,
     packing_constant,
     partition_residual,
     run_stopping,
@@ -30,6 +30,7 @@ from dwlab.tb import CanonicalFamily
 from conftest import (
     ALWAYS,
     NEVER,
+    anchor_loop,
     bernoulli_criterion,
     chain_residual,
     cube_contains,
@@ -39,6 +40,7 @@ from conftest import (
     first_generation,
     oracle_corona_criterion,
     oracle_volberg_criterion,
+    owner_levels,
     random_weight_field,
 )
 
@@ -144,11 +146,11 @@ def test_geometric_packing_bound(rng):
 
 def chain_pieces(root, crits, L):
     """The iterated sawtooth decomposition of ``crits`` under ``root``: S1 from
-    ``owner_levels``, each later owner from ``chain_owners`` started at the
+    ``anchor_owners``, each later owner from ``chain_owners`` started at the
     previous one.  Maps each owner chain to its cubes, in box preorder."""
     tree = CubeTree(root.n, L)
     box = tree.box(tree.index(root))
-    chain = [np.concatenate(owner_levels(tree, crits[0], box[:1]))]
+    chain = [np.concatenate(anchor_owners(tree, crits[0], box[0], root.level).levels(root.level))]
     for crit in crits[1:]:
         fires = lambda s, a, rows, crit=crit: crit.fires_many(tree, s, a)  # noqa: E731
         chain.append(chain_owners(tree, chain[-1], box, fires))
@@ -484,9 +486,10 @@ def test_screened_walks_match_svd_oracle(n, N, L, seed):
         fired = crit.fires_many(tree, np.zeros_like(rows), rows)
         assert 0 < fired.sum() < rows.size
         assert np.array_equal(fired, oracle.fires_many(tree, np.zeros_like(rows), rows))
+        chains = anchor_owners(tree, crit, 0, L)
         for j in range(L + 1):
             span = tree.span(j)
-            for got, want in zip(owner_levels(tree, crit, span), owner_levels(tree, oracle, span)):
+            for got, want in zip(chains.levels(j), owner_levels(tree, oracle, span)):
                 assert np.array_equal(got, want)
             got = first_generation_levels(tree, crit, span)
             assert np.array_equal(got, first_generation_levels(tree, oracle, span))
@@ -494,6 +497,58 @@ def test_screened_walks_match_svd_oracle(n, N, L, seed):
             got, want = run_stopping(root, crit, L), run_stopping(root, oracle, L)
             for name in ("cubes", "owner", "stops", "parents"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def _counted(crit, seen):
+    """``crit`` that records every (S, R) row it decides in ``seen``."""
+
+    def fires_many(tree, s, r):
+        seen.extend(zip(s.tolist(), r.tolist()))
+        return crit.fires_many(tree, s, r)
+
+    return StoppingCriterion(crit.name, fires_many)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    kind=st.sampled_from(["corona", "volberg"]),
+    threshold=st.floats(0.0, 1.0),
+    deep=st.booleans(),
+    anchors=st.floats(0.0, 1.0),
+    seed=st.integers(0, 10**6),
+)
+def test_anchor_owners_match_per_anchor_loop(n, kind, threshold, deep, anchors, seed):
+    # The shared propagation gives, for every anchor level of the box down to
+    # the deepest asked for, the owners of the per-anchor loop, and decides
+    # each distinct (owner, cube) pair that loop decides exactly once.
+    L = {1: 6, 2: 3, 3: 2}[n]
+    rng = np.random.default_rng(seed)
+    w = random_weight_field(rng, n=n, N=2, L=L, spread=float(rng.uniform(0.05, 0.6)), mu_spread=0.3)
+    if kind == "corona":
+        crit = corona_criterion(w, 0.02 + 0.6 * threshold)
+    else:
+        crit = volberg_criterion(w, 1.0 + 3.0 * threshold)
+    tree = CubeTree(n, L)
+    top = 0 if not deep else tree.index(Cube(1, (1,) * n))
+    first = int(tree.level[top])
+    deepest = first + int(anchors * (L - first))
+    shared, looped = [], []
+    chains = anchor_owners(tree, _counted(crit, shared), top, deepest)
+    want = anchor_loop(tree, _counted(crit, looped), top, deepest)
+    for j, expect in enumerate(want, first):
+        assert np.array_equal(np.concatenate(chains.levels(j)), expect)
+    assert len(shared) == len(set(shared)) and set(shared) == set(looped)
+    # Each level's pairs are distinct, the cubes' own pairs first in column
+    # order, and down to the deepest anchor level every cube has its own.
+    box = tree.box(top)
+    for k, (own, col) in enumerate(zip(chains.owner, chains.column), first):
+        selfs = np.count_nonzero(own == box[tree.level[box] == k][col])
+        assert np.all(own[:selfs] == box[tree.level[box] == k][col[:selfs]])
+        assert np.all(np.diff(col[:selfs]) > 0)
+        if k <= deepest:
+            assert selfs == 2 ** (n * (k - first))
+        assert len(set(zip(own.tolist(), col.tolist()))) == len(own)
 
 
 def test_martingale_two_cell_equality():

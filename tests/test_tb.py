@@ -26,11 +26,12 @@ from conftest import (
     ALWAYS,
     NEVER,
     bernoulli_criterion,
-    coarse_owner_levels,
+    coarse_anchor_owners,
     cube_contains,
     cube_measure,
     first_generation,
     gamma_value,
+    owner_levels,
     random_weight_field,
 )
 
@@ -327,7 +328,7 @@ def test_partition_check_catches_wrong_owner_chains(monkeypatch, tmp_path):
     assert main(argv) == 0
 
     # A check that read the wrong propagation's owner arrays would agree with them.
-    monkeypatch.setattr(stopping, "owner_levels", coarse_owner_levels)
+    monkeypatch.setattr(stopping, "anchor_owners", coarse_anchor_owners)
     assert tb_run(w, gam, eps2=0.7).partition_residual > 1e-9
     assert main(argv) == 2
 
@@ -404,8 +405,9 @@ def test_level_engine_matches_cube_walk_oracle(n, L, kind, seed):
 
         return get
 
+    chains = stopping.anchor_owners(tree, first, 0, L)
     for j in range(L + 1):
-        own = np.concatenate(stopping.owner_levels(tree, first, tree.span(j)))
+        own = np.concatenate(chains.levels(j))
         r = np.arange(tree.offsets[j], tree.size)
         s2 = stopping.chain_owners(tree, own, r, lambda s, a, rows: fires2(s, a, rows, r))
         for i, idx in enumerate(r):
@@ -417,6 +419,63 @@ def test_level_engine_matches_cube_walk_oracle(n, L, kind, seed):
                 crit = second[label[idx]]
                 expect = _first_gen_owner(cube, s1, first_gen(crit, label[idx]))
                 assert tree.cube(s2[i]) == expect
+
+
+def per_anchor_tb_bounds(field, gamma, eps1, eps2, eps3):
+    """The assembled bound and the root's per-sector bound masses of a
+    ``tb_run``, with the chains of every live cube rebuilt anchor level by
+    anchor level from ``owner_levels`` and ``chain_owners``, row by row."""
+    tree, avg = stopping.tree_averages(field)
+    mu = tree.gather(field.grid._mu_tree)
+    gsq, gammas = tree.gather(gamma.norms_sq()), tree.gather(gamma.levels)
+    live = np.flatnonzero(gsq > 0.0)
+    live = live[np.argsort(tree.preorder(live))]
+    net = ConeNet(field.N, eps1)
+    sector = net.cover_indices(np.linalg.svd(gammas[live])[2][:, 0, :])
+    v0 = net.vectors_at(sector)
+    corona = stopping.corona_criterion(field, eps3)
+
+    def kato(s, a, v):
+        e = CanonicalFamily.expectations(avg[s], avg[a], v)
+        return stopping.kato_fires(avg[s], avg[a], e, v, eps2)
+
+    best, root = 0.0, None
+    for j in range(tree.L + 1):
+        rows = np.flatnonzero(tree.level[live] >= j)
+        r, v = live[rows], v0[rows]
+        s1 = np.concatenate(owner_levels(tree, corona, tree.span(j)))[r - tree.offsets[j]]
+        s2 = stopping.chain_owners(tree, s1, r, lambda s, a, i: kato(s, a, v[i]))
+        e = CanonicalFamily.expectations(avg[s2], avg[r], v)
+        ge_sq = np.sum((gammas[r] @ e[..., None])[..., 0] ** 2, axis=-1)
+        contrib = (2.0 / eps1**3) ** 2 * ge_sq * mu[r] * LN2
+        acc = np.bincount(tree.ancestor(r, j) - tree.offsets[j], weights=contrib, minlength=2 ** (tree.n * j))
+        best = max(best, float(np.max(acc / mu[tree.span(j)])))
+        if j == 0:
+            used, slot = np.unique(sector, return_inverse=True)
+            root = dict(zip(used.tolist(), np.bincount(slot, weights=contrib).tolist()))
+    return best, root
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.sampled_from([1, 2]),
+    kind=st.sampled_from(["martingale", "random"]),
+    eps2=st.floats(0.2, 0.9),
+    loose=st.booleans(),
+    seed=st.integers(0, 10**6),
+)
+def test_tb_run_bounds_match_per_anchor_chains(n, kind, eps2, loose, seed):
+    # Every anchor's bound adds the contributions of its own chains: the
+    # shared propagation gives the bits of a per-anchor rebuild.  A loose
+    # eps3 keeps long corona sawtooths, so anchors' chains differ.
+    rng = np.random.default_rng(seed)
+    w = random_weight_field(rng, n=n, N=2, L=5 if n == 1 else 3, spread=0.3, mu_spread=0.3)
+    gam = make_gamma(kind, w, seed=seed)
+    eps3 = float(rng.uniform(0.05, 0.5)) if loose else eps2**2 / 8.0
+    rep = tb_run(w, gam, eps2=eps2, eps3=eps3)
+    best, root = per_anchor_tb_bounds(w, gam, eps2 / 2.0, eps2, eps3)
+    assert rep.assembled_bound == best
+    assert {int(s): t["bound_mass"] for s, t in rep.per_sector.items()} == root
 
 
 def test_tb_run_skips_cube_walks(monkeypatch):

@@ -14,10 +14,11 @@ lines.
 Printed per workload and metric: each side's median and quartiles over its
 runs, and the number of pairs in which the change is better (lower).  The
 JSON written to ``--out`` holds every run and that summary; it is the source
-of a ``BENCH_*.json``.  A run that prints no output, or whose last line is
-not a JSON result, is kept as a bad run (its exit code and the tail of its
-standard error) and the summary reads the pairs in which both runs gave a
-result.  The exit code is 1, after every pair has run, when a run of either
+of a ``BENCH_*.json``.  It is rewritten after every pair, so an interrupted
+session keeps the pairs it ran.  A run that prints no output, or whose last
+line is not a JSON result, is kept as a bad run (its exit code and the tail
+of its standard error) and the summary reads the pairs in which both runs
+gave a result.  The exit code is 1, after every pair has run, when a run of either
 side is bad, exits non-zero or reports failed invocations; each such run is
 named on standard error.  Standard library only; nothing under ``dwbench/``
 is changed.
@@ -129,6 +130,7 @@ def main(argv=None):
     }
     for workload in args.workload:
         pairs = []
+        report["workloads"][workload] = {"pairs": pairs}
         for i in range(args.pairs):
             seed = args.seed + i
             order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -142,8 +144,11 @@ def main(argv=None):
                 f" change {_value(pair['change'], 'run_s')}",
                 flush=True,
             )
+            # Written after every pair, so a session stopped mid-workload
+            # keeps the pairs it ran.
+            args.out.write_text(json.dumps(report, indent=1) + "\n")
         summary = summarize(pairs)
-        report["workloads"][workload] = {"pairs": pairs, "summary": summary}
+        report["workloads"][workload]["summary"] = summary
         for m in METRICS:
             s = summary[m]
             if not s["pairs"]:
