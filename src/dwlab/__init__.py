@@ -6,7 +6,6 @@ from .grid import (
     WeightField,
     FieldFormatError,
     root_cube,
-    weighted_avg,
     expectation_Et,
     read_weight_field,
     write_weight_field,

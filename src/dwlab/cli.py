@@ -124,16 +124,18 @@ def _cmd_corona(args):
     nums = _parse_root(args.root)
     field = read_weight_field(args.field)
     root = _root_in(nums, field.grid)
-    if args.criterion == "volberg":
-        res, ratio = volberg_stop(root, field, args.param)
-    elif args.criterion == "corona":
-        res, _ = corona_stop(root, field, args.param)
+    if args.criterion == "corona":
+        res, packing = corona_stop(root, field, args.param)
         ratio = first_generation_ratio(res, field.grid)
     else:
-        v0 = np.zeros(field.N)
-        v0[0] = 1.0
-        res, ratio = kato_family_stop(root, field, CanonicalFamily(field), v0, args.param)
-    tree, mu = res.tree, res.tree.gather(field.grid._mu_tree)
+        if args.criterion == "volberg":
+            res, ratio = volberg_stop(root, field, args.param)
+        else:
+            v0 = np.zeros(field.N)
+            v0[0] = 1.0
+            res, ratio = kato_family_stop(root, field, CanonicalFamily(field), v0, args.param)
+        packing = packing_constant(res, field.grid)
+    tree, mu = res.tree, field.grid.tree_mu
     residual = partition_residual(tree, res.criterion, res.root, res.cubes, res.owner, mu)
     gens = [[tree.cube(i).descriptor() for i in gen] for gen in res.generations]
     gen_mass = [sum(mu[gen].tolist()) / float(mu[res.root]) for gen in res.generations]
@@ -143,7 +145,7 @@ def _cmd_corona(args):
         "root": root.descriptor(),
         "generations": gens,
         "generation_mass": gen_mass,
-        "packing": packing_constant(res, field.grid),
+        "packing": packing,
         "first_generation_ratio": ratio,
         "partition_residual": residual,
         "meta": _meta(cfg, args.seed),

@@ -10,6 +10,7 @@ for ``shifts = K`` is a prefix of the family for ``K + 1``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "Cube",
+    "CubeTree",
     "BoxBatch",
     "Grid",
     "MOMENTS",
@@ -25,7 +27,6 @@ __all__ = [
     "FieldFormatError",
     "CellValueError",
     "root_cube",
-    "weighted_avg",
     "expectation_Et",
     "write_weight_field",
     "read_weight_field",
@@ -68,6 +69,87 @@ class Cube:
 
 def root_cube(n):
     return Cube(0, (0,) * n)
+
+
+@functools.cache
+def _level_starts(n, L):
+    """First index of each level of the dyadic cubes down to level ``L``, and
+    the end: one read-only array per (n, L) for ``Grid`` and ``CubeTree``."""
+    starts = np.array([(2 ** (n * k) - 1) // (2**n - 1) for k in range(L + 2)])
+    starts.setflags(write=False)
+    return starts
+
+
+class CubeTree:
+    """Every dyadic cube of [0,1)^n down to level ``L`` as one index range.
+
+    Level k holds its ``2**(n*k)`` cubes after the coarser levels, in Morton
+    order: the children of a cube are ``2**n`` consecutive indices in
+    ``Cube.children()`` order, so the parent of local index i is ``i >> n``
+    and the box of a cube is one index range per level.  Its arrays are read-only.
+    """
+
+    def __init__(self, n, L):
+        self.n, self.L = n, L
+        self.offsets = _level_starts(n, L)
+        self.size = int(self.offsets[-1])
+        self.level = np.repeat(np.arange(L + 1), np.diff(self.offsets))
+        # Grid (level, then C-order coords) position of every index, and back.
+        steps = np.array(list(itertools.product((0, 1), repeat=n))).T
+        coords, grid = np.zeros((n, 1), dtype=np.int64), []
+        for k in range(L + 1):
+            if k:
+                coords = (2 * coords[:, :, None] + steps[:, None, :]).reshape(n, -1)
+            grid.append(self.offsets[k] + np.ravel_multi_index(tuple(coords), (2**k,) * n))
+        self.grid_key = np.concatenate(grid)
+        self._index = np.argsort(self.grid_key)
+        for a in (self.level, self.grid_key, self._index):
+            a.setflags(write=False)
+
+    def span(self, k):
+        return np.arange(self.offsets[k], self.offsets[k + 1])
+
+    def gather(self, levels):
+        """Per-level grid arrays (leading ``n`` axes of side ``2**k``) as one
+        array in index order."""
+        flat = [arr.reshape((-1,) + arr.shape[self.n :]) for arr in levels]
+        return np.concatenate(flat)[self.grid_key]
+
+    def index(self, cube):
+        if cube.n != self.n or cube.level > self.L:
+            raise ValueError(f"cube {cube.descriptor()} is not in the tree of n={self.n}, L={self.L}")
+        flat = np.ravel_multi_index(cube.coords, (2**cube.level,) * self.n)
+        return int(self._index[self.offsets[cube.level] + flat])
+
+    def cube(self, idx):
+        k = int(self.level[idx])
+        flat = int(self.grid_key[idx] - self.offsets[k])
+        return Cube(k, tuple(int(c) for c in np.unravel_index(flat, (2**k,) * self.n)))
+
+    def ancestor(self, idx, m):
+        """The level-``m`` cube above each cube of ``idx``."""
+        k = self.level[idx]
+        return self.offsets[m] + ((idx - self.offsets[k]) >> (self.n * (k - m)))
+
+    def children(self, idx):
+        k = self.level[idx]
+        first = self.offsets[k + 1] + ((idx - self.offsets[k]) << self.n)
+        return (first[:, None] + np.arange(2**self.n)).reshape(-1)
+
+    def box(self, idx):
+        """The cubes of the box of cube ``idx``, level by level."""
+        k = int(self.level[idx])
+        first = int(idx - self.offsets[k])
+        return np.concatenate([
+            self.offsets[m] + (first << (self.n * (m - k))) + np.arange(2 ** (self.n * (m - k)))
+            for m in range(k, self.L + 1)
+        ])
+
+    def preorder(self, idx):
+        """Sort key of the depth-first preorder of a box: every cube before
+        its children, and children in ``Cube.children()`` order."""
+        k = self.level[idx]
+        return ((idx - self.offsets[k]) << (self.n * (self.L - k))) * (self.L + 1) + k
 
 
 # Floats a batch may hold at once (boxes x the floats its reader holds per
@@ -174,8 +256,7 @@ class Grid:
         mu.setflags(write=False)
         self.mu = mu
         self.cell_volume = 2.0 ** (-self.n * self.L)
-        # First row of each level in a flat stack of dyadic cubes, and the end.
-        self._starts = [(2 ** (self.n * k) - 1) // (2**self.n - 1) for k in range(self.L + 2)]
+        self._starts = _level_starts(self.n, self.L)
         # Integral of mu over every dyadic cube: one flat stack, and its levels.
         self._mu_stack = self.integrals(np.ones(shape))
         self._mu_stack.setflags(write=False)
@@ -188,12 +269,24 @@ class Grid:
     def side(self):
         return 2**self.L
 
+    @functools.cached_property
+    def tree(self):
+        """The grid's ``CubeTree``, built on first read; every walk on the grid reads it."""
+        return CubeTree(self.n, self.L)
+
+    @functools.cached_property
+    def tree_mu(self):
+        """The mu-measure of every dyadic cube in ``tree`` index order, read-only."""
+        mu = self._mu_stack[self.tree.grid_key]
+        mu.setflags(write=False)
+        return mu
+
     def integrals(self, cell_values):
         """Integrals of ``cell_values`` d(mu) over every dyadic cube as one flat
         stack, one row per cube: levels coarsest first, each level's cubes in
         C order.  Each level sums the 2x...x2 sibling blocks of the level below
         in one reduction over its first ``n`` axes, written in place."""
-        n, starts = self.n, self._starts
+        n, starts = self.n, self._starts.tolist()
         tail = cell_values.shape[n:]
         out = np.empty((starts[-1],) + tail)
         finest = out[starts[-2] :].reshape(cell_values.shape)
@@ -215,7 +308,7 @@ class Grid:
     def levels(self, stack):
         """Per-level views of a flat stack of dyadic cubes, each with leading
         axes ``(2**k,) * n``."""
-        s = self._starts
+        s = self._starts.tolist()
         return [
             stack[s[k] : s[k + 1]].reshape((2**k,) * self.n + stack.shape[1:])
             for k in range(self.L + 1)
@@ -505,30 +598,6 @@ class WeightField:
 
 
 # Free-function forms of the core operations --------------------------------------
-
-
-def weighted_avg(f, cube, weight):
-    """Matrix weighted average: (int_Q W dmu)^{-1} int_Q W f dmu."""
-    g = weight.grid
-    slices = cube.cell_slices(g.L)
-    f = np.asarray(f, dtype=float)
-    mu = g.mu[slices]
-    w_block = weight.values[slices]
-    f_block = f[slices]
-    axes = tuple(range(g.n))
-    iw = np.sum(
-        w_block * mu.reshape(mu.shape + (1, 1)) * g.cell_volume, axis=axes
-    )
-    iwf = np.sum(
-        np.einsum("...ij,...j->...i", w_block, f_block)
-        * mu.reshape(mu.shape + (1,))
-        * g.cell_volume,
-        axis=axes,
-    )
-    try:
-        return np.linalg.solve(iw, iwf)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD fields cannot trigger
-        raise ValueError(f"singular weight integral over {cube.descriptor()}") from exc
 
 
 def expectation_Et(f, t_level, weight):

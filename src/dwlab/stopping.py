@@ -8,26 +8,24 @@ generations.  The sawtooth of a root is its cube-box minus the boxes of its
 first-generation cubes, and the sawtooths over all generations partition the
 box exactly.
 
-Every walk runs on index arrays of one ``CubeTree``.  ``anchor_owners``
-propagates owners down the levels under every anchor at once and gives every
-decomposition;
+Every walk runs on index arrays of the grid's one ``CubeTree``
+(``Grid.tree``).  ``anchor_owners`` propagates owners down the levels under
+every anchor at once and gives every decomposition;
 ``first_generation_levels`` rebuilds first generations for the independent
 ``partition_residual`` check and the Volberg packing.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .grid import Cube
+from .grid import CubeTree
 
 __all__ = [
-    "CubeTree",
     "StoppingCriterion",
     "StoppingResult",
     "run_stopping",
@@ -51,75 +49,6 @@ __all__ = [
     "loewner_geq",
     "tree_averages",
 ]
-
-
-class CubeTree:
-    """Every dyadic cube of [0,1)^n down to level ``L`` as one index range.
-
-    Level k holds its ``2**(n*k)`` cubes after the coarser levels, in Morton
-    order: the children of a cube are ``2**n`` consecutive indices in
-    ``Cube.children()`` order, so the parent of local index i is ``i >> n``
-    and the box of a cube is one index range per level.
-    """
-
-    def __init__(self, n, L):
-        self.n, self.L = n, L
-        sizes = [2 ** (n * k) for k in range(L + 1)]
-        self.offsets = np.concatenate([[0], np.cumsum(sizes)])
-        self.size = int(self.offsets[-1])
-        self.level = np.repeat(np.arange(L + 1), sizes)
-        # Grid (level, then C-order coords) position of every index, and back.
-        steps = np.array(list(itertools.product((0, 1), repeat=n))).T
-        coords, grid = np.zeros((n, 1), dtype=np.int64), []
-        for k in range(L + 1):
-            if k:
-                coords = (2 * coords[:, :, None] + steps[:, None, :]).reshape(n, -1)
-            grid.append(self.offsets[k] + np.ravel_multi_index(tuple(coords), (2**k,) * n))
-        self.grid_key = np.concatenate(grid)
-        self._index = np.argsort(self.grid_key)
-
-    def span(self, k):
-        return np.arange(self.offsets[k], self.offsets[k + 1])
-
-    def gather(self, levels):
-        """Per-level grid arrays (leading ``n`` axes of side ``2**k``) as one
-        array in index order."""
-        flat = [arr.reshape((-1,) + arr.shape[self.n :]) for arr in levels]
-        return np.concatenate(flat)[self.grid_key]
-
-    def index(self, cube):
-        flat = np.ravel_multi_index(cube.coords, (2**cube.level,) * self.n)
-        return int(self._index[self.offsets[cube.level] + flat])
-
-    def cube(self, idx):
-        k = int(self.level[idx])
-        flat = int(self.grid_key[idx] - self.offsets[k])
-        return Cube(k, tuple(int(c) for c in np.unravel_index(flat, (2**k,) * self.n)))
-
-    def ancestor(self, idx, m):
-        """The level-``m`` cube above each cube of ``idx``."""
-        k = self.level[idx]
-        return self.offsets[m] + ((idx - self.offsets[k]) >> (self.n * (k - m)))
-
-    def children(self, idx):
-        k = self.level[idx]
-        first = self.offsets[k + 1] + ((idx - self.offsets[k]) << self.n)
-        return (first[:, None] + np.arange(2**self.n)).reshape(-1)
-
-    def box(self, idx):
-        """The cubes of the box of cube ``idx``, level by level."""
-        k = int(self.level[idx])
-        first = int(idx - self.offsets[k])
-        return np.concatenate([
-            self.offsets[m] + (first << (self.n * (m - k))) + np.arange(2 ** (self.n * (m - k)))
-            for m in range(k, self.L + 1)
-        ])
-
-    def preorder(self, idx):
-        """Sort key of the depth-first preorder of a box: every cube before
-        its children, and children in ``Cube.children()`` order."""
-        k = self.level[idx]
-        return ((idx - self.offsets[k]) << (self.n * (self.L - k))) * (self.L + 1) + k
 
 
 @dataclass(frozen=True)
@@ -153,13 +82,12 @@ class StoppingResult:
     generations: list
 
 
-def run_stopping(root, criterion, L):
-    """Full stopping decomposition under the cube ``root`` on a depth-``L`` tree.
+def run_stopping(root, criterion, tree):
+    """Full stopping decomposition under the cube ``root`` of ``tree``.
 
     The parent stop of a stop is the owner of its parent cube, and a stop's
     generation is one more than its parent stop's.
     """
-    tree = CubeTree(root.n, L)
     cubes = tree.box(tree.index(root))
     owner = np.concatenate(anchor_owners(tree, criterion, cubes[0], root.level).levels(root.level))
     owner_of = np.full(tree.size, -1)
@@ -171,7 +99,7 @@ def run_stopping(root, criterion, L):
     below = level > root.level
     parents[below] = owner_of[tree.ancestor(stops[below], level[below] - 1)]
     depth = np.zeros(tree.size, dtype=int)
-    for k in range(root.level + 1, L + 1):
+    for k in range(root.level + 1, tree.L + 1):
         at = level == k
         depth[stops[at]] = depth[parents[at]] + 1
     order = np.argsort(depth[stops], kind="stable")
@@ -184,12 +112,12 @@ def run_stopping(root, criterion, L):
 
 def packing_constant(result, grid):
     """(1/mu(Q)) * sum of mu(R) over every stopping generation, root included."""
-    mu = result.tree.gather(grid._mu_tree)
+    mu = grid.tree_mu
     return sum(mu[result.stops].tolist()) / float(mu[result.root])
 
 
 def first_generation_ratio(result, grid):
-    mu = result.tree.gather(grid._mu_tree)
+    mu = grid.tree_mu
     first = result.generations[1] if len(result.generations) > 1 else []
     return sum(mu[first].tolist()) / float(mu[result.root])
 
@@ -315,21 +243,12 @@ def partition_residual(tree, crit, top, cubes, owners, weight):
 
 
 def tree_averages(field):
-    """The ``CubeTree`` of the field's grid and the stack of its W averages in
-    that tree's index order, built once per field for ``tb_run`` and every
-    criterion."""
+    """The stack of the field's W averages in the index order of its grid's
+    ``tree``, gathered once per field for ``tb_run`` and every criterion."""
     key = ("tree-order", "w")
     if key not in field._tree_cache:
-        tree = CubeTree(field.grid.n, field.grid.L)
-        field._tree_cache[key] = tree, field.average_stacks(("w",))[0][tree.grid_key]
+        field._tree_cache[key] = field.average_stacks(("w",))[0][field.grid.tree.grid_key]
     return field._tree_cache[key]
-
-
-def _field_criterion(name, field, rule):
-    """Criterion from ``rule(W_S, W_R, r)`` over the average stacks of index
-    arrays of the field's cube tree."""
-    avg = tree_averages(field)[1]
-    return StoppingCriterion(name, lambda tree, s, r: rule(avg[s], avg[r], r))
 
 
 def _norm_criterion(name, field, product, threshold, strict):
@@ -337,7 +256,7 @@ def _norm_criterion(name, field, product, threshold, strict):
     passes ``threshold`` (``>`` if ``strict``, else ``>=``), with ``avg`` the
     tree-order stack of W averages and ``inv`` its inverses, built once per
     field for every such criterion."""
-    avg = tree_averages(field)[1]
+    avg = tree_averages(field)
     key = ("tree-order", "w", "inv")
     if key not in field._tree_cache:
         field._tree_cache[key] = np.linalg.inv(avg)
@@ -378,7 +297,7 @@ def volberg_stop(root, field, lam):
     """Oscillation stop |W_S W_R^{-1}| >= lam; reports first-generation mass."""
     if not lam > 1.0:
         raise ValueError("lam must exceed 1")
-    res = run_stopping(root, volberg_criterion(field, lam), field.grid.L)
+    res = run_stopping(root, volberg_criterion(field, lam), field.grid.tree)
     return res, first_generation_ratio(res, field.grid)
 
 
@@ -395,11 +314,13 @@ def kato_criterion(field, v0, eps2, expectation):
     if not 0.0 < eps2 < 1.0:
         raise ValueError("eps2 must lie in (0, 1)")
     v0 = np.asarray(v0, dtype=float)
+    avg = tree_averages(field)
 
-    def rule(w_s, w_r, r):
+    def fires_many(tree, s, r):
+        w_s, w_r = avg[s], avg[r]
         return kato_fires(w_s, w_r, expectation(w_s, w_r, r), v0, eps2)
 
-    return _field_criterion(f"kato(eps2={eps2:g})", field, rule)
+    return StoppingCriterion(f"kato(eps2={eps2:g})", fires_many)
 
 
 def kato_stop(root, field, b_values, v0, eps2):
@@ -408,9 +329,9 @@ def kato_stop(root, field, b_values, v0, eps2):
     Fires when |E_R b| > 1/eps2 or (v0, W_S^{-1} W_R E_R b) < eps2, with S the
     current recursion root.  Returns the result and first-generation mass.
     """
-    levels = tree_averages(field)[0].gather(field.expectation_levels(b_values))
+    levels = field.grid.tree.gather(field.expectation_levels(b_values))
     crit = kato_criterion(field, v0, eps2, lambda w_s, w_r, r: levels[r])
-    res = run_stopping(root, crit, field.grid.L)
+    res = run_stopping(root, crit, field.grid.tree)
     return res, first_generation_ratio(res, field.grid)
 
 
@@ -418,7 +339,7 @@ def kato_family_stop(root, field, family, v0, eps2):
     """Test-function stop with the function re-anchored at each recursion root."""
     v0 = np.asarray(v0, dtype=float)
     crit = kato_criterion(field, v0, eps2, lambda w_s, w_r, r: family.expectations(w_s, w_r, v0))
-    res = run_stopping(root, crit, field.grid.L)
+    res = run_stopping(root, crit, field.grid.tree)
     return res, first_generation_ratio(res, field.grid)
 
 
@@ -438,7 +359,7 @@ def corona_stop(root, field, eps3):
     """
     if not eps3 > 0.0:
         raise ValueError("eps3 must be positive")
-    res = run_stopping(root, corona_criterion(field, eps3), field.grid.L)
+    res = run_stopping(root, corona_criterion(field, eps3), field.grid.tree)
     return res, packing_constant(res, field.grid)
 
 
@@ -451,15 +372,16 @@ def loewner_geq(a, b, tol=0.0):
     return bool(np.linalg.eigvalsh((d + d.T) / 2.0)[0] >= -tol)
 
 
-def martingale_square_check(root, field, result, rel_tol=1e-9):
+def martingale_square_check(field, result, rel_tol=1e-9):
     """Stopped martingale square bound: sum (W_R - W_{R*})^2 mu(R) against
-    ((W^2)_Q - (W_Q)^2) mu(Q) in the positive-semidefinite order."""
-    tree = result.tree
-    avg, mu = tree.gather(field.averages("w")), tree.gather(field.grid._mu_tree)
+    ((W^2)_Q - (W_Q)^2) mu(Q) in the positive-semidefinite order, with Q the
+    root of ``result``."""
+    avg, mu = tree_averages(field), field.grid.tree_mu
     r, p = result.stops[1:], result.parents[1:]
     diff = avg[r] - avg[p]
     lhs = np.einsum("rij,rjk,r->ik", diff, diff, mu[r])
     avg_w = avg[result.root]
+    root = result.tree.cube(result.root)
     rhs = (field.avg_entries(root, "w2") - avg_w @ avg_w) * mu[result.root]
     scale = float(np.max(np.abs(np.linalg.eigvalsh((rhs + rhs.T) / 2.0))))
     ok = loewner_geq(rhs, lhs, rel_tol * max(scale, 1e-300))

@@ -256,8 +256,7 @@ def tb_run(field, gamma, eps1=None, eps2=0.1, eps3=None, lam=16.0, shifts=None):
         eps1 = eps2 / 2.0
     proof_regime = (eps1 <= eps2 / 2.0 + 1e-12) and (eps3 < eps2**2 / 4.0)
     net = ConeNet(field.N, eps1)
-    tree, avg = stopping.tree_averages(field)
-    mu = tree.gather(g._mu_tree)
+    tree, avg, mu = g.tree, stopping.tree_averages(field), g.tree_mu
 
     # Live cubes (nonzero multiplier) in the preorder of a box walk, and sectors.
     norms_sq = gamma.norms_sq()

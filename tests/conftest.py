@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from dwlab.cones import required_alignment
-from dwlab.grid import Cube, Grid, WeightField
+from dwlab.grid import Cube, CubeTree, Grid, WeightField
 from dwlab.stopping import (
     AnchorOwners,
-    CubeTree,
     StoppingCriterion,
     anchor_owners,
     chain_owners,
@@ -186,6 +185,28 @@ def oracle_family_scan(field, keys, shifts, directions=64, seed=0):
                 sups[key] = val
                 argmax[key] = (batch, i)
     return sups, {key: batch.descriptor(i) for key, (batch, i) in argmax.items()}, count
+
+
+def weighted_avg(f, cube, weight):
+    """Matrix weighted average: (int_Q W dmu)^{-1} int_Q W f dmu, summed from
+    the cells of ``cube``."""
+    g = weight.grid
+    slices = cube.cell_slices(g.L)
+    f = np.asarray(f, dtype=float)
+    mu = g.mu[slices]
+    w_block = weight.values[slices]
+    f_block = f[slices]
+    axes = tuple(range(g.n))
+    iw = np.sum(
+        w_block * mu.reshape(mu.shape + (1, 1)) * g.cell_volume, axis=axes
+    )
+    iwf = np.sum(
+        np.einsum("...ij,...j->...i", w_block, f_block)
+        * mu.reshape(mu.shape + (1,))
+        * g.cell_volume,
+        axis=axes,
+    )
+    return np.linalg.solve(iw, iwf)
 
 
 def cube_measure(grid, cube):

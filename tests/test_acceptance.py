@@ -16,18 +16,17 @@ from dwlab.cli import main
 from dwlab.cones import build_net, coverage_check, maximizing_vector_bound
 from dwlab.grid import (
     Cube,
+    CubeTree,
     Grid,
     WeightField,
     read_weight_field,
     root_cube,
-    weighted_avg,
     write_weight_field,
 )
 from dwlab.haar import paraproduct_plus, product_identity_residual
 from dwlab.harness import WeightGenerator, generate
 from dwlab.rrt import conclusion_value, delta_of_eps_curve, hypothesis_margin
 from dwlab.stopping import (
-    CubeTree,
     corona_stop,
     kato_family_stop,
     loewner_geq,
@@ -39,7 +38,7 @@ from dwlab.stopping import (
 from dwlab.tb import CanonicalFamily, make_gamma, tb_run
 from dwlab.weights import b2_constants, cube_ratios
 
-from conftest import bernoulli_criterion, chain_residual, random_weight_field
+from conftest import bernoulli_criterion, chain_residual, random_weight_field, weighted_avg
 
 
 def _report(name, ok, detail=""):
@@ -118,7 +117,7 @@ def test_1e_sawtooth_partition_exact():
     for seed in range(60):
         L = int(rng.integers(2, 5))
         g = Grid(1, L, rng.uniform(0.3, 3.0, 2**L))
-        res = run_stopping(root_cube(1), bernoulli_criterion(0.35, seed), L)
+        res = run_stopping(root_cube(1), bernoulli_criterion(0.35, seed), g.tree)
         for weight in (np.ones(res.tree.size), res.tree.gather(g._mu_tree)):
             got = partition_residual(res.tree, res.criterion, res.root, res.cubes, res.owner, weight)
             worst = max(worst, got)
@@ -285,8 +284,8 @@ def test_2d_martingale_matrix_estimate():
     for seed in range(500):
         N = [1, 2, 3][seed % 3]
         w = random_weight_field(rng, n=1, N=N, L=3, spread=0.9, mu_spread=0.4)
-        res = run_stopping(root_cube(1), bernoulli_criterion(0.45, seed), 3)
-        lhs, rhs, ok = martingale_square_check(root_cube(1), w, res)
+        res = run_stopping(root_cube(1), bernoulli_criterion(0.45, seed), w.grid.tree)
+        lhs, rhs, ok = martingale_square_check(w, res)
         if not ok or not loewner_geq(rhs, lhs, 1e-9 * max(float(np.abs(rhs).max()), 1e-300)):
             bad += 1
     _report("2d martingale-square", bad == 0, f"{bad} failures over 500 trees")

@@ -110,7 +110,7 @@ def test_bench_pairs_summarizes_the_whole_pairs():
     ])
     assert summary["run_s"]["pairs"] == 1 and summary["run_s"]["change_wins"] == 1
     assert summary["run_s"]["parent"]["median"] == 2.0 and summary["run_s"]["change"]["median"] == 1.0
-    assert summary["digests_equal"] == 1
+    assert summary["digests_equal"] == 1 and summary["digests_differ"] == []
 
 
 def test_bench_pairs_keeps_the_pairs_of_an_interrupted_session(tmp_path, monkeypatch):
@@ -133,3 +133,22 @@ def test_bench_pairs_keeps_the_pairs_of_an_interrupted_session(tmp_path, monkeyp
     assert [p["seed"] for p in written["pairs"]] == [5]
     assert written["pairs"][0]["parent"]["run_s"] == written["pairs"][0]["change"]["run_s"] == 1.0
     assert "summary" not in written
+
+
+# A stand-in whose two reports digest alike on both sides but for ``tb``.
+TWO_REPORTS = """import json
+print("digest tb-run n=1 N=2 L=9: sha256={tb} carleson_norm=1")
+print("digest check-weight n=2 N=2 L=5: sha256=0 a2=2")
+metrics = {{m: {{"value": 1.0}} for m in ("run_s", "setup_s", "peak_rss_mb")}}
+print(json.dumps({{"correct": 2, "attempted": 2, "failed": 0, "metrics": metrics}}))
+"""
+
+
+def test_bench_pairs_names_the_reports_whose_digests_differ(tmp_path, capsys):
+    parent, change = _checkout(tmp_path, "parent"), _checkout(tmp_path, "change")
+    (parent / "dwbench" / "run.py").write_text(TWO_REPORTS.format(tb="0"))
+    (change / "dwbench" / "run.py").write_text(TWO_REPORTS.format(tb="1"))
+    assert _tool().main(_argv(tmp_path, parent, change)) == 0
+    assert "class-scan: digests differ for tb-run n=1 N=2 L=9" in capsys.readouterr().out.splitlines()
+    summary = json.loads((tmp_path / "pairs.json").read_text())["workloads"]["class-scan"]["summary"]
+    assert summary["digests_equal"] == 0 and summary["digests_differ"] == ["tb-run n=1 N=2 L=9"]

@@ -7,13 +7,13 @@ from dwlab.grid import (
     MOMENTS,
     BoxBatch,
     Cube,
+    CubeTree,
     FieldFormatError,
     Grid,
     WeightField,
     expectation_Et,
     read_weight_field,
     root_cube,
-    weighted_avg,
     write_weight_field,
 )
 from dwlab.weights import b2_constants
@@ -26,6 +26,7 @@ from conftest import (
     family_labels,
     oracle_averages,
     random_weight_field,
+    weighted_avg,
 )
 
 
@@ -44,6 +45,17 @@ def test_avg_matrix_examples():
     assert np.allclose(w.avg_entries(Cube(1, (1,))), np.diag([3.0, 1.0]))
     const = WeightField(Grid(1, 2), np.broadcast_to(np.diag([2.0, 5.0]), (4, 2, 2)).copy())
     assert np.allclose(const.avg_entries(root_cube(1)), np.diag([2.0, 5.0]))
+
+
+@pytest.mark.parametrize("n,L", [(1, 5), (2, 3), (3, 2)])
+def test_grid_tree_mu_is_the_gathered_mass_tree(n, L, rng):
+    g = Grid(n, L, rng.uniform(0.3, 3.0, (2**L,) * n))
+    assert np.array_equal(g.tree_mu, CubeTree(n, L).gather(g._mu_tree))
+    assert g.tree.offsets is g._starts
+    # Every walk on the grid shares these arrays, so none can be written.
+    for arr in (g.tree.offsets, g.tree.level, g.tree.grid_key, g.tree._index, g.tree_mu):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
 
 
 def test_weighted_avg_hand_case():

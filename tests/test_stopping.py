@@ -3,16 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwlab import stopping
-from dwlab.grid import Cube, Grid, WeightField, root_cube
+from dwlab import grid as grid_module
+from dwlab.cli import main
+from dwlab.grid import Cube, CubeTree, Grid, WeightField, read_weight_field, root_cube, write_weight_field
+from dwlab.harness import inclusion_search
 from dwlab.stopping import (
-    CubeTree,
     StoppingCriterion,
     anchor_owners,
     chain_owners,
     corona_criterion,
     corona_stop,
     first_generation_levels,
+    first_generation_ratio,
     kato_criterion,
     kato_family_stop,
     kato_stop,
@@ -22,10 +24,11 @@ from dwlab.stopping import (
     packing_constant,
     partition_residual,
     run_stopping,
+    tree_averages,
     volberg_criterion,
     volberg_stop,
 )
-from dwlab.tb import CanonicalFamily
+from dwlab.tb import CanonicalFamily, make_gamma, tb_run
 
 from conftest import (
     ALWAYS,
@@ -73,7 +76,7 @@ def first_gen(res, s):
 
 
 def test_never_fires():
-    res = run_stopping(root_cube(1), NEVER, 2)
+    res = run_stopping(root_cube(1), NEVER, CubeTree(1, 2))
     assert cubes(res, res.stops) == [root_cube(1)]
     assert len(sawtooth(res, root_cube(1))) == 7
     assert packing_constant(res, Grid(1, 2)) == 1.0
@@ -81,7 +84,7 @@ def test_never_fires():
 
 
 def test_always_fires_full_subdivision():
-    res = run_stopping(root_cube(1), ALWAYS, 2)
+    res = run_stopping(root_cube(1), ALWAYS, CubeTree(1, 2))
     assert [len(g) for g in res.generations] == [1, 2, 4]
     assert packing_constant(res, Grid(1, 2)) == 3.0  # depth d=2 gives d+1
     assert all(sawtooth(res, s) == [s] for s in cubes(res, res.stops))
@@ -91,7 +94,7 @@ def test_always_fires_full_subdivision():
 def test_hand_tree_left_half():
     target = Cube(1, (0,))
     crit = StoppingCriterion("left", lambda tree, s, r: r == tree.index(target))
-    res = run_stopping(root_cube(1), crit, 2)
+    res = run_stopping(root_cube(1), crit, CubeTree(1, 2))
     assert first_gen(res, root_cube(1)) == [target]
     got = {c.descriptor() for c in sawtooth(res, root_cube(1))}
     assert got == {
@@ -107,7 +110,7 @@ def test_hand_tree_left_half():
 def test_parent_map_invariant(rng):
     for seed in range(20):
         crit = bernoulli_criterion(0.4, seed)
-        res = run_stopping(root_cube(1), crit, 4)
+        res = run_stopping(root_cube(1), crit, CubeTree(1, 4))
         stops = set(cubes(res, res.stops))
         assert res.parents[0] == -1
         for r, parent in zip(cubes(res, res.stops[1:]), cubes(res, res.parents[1:])):
@@ -124,7 +127,7 @@ def test_parent_map_invariant(rng):
 def test_partition_residual_weighted(rng):
     g = Grid(1, 4, rng.uniform(0.3, 3.0, 16))
     for seed in range(10):
-        res = run_stopping(root_cube(1), bernoulli_criterion(0.3, seed), 4)
+        res = run_stopping(root_cube(1), bernoulli_criterion(0.3, seed), g.tree)
         assert residual(res) == 0.0
         assert residual(res, res.tree.gather(g._mu_tree)) == 0.0
 
@@ -134,7 +137,7 @@ def test_geometric_packing_bound(rng):
     # packing is at most 1/(1-c).
     g = Grid(1, 5, rng.uniform(0.5, 2.0, 32))
     for seed in range(12):
-        res = run_stopping(root_cube(1), bernoulli_criterion(0.25, seed + 100), 5)
+        res = run_stopping(root_cube(1), bernoulli_criterion(0.25, seed + 100), g.tree)
         ratios = []
         for s in cubes(res, res.stops):
             mass = sum(cube_measure(g, r) for r in first_gen(res, s))
@@ -170,7 +173,7 @@ def test_iterated_trivial_and_single():
     # k=1 reduces to plain sawtooths
     crit = bernoulli_criterion(0.5, 3)
     pieces = chain_pieces(root_cube(1), [crit], 3)
-    res = run_stopping(root_cube(1), crit, 3)
+    res = run_stopping(root_cube(1), crit, CubeTree(1, 3))
     expected = {(s,): sawtooth(res, s) for s in cubes(res, res.stops)}
     got = {k: sorted(v) for k, v in pieces.items()}
     assert got == {k: sorted(v) for k, v in expected.items() if v}
@@ -287,7 +290,7 @@ def test_run_stopping_matches_cube_walk_oracle(n, L, root_level, kind, seed):
     root = Cube(min(root_level, L), tuple(int(c) for c in rng.integers(0, 2 ** min(root_level, L), n)))
     w = random_weight_field(rng, n=n, N=2, L=L, spread=float(rng.uniform(0.05, 0.4)), mu_spread=0.3)
     crit = _criterion(kind, w, rng)
-    res = run_stopping(root, crit, L)
+    res = run_stopping(root, crit, w.grid.tree)
     generations, parent = cube_walk(root, crit, L)
     assert [cubes(res, gen) for gen in res.generations] == generations
     assert res.parents[0] == -1
@@ -339,27 +342,78 @@ def test_kato_examples(rng):
     assert ratio == 1.0  # both children selected immediately
 
 
-def test_kato_stop_reads_the_cached_tree(monkeypatch, rng):
-    # kato_stop gathers its expectation levels on the cube tree cached on the
-    # field: the first call builds that tree and the walk's own, a second call
-    # only the walk's.
+@pytest.mark.parametrize("n,L", [(1, 4), (2, 3)])
+def test_one_cube_tree_per_grid(monkeypatch, tmp_path, rng, n, L):
+    # Every walk and tally on a grid reads the one tree Grid.tree builds:
+    # each corona CLI run (every criterion, and a --root sub-cube), tb-run
+    # and in-process walk builds one, and all the walks on one field share
+    # it.  check-weight and inclusion-search build none.
     built = []
-    real = stopping.CubeTree
+    real = grid_module.CubeTree
 
     class Counted(real):
         def __init__(self, n, L):
             built.append((n, L))
             super().__init__(n, L)
 
-    monkeypatch.setattr(stopping, "CubeTree", Counted)
-    w = random_weight_field(rng, n=2, N=2, L=3)
-    b = rng.standard_normal((8, 8, 2))
-    v0 = np.array([1.0, 0.0])
-    first = kato_stop(root_cube(2), w, b, v0, 0.3)
-    assert len(built) == 2
-    second = kato_stop(root_cube(2), w, b, v0, 0.3)
-    assert built == [(2, 3)] * 3
-    assert first[1] == second[1] and np.array_equal(first[0].stops, second[0].stops)
+    monkeypatch.setattr(grid_module, "CubeTree", Counted)
+    path, report = tmp_path / "w.wf", str(tmp_path / "report.json")
+    write_weight_field(path, random_weight_field(rng, n=n, N=2, L=L, spread=0.6, mu_spread=0.3))
+    corona = [
+        ["corona", "--field", str(path), "--criterion", crit, "--param", param, "--report", report]
+        for crit, param in (("volberg", "16"), ("corona", "0.01"), ("kato", "0.3"))
+    ]
+    tb_cli = ["tb-run", "--field", str(path), "--gamma", "martingale", "--report", report]
+    for argv in corona + [corona[1] + ["--root", ",".join(["1"] * (n + 1))], tb_cli]:
+        built.clear()
+        assert main(argv) == 0
+        assert built == [(n, L)]
+
+    v0 = np.eye(2)[0]
+    b = np.broadcast_to(v0, (2**L,) * n + (2,))
+    calls = [
+        lambda f: corona_stop(root_cube(n), f, 0.05),
+        lambda f: volberg_stop(root_cube(n), f, 2.0),
+        lambda f: kato_stop(root_cube(n), f, b, v0, 0.3),
+        lambda f: kato_family_stop(root_cube(n), f, CanonicalFamily(f), v0, 0.3),
+        lambda f: packing_constant(volberg_stop(root_cube(n), f, 2.0)[0], f.grid),
+        lambda f: first_generation_ratio(corona_stop(root_cube(n), f, 0.05)[0], f.grid),
+        lambda f: martingale_square_check(f, corona_stop(root_cube(n), f, 0.05)[0]),
+        lambda f: tb_run(f, make_gamma("martingale", f), eps2=0.3),
+    ]
+    for call in calls:
+        built.clear()
+        call(read_weight_field(path))
+        assert built == [(n, L)]
+    built.clear()
+    field = read_weight_field(path)
+    for call in calls:
+        call(field)
+    assert built == [(n, L)]
+    assert np.array_equal(tree_averages(field), real(n, L).gather(field.averages("w")))
+
+    built.clear()
+    assert main(["check-weight", "--field", str(path), "--report", report]) == 0
+    inclusion_search(n, 2, 2, b2_cap=2.0, budget=5, seed=1)
+    assert built == []
+
+
+@pytest.mark.parametrize("root", [Cube(5, (0,)), Cube(1, (0, 1))], ids=["past-L", "other-n"])
+def test_walks_refuse_a_root_outside_the_tree(root):
+    # A level past L or a cube of another dimension is refused by name, not
+    # left to escape as an IndexError from an index array.
+    w = ones_field(3, N=2)
+    v0 = np.eye(2)[0]
+    walks = [
+        lambda: run_stopping(root, ALWAYS, CubeTree(1, 3)),
+        lambda: volberg_stop(root, w, 4.0),
+        lambda: corona_stop(root, w, 0.1),
+        lambda: kato_stop(root, w, np.broadcast_to(v0, (8, 2)), v0, 0.3),
+        lambda: kato_family_stop(root, w, CanonicalFamily(w), v0, 0.3),
+    ]
+    for walk in walks:
+        with pytest.raises(ValueError, match=f"cube {root.descriptor()} is not in the tree of n=1, L=3"):
+            walk()
 
 
 def test_kato_family_canonical_contraction(rng):
@@ -494,7 +548,7 @@ def test_screened_walks_match_svd_oracle(n, N, L, seed):
             got = first_generation_levels(tree, crit, span)
             assert np.array_equal(got, first_generation_levels(tree, oracle, span))
         for root in (root_cube(n), Cube(1, (1,) * n)):
-            got, want = run_stopping(root, crit, L), run_stopping(root, oracle, L)
+            got, want = run_stopping(root, crit, tree), run_stopping(root, oracle, tree)
             for name in ("cubes", "owner", "stops", "parents"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
 
@@ -553,14 +607,14 @@ def test_anchor_owners_match_per_anchor_loop(n, kind, threshold, deep, anchors, 
 
 def test_martingale_two_cell_equality():
     w = WeightField(Grid(1, 1), np.array([1.0, 3.0]).reshape(2, 1, 1))
-    res = run_stopping(root_cube(1), ALWAYS, 1)
-    lhs, rhs, ok = martingale_square_check(root_cube(1), w, res)
+    res = run_stopping(root_cube(1), ALWAYS, w.grid.tree)
+    lhs, rhs, ok = martingale_square_check(w, res)
     assert ok
     assert abs(lhs[0, 0] - 1.0) < 1e-14
     assert abs(rhs[0, 0] - 1.0) < 1e-14
 
     const = ones_field(1)
-    lhs, rhs, ok = martingale_square_check(root_cube(1), const, run_stopping(root_cube(1), ALWAYS, 1))
+    lhs, rhs, ok = martingale_square_check(const, run_stopping(root_cube(1), ALWAYS, const.grid.tree))
     assert ok and np.allclose(lhs, 0) and np.allclose(rhs, 0)
 
 
@@ -568,10 +622,22 @@ def test_martingale_random_trees(rng):
     for seed in range(60):
         N = int(rng.integers(1, 4))
         w = random_weight_field(rng, N=N, L=3, spread=0.9, mu_spread=0.4)
-        res = run_stopping(root_cube(1), bernoulli_criterion(0.45, seed), 3)
-        lhs, rhs, ok = martingale_square_check(root_cube(1), w, res)
+        res = run_stopping(root_cube(1), bernoulli_criterion(0.45, seed), w.grid.tree)
+        lhs, rhs, ok = martingale_square_check(w, res)
         assert ok
         assert loewner_geq(rhs, lhs, 1e-9 * max(np.max(np.abs(rhs)), 1e-300))
+
+
+def test_martingale_reads_its_root_from_the_result():
+    # A result rooted at a sub-cube Q is checked against that cube's
+    # ((W^2)_Q - W_Q W_Q) mu(Q).
+    w = random_weight_field(np.random.default_rng(5), n=1, N=2, L=5, spread=0.9, mu_spread=0.4)
+    for root in (Cube(1, (1,)), Cube(2, (1,))):
+        res, _ = corona_stop(root, w, 0.01)
+        lhs, rhs, ok = martingale_square_check(w, res)
+        w_q = w.avg_entries(root)
+        assert ok and len(res.stops) > 1
+        assert np.array_equal(rhs, (w.avg_entries(root, "w2") - w_q @ w_q) * cube_measure(w.grid, root))
 
 
 def test_box_cubes_count():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from dwlab import stopping, tb
 from dwlab.cli import main
 from dwlab.cones import ConeNet
-from dwlab.grid import Cube, Grid, WeightField, root_cube, weighted_avg, write_weight_field
+from dwlab.grid import Cube, CubeTree, Grid, WeightField, root_cube, write_weight_field
 from dwlab.harness import WeightGenerator, generate
 from dwlab.tb import (
     CanonicalFamily,
@@ -33,6 +33,7 @@ from conftest import (
     gamma_value,
     owner_levels,
     random_weight_field,
+    weighted_avg,
 )
 
 
@@ -361,7 +362,7 @@ def test_level_engine_matches_cube_walk_oracle(n, L, kind, seed):
     # level engine equal the old per-cube owner walk through first generations.
     L = min(L, 3) if n == 2 else L
     rng = np.random.default_rng(seed)
-    tree = stopping.CubeTree(n, L)
+    tree = CubeTree(n, L)
     # Smooth fields and eps2 near 1, so that both stops fire at some cubes
     # and not at others.
     spread = float(rng.uniform(0.05, 0.4))
@@ -425,7 +426,7 @@ def per_anchor_tb_bounds(field, gamma, eps1, eps2, eps3):
     """The assembled bound and the root's per-sector bound masses of a
     ``tb_run``, with the chains of every live cube rebuilt anchor level by
     anchor level from ``owner_levels`` and ``chain_owners``, row by row."""
-    tree, avg = stopping.tree_averages(field)
+    tree, avg = field.grid.tree, stopping.tree_averages(field)
     mu = tree.gather(field.grid._mu_tree)
     gsq, gammas = tree.gather(gamma.norms_sq()), tree.gather(gamma.levels)
     live = np.flatnonzero(gsq > 0.0)
@@ -501,31 +502,9 @@ def test_tb_run_inverts_the_averages_once(monkeypatch):
         w = generate(WeightGenerator("log-gaussian", amplitude=0.4, seed=52), n, N, L)
         calls.clear()
         tb_run(w, make_gamma("martingale", w), eps2=0.3)
-        assert calls == [(stopping.CubeTree(n, L).size, N, N)]
+        assert calls == [(w.grid.tree.size, N, N)]
         tb_run(w, make_gamma("martingale", w), eps2=0.3, lam=4.0)
         assert len(calls) == 1
-
-
-def test_tb_run_builds_one_cube_tree_per_field(monkeypatch):
-    # tb_run, its corona and Volberg criteria and a Kato criterion on the same
-    # field share one cube tree and one tree-order stack of W averages.
-    built = []
-    real = stopping.CubeTree
-
-    class Counted(real):
-        def __init__(self, n, L):
-            built.append((n, L))
-            super().__init__(n, L)
-
-    monkeypatch.setattr(stopping, "CubeTree", Counted)
-    for n, N, L in ((1, 2, 5), (2, 3, 3)):
-        w = generate(WeightGenerator("log-gaussian", amplitude=0.4, seed=53), n, N, L)
-        built.clear()
-        tb_run(w, make_gamma("martingale", w), eps2=0.3)
-        stopping.kato_criterion(w, np.eye(N)[0], 0.3, lambda w_s, w_r, r: w_r[:, 0])
-        assert built == [(n, L)]
-        tree, avg = stopping.tree_averages(w)
-        assert np.array_equal(avg, real(n, L).gather(w.averages("w")))
 
 
 @settings(max_examples=25, deadline=None)

@@ -12,7 +12,9 @@ from the last line of its output and the report digests from its ``digest``
 lines.
 
 Printed per workload and metric: each side's median and quartiles over its
-runs, and the number of pairs in which the change is better (lower).  The
+runs, and the number of pairs in which the change is better (lower); per
+workload, the invocation labels (the text before ``:`` of a ``digest`` line)
+whose report digests differ between the sides of any pair.  The
 JSON written to ``--out`` holds every run and that summary; it is the source
 of a ``BENCH_*.json``.  It is rewritten after every pair, so an interrupted
 session keeps the pairs it ran.  A run that prints no output, or whose last
@@ -75,6 +77,11 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def _digests_by_label(run):
+    """A run's report digests keyed by invocation label, the text before ``:``."""
+    return dict(line.split(":", 1) for line in run["digests"])
+
+
 def summarize(pairs):
     """Spreads and wins over the pairs in which both runs gave a result."""
     whole = [p for p in pairs if not any("error" in p[s] for s in SIDES)]
@@ -86,6 +93,11 @@ def summarize(pairs):
         out[m]["pairs"] = len(whole)
     out["failed"] = {s: sum(p[s].get("failed", 0) for p in pairs) for s in SIDES}
     out["digests_equal"] = sum(p["parent"]["digests"] == p["change"]["digests"] for p in whole)
+    differ = set()
+    for p in whole:
+        parent, change = (_digests_by_label(p[s]) for s in SIDES)
+        differ |= {k for k in parent.keys() | change.keys() if parent.get(k) != change.get(k)}
+    out["digests_differ"] = sorted(differ)
     return out
 
 
@@ -166,6 +178,8 @@ def main(argv=None):
             f" {summary['failed']['change']}; digests equal in {summary['digests_equal']}"
             f" of {summary['run_s']['pairs']}"
         )
+        if summary["digests_differ"]:
+            print(f"{workload}: digests differ for {', '.join(summary['digests_differ'])}")
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     bad = [
         f"{workload} pair seed {pair['seed']} {side}: {_problem(pair[side])}"
