@@ -173,7 +173,13 @@ def anchor_owners(tree, crit, top, deepest):
         col = (column[-1][:, None] * slots + np.arange(slots)).reshape(-1)
         par = np.repeat(owner[-1], slots)
         fired = crit.fires_many(tree, par, cubes[col])
-        own = np.arange(len(cubes)) if k < deepest else np.unique(col[fired])
+        if k < deepest:
+            own = np.arange(len(cubes))
+        else:
+            # The distinct fired columns, sorted, from a mask over the columns.
+            mask = np.zeros(len(cubes), dtype=bool)
+            mask[col[fired]] = True
+            own = np.flatnonzero(mask)
         self_pair = np.empty(len(cubes), dtype=np.intp)
         self_pair[own] = np.arange(len(own))
         kept = ~fired

@@ -24,6 +24,7 @@ from .weights import family_scan
 __all__ = [
     "LN2",
     "CarlesonField",
+    "top_directions",
     "gamma_zero",
     "gamma_constant",
     "gamma_martingale",
@@ -51,8 +52,33 @@ class CarlesonField:
     levels: list
 
     def norms_sq(self):
-        """The squared operator norm of every multiplier, one array per level."""
+        """The squared operator norm of every multiplier, one array per level:
+        a row's sum of squares when M = 1, else the top singular value's square."""
+        if self.M == 1:
+            return [np.einsum("...ij,...ij->...", arr, arr) for arr in self.levels]
         return [np.linalg.svd(arr, compute_uv=False)[..., 0] ** 2 for arr in self.levels]
+
+
+def top_directions(gammas):
+    """The top right singular vector of every matrix of the nonzero stack
+    ``gammas``, signed as numpy's ``svd`` signs it.
+
+    A 1 x N row g needs no ``svd``: its vector is ``-copysign(1, g_0) g / |g|``,
+    or e_1 when g_1 .. g_{N-1} are all zero.  The norm is taken after scaling
+    each row by its largest ``|g_i|``, so rows near 1e+-200 stay unit.
+    """
+    if gammas.shape[-2] > 1:
+        return np.linalg.svd(gammas)[2][:, 0, :]
+    g = gammas[:, 0, :]
+    v = np.zeros_like(g)
+    v[:, 0] = 1.0
+    turn = np.flatnonzero(np.any(g[:, 1:], axis=1))
+    x = g[turn] / np.max(np.abs(g[turn]), axis=1, keepdims=True)
+    norm = np.sqrt(np.einsum("ij,ij->i", x, x))
+    # + 0.0 gives svd's +0.0 for zero entries; the net lookup's arctan2 tells
+    # -0.0 apart.
+    v[turn] = x / np.copysign(norm, -g[turn, 0])[:, None] + 0.0
+    return v
 
 
 def gamma_zero(grid, M, N):
@@ -73,6 +99,10 @@ def gamma_constant(grid, M, N, value=None):
 
 def gamma_martingale(field, rows=1):
     """Rows of the jump of the weight averages between a cube and its parent."""
+    if rows > field.N:
+        raise ValueError(
+            f"the martingale multiplier has at most N = {field.N} rows, got M = {rows}"
+        )
     g = field.grid
     avg = field.averages("w")
     levels = [np.zeros((1,) * g.n + (rows, field.N))]
@@ -263,7 +293,7 @@ def tb_run(field, gamma, eps1=None, eps2=0.1, eps3=None, lam=16.0, shifts=None):
     gsq, gammas = tree.gather(norms_sq), tree.gather(gamma.levels)
     live = np.flatnonzero(gsq > 0.0)
     live = live[np.argsort(tree.preorder(live))]
-    v1 = np.linalg.svd(gammas[live])[2][:, 0, :]
+    v1 = top_directions(gammas[live])
     sector = net.cover_indices(v1)
     v0 = net.vectors_at(sector)
     dots = np.einsum("ij,ij->i", v1, v0)

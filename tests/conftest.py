@@ -227,6 +227,18 @@ def cube_contains(outer, inner):
     return all(ic >> shift == c for ic, c in zip(inner.coords, outer.coords))
 
 
+def svd_norms_sq(gamma):
+    """The oracle of ``CarlesonField.norms_sq``: the squared top singular
+    value of every multiplier from ``svd``, one array per level."""
+    return [np.linalg.svd(arr, compute_uv=False)[..., 0] ** 2 for arr in gamma.levels]
+
+
+def svd_top_directions(gammas):
+    """The oracle of ``tb.top_directions``: the top right singular vector of
+    every matrix of the stack ``gammas`` from a full ``svd``."""
+    return np.linalg.svd(gammas)[2][:, 0, :]
+
+
 def gamma_value(gamma, cube):
     """The multiplier matrix of ``gamma`` on ``cube``."""
     return gamma.levels[cube.level][cube.coords]

@@ -6,9 +6,11 @@ import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
-# A stand-in for dwbench/run.py: one digest line, then the result line.
+# A stand-in for dwbench/run.py: one digest line, the wall medians, then the
+# result line.
 STUB = """import json, sys
 print("digest stub: sha256=0")
+print("wall medians: run {wall} s, setup 0.5 s")
 metrics = {{m: {{"value": 1.0}} for m in ("run_s", "setup_s", "peak_rss_mb")}}
 print(json.dumps({{"correct": 1, "attempted": 1, "failed": {failed}, "metrics": metrics}}))
 sys.exit({code})
@@ -22,9 +24,9 @@ def _tool():
     return module
 
 
-def _checkout(root, name, failed=0, code=0):
+def _checkout(root, name, failed=0, code=0, wall=2.0):
     (root / name / "dwbench").mkdir(parents=True)
-    (root / name / "dwbench" / "run.py").write_text(STUB.format(failed=failed, code=code))
+    (root / name / "dwbench" / "run.py").write_text(STUB.format(failed=failed, code=code, wall=wall))
     return root / name
 
 
@@ -63,6 +65,10 @@ sys.exit(3)
 NOT_JSON = """print("digest stub: sha256=0")
 print("pass 1 of 40")
 """
+NO_WALL = """import json
+metrics = {m: {"value": 1.0} for m in ("run_s", "setup_s", "peak_rss_mb")}
+print(json.dumps({"correct": 1, "attempted": 1, "failed": 0, "metrics": metrics}))
+"""
 
 
 @pytest.mark.parametrize(
@@ -70,6 +76,7 @@ print("pass 1 of 40")
     [
         (SILENT, 3, "exit code 3, no output; stderr: RuntimeError: boom"),
         (NOT_JSON, 0, "exit code 0, last line is not a JSON result"),
+        (NO_WALL, 0, "exit code 0, no wall medians line"),
     ],
 )
 def test_bench_pairs_keeps_pairs_past_a_run_without_result(tmp_path, capsys, script, code, problem):
@@ -100,7 +107,10 @@ def test_bench_pairs_keeps_pairs_past_a_run_without_result(tmp_path, capsys, scr
 
 def test_bench_pairs_summarizes_the_whole_pairs():
     bench = _tool()
-    good = {"exit_code": 0, "failed": 0, "digests": [], "run_s": 2.0, "setup_s": 1.0, "peak_rss_mb": 3.0}
+    good = {
+        "exit_code": 0, "failed": 0, "digests": [], "run_s": 2.0, "setup_s": 1.0,
+        "peak_rss_mb": 3.0, "wall_run_s": 4.0, "wall_setup_s": 5.0,
+    }
     bad = {"exit_code": 1, "error": "no output", "stderr_tail": ""}
     faster = dict(good, run_s=1.0)
     summary = bench.summarize([
@@ -139,6 +149,7 @@ def test_bench_pairs_keeps_the_pairs_of_an_interrupted_session(tmp_path, monkeyp
 TWO_REPORTS = """import json
 print("digest tb-run n=1 N=2 L=9: sha256={tb} carleson_norm=1")
 print("digest check-weight n=2 N=2 L=5: sha256=0 a2=2")
+print("wall medians: run 2 s, setup 0.5 s")
 metrics = {{m: {{"value": 1.0}} for m in ("run_s", "setup_s", "peak_rss_mb")}}
 print(json.dumps({{"correct": 2, "attempted": 2, "failed": 0, "metrics": metrics}}))
 """
@@ -152,3 +163,30 @@ def test_bench_pairs_names_the_reports_whose_digests_differ(tmp_path, capsys):
     assert "class-scan: digests differ for tb-run n=1 N=2 L=9" in capsys.readouterr().out.splitlines()
     summary = json.loads((tmp_path / "pairs.json").read_text())["workloads"]["class-scan"]["summary"]
     assert summary["digests_equal"] == 0 and summary["digests_differ"] == ["tb-run n=1 N=2 L=9"]
+
+
+def test_bench_pairs_keeps_the_raw_wall_medians(tmp_path, capsys):
+    # Each run's wall medians are kept beside its reference-speed metrics,
+    # summarized like them and printed beside run_s.
+    parent = _checkout(tmp_path, "parent", wall=2.0)
+    change = _checkout(tmp_path, "change", wall=1.5)
+    assert _tool().main(_argv(tmp_path, parent, change)) == 0
+    out = capsys.readouterr().out.splitlines()
+    for seed in (5, 6):
+        pair = f"class-scan pair {seed - 4}/2 seed {seed}:"
+        assert f"{pair} run_s parent 1.0000 change 1.0000; wall_run_s parent 2.0000 change 1.5000" in out
+    assert (
+        "class-scan wall_run_s: parent 2.0000 (2.0000-2.0000),"
+        " change 1.5000 (1.5000-1.5000), change lower in 2 of 2"
+    ) in out
+    assert (
+        "class-scan wall_setup_s: parent 0.5000 (0.5000-0.5000),"
+        " change 0.5000 (0.5000-0.5000), change lower in 0 of 2"
+    ) in out
+    written = json.loads((tmp_path / "pairs.json").read_text())["workloads"]["class-scan"]
+    for pair in written["pairs"]:
+        assert (pair["parent"]["wall_run_s"], pair["change"]["wall_run_s"]) == (2.0, 1.5)
+        assert pair["parent"]["wall_setup_s"] == pair["change"]["wall_setup_s"] == 0.5
+    summary = written["summary"]
+    assert summary["wall_run_s"]["change"] == {"median": 1.5, "q1": 1.5, "q3": 1.5}
+    assert summary["wall_run_s"]["change_wins"] == 2 and summary["wall_setup_s"]["change_wins"] == 0

@@ -217,6 +217,22 @@ def test_net_too_large_to_walk_exits_1(tmp_path, capsys):
     assert not rep.exists()
 
 
+def test_tb_run_refuses_martingale_rows_beyond_N(tmp_path, capsys):
+    # A martingale multiplier has at most N rows; the refusal names M and N
+    # before any level is built, and the other kinds keep M = 3.
+    path = tmp_path / "n2.wf"
+    write_weight_field(path, generate(WeightGenerator("log-gaussian", amplitude=0.4, seed=3), 2, 2, 4))
+    rep = tmp_path / "r.json"
+    argv = ["tb-run", "--field", str(path), "--gamma", "martingale", "--M", "3", "--report", str(rep)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: the martingale multiplier has at most N = 2 rows, got M = 3\n"
+    )
+    assert not rep.exists()
+    argv[argv.index("martingale")] = "random"
+    assert main(argv) == 0 and rep.exists()
+
+
 def test_rrt_search_subcommand(tmp_path, capsys):
     rep = tmp_path / "r.json"
     rc = main([

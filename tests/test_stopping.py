@@ -653,3 +653,36 @@ def test_box_cubes_count():
             if cube.level < L:
                 stack.extend(reversed(cube.children()))
         assert [tree.cube(i) for i in box[np.argsort(tree.preorder(box))]] == walk
+
+
+@pytest.mark.parametrize("p", [0.2, 0.4])
+@pytest.mark.parametrize("n, L, top_level", [(1, 7, 0), (1, 7, 2), (2, 4, 0), (2, 4, 1)])
+def test_anchor_owners_own_pairs_below_deepest_are_the_unique_fired_columns(n, L, top_level, p):
+    # Below the deepest anchor level a cube has its own pair only where the
+    # criterion fired at it.  Those columns, taken from a mask over the
+    # level's columns, are np.unique of the fired columns: under one anchor
+    # (the propagation of run_stopping) and under every anchor down to a
+    # middle level, where one cube can fire against several owners.
+    tree = CubeTree(n, L)
+    top = tree.index(Cube(top_level, (1,) * n if top_level else (0,) * n))
+    box = tree.box(top)
+    crit, calls = bernoulli_criterion(p, 7), []
+
+    def fires_many(tree, s, r):
+        fired = crit.fires_many(tree, s, r)
+        calls.append(r[fired])
+        return fired
+
+    repeated = False
+    for deepest in (top_level, (top_level + L) // 2):
+        calls.clear()
+        chains = anchor_owners(tree, StoppingCriterion(crit.name, fires_many), top, deepest)
+        for k in range(deepest + 1, L + 1):
+            cubes = box[tree.level[box] == k]
+            col = np.full(tree.size, -1)
+            col[cubes] = np.arange(len(cubes))
+            fired = col[calls[k - top_level - 1]]
+            own, column = chains.owner[k - top_level], chains.column[k - top_level]
+            assert np.array_equal(column[own == cubes[column]], np.unique(fired))
+            repeated |= len(np.unique(fired)) < len(fired)
+    assert repeated

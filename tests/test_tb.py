@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from dwlab.tb import (
     gamma_zero,
     make_gamma,
     tb_run,
+    top_directions,
     verify_hypotheses,
 )
 
@@ -33,6 +35,8 @@ from conftest import (
     gamma_value,
     owner_levels,
     random_weight_field,
+    svd_norms_sq,
+    svd_top_directions,
     weighted_avg,
 )
 
@@ -277,6 +281,73 @@ def test_gamma_martingale_root_zero(rng):
     assert np.allclose(g.levels[1][0], (child - top)[:1, :])
 
 
+def test_gamma_martingale_refuses_more_rows_than_N(rng):
+    # The jump of N x N averages has N rows; the other kinds take any M.
+    w = random_weight_field(rng, n=2, N=2, L=2)
+    for M in (3, 4):
+        with pytest.raises(ValueError, match=f"at most N = 2 rows, got M = {M}"):
+            gamma_martingale(w, rows=M)
+    assert gamma_martingale(w, rows=2).levels[1].shape == (2, 2, 2, 2)
+    for kind in ("zero", "constant", "random"):
+        gam = make_gamma(kind, w, M=3)
+        assert gam.M == 3 and all(lv.shape[-2:] == (3, 2) for lv in gam.levels)
+
+
+def _rank_one_rows(rng, N):
+    """1 x N rows: random ones, g_0 = +0.0 and -0.0 before a nonzero tail, zero
+    tails after g_0 of either sign, a single nonzero entry at each place, and
+    random rows at 1e-200 and 1e200."""
+    plain = rng.standard_normal((200, N))
+    signed_zero = rng.standard_normal((4, N))
+    signed_zero[:, 0] = [0.0, -0.0, 0.0, -0.0]
+    zero_tail = np.zeros((2, N))
+    zero_tail[:, 0] = [2.5, -2.5]
+    single = np.diag(rng.choice([-1.0, 1.0], N) * rng.uniform(0.5, 2.0, N))
+    extreme = rng.standard_normal((40, N)) * np.repeat([1e-200, 1e200], 20)[:, None]
+    normal = np.concatenate([plain, signed_zero, zero_tail, single])
+    return normal[:, None, :], extreme[:, None, :]
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_rank_one_closed_forms_match_svd_oracle(N):
+    rng = np.random.default_rng(40 + N)
+    normal, extreme = _rank_one_rows(rng, N)
+    for rows in (normal, extreme):
+        got, want = top_directions(rows), svd_top_directions(rows)
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert np.all(np.einsum("ij,ij->i", got, want) > 0.0)
+        assert np.max(np.abs(np.linalg.norm(got, axis=1) - 1.0)) <= 1e-15
+        # svd's zero entries are +0.0, and so are the closed form's.
+        assert np.array_equal(np.signbit(got[want == 0.0]), np.signbit(want[want == 0.0]))
+    # Rows with a zero tail take e_1 whatever the sign of g_0.
+    assert np.array_equal(top_directions(normal[204:206]), np.eye(N)[[0, 0]])
+    # norms_sq on a one-row field: level k holds 2**k of the normal rows.
+    g = Grid(1, 6)
+    gam = tb.CarlesonField(g, 1, N, [normal[: 2**k] for k in range(g.L + 1)])
+    for got, want in zip(gam.norms_sq(), svd_norms_sq(gam)):
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
+
+
+def test_tb_run_rank_one_takes_no_row_svd(monkeypatch):
+    # With M = 1 neither the norms nor the sector vectors of the multiplier
+    # reach svd; the screens' N x N stacks still may.
+    shapes, svd = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for n, N, L in ((1, 2, 5), (2, 3, 3)):
+        w = generate(WeightGenerator("log-gaussian", amplitude=0.4, seed=52), n, N, L)
+        for kind in ("martingale", "random", "constant"):
+            rep = tb_run(w, make_gamma(kind, w), eps2=0.3)
+            assert rep.per_sector
+    assert all(s[-2] == s[-1] for s in shapes)
+    tb_run(w, make_gamma("random", w, M=2), eps2=0.3)
+    assert any(s[-2:] == (2, N) for s in shapes)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.sampled_from([1, 2]),
@@ -428,11 +499,11 @@ def per_anchor_tb_bounds(field, gamma, eps1, eps2, eps3):
     anchor level from ``owner_levels`` and ``chain_owners``, row by row."""
     tree, avg = field.grid.tree, stopping.tree_averages(field)
     mu = tree.gather(field.grid._mu_tree)
-    gsq, gammas = tree.gather(gamma.norms_sq()), tree.gather(gamma.levels)
+    gsq, gammas = tree.gather(svd_norms_sq(gamma)), tree.gather(gamma.levels)
     live = np.flatnonzero(gsq > 0.0)
     live = live[np.argsort(tree.preorder(live))]
     net = ConeNet(field.N, eps1)
-    sector = net.cover_indices(np.linalg.svd(gammas[live])[2][:, 0, :])
+    sector = net.cover_indices(svd_top_directions(gammas[live]))
     v0 = net.vectors_at(sector)
     corona = stopping.corona_criterion(field, eps3)
 

@@ -8,22 +8,25 @@ Each pair runs ``python3 dwbench/run.py --workload W --seed S --seconds T
 --trace 0`` once in each checkout, with ``S`` the base seed plus the pair
 number; the side that runs first alternates from pair to pair, so a drift of
 the host's speed weighs on both sides alike.  Every run reads the metrics
-from the last line of its output and the report digests from its ``digest``
-lines.
+from the last line of its output, the raw wall medians of the timed section
+and of set-up (``wall_run_s``, ``wall_setup_s``) from its ``wall medians``
+line and the report digests from its ``digest`` lines.
 
-Printed per workload and metric: each side's median and quartiles over its
-runs, and the number of pairs in which the change is better (lower); per
-workload, the invocation labels (the text before ``:`` of a ``digest`` line)
-whose report digests differ between the sides of any pair.  The
-JSON written to ``--out`` holds every run and that summary; it is the source
-of a ``BENCH_*.json``.  It is rewritten after every pair, so an interrupted
-session keeps the pairs it ran.  A run that prints no output, or whose last
-line is not a JSON result, is kept as a bad run (its exit code and the tail
-of its standard error) and the summary reads the pairs in which both runs
-gave a result.  The exit code is 1, after every pair has run, when a run of either
-side is bad, exits non-zero or reports failed invocations; each such run is
-named on standard error.  Standard library only; nothing under ``dwbench/``
-is changed.
+Printed per pair: ``run_s`` and ``wall_run_s`` of both sides.  Printed per
+workload and metric, the wall medians included: each side's median and
+quartiles over its runs, and the number of pairs in which the change is
+better (lower); per workload, the invocation labels (the text before ``:`` of
+a ``digest`` line) whose report digests differ between the sides of any pair.
+The JSON written to ``--out`` holds every run and that summary; it is the
+source of a ``BENCH_*.json``.  It is rewritten after every pair, so an
+interrupted session keeps the pairs it ran.  A run that prints no output,
+whose last line is not a JSON result, or that prints no ``wall medians``
+line, is kept as a bad run (its exit code and the tail of its standard
+error) and the summary reads the pairs in which both runs gave a result.  The
+exit code is 1, after every pair has run, when a run of either side is bad,
+exits non-zero or reports failed invocations; each such run is named on
+standard error.  Standard library only; nothing under ``dwbench/`` is
+changed.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -38,6 +42,9 @@ import time
 from pathlib import Path
 
 METRICS = ("run_s", "setup_s", "peak_rss_mb")
+# The raw wall medians, in seconds, of the line ``dwbench/run.py`` prints.
+WALL = ("wall_run_s", "wall_setup_s")
+WALL_LINE = re.compile(r"^wall medians: run (\S+) s, setup (\S+) s$")
 SIDES = ("parent", "change")
 
 
@@ -53,11 +60,19 @@ def run_once(checkout, workload, seed, seconds):
         result = json.loads(lines[-1]) if lines else None
     except json.JSONDecodeError:
         result = None
-    if not isinstance(result, dict):
-        # A bad run: no result line to read metrics from.
+    wall = [m.groups() for m in map(WALL_LINE.match, lines) if m]
+    error = None
+    if not lines:
+        error = "no output"
+    elif not isinstance(result, dict):
+        error = "last line is not a JSON result"
+    elif not wall:
+        error = "no wall medians line"
+    if error:
+        # A bad run: no result or wall line to read metrics from.
         return {
             "exit_code": proc.returncode,
-            "error": "last line is not a JSON result" if lines else "no output",
+            "error": error,
             "stderr_tail": proc.stderr.strip()[-2000:],
         }
     return {
@@ -65,6 +80,7 @@ def run_once(checkout, workload, seed, seconds):
         "failed": result["failed"],
         "attempted": result["attempted"],
         **{m: result["metrics"][m]["value"] for m in METRICS},
+        **{m: float(v) for m, v in zip(WALL, wall[-1])},
         "digests": [line[len("digest ") :] for line in lines if line.startswith("digest ")],
     }
 
@@ -86,7 +102,7 @@ def summarize(pairs):
     """Spreads and wins over the pairs in which both runs gave a result."""
     whole = [p for p in pairs if not any("error" in p[s] for s in SIDES)]
     out = {}
-    for m in METRICS:
+    for m in METRICS + WALL:
         sides = {s: [p[s][m] for p in whole] for s in SIDES}
         out[m] = {s: spread(v) if v else None for s, v in sides.items()}
         out[m]["change_wins"] = sum(c < p for p, c in zip(sides["parent"], sides["change"]))
@@ -151,9 +167,11 @@ def main(argv=None):
                 pair[side] = run_once(checkouts[side], workload, seed, args.seconds)
             pairs.append(pair)
             print(
-                f"{workload} pair {i + 1}/{args.pairs} seed {seed}: run_s"
-                f" parent {_value(pair['parent'], 'run_s')}"
-                f" change {_value(pair['change'], 'run_s')}",
+                f"{workload} pair {i + 1}/{args.pairs} seed {seed}:"
+                + ";".join(
+                    f" {m} parent {_value(pair['parent'], m)} change {_value(pair['change'], m)}"
+                    for m in ("run_s", "wall_run_s")
+                ),
                 flush=True,
             )
             # Written after every pair, so a session stopped mid-workload
@@ -161,7 +179,7 @@ def main(argv=None):
             args.out.write_text(json.dumps(report, indent=1) + "\n")
         summary = summarize(pairs)
         report["workloads"][workload]["summary"] = summary
-        for m in METRICS:
+        for m in METRICS + WALL:
             s = summary[m]
             if not s["pairs"]:
                 print(f"{workload} {m}: no pair in which both runs gave a result")
