@@ -6,18 +6,12 @@ from .grid import (
     WeightField,
     FieldFormatError,
     root_cube,
-    expectation_Et,
     read_weight_field,
     write_weight_field,
 )
 from .weights import (
     ClassReport,
     class_report,
-    b2_constants,
-    thewest_constant,
-    det_chain_check,
-    scalar_ainfty_report,
-    corollary_relations,
 )
 from .stopping import (
     StoppingCriterion,
@@ -25,7 +19,6 @@ from .stopping import (
     run_stopping,
     packing_constant,
     volberg_stop,
-    kato_stop,
     kato_family_stop,
     corona_stop,
     martingale_square_check,

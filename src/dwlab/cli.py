@@ -52,6 +52,18 @@ def _write_report(path, payload):
         sys.stdout.write(text)
 
 
+def _seed(text):
+    """The ``type`` of every ``--seed``: a non-negative integer, as numpy's
+    generators take, refused at parsing before any file is read."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _effective_jobs(args):
     env = os.environ.get("DWLAB_JOBS")
     if env is not None:
@@ -318,7 +330,7 @@ def _build_parser():
     p = sub.add_parser("check-weight", help="matrix weight class constants")
     p.add_argument("--field", required=True)
     p.add_argument("--shifts", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_check_weight)
 
@@ -327,7 +339,7 @@ def _build_parser():
     p.add_argument("--criterion", required=True, choices=("volberg", "kato", "corona"))
     p.add_argument("--param", type=float, required=True)
     p.add_argument("--root", default=None, help="level,c1,...,cn")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_corona)
 
@@ -335,7 +347,7 @@ def _build_parser():
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--eps1", type=float, required=True)
     p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_cone_net)
 
@@ -347,7 +359,7 @@ def _build_parser():
     p.add_argument("--eps3", type=float, default=None)
     p.add_argument("--eps1", type=float, default=None)
     p.add_argument("--lambda", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_tb_run)
 
@@ -362,7 +374,7 @@ def _build_parser():
         help="annealing steps, split evenly over the 50 restarts (each also "
         "evaluates its initial pair; a budget below 50 anneals nothing)",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_rrt_search)
 
@@ -372,13 +384,13 @@ def _build_parser():
     p.add_argument("--L", type=int, default=4)
     p.add_argument("--b2-cap", type=float, required=True)
     p.add_argument("--budget", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_inclusion_search)
 
     p = sub.add_parser("paraproduct-demo", help="scalar product identity demo")
     p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_paraproduct_demo)
 

@@ -27,7 +27,6 @@ __all__ = [
     "FieldFormatError",
     "CellValueError",
     "root_cube",
-    "expectation_Et",
     "write_weight_field",
     "read_weight_field",
 ]
@@ -314,13 +313,6 @@ class Grid:
             for k in range(self.L + 1)
         ]
 
-    def cubes(self, levels=None):
-        if levels is None:
-            levels = range(self.L + 1)
-        for k in levels:
-            for coords in itertools.product(range(2**k), repeat=self.n):
-                yield Cube(k, coords)
-
     def shift_vectors(self, shifts):
         """The zero vector and ``shifts`` distinct translations, in integer
         ninths of the unit side: every third-shift, then the ninth-shifts.
@@ -556,13 +548,6 @@ class WeightField:
     def avg_entries(self, cube, moment="w"):
         return self.averages(moment)[cube.level][cube.coords]
 
-    def expectation_levels(self, f):
-        """Weighted averages E_R f = (int_R W dmu)^{-1} int_R W f dmu of a vector
-        field ``f`` over every dyadic cube R, one array per level."""
-        iwf = self.grid.integrals(np.einsum("...ij,...j->...i", self.values, np.asarray(f, float)))
-        self._trees(("w",))
-        return self.grid.levels(np.linalg.solve(self._tree_cache["sum", "w"], iwf[..., None])[..., 0])
-
     def moment_masses(self, moments=MOMENTS):
         """Cell masses of 1 and of the named ``moments`` on one last axis: each
         power of ``W`` takes N*N channels (row-major), ``logdet`` one."""
@@ -597,21 +582,8 @@ class WeightField:
         return self._cell_cache[key]
 
 
-# Free-function forms of the core operations --------------------------------------
-
-
-def expectation_Et(f, t_level, weight):
-    """Field version of the weighted average: constant on each level-t cube."""
-    g = weight.grid
-    if t_level < 0 or t_level > g.L:
-        raise ValueError(f"level {t_level} outside [0, {g.L}]")
-    out = weight.expectation_levels(f)[t_level]
-    for _ in range(g.L - t_level):
-        out = _refine(out, g.n)
-    return out
-
-
 def _refine(arr, n):
+    """Repeat each entry of the first ``n`` axes twice: one level finer."""
     for axis in range(n):
         arr = np.repeat(arr, 2, axis=axis)
     return arr

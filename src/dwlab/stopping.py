@@ -42,7 +42,6 @@ __all__ = [
     "norm_exceeds",
     "kato_fires",
     "volberg_stop",
-    "kato_stop",
     "kato_family_stop",
     "corona_stop",
     "martingale_square_check",
@@ -327,18 +326,6 @@ def kato_criterion(field, v0, eps2, expectation):
         return kato_fires(w_s, w_r, expectation(w_s, w_r, r), v0, eps2)
 
     return StoppingCriterion(f"kato(eps2={eps2:g})", fires_many)
-
-
-def kato_stop(root, field, b_values, v0, eps2):
-    """Test-function stop for one fixed function given on the root cube.
-
-    Fires when |E_R b| > 1/eps2 or (v0, W_S^{-1} W_R E_R b) < eps2, with S the
-    current recursion root.  Returns the result and first-generation mass.
-    """
-    levels = field.grid.tree.gather(field.expectation_levels(b_values))
-    crit = kato_criterion(field, v0, eps2, lambda w_s, w_r, r: levels[r])
-    res = run_stopping(root, crit, field.grid.tree)
-    return res, first_generation_ratio(res, field.grid)
 
 
 def kato_family_stop(root, field, family, v0, eps2):

@@ -15,20 +15,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import _BATCH_FLOATS, MOMENTS, WeightField
+from .grid import _BATCH_FLOATS, MOMENTS
 
 __all__ = [
     "ClassReport",
     "class_report",
-    "b2_constants",
-    "thewest_constant",
-    "det_chain_check",
-    "scalar_ainfty_report",
-    "ScalarAinftyReport",
-    "corollary_relations",
-    "CorollaryReport",
     "box_averages",
-    "cube_ratios",
     "default_shifts",
     "family_scan",
     "FamilyScan",
@@ -222,13 +214,6 @@ def box_averages(field, batch, directions=None, keys=RATIO_KEYS):
     return avg
 
 
-def cube_ratios(field, cube):
-    """``ratio_kernel`` of one dyadic cube, from the field's average trees, as floats."""
-    avg = {m: field.averages(m)[cube.level][cube.coords][None] for m in MOMENTS}
-    r = ratio_kernel(avg, RATIO_KEYS)
-    return {k: tuple(float(x[0]) for x in v) if k == "chain" else float(v[0]) for k, v in r.items()}
-
-
 class FamilyScan(NamedTuple):
     """Sups over the translated family, the first box attaining each ratio sup
     and the number of boxes at levels 0..L."""
@@ -380,177 +365,3 @@ def class_report(field, shifts=None, directions=64, seed=0):
     """Every class constant and the doubling constant, from one family scan."""
     sups, worst, count = family_scan(field, CLASS_KEYS, shifts, directions, seed)
     return ClassReport(**sups, cube_count=count, worst_cubes=dict(worst))
-
-
-def b2_constants(field, shifts=None, directions=64, seed=0):
-    keys = ("b2_i", "b2_ii", "b2_iii", "b2_iv")
-    sups = family_scan(field, keys, shifts, directions, seed).sups
-    return tuple(sups[k] for k in keys)
-
-
-def thewest_constant(field, shifts=None):
-    return family_scan(field, ("thewest",), shifts).sups["thewest"]
-
-
-def det_chain_check(field, cube, rel_tol=1e-9):
-    """The five-term determinant chain for one cube, asserted monotone.
-
-    Returns (det(avg W^2)^{1/2}, det(avg W), exp(avg ln det W),
-    det(avg W^{-1})^{-1}, det(avg W^{-2})^{-1/2}), which must be nonincreasing.
-    """
-    chain = cube_ratios(field, cube)["chain"]
-    for a, b in zip(chain, chain[1:]):
-        if a < b - rel_tol * max(abs(a), abs(b), 1.0):
-            raise AssertionError(f"determinant chain out of order: {chain}")
-    return chain
-
-
-@dataclass
-class ScalarAinftyReport:
-    a_p: dict
-    ainf: float
-    alpha_beta: list
-    delta_fit: float
-    delta_offset: float
-    b_q: dict
-
-    def as_dict(self):
-        return {
-            "a_p": {str(k): v for k, v in self.a_p.items()},
-            "ainf": self.ainf,
-            "alpha_beta": [list(x) for x in self.alpha_beta],
-            "delta_fit": self.delta_fit,
-            "delta_offset": self.delta_offset,
-            "b_q": {str(k): v for k, v in self.b_q.items()},
-        }
-
-
-def scalar_ainfty_report(
-    field,
-    shifts=None,
-    p_grid=(1.25, 1.5, 2.0, 3.0),
-    q_grid=(1.25, 1.5, 2.0, 3.0),
-    densities=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
-    draws=32,
-    seed=0,
-):
-    """Scalar weight conditions: A_p-prime, A-infinity, subset absorption, B_q.
-
-    The subset conditions are sampled on dyadic cubes only, using random
-    unions of finest cells as the grid-measurable subsets.
-    """
-    if field.N != 1:
-        raise ValueError("scalar report needs a 1x1 weight field")
-    g = field.grid
-    if shifts is None:
-        shifts = default_shifts(g)
-    w_cells = field.values[..., 0, 0]
-    mu_cells = g.mu * g.cell_volume
-    sigma_cells = w_cells * mu_cells
-
-    a_p = {p: 0.0 for p in p_grid}
-    b_q = {q: 0.0 for q in q_grid}
-    ainf = 0.0
-    powers = [np.ones_like(w_cells), w_cells, np.log(w_cells)]
-    powers += [w_cells ** (-(p - 1.0)) for p in p_grid] + [w_cells**q for q in q_grid]
-    masses = np.stack(powers, axis=-1) * mu_cells[..., None]
-    for batch in g.box_batches(shifts, box_floats=lambda k, cells, _: cells * masses.shape[-1]):
-        index, bands = g.box_cells(batch)
-        sums = g.box_integrals(masses[index], bands)
-        avgs = sums[:, 1:] / sums[:, :1]
-        avg_w = avgs[:, 0]
-        ainf = max(ainf, float(np.max(avg_w / np.exp(avgs[:, 1]))))
-        for i, p in enumerate(p_grid):
-            a_p[p] = max(a_p[p], float(np.max(avg_w * avgs[:, 2 + i] ** (1.0 / (p - 1.0)))))
-        for i, q in enumerate(q_grid, start=2 + len(p_grid)):
-            b_q[q] = max(b_q[q], float(np.max(avgs[:, i] ** (1.0 / q) / avg_w)))
-
-    mu_ratios = []
-    sigma_ratios = []
-    rng = np.random.default_rng(seed)
-    for cube in g.cubes():
-        sl = cube.cell_slices(g.L)
-        mu_block = mu_cells[sl].reshape(-1)
-        sigma_block = sigma_cells[sl].reshape(-1)
-        if mu_block.size < 2:
-            continue
-        mu_q = float(mu_block.sum())
-        sigma_q = float(sigma_block.sum())
-        for _ in range(draws):
-            dens = rng.choice(densities)
-            mask = rng.random(mu_block.size) < dens
-            if not mask.any() or mask.all():
-                continue
-            mu_ratios.append(float(mu_block[mask].sum()) / mu_q)
-            sigma_ratios.append(float(sigma_block[mask].sum()) / sigma_q)
-
-    alpha_beta = []
-    mu_arr = np.array(mu_ratios)
-    sig_arr = np.array(sigma_ratios)
-    for beta in densities:
-        sel = mu_arr <= beta
-        alpha = float(sig_arr[sel].max()) if sel.any() else 0.0
-        alpha_beta.append((beta, alpha))
-    xs = np.log(mu_arr)
-    ys = np.log(sig_arr)
-    design = np.stack([xs, np.ones_like(xs)], axis=1)
-    (slope, offset), *_ = np.linalg.lstsq(design, ys, rcond=None)
-    return ScalarAinftyReport(
-        a_p=a_p,
-        ainf=ainf,
-        alpha_beta=alpha_beta,
-        delta_fit=float(slope),
-        delta_offset=float(offset),
-        b_q=b_q,
-    )
-
-
-@dataclass
-class CorollaryReport:
-    identity_residual: float
-    thewest: float
-    b2_iv: float
-    ainf_ii: float
-    scalar_b2: list
-    b2_ii: float
-    scalar_ok: bool
-
-    def as_dict(self):
-        return {
-            "identity_residual": self.identity_residual,
-            "thewest": self.thewest,
-            "b2_iv": self.b2_iv,
-            "ainf_ii": self.ainf_ii,
-            "scalar_b2": list(self.scalar_b2),
-            "b2_ii": self.b2_ii,
-            "scalar_ok": self.scalar_ok,
-        }
-
-
-def corollary_relations(field, shifts=None, directions=8, seed=0, rel_tol=1e-9):
-    """Relations tying the squared-weight condition to the component classes.
-
-    Per cube the identity ``thewest_ratio = (b2_iv_ratio * ainf_ii_ratio)^2``
-    holds exactly; the report carries the worst relative residual.  For
-    sampled directions ``a`` the scalar weight ``|W(x) a|`` satisfies the
-    scalar reverse Hoelder bound with constant at most ``b2_ii``.
-    """
-    g = field.grid
-    count = max(directions - 2 * field.N, 0)
-    keys = ("identity_residual", "thewest", "b2_iv", "ainf_ii", "b2_ii")
-    sups = family_scan(field, keys, shifts, count, seed).sups
-    sup = {k: max(1.0, sups[k]) for k in keys[1:]}
-    scalar_vals = []
-    for d in _directions(field.N, count, seed):
-        w_a = np.linalg.norm(
-            np.einsum("...ij,j->...i", field.values, d), axis=-1
-        )
-        scalar = WeightField(g, w_a.reshape(w_a.shape + (1, 1)))
-        scalar_vals.append(family_scan(scalar, ("b2_ii",), shifts, 0).sups["b2_ii"])
-    scalar_ok = all(v <= sup["b2_ii"] * (1.0 + rel_tol) + rel_tol for v in scalar_vals)
-    return CorollaryReport(
-        identity_residual=sups["identity_residual"],
-        scalar_b2=scalar_vals,
-        scalar_ok=scalar_ok,
-        **sup,
-    )

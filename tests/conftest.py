@@ -1,3 +1,4 @@
+import itertools
 import math
 import zlib
 
@@ -11,7 +12,10 @@ from dwlab.stopping import (
     StoppingCriterion,
     anchor_owners,
     chain_owners,
+    first_generation_ratio,
+    kato_criterion,
     partition_residual,
+    run_stopping,
 )
 from dwlab import weights
 from dwlab.weights import family_scan
@@ -81,6 +85,33 @@ def dyadic_ratios(field):
     the field's flat average stacks: the tree source."""
     moments = weights.MOMENTS
     return weights.ratio_kernel(dict(zip(moments, field.average_stacks(moments))), weights.RATIO_KEYS)
+
+
+def cube_ratios(field, cube):
+    """``ratio_kernel`` of one dyadic cube, from the field's average trees, as floats."""
+    avg = {m: field.averages(m)[cube.level][cube.coords][None] for m in weights.MOMENTS}
+    r = weights.ratio_kernel(avg, weights.RATIO_KEYS)
+    return {k: tuple(float(x[0]) for x in v) if k == "chain" else float(v[0]) for k, v in r.items()}
+
+
+def det_chain_check(field, cube, rel_tol=1e-9):
+    """The five-term determinant chain for one cube, asserted monotone.
+
+    Returns (det(avg W^2)^{1/2}, det(avg W), exp(avg ln det W),
+    det(avg W^{-1})^{-1}, det(avg W^{-2})^{-1/2}), which must be nonincreasing.
+    """
+    chain = cube_ratios(field, cube)["chain"]
+    for a, b in zip(chain, chain[1:]):
+        if a < b - rel_tol * max(abs(a), abs(b), 1.0):
+            raise AssertionError(f"determinant chain out of order: {chain}")
+    return chain
+
+
+def b2_constants(field, shifts=None, directions=64, seed=0):
+    """The four reverse Hoelder sups (b2_i, b2_ii, b2_iii, b2_iv) of one family scan."""
+    keys = ("b2_i", "b2_ii", "b2_iii", "b2_iv")
+    sups = family_scan(field, keys, shifts, directions, seed).sups
+    return tuple(sups[k] for k in keys)
 
 
 def oracle_sym_screen(grid, sym):
@@ -207,6 +238,46 @@ def weighted_avg(f, cube, weight):
         axis=axes,
     )
     return np.linalg.solve(iw, iwf)
+
+
+def expectation_levels(field, f):
+    """Weighted averages E_R f = (int_R W dmu)^{-1} int_R W f dmu of a vector
+    field ``f`` over every dyadic cube R, one array per level: one batched
+    solve against the field's flat stack of cube integrals of W."""
+    g = field.grid
+    iwf = g.integrals(np.einsum("...ij,...j->...i", field.values, np.asarray(f, float)))
+    return g.levels(np.linalg.solve(field.integral_stack("w"), iwf[..., None])[..., 0])
+
+
+def expectation_Et(f, t_level, weight):
+    """Field version of the weighted average: constant on each level-t cube."""
+    g = weight.grid
+    if t_level < 0 or t_level > g.L:
+        raise ValueError(f"level {t_level} outside [0, {g.L}]")
+    out = expectation_levels(weight, f)[t_level]
+    for axis in range(g.n):
+        out = np.repeat(out, 2 ** (g.L - t_level), axis=axis)
+    return out
+
+
+def kato_stop(root, field, b_values, v0, eps2):
+    """Test-function stop for one fixed function given on the root cube.
+
+    Fires when |E_R b| > 1/eps2 or (v0, W_S^{-1} W_R E_R b) < eps2, with S the
+    current recursion root.  Returns the result and first-generation mass.
+    """
+    levels = field.grid.tree.gather(expectation_levels(field, b_values))
+    crit = kato_criterion(field, v0, eps2, lambda w_s, w_r, r: levels[r])
+    res = run_stopping(root, crit, field.grid.tree)
+    return res, first_generation_ratio(res, field.grid)
+
+
+def grid_cubes(grid, levels=None):
+    """Every dyadic cube of ``grid`` at ``levels`` (default 0..L), level by
+    level, each level in C order of its coords."""
+    for k in range(grid.L + 1) if levels is None else levels:
+        for coords in itertools.product(range(2**k), repeat=grid.n):
+            yield Cube(k, coords)
 
 
 def cube_measure(grid, cube):

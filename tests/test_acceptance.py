@@ -36,9 +36,14 @@ from dwlab.stopping import (
     volberg_stop,
 )
 from dwlab.tb import CanonicalFamily, make_gamma, tb_run
-from dwlab.weights import b2_constants, cube_ratios
-
-from conftest import bernoulli_criterion, chain_residual, random_weight_field, weighted_avg
+from conftest import (
+    b2_constants,
+    bernoulli_criterion,
+    chain_residual,
+    cube_ratios,
+    random_weight_field,
+    weighted_avg,
+)
 
 
 def _report(name, ok, detail=""):

@@ -375,6 +375,30 @@ def test_usage_errors():
                  "--root", "zero"]) == 1
 
 
+SEED_COMMANDS = {
+    "check-weight": ["--field", "{field}", "--report", "{out}"],
+    "corona": ["--field", "{field}", "--criterion", "kato", "--param", "0.3", "--report", "{out}"],
+    "cone-net": ["--N", "2", "--eps1", "0.3", "--trials", "10", "--report", "{out}"],
+    "tb-run": ["--field", "{field}", "--gamma", "martingale", "--report", "{out}"],
+    "rrt-search": ["--m", "2", "--delta", "0.1", "--budget", "0", "--report", "{out}"],
+    "inclusion-search": ["--N", "2", "--L", "1", "--b2-cap", "4", "--budget", "0", "--out", "{out}"],
+    "paraproduct-demo": ["--depth", "2", "--report", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEED_COMMANDS))
+def test_negative_seed_is_refused_at_parsing(command, const_field, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("field file read")
+
+    monkeypatch.setattr(cli, "read_weight_field", refuse)
+    out = tmp_path / "out"
+    argv = [a.format(field=const_field, out=out) for a in SEED_COMMANDS[command]]
+    assert main([command, *argv, "--seed", "-1"]) == 1
+    assert "argument --seed: must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_roundtrip(tmp_path):
     cfg = RunConfig(shifts=4, eps2=0.25, lam=8.0)
     path = tmp_path / "run.cfg"

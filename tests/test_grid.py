@@ -11,19 +11,20 @@ from dwlab.grid import (
     FieldFormatError,
     Grid,
     WeightField,
-    expectation_Et,
     read_weight_field,
     root_cube,
     write_weight_field,
 )
-from dwlab.weights import b2_constants
-
 from conftest import (
+    b2_constants,
     cube_contains,
     cube_measure,
     cube_parent,
     doubling_of,
+    expectation_Et,
+    expectation_levels,
     family_labels,
+    grid_cubes,
     oracle_averages,
     random_weight_field,
     weighted_avg,
@@ -69,7 +70,7 @@ def test_weighted_avg_reproduces_constants(rng):
     w = random_weight_field(rng, n=1, N=2, L=3, mu_spread=0.4)
     c = np.array([0.7, -1.3])
     f = np.broadcast_to(c, (8, 2)).copy()
-    for cube in w.grid.cubes():
+    for cube in grid_cubes(w.grid):
         assert np.allclose(weighted_avg(f, cube, w), c, atol=1e-12)
 
 
@@ -113,7 +114,7 @@ def test_expectation_two_dimensional(rng):
     for t in (0, 1):
         et = expectation_Et(f, t, w)
         # constant on each level-t block, value = the block's weighted average
-        for cube in w.grid.cubes([t]):
+        for cube in grid_cubes(w.grid, [t]):
             sl = cube.cell_slices(2)
             block = et[sl].reshape(-1, 2)
             assert np.max(np.abs(block - block[0])) < 1e-14
@@ -124,9 +125,9 @@ def test_expectation_two_dimensional(rng):
 def test_expectation_levels_match_weighted_avg(rng):
     w = random_weight_field(rng, n=2, N=3, L=2, spread=0.6, mu_spread=0.3)
     f = rng.standard_normal((4, 4, 3))
-    levels = w.expectation_levels(f)
+    levels = expectation_levels(w, f)
     iwf = w.grid.levels(w.grid.integrals(np.einsum("...ij,...j->...i", w.values, f)))
-    for cube in w.grid.cubes():
+    for cube in grid_cubes(w.grid):
         got = levels[cube.level][cube.coords]
         assert np.allclose(got, weighted_avg(f, cube, w), atol=1e-12)
         # the batched solve is the per-cube solve, bit for bit
@@ -175,7 +176,7 @@ def test_expectation_l2_bound_by_reverse_holder_constant(rng):
 
 def test_partition_exactness(rng):
     g = Grid(2, 2, rng.uniform(0.25, 4.0, (4, 4)))
-    for cube in g.cubes(range(2)):
+    for cube in grid_cubes(g, range(2)):
         kids = sum(cube_measure(g, c) for c in cube.children())
         assert abs(kids - cube_measure(g, cube)) <= 1e-14 * cube_measure(g, cube)
 

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from dwlab import harness, weights
 from dwlab.grid import CellValueError, Grid, WeightField, read_weight_field, write_weight_field
 from dwlab.harness import GENERATOR_KINDS, WeightGenerator, _sym_expm, generate, inclusion_search
-from dwlab.weights import b2_constants, class_report
+from dwlab.weights import class_report
 
-from conftest import dyadic_ratios, loop_propose, oracle_sym_screen
+from conftest import b2_constants, dyadic_ratios, loop_propose, oracle_sym_screen
 
 
 def test_constant_kind():

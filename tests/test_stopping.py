@@ -17,7 +17,6 @@ from dwlab.stopping import (
     first_generation_ratio,
     kato_criterion,
     kato_family_stop,
-    kato_stop,
     loewner_geq,
     martingale_square_check,
     norm_exceeds,
@@ -41,6 +40,7 @@ from conftest import (
     cube_parent,
     cube_walk,
     first_generation,
+    kato_stop,
     oracle_corona_criterion,
     oracle_volberg_criterion,
     owner_levels,

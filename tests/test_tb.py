@@ -31,8 +31,10 @@ from conftest import (
     coarse_anchor_owners,
     cube_contains,
     cube_measure,
+    expectation_levels,
     first_generation,
     gamma_value,
+    grid_cubes,
     owner_levels,
     random_weight_field,
     svd_norms_sq,
@@ -49,7 +51,7 @@ def ones_field(L, n=1, N=1):
 def box_carleson_integral(gamma, b_values, root, field):
     """Whitney-discretized square integral of gamma applied to E_t b over a box."""
     g = field.grid
-    exps = field.expectation_levels(b_values)
+    exps = expectation_levels(field, b_values)
     total = 0.0
     for k in range(root.level, g.L + 1):
         span = tuple(
@@ -65,11 +67,11 @@ def box_carleson_integral(gamma, b_values, root, field):
 def sampled_sup(fam, value, samples, seed):
     """sqrt of the sup over cubes Q and sampled v of value(Q, b_Q^v) / mu(Q).
 
-    Per cube, in ``grid.cubes()`` order: the unit vectors, then
+    Per cube, in ``grid_cubes`` order: the unit vectors, then
     ``max(samples - N, 0)`` normalised Gaussian draws from ``seed``.
     """
     g, N = fam.field.grid, fam.field.N
-    cubes = list(g.cubes())
+    cubes = list(grid_cubes(g))
     v = np.random.default_rng(seed).standard_normal((len(cubes), max(samples - N, 0), N))
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
     dirs = np.concatenate([np.broadcast_to(np.eye(N), (len(cubes), N, N)), v], axis=1)
@@ -143,7 +145,7 @@ def test_testfun_carleson_two_dimensional(rng):
     b = fam.b_values(root, v)
     got = box_carleson_integral(g, b, root, w)
     brute = 0.0
-    for r in (c for c in w.grid.cubes() if cube_contains(root, c)):
+    for r in (c for c in grid_cubes(w.grid) if cube_contains(root, c)):
         e = weighted_avg(b, r, w)
         ge = gamma_value(g, r) @ e
         brute += float(ge @ ge) * cube_measure(w.grid, r) * LN2
@@ -380,7 +382,6 @@ def test_tb_run_canonical_constants_skip_per_cube_path(monkeypatch):
         raise AssertionError("per-cube test-function path called")
 
     monkeypatch.setattr(tb.CanonicalFamily, "b_values", refuse)
-    monkeypatch.setattr(WeightField, "expectation_levels", refuse)
     w = generate(WeightGenerator("log-gaussian", amplitude=0.3, seed=51), 1, 2, 4)
     rep = tb_run(w, make_gamma("martingale", w), eps2=0.3)
     assert not rep.violations

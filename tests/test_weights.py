@@ -12,20 +12,17 @@ from dwlab.grid import Grid, WeightField, root_cube
 from dwlab.weights import (
     CLASS_KEYS,
     RATIO_KEYS,
-    b2_constants,
     box_averages,
     class_report,
-    corollary_relations,
-    cube_ratios,
     default_shifts,
-    det_chain_check,
     family_scan,
     ratio_kernel,
-    scalar_ainfty_report,
-    thewest_constant,
 )
 
 from conftest import (
+    b2_constants,
+    cube_ratios,
+    det_chain_check,
     doubling_of,
     family_labels,
     oracle_b2_sampled,
@@ -59,7 +56,7 @@ def test_two_cell_scalar_values():
     rep = class_report(w, shifts=0)
     assert abs(rep.ainf_ii - 1.25) < 1e-12
     assert abs(rep.ainf_i - math.sqrt(1.25)) < 1e-12  # scalar identity
-    assert abs(thewest_constant(w, shifts=0) - 2.125) < 1e-12
+    assert abs(family_scan(w, ("thewest",), 0).sups["thewest"] - 2.125) < 1e-12
 
 
 def test_det_chain_two_cell_frozen():
@@ -121,36 +118,6 @@ def test_worst_cube_tracking():
     assert rep.cube_count == 3
 
 
-def test_scalar_report_flat_weight():
-    w = WeightField(Grid(1, 3), np.ones((8, 1, 1)))
-    rep = scalar_ainfty_report(w, shifts=0)
-    assert abs(rep.ainf - 1.0) < 1e-12
-    assert all(abs(v - 1.0) < 1e-12 for v in rep.a_p.values())
-    assert all(abs(v - 1.0) < 1e-12 for v in rep.b_q.values())
-    assert abs(rep.delta_fit - 1.0) < 1e-9
-    for beta, alpha in rep.alpha_beta:
-        assert alpha <= beta + 1e-12
-
-
-def test_scalar_report_two_cell_and_power_weight():
-    w = two_cell_scalar(1.0, 4.0)
-    rep = scalar_ainfty_report(w, shifts=0)
-    assert abs(rep.b_q[2.0] - math.sqrt(8.5) / 2.5) < 1e-12
-    # power-like discrete weight on a deeper grid: everything finite
-    centers = (np.arange(256) + 0.5) / 256.0
-    wp = WeightField(Grid(1, 8), (centers**0.5).reshape(256, 1, 1))
-    rep = scalar_ainfty_report(wp, shifts=0, draws=8)
-    for v in list(rep.a_p.values()) + list(rep.b_q.values()) + [rep.ainf]:
-        assert np.isfinite(v) and v >= 1.0 - 1e-9
-    assert 0.0 < rep.delta_fit < 3.0
-
-
-def test_scalar_report_rejects_matrix_field(rng):
-    w = random_weight_field(rng, N=2, L=1)
-    with pytest.raises(ValueError, match="1x1"):
-        scalar_ainfty_report(w)
-
-
 def test_diagonal_ainf_product_structure(rng):
     # For diagonal fields the determinant factorizes, so the A-infinity ratio
     # on each cube is the product of the per-coordinate scalar ratios.
@@ -208,11 +175,34 @@ def test_two_dimensional_diagonal_factorization(rng):
     assert abs(b2m - max(per_coord)) < 1e-12
 
 
+# The keys that tie the condition on W^2 to its components: per cube
+# thewest = (b2_iv * ainf_ii)^2 exactly, and identity_residual is the
+# relative gap.
+COROLLARY_KEYS = ("identity_residual", "thewest", "b2_iv", "ainf_ii", "b2_ii")
+
+
+def scalar_b2(field, shifts, count, seed=0):
+    """The b2_ii sup of the scalar weight |W(x) a| for each direction a of a
+    family scan's set: the signed basis, then ``count`` draws from ``seed``."""
+    out = []
+    for a in weights._directions(field.N, count, seed):
+        w_a = np.linalg.norm(np.einsum("...ij,j->...i", field.values, a), axis=-1)
+        scalar = WeightField(field.grid, w_a[..., None, None])
+        out.append(family_scan(scalar, ("b2_ii",), shifts, 0).sups["b2_ii"])
+    return out
+
+
+def scalar_ok(values, b2_ii, rel_tol=1e-9):
+    """Every scalar reverse Hoelder constant is at most the matrix one."""
+    return all(v <= max(1.0, b2_ii) * (1.0 + rel_tol) + rel_tol for v in values)
+
+
 def test_corollary_constant_and_diagonal(rng):
     const = WeightField(Grid(1, 2), np.broadcast_to([[2.0, 0.5], [0.5, 1.0]], (4, 2, 2)).copy())
-    rep = corollary_relations(const, shifts=1)
-    assert rep.identity_residual < 1e-12
-    assert abs(rep.thewest - 1.0) < 1e-12 and rep.scalar_ok
+    sups = family_scan(const, COROLLARY_KEYS, 1, 4).sups
+    assert sups["identity_residual"] < 1e-12
+    assert abs(max(1.0, sups["thewest"]) - 1.0) < 1e-12
+    assert scalar_ok(scalar_b2(const, 1, 4), sups["b2_ii"])
 
     # diagonal field: the coordinate weight |W e_i| = w_i inherits its own
     # reverse Hoelder constant, which is at most the matrix constant
@@ -220,19 +210,18 @@ def test_corollary_constant_and_diagonal(rng):
     vals = np.zeros((8, 2, 2))
     vals[:, 0, 0], vals[:, 1, 1] = d1, 1.0
     w = WeightField(Grid(1, 3), vals)
-    rep = corollary_relations(w, shifts=1, directions=4)
-    assert rep.scalar_ok
+    sups = family_scan(w, COROLLARY_KEYS, 1, 0).sups
+    assert scalar_ok(scalar_b2(w, 1, 0), sups["b2_ii"])
     s1 = WeightField(Grid(1, 3), d1.reshape(8, 1, 1))
-    scalar_b2 = b2_constants(s1, shifts=1, directions=0)[1]
-    assert scalar_b2 <= rep.b2_ii + 1e-12
+    assert b2_constants(s1, shifts=1, directions=0)[1] <= max(1.0, sups["b2_ii"]) + 1e-12
 
 
 def test_corollary_random_scalar_bound(rng):
     for _ in range(20):
         w = random_weight_field(rng, N=2, L=2, spread=0.9, mu_spread=0.3)
-        rep = corollary_relations(w, shifts=1, directions=6, seed=11)
-        assert rep.identity_residual < 1e-10
-        assert rep.scalar_ok
+        sups = family_scan(w, COROLLARY_KEYS, 1, 2, 11).sups
+        assert sups["identity_residual"] < 1e-10
+        assert scalar_ok(scalar_b2(w, 1, 2, 11), sups["b2_ii"])
 
 
 # Independent per-cell oracle for the batched family scan and doubling --------------
