@@ -165,32 +165,107 @@ _CELL_UNITS = 36
 
 
 class BoxBatch:
-    """The product of per-axis intervals ``[lo[i][j], hi[i][j])``, flattened in
-    C order, in integer lattice steps; ``pos`` holds their per-axis positions
-    in a translated grid.  A batch of ``Grid.box_batches`` also holds the
-    ``rows`` (first, stop) of its (shift, level) family along the first axis."""
+    """The boxes of one (shift, level) family in ``rows = (first, stop)`` along
+    the first axis and every row along the others, flattened in C order."""
 
-    def __init__(self, lo, hi, pos, shift=0, level=0, rows=None):
-        self.lo, self.hi, self.pos, self.shift, self.level = lo, hi, pos, shift, level
-        self.rows = rows
+    def __init__(self, family, rows):
+        self.family, self.rows = family, rows
+        self.shift, self.level = family.shift, family.level
 
     def __len__(self):
-        return math.prod(len(p) for p in self.pos)
+        return (self.rows[1] - self.rows[0]) * math.prod(self.family.counts[1:])
 
     def descriptor(self, i):
         """The label of box ``i`` in C order."""
-        at = np.unravel_index(i, tuple(len(p) for p in self.pos))
-        pos = ",".join(str(int(p[j])) for p, j in zip(self.pos, at))
+        first, stop = self.rows
+        at = np.unravel_index(i, (stop - first,) + self.family.counts[1:])
+        pos = ",".join(str(int(p)) for p in (first + at[0], *at[1:]))
         return f"shift={self.shift} level={self.level} pos={pos}"
 
-    def doubled(self):
-        """The boxes 2Q: each side moved out by half the box side, clipped to the
-        unit cube, whose side is the box side times ``2**level``."""
-        h = int(self.hi[0][0] - self.lo[0][0])
-        top = h << self.level
-        lo = tuple(np.maximum(a - h // 2, 0) for a in self.lo)
-        hi = tuple(np.minimum(b + h // 2, top) for b in self.hi)
-        return BoxBatch(lo, hi, self.pos, self.shift, self.level)
+
+class _Family:
+    """The boxes of one translated grid at one level inside [0,1)^n, and the
+    cell bands under them and their doubles 2Q, by arithmetic.  Along an axis
+    box p is [o + p h, o + (p + 1) h) lattice steps; 2Q moves each side out by
+    h / 2, clipped to [0, units].  An interval [lo, hi) has a band of
+    ``ceil(hi / w) - lo // w`` cells (w = _CELL_UNITS) holding its exact
+    overlaps in steps; a batch's bands are as wide as its widest, which sets
+    einsum's summation order.  Up to level L a box is s = h / w cells wide and
+    all share r = o mod w: bands start at cell o // w + p s and read
+    [w - r, w, ..., w, r] (no r if r = 0), so a batch reads a strided view of
+    the cells and one band row.  At level L + 1 and for 2Q the widths repeat
+    with period at most 2 and only the first and last 2Q are clipped, so the
+    widest of a run of rows is among its first and last three; those batches
+    gather by index from arrays built once per band width."""
+
+    def __init__(self, shift, level, offsets, h, counts, units):
+        self.shift, self.level, self.counts = shift, level, counts
+        self._offsets, self._h, self._units = offsets, h, units
+        self._stride = s = h // _CELL_UNITS
+        self._arrays = {}
+        # The widest band along each axis, of Q and of 2Q.
+        self._widths = {d: [self._widest(a, 0, c, d) for a, c in enumerate(counts)] for d in (False, True)}
+        # Cells in the band of a box and of its double, for the batch budget.
+        self.band_cells = {d: math.prod(w) for d, w in self._widths.items()}
+        if s:
+            self._starts, self._bands = [o // _CELL_UNITS for o in offsets], []
+            for o, c in zip(offsets, counts):
+                r = o % _CELL_UNITS
+                row = np.array([_CELL_UNITS - r] + [_CELL_UNITS] * (s - 1) + [r] * (r > 0), float)
+                self._bands.append(np.ndarray((c, len(row)), float, row, strides=(0, row.itemsize)))
+                self._bands[-1].setflags(write=False)
+
+    def _widest(self, axis, first, stop, doubled):
+        """Cells in the widest band of boxes ``first .. stop - 1`` along ``axis``."""
+        o, h, w, widest = self._offsets[axis], self._h, _CELL_UNITS, 0
+        half = h // 2 if doubled else 0
+        for p in (first, first + 1, first + 2, stop - 3, stop - 2, stop - 1):
+            if first <= p < stop:
+                lo, hi = max(o + p * h - half, 0), min(o + (p + 1) * h + half, self._units)
+                widest = max(widest, -(-hi // w) - lo // w)
+        return widest
+
+    def _index(self, axis, first, stop, doubled):
+        """The cells and bands along ``axis`` of boxes ``first .. stop - 1``
+        (every box on the other axes), as wide as the widest band."""
+        c = self.counts[axis]
+        m = self._widths[doubled][axis] if stop - first == c else self._widest(axis, first, stop, doubled)
+        key = (axis, doubled, m)
+        if key not in self._arrays:
+            n, o, h, w = len(self.counts), self._offsets[axis], self._h, _CELL_UNITS
+            half = h // 2 if doubled else 0
+            lo = np.arange(o - half, o - half + c * h, h)
+            hi = lo + (h + 2 * half)
+            lo[0], hi[-1] = max(lo[0], 0), min(hi[-1], self._units)
+            j = np.minimum(lo // w, self._units // w - m)[:, None] + np.arange(m)
+            edge = j * float(w)  # the overlaps are small integers, exact in floats
+            band = np.minimum(hi[:, None] - edge, w)
+            band -= np.maximum(lo[:, None] - edge, 0)
+            shape = [1] * (2 * n)
+            shape[axis], shape[n + axis] = j.shape
+            self._arrays[key] = j.reshape(shape), np.maximum(band, 0, out=band)
+            for a in self._arrays[key]:
+                a.setflags(write=False)
+        j, band = self._arrays[key]
+        return (j[first:stop], band[first:stop]) if axis == 0 else (j, band)
+
+    def gather(self, cells, rows, doubled=False):
+        """The values of a C-contiguous ``(side,) * n + tail`` cell array on the
+        bands of the boxes in ``rows`` along the first axis, or of their
+        doubles, as ``(count_0, ..., count_{n-1}, m_0, ..., m_{n-1}) + tail``,
+        and each axis's ``(count, m)`` band: a view of ``cells`` for Q up to
+        level L, else a copy."""
+        first, stop = rows
+        if doubled or not self._stride:
+            spans = [(first, stop), *((0, c) for c in self.counts[1:])]
+            index, bands = zip(*(self._index(a, *span, doubled) for a, span in enumerate(spans)))
+            return cells[index], bands
+        n, st = len(self.counts), cells.strides
+        shape = (stop - first, *self.counts[1:], *(b.shape[1] for b in self._bands), *cells.shape[n:])
+        offset = sum(j * x for j, x in zip(self._starts, st)) + first * self._stride * st[0]
+        strides = tuple(self._stride * x for x in st[:n]) + st
+        bands = (self._bands[0][first:stop], *self._bands[1:])
+        return np.ndarray(shape, cells.dtype, cells, offset, strides), bands
 
 
 def _coarsen(arr, n):
@@ -260,9 +335,8 @@ class Grid:
         self._mu_stack = self.integrals(np.ones(shape))
         self._mu_stack.setflags(write=False)
         self._mu_tree = self.levels(self._mu_stack)
-        # Translated-grid geometry, built once per grid; see _family and box_cells.
+        # Translated-grid geometry, built once per grid; see _family.
         self._families = {}
-        self._cells = {}
 
     @property
     def side(self):
@@ -358,86 +432,35 @@ class Grid:
                 family = self._family(s_idx, s, k)
                 if family is None:
                     continue
-                boxes, cells, doubled = family
+                cells = family.band_cells[False]
                 if box_floats is not None:
-                    cells = box_floats(k, cells, doubled)
-                count = len(boxes.pos[0])
-                rows = max(1, _BATCH_FLOATS // (cells * math.prod(len(p) for p in boxes.pos[1:])))
+                    cells = box_floats(k, cells, family.band_cells[True])
+                count = family.counts[0]
+                rows = max(1, _BATCH_FLOATS // (cells * math.prod(family.counts[1:])))
                 for r in range(0, count, rows):
-                    first_axis = ((x[0][r : r + rows], *x[1:]) for x in (boxes.lo, boxes.hi, boxes.pos))
-                    yield BoxBatch(*first_axis, s_idx, k, (r, min(r + rows, count)))
+                    yield BoxBatch(family, (r, min(r + rows, count)))
 
     def _family(self, s_idx, vec, k):
         """The boxes of the level-``k`` grid translated by ``vec`` (in ninths)
-        that lie inside [0,1)^n, with the band cells of a box and of its double
-        2Q, or None when there are none.  Built once per grid and read-only;
-        ``s_idx`` names ``vec``, since the shift vectors are prefix-nested."""
+        that lie inside [0,1)^n, or None when there are none.  Built once per
+        grid; ``s_idx`` names ``vec``, since the shift vectors are prefix-nested."""
         key = (s_idx, k)
         if key not in self._families:
             units = _CELL_UNITS * self.side
             h = units >> k
-            offset = [v * units // 9 for v in vec]
-            pos = [np.arange((units - o) // h) for o in offset]
-            family = None
-            if all(len(p) for p in pos):
-                lo = [o + p * h for o, p in zip(offset, pos)]
-                hi = [a + h for a in lo]
-                for a in (*pos, *lo, *hi):
-                    a.setflags(write=False)
-                boxes = BoxBatch(lo, hi, pos, s_idx, k)
-                family = (boxes, self._band_cells(boxes), self._band_cells(boxes.doubled()))
-            self._families[key] = family
+            offsets = [v * units // 9 for v in vec]
+            counts = tuple((units - o) // h for o in offsets)
+            self._families[key] = _Family(s_idx, k, offsets, h, counts, units) if all(counts) else None
         return self._families[key]
 
-    def box_cells(self, batch, doubled=False):
-        """Where the boxes of ``batch``, or their doubles 2Q if ``doubled``, sit
-        on the finest cells.
-
-        Along one axis an interval [lo, hi) overlaps at most
-        ``ceil((hi - lo) / _CELL_UNITS) + 1`` consecutive cells, so per axis a
-        start index and a ``(count, m)`` band of overlaps cover the boxes.  Each
-        band entry is the exact overlap in lattice steps, so every box integral
-        is ``_CELL_UNITS**n`` times the mass of the box; its readers take ratios.
-        Returns an index tuple that gathers a cell array into shape
-        ``(count_0, ..., count_{n-1}, m_0, ..., m_{n-1}) + tail`` and the bands.
-
-        ``m`` is the widest band among the batch's own rows (a clipped double is
-        narrower), so the arrays of a batch of ``box_batches`` are memoised per
-        grid under its family (shift, level, doubled) and rows, read-only.
-        """
-        key = None if batch.rows is None else (batch.shift, batch.level, doubled, batch.rows)
-        if key is not None and key in self._cells:
-            return self._cells[key]
-        if doubled:
-            batch = batch.doubled()
-        n, side, w = self.n, self.side, _CELL_UNITS
-        index, bands = [], []
-        for axis, (lo, hi) in enumerate(zip(batch.lo, batch.hi)):
-            m = self._band_width(lo, hi)
-            j = np.clip(lo // w, 0, side - m)[:, None] + np.arange(m)
-            band = np.minimum(hi[:, None], (j + 1) * w) - np.maximum(lo[:, None], j * w)
-            shape = [1] * (2 * n)
-            shape[axis], shape[n + axis] = j.shape
-            index.append(j.reshape(shape))
-            bands.append(np.maximum(band, 0).astype(float))
-        out = tuple(index), tuple(bands)
-        if key is not None:
-            for a in (*index, *bands):
-                a.setflags(write=False)
-            self._cells[key] = out
-        return out
-
-    def _band_width(self, lo, hi):
-        """Cells in the band of intervals [lo, hi) along one axis."""
-        return int(min(self.side, np.max(-(-hi // _CELL_UNITS) - lo // _CELL_UNITS)))
-
-    def _band_cells(self, batch):
-        """Cells each box of ``batch`` gathers in ``box_cells``."""
-        return math.prod(self._band_width(lo, hi) for lo, hi in zip(batch.lo, batch.hi))
+    def box_sums(self, cells, batch, doubled=False):
+        """Integrals of a ``(side,) * n + tail`` cell array over the boxes of
+        ``batch``, or their doubles 2Q, times ``_CELL_UNITS**n``: one row per box."""
+        return self.box_integrals(*batch.family.gather(cells, batch.rows, doubled))
 
     @staticmethod
     def box_integrals(masses, bands):
-        """Integrals over each box of cell masses gathered by ``box_cells``.
+        """Integrals over each box of cell masses gathered by ``_Family.gather``.
 
         Each band axis is contracted in turn against its band, so no prefix-sum
         difference is taken; the result has shape ``(boxes,) + tail``.

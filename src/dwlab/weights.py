@@ -52,22 +52,16 @@ _READS = {
     "ainf_ii": ("w", "logdet"),
     "a2": ("w", "winv"),
     "thewest": ("w2", "logdet"),
-    "chain": MOMENTS,
-    "identity_residual": ("w", "w2", "logdet"),
 }
 RATIO_KEYS = tuple(_READS)
 # The class report: the sups of the eight class ratios and the doubling constant.
 CLASS_KEYS = ("b2_i", "b2_ii", "b2_iii", "b2_iv", "ainf_i", "ainf_ii", "a2", "thewest", "doubling")
-# Arrays of (D, N) floats per box that the direction keys of ratio_kernel hold
-# at once, for the batch budget.  Measured with tracemalloc as the growth of the
-# kernel's peak with D: ainf_i's product of B * D * N floats and one (B, D) row,
-# 1 + 1/N (2 at N = 1, 1.5 at N = 2, 1.125 at N = 8; b2_sampled's two (B, D)
-# forms are freed before it), plus the (B, D) log-norm averages it reads: at
-# most 3 at every N.  The value stays 4 because it also sets the gather batch
-# rows, which key the band memo and set band widths, and so the bits.
+# Arrays of (D, N) floats per box that the gather batch budget counts for the
+# direction keys.  The kernel holds 1 + 2/N of them (see family_scan), but this
+# count sets the gather batch rows, and so the band widths and the bits.
 _STACKS = 4
 # Every sup a family scan can return.
-_SCAN_KEYS = frozenset(RATIO_KEYS) - {"chain"} | {"doubling"}
+_SCAN_KEYS = frozenset(RATIO_KEYS) | {"doubling"}
 # Keys that read the direction set: ainf_i, and b2_sampled, the self-check of b2.
 _SAMPLED = {"b2_i", "b2_ii", "ainf_i"}
 
@@ -101,12 +95,10 @@ def ratio_kernel(avg, keys, directions=None):
     ainf_i holds under ``lognorm`` the averages of log|W^{-1/2} d| over the rows
     d of ``directions``.
 
-    Keys: b2_i, b2_ii, b2_iii, b2_iv, ainf_ii, a2, thewest, chain (the five-term
-    determinant chain) and identity_residual (the relative gap in
-    ``thewest = (b2_iv * ainf_ii)^2``).  Given a ``(D, N)`` array of unit
-    directions, b2_i or b2_ii also give b2_sampled (a sampled lower bound for
-    b2_i), and ainf_i gives ainf_i (sampled over the same directions) and
-    ainf_i_jensen (its upper bound from the moments alone).
+    Keys: b2_i, b2_ii, b2_iii, b2_iv, ainf_ii, a2 and thewest.  Given a
+    ``(D, N)`` array of unit directions, b2_i or b2_ii also give b2_sampled (a
+    sampled lower bound for b2_i), and ainf_i gives ainf_i (sampled over the
+    same directions) and ainf_i_jensen (its upper bound from the moments alone).
 
     A determinant is the product of the eigenvalues of its matrix when another
     key needs them anyway; the others come from one ``np.linalg.det`` call over
@@ -136,11 +128,11 @@ def ratio_kernel(avg, keys, directions=None):
         jensen = sqrt_w @ avg["winv"] @ sqrt_w
         stack.append((jensen + jensen.transpose(0, 2, 1)) / 2.0)
     if stack:
-        inverses = [m for m in ("winv", "winv2") if m in avg]
-        eig = np.linalg.eigvalsh(np.concatenate(stack + [avg[m] for m in inverses]))
+        inverses = [avg["winv"]] if "winv" in avg else []
+        eig = np.linalg.eigvalsh(np.concatenate(stack + inverses))
         eig = eig.reshape(len(stack) + len(inverses), -1, eig.shape[-1])
-        for m, e in zip(inverses, eig[len(stack) :]):
-            det[m] = np.prod(e, axis=-1)
+        if inverses:
+            det["winv"] = np.prod(eig[-1], axis=-1)
 
     # Every other key reads the determinant of each power of W it reads.
     need = {m for k in keys - eigen_keys for m in _READS[k]}
@@ -158,25 +150,14 @@ def ratio_kernel(avg, keys, directions=None):
             out["b2_sampled"] = _b2_sampled(avg, directions)
     if "b2_iii" in keys:
         out["b2_iii"] = np.max(np.abs(eig[0]), axis=-1)
-    if keys & {"b2_iv", "identity_residual"}:
+    if "b2_iv" in keys:
         out["b2_iv"] = np.sqrt(det["w2"]) / det["w"]
-    if keys & {"ainf_ii", "identity_residual"}:
+    if "ainf_ii" in keys:
         out["ainf_ii"] = det["w"] / np.exp(avg["logdet"])
     if "a2" in keys:
         out["a2"] = det["w"] * det["winv"]
-    if keys & {"thewest", "identity_residual"}:
+    if "thewest" in keys:
         out["thewest"] = det["w2"] / np.exp(2.0 * avg["logdet"])
-    if "identity_residual" in keys:
-        combined = (out["b2_iv"] * out["ainf_ii"]) ** 2
-        out["identity_residual"] = np.abs(out["thewest"] - combined) / np.maximum(out["thewest"], 1.0)
-    if "chain" in keys:
-        out["chain"] = (
-            np.sqrt(det["w2"]),
-            det["w"],
-            np.exp(avg["logdet"]),
-            1.0 / det["winv"],
-            1.0 / np.sqrt(det["winv2"]),
-        )
     if "ainf_i" in keys and sampled:
         # |W_Q^{-1/2} d|^2 = d^T W_Q^{-1} d, summed over the contiguous last axis
         # of a (B, D, N) product.  A (B, N, D) sum over axis 1 adds in turn,
@@ -192,15 +173,12 @@ def ratio_kernel(avg, keys, directions=None):
     return out
 
 
-def box_averages(field, batch, directions=None, keys=RATIO_KEYS):
-    """The stacks of averages ``ratio_kernel`` reads for ``keys`` over the boxes
-    of a ``BoxBatch``, from band gathers of the moments the keys read and of the
-    log-norms of the directions."""
-    N = field.N
-    g = field.grid
-    moments = _moments(keys)
-    index, bands = g.box_cells(batch)
-    sums = g.box_integrals(field.moment_masses(moments)[index], bands)
+def box_averages(field, batch, moments, directions=None):
+    """The stacks of averages ``ratio_kernel`` reads over the boxes of a
+    ``BoxBatch``: of the named ``moments`` and, given ``directions``, of the
+    log-norms log|W^{-1/2} d| of its rows under ``lognorm``."""
+    N, g = field.N, field.grid
+    sums = g.box_sums(field.moment_masses(moments), batch)
     mu_q = sums[:, 0]
     avg, at = {}, 1
     for m in moments:
@@ -208,8 +186,8 @@ def box_averages(field, batch, directions=None, keys=RATIO_KEYS):
         part = sums[:, at : at + width] / mu_q[:, None]
         avg[m] = part[:, 0] if m == "logdet" else part.reshape(-1, N, N)
         at += width
-    if "ainf_i" in keys and directions is not None:
-        avg["lognorm"] = g.box_integrals(field.log_norm_masses(directions)[index], bands)
+    if directions is not None:
+        avg["lognorm"] = g.box_sums(field.log_norm_masses(directions), batch)
         avg["lognorm"] /= mu_q[:, None]
     return avg
 
@@ -226,7 +204,7 @@ class FamilyScan(NamedTuple):
 def family_scan(field, keys, shifts=None, directions=64, seed=0):
     """One pass over the translated family that returns the sups named in
     ``keys`` and gathers only what they read: ``doubling`` and the per-box
-    ratios of ``ratio_kernel`` except the chain.
+    ratios of ``ratio_kernel``.
 
     ``doubling`` is the sup of mu(2Q)/mu(Q), with 2Q clipped to [0,1)^n, over
     levels 0..L+1; the ratios run over levels 0..L.  b2_i, b2_ii and ainf_i read
@@ -236,7 +214,8 @@ def family_scan(field, keys, shifts=None, directions=64, seed=0):
 
     The averages of each gather batch wait in a chunk, and the kernel runs once
     per chunk: the chunk is run before the next batch would take its boxes
-    times the kernel's floats per box past ``grid._BATCH_FLOATS``.
+    times the kernel's floats per box past ``grid._BATCH_FLOATS``.  Kernel rows
+    are independent of each other, so the chunks set no bits.
     """
     g = field.grid
     keys = frozenset(keys)
@@ -255,10 +234,10 @@ def family_scan(field, keys, shifts=None, directions=64, seed=0):
     # Floats held per box: the largest of the gathers made one after another
     # (mu with the moments the ratios read, the direction channels of ainf_i,
     # mu(Q) and mu(2Q) of doubling), plus the (D, N) direction stacks.
-    reads = {m for k in ratios for m in _READS[k]}
-    moment_width = 1 + sum(1 if m == "logdet" else field.N**2 for m in reads) if ratios else 0
+    moments = _moments(ratios)
+    moment_width = 1 + sum(1 if m == "logdet" else field.N**2 for m in moments) if ratios else 0
     D = len(dirs) if sampled else 0
-    log_width = D if "ainf_i" in ratios else 0
+    log_dirs, log_width = (dirs, D) if "ainf_i" in ratios else (None, 0)
     doubling = "doubling" in keys
     levels = range(g.L + 2 if doubling else g.L + 1)
 
@@ -268,8 +247,9 @@ def family_scan(field, keys, shifts=None, directions=64, seed=0):
             return held
         return max(held, moment_width * cells, log_width * cells) + _STACKS * D * field.N
 
-    # Floats the kernel holds per box: the averages it reads and the stacks.
-    kernel_floats = moment_width - 1 + log_width + _STACKS * D * field.N
+    # Floats the kernel holds per box: the averages it reads, and the direction
+    # stacks, 1 + 2/N arrays of (D, N) measured with tracemalloc.
+    kernel_floats = moment_width - 1 + log_width + (field.N + 2) * D
     sups, argmax, count = {}, {}, 0
     chunk = []  # (batch, its averages), waiting for one kernel call
 
@@ -312,10 +292,7 @@ def family_scan(field, keys, shifts=None, directions=64, seed=0):
         if doubling:
             # mu(Q) is its own bare gather: einsum sums a lone channel in
             # another order than a channel of a stack.
-            mass, mass2 = (
-                g.box_integrals(g.cell_masses[index], bands)
-                for index, bands in (g.box_cells(batch), g.box_cells(batch, doubled=True))
-            )
+            mass, mass2 = (g.box_sums(g.cell_masses, batch, doubled) for doubled in (False, True))
             sups["doubling"] = max(sups.get("doubling", 0.0), float(np.max(mass2 / mass)))
         if batch.level > g.L:
             continue
@@ -324,7 +301,7 @@ def family_scan(field, keys, shifts=None, directions=64, seed=0):
             continue
         if chunk and (sum(len(b) for b, _ in chunk) + len(batch)) * kernel_floats > _BATCH_FLOATS:
             run_chunk()
-        chunk.append((batch, box_averages(field, batch, dirs, ratios)))
+        chunk.append((batch, box_averages(field, batch, moments, log_dirs)))
     if chunk:
         run_chunk()
     worst = {key: batch.descriptor(i) for key, (batch, i) in argmax.items()}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dwlab.cones import required_alignment
-from dwlab.grid import Cube, CubeTree, Grid, WeightField
+from dwlab.grid import MOMENTS, BoxBatch, Cube, CubeTree, Grid, WeightField
 from dwlab.stopping import (
     AnchorOwners,
     StoppingCriterion,
@@ -80,17 +80,46 @@ def oracle_averages(field, moment):
     return _oracle_tree_averages(field.grid, cells)
 
 
+# The ratios only tests read, and the moments each reads past mu: the
+# five-term determinant chain, and the relative gap in
+# thewest = (b2_iv * ainf_ii)^2.
+TEST_READS = {"chain": MOMENTS, "identity_residual": ("w", "w2", "logdet")}
+TEST_KEYS = weights.RATIO_KEYS + tuple(TEST_READS)
+
+
+def full_kernel(avg, keys, directions=None):
+    """``weights.ratio_kernel`` (looked up at every call) with the keys of
+    ``TEST_READS``.  ``chain`` is (det(W^2)^{1/2}, det W, exp(avg log det W),
+    det(W^-1)^{-1}, det(W^-2)^{-1/2}), its four determinants from one LU call
+    over the concatenated stacks.  ``identity_residual`` is
+    ``|thewest - (b2_iv * ainf_ii)^2| / max(thewest, 1)``; asking for it also
+    returns the three ratios it reads."""
+    keys = set(keys)
+    lib = keys - set(TEST_READS)
+    if "identity_residual" in keys:
+        lib |= {"b2_iv", "ainf_ii", "thewest"}
+    out = weights.ratio_kernel(avg, lib, directions)
+    if "identity_residual" in keys:
+        combined = (out["b2_iv"] * out["ainf_ii"]) ** 2
+        out["identity_residual"] = np.abs(out["thewest"] - combined) / np.maximum(out["thewest"], 1.0)
+    if "chain" in keys:
+        det = np.linalg.det(np.concatenate([avg[m] for m in ("w", "w2", "winv", "winv2")]))
+        det_w, det_w2, det_winv, det_winv2 = det.reshape(4, -1)
+        exp_logdet = np.exp(avg["logdet"])
+        out["chain"] = (np.sqrt(det_w2), det_w, exp_logdet, 1.0 / det_winv, 1.0 / np.sqrt(det_winv2))
+    return out
+
+
 def dyadic_ratios(field):
-    """``ratio_kernel`` over every dyadic cube, level by level in C order, from
+    """``full_kernel`` over every dyadic cube, level by level in C order, from
     the field's flat average stacks: the tree source."""
-    moments = weights.MOMENTS
-    return weights.ratio_kernel(dict(zip(moments, field.average_stacks(moments))), weights.RATIO_KEYS)
+    return full_kernel(dict(zip(MOMENTS, field.average_stacks(MOMENTS))), TEST_KEYS)
 
 
 def cube_ratios(field, cube):
-    """``ratio_kernel`` of one dyadic cube, from the field's average trees, as floats."""
-    avg = {m: field.averages(m)[cube.level][cube.coords][None] for m in weights.MOMENTS}
-    r = weights.ratio_kernel(avg, weights.RATIO_KEYS)
+    """``full_kernel`` of one dyadic cube, from the field's average trees, as floats."""
+    avg = {m: field.averages(m)[cube.level][cube.coords][None] for m in MOMENTS}
+    r = full_kernel(avg, TEST_KEYS)
     return {k: tuple(float(x[0]) for x in v) if k == "chain" else float(v[0]) for k, v in r.items()}
 
 
@@ -163,18 +192,89 @@ def oracle_b2_sampled(avg, directions):
     return np.max(num / den, axis=-1)
 
 
+def oracle_bounds(grid, batch, doubled=False):
+    """The per-axis intervals [lo, hi) in lattice steps (36 to a finest cell)
+    of the boxes of a ``BoxBatch``, or of their doubles 2Q: each side moved
+    out by half the box side and clipped to the unit cube."""
+    units = 36 * grid.side
+    h = units >> batch.level
+    first, stop = batch.rows
+    offsets = [v * units // 9 for v in grid.shift_vectors(batch.shift)[-1]]
+    lo = [o + h * np.arange((units - o) // h) for o in offsets]
+    lo[0] = lo[0][first:stop]
+    hi = [a + h for a in lo]
+    if doubled:
+        lo, hi = [np.maximum(a - h // 2, 0) for a in lo], [np.minimum(b + h // 2, units) for b in hi]
+    return lo, hi
+
+
+def oracle_band_width(grid, lo, hi):
+    """Cells in the band of intervals [lo, hi) along one axis."""
+    return int(min(grid.side, np.max(-(-hi // 36) - lo // 36)))
+
+
+def oracle_band_cells(grid, batch, doubled=False):
+    """Cells each box of the family of ``batch``, or its double, reads."""
+    lo, hi = oracle_bounds(grid, BoxBatch(batch.family, (0, batch.family.counts[0])), doubled)
+    return math.prod(oracle_band_width(grid, a, b) for a, b in zip(lo, hi))
+
+
+def oracle_box_cells(grid, lo, hi):
+    """The per-box gather of the boxes with per-axis intervals [lo, hi).
+
+    Along one axis an interval overlaps at most ``ceil((hi - lo) / 36) + 1``
+    consecutive cells, so per axis a start index and a ``(count, m)`` band of
+    the exact overlaps in lattice steps cover the boxes, ``m`` the widest band.
+    Returns an index tuple that gathers a cell array into shape ``(count_0,
+    ..., count_{n-1}, m_0, ..., m_{n-1}) + tail``, and the bands."""
+    n, side = grid.n, grid.side
+    index, bands = [], []
+    for axis, (a, b) in enumerate(zip(lo, hi)):
+        m = oracle_band_width(grid, a, b)
+        j = np.clip(a // 36, 0, side - m)[:, None] + np.arange(m)
+        band = np.minimum(b[:, None], (j + 1) * 36) - np.maximum(a[:, None], j * 36)
+        shape = [1] * (2 * n)
+        shape[axis], shape[n + axis] = j.shape
+        index.append(j.reshape(shape))
+        bands.append(np.maximum(band, 0).astype(float))
+    return tuple(index), tuple(bands)
+
+
+def oracle_box_sums(grid, cells, batch, doubled=False):
+    """``Grid.box_sums`` from the per-box gather of ``oracle_box_cells``."""
+    index, bands = oracle_box_cells(grid, *oracle_bounds(grid, batch, doubled))
+    return grid.box_integrals(cells[index], bands)
+
+
+def oracle_box_averages(field, batch, moments, directions=None):
+    """``weights.box_averages`` from the per-box gathers."""
+    N, g = field.N, field.grid
+    sums = oracle_box_sums(g, field.moment_masses(moments), batch)
+    mu_q = sums[:, 0]
+    avg, at = {}, 1
+    for m in moments:
+        width = 1 if m == "logdet" else N * N
+        part = sums[:, at : at + width] / mu_q[:, None]
+        avg[m] = part[:, 0] if m == "logdet" else part.reshape(-1, N, N)
+        at += width
+    if directions is not None:
+        avg["lognorm"] = oracle_box_sums(g, field.log_norm_masses(directions), batch) / mu_q[:, None]
+    return avg
+
+
 def oracle_family_scan(field, keys, shifts, directions=64, seed=0):
-    """The family scan with one kernel call per gather batch, unmemoised:
-    ``(sups, worst, count)``.  The batches, their gathers and the sup and
-    self-check rules are ``weights.family_scan``'s; the kernel and the band
-    source are looked up on ``weights`` at every call."""
+    """The family scan with one kernel call per gather batch and the per-box
+    gathers, unmemoised: ``(sups, worst, count)``.  The batches and the sup and
+    self-check rules are ``weights.family_scan``'s; the kernel is
+    ``full_kernel``, so ``keys`` may name ``TEST_READS``."""
     g = field.grid
     keys = frozenset(keys)
-    ratios = [k for k in weights.RATIO_KEYS if k in keys]
+    reads = {**weights._READS, **TEST_READS}
+    ratios = [k for k in TEST_KEYS if k in keys]
     sampled = not weights._SAMPLED.isdisjoint(ratios)
     dirs = weights._directions(field.N, directions, seed) if sampled else None
-    reads = {m for k in ratios for m in weights._READS[k]}
-    moment_width = 1 + sum(1 if m == "logdet" else field.N**2 for m in reads) if ratios else 0
+    moments = sorted({m for k in ratios for m in reads[k]}, key=MOMENTS.index)
+    moment_width = 1 + sum(1 if m == "logdet" else field.N**2 for m in moments) if ratios else 0
     D = len(dirs) if sampled else 0
     log_width = D if "ainf_i" in ratios else 0
     doubling = "doubling" in keys
@@ -189,17 +289,15 @@ def oracle_family_scan(field, keys, shifts, directions=64, seed=0):
     sups, argmax, count = {}, {}, 0
     for batch in g.box_batches(shifts, levels, box_floats):
         if doubling:
-            mass, mass2 = (
-                g.box_integrals(g.cell_masses[index], bands)
-                for index, bands in (g.box_cells(batch), g.box_cells(batch, doubled=True))
-            )
+            mass, mass2 = (oracle_box_sums(g, g.cell_masses, batch, doubled) for doubled in (False, True))
             sups["doubling"] = max(sups.get("doubling", 0.0), float(np.max(mass2 / mass)))
         if batch.level > g.L:
             continue
         count += len(batch)
         if not ratios:
             continue
-        r = weights.ratio_kernel(weights.box_averages(field, batch, dirs, ratios), ratios, dirs)
+        avg = oracle_box_averages(field, batch, moments, dirs if "ainf_i" in ratios else None)
+        r = full_kernel(avg, ratios, dirs)
         for key, bound, what in (
             ("b2_sampled", "b2_ii", "sampled direction ratio exceeded the operator norm"),
             ("ainf_i", "ainf_i_jensen", "ainf_i exceeded its Jensen bound"),

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dwlab import grid
 from dwlab.grid import (
     MOMENTS,
-    BoxBatch,
     Cube,
     CubeTree,
     FieldFormatError,
@@ -26,9 +26,13 @@ from conftest import (
     family_labels,
     grid_cubes,
     oracle_averages,
+    oracle_band_cells,
+    oracle_bounds,
+    oracle_box_cells,
     random_weight_field,
     weighted_avg,
 )
+from dwlab.weights import CLASS_KEYS, family_scan
 
 
 def test_measure_examples():
@@ -135,9 +139,9 @@ def test_expectation_levels_match_weighted_avg(rng):
         assert np.array_equal(got, np.linalg.solve(iw, iwf[cube.level][cube.coords]))
 
 
-def _one_box(lo, hi):
-    """The single box [lo, hi) in lattice steps."""
-    return BoxBatch(*(tuple(np.array([v]) for v in x) for x in (lo, hi, [0] * len(lo))))
+def _one_box(g, lo, hi):
+    """The oracle's gather of the single box [lo, hi) in lattice steps."""
+    return oracle_box_cells(g, [np.array([v]) for v in lo], [np.array([v]) for v in hi])
 
 
 def test_box_avg_matches_cell_sum(rng):
@@ -145,7 +149,7 @@ def test_box_avg_matches_cell_sum(rng):
     g = w.grid
     # [86/288, 230/288): lattice steps of 1/288 at L=3, partial cells at both ends
     lo, hi = 86, 230
-    index, bands = g.box_cells(_one_box([lo], [hi]))
+    index, bands = _one_box(g, [lo], [hi])
     masses = w.values * g.cell_masses[:, None, None]
     mu_q = g.box_integrals(g.cell_masses[index], bands)[0]
     got = g.box_integrals(masses[index], bands)[0] / mu_q
@@ -193,7 +197,7 @@ def test_box_measure_partial_cells():
     g = Grid(1, 1, [1.0, 9.0])
     # [1/8, 5/8) = [9, 45) in steps of 1/72 overlaps 3/8 of the first cell and
     # 1/8 of the second; the integral counts each cell in steps, 36 per cell
-    index, bands = g.box_cells(_one_box([9], [45]))
+    index, bands = _one_box(g, [9], [45])
     assert [list(b) for b in bands[0]] == [[27.0, 9.0]]
     assert g.box_integrals(g.cell_masses[index], bands)[0] == 1.5 * 36
 
@@ -342,28 +346,115 @@ def test_flat_stacks_scalar_field():
         assert np.array_equal(stack, flat), m
 
 
+def _shift_limit(n):
+    """The number of distinct ninth-shifts of the unit cube past zero."""
+    return 3**n + 6**n - 2**n - 1
+
+
+def _one_row(k, cells, doubled):
+    """A batch budget that puts one row of boxes in every batch."""
+    return 2**30
+
+
+def _assert_gathers_match_the_oracle(g, cells, batches):
+    """Each batch's gather of ``cells`` for its boxes and their doubles: the
+    band cells, bands, gathered values and box integrals of the per-box
+    oracle, bit for bit, and read-only bands."""
+    for batch in batches:
+        for doubled in (False, True):
+            assert batch.family.band_cells[doubled] == oracle_band_cells(g, batch, doubled)
+            masses, bands = batch.family.gather(cells, batch.rows, doubled)
+            index, want = oracle_box_cells(g, *oracle_bounds(g, batch, doubled))
+            for got, ref in zip(bands, want):
+                assert got.dtype == ref.dtype and got.shape == ref.shape and np.array_equal(got, ref)
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[...] = 0
+            gathered = cells[index]
+            assert masses.shape == gathered.shape and np.array_equal(masses, gathered)
+            got, ref = g.box_integrals(masses, bands), g.box_integrals(gathered, want)
+            assert np.array_equal(got, ref), (batch.descriptor(0), doubled)
+
+
 @pytest.mark.parametrize("n, L", [(1, 3), (2, 2), (3, 2)])
 def test_box_cells_memo_matches_fresh(n, L):
     # Every batch of every shift vector up to the limit, at the default split
     # and one row per batch (edge rows of 2Q are narrower than the family):
-    # the memoised arrays equal a fresh computation and are read-only.
+    # each family is built once per grid, and its gathers, for the boxes and
+    # for their doubles, are the per-box oracle's with read-only bands.
+    g = Grid(n, L, np.random.default_rng(L).uniform(0.5, 2.0, (2**L,) * n))
+    for box_floats in (None, _one_row):
+        batches = list(g.box_batches(_shift_limit(n), range(g.L + 2), box_floats))
+        assert {b.shift for b in batches} == set(range(_shift_limit(n) + 1))
+        again = g.box_batches(_shift_limit(n), range(g.L + 2), box_floats)
+        assert all(a.family is b.family and a.rows == b.rows for a, b in zip(batches, again, strict=True))
+        _assert_gathers_match_the_oracle(g, g.cell_masses, batches)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2, 3]),
+    depth=st.integers(0, 12),
+    shift_share=st.floats(0.0, 1.0),
+    budget=st.sampled_from(["default", "one row", "random"]),
+    channels=st.integers(0, 13),
+)
+def test_family_gathers_match_the_per_box_oracle(seed, n, depth, shift_share, budget, channels):
+    # The family geometry from each family's offset and side against the
+    # per-box formula, over levels 0..L+1, every shift count up to the limit,
+    # batches of one row and of random budgets, and cells with a tail of
+    # channels (none, or 1-13).
+    rng = np.random.default_rng(seed)
+    L = min(depth, {1: 12, 2: 5, 3: 3}[n])
     g = Grid(n, L)
-    limit = 3**n + 6**n - 2**n - 1
-    one_row = lambda k, cells, doubled: 2**30  # noqa: E731
-    for box_floats in (None, one_row):
-        batches = list(g.box_batches(limit, range(g.L + 2), box_floats))
-        assert {b.shift for b in batches} == set(range(limit + 1))
-        for batch in batches:
-            bare = BoxBatch(batch.lo, batch.hi, batch.pos, batch.shift, batch.level)
-            for doubled, fresh in ((False, bare), (True, bare.doubled())):
-                memo = g.box_cells(batch, doubled)
-                assert g.box_cells(batch, doubled) is memo
-                want = g.box_cells(fresh)
-                for got, ref in zip((*memo[0], *memo[1]), (*want[0], *want[1])):
-                    assert got.dtype == ref.dtype and np.array_equal(got, ref)
-                    assert not got.flags.writeable
-                    with pytest.raises(ValueError):
-                        got[...] = 0
+    shifts = round(shift_share * _shift_limit(n))
+    box_floats = {
+        "default": None,
+        "one row": _one_row,
+        "random": lambda k, cells, doubled: int(rng.integers(1, 4 * max(cells, doubled))),
+    }[budget]
+    batches = list(g.box_batches(shifts, range(g.L + 2), box_floats))
+    tail = (channels,) if channels else ()
+    cells = rng.uniform(0.1, 10.0, (g.side,) * n + tail)
+    _assert_gathers_match_the_oracle(g, cells, batches)
+
+
+def test_a_scan_builds_each_family_once_and_views_the_cells(monkeypatch):
+    # A family scan builds each (shift, level) family once per grid, and a
+    # scan of another field on the grid builds none.  Every gather of the
+    # boxes Q at levels 0..L is a view of the cell array it reads, no copy;
+    # 2Q and level L + 1 gather by index.
+    built, gathers = [], []
+
+    class Counted(grid._Family):
+        def __init__(self, shift, level, *args):
+            built.append((shift, level))
+            super().__init__(shift, level, *args)
+
+        def gather(self, cells, rows, doubled=False):
+            out = super().gather(cells, rows, doubled)
+            gathers.append((self.level, doubled, cells, out[0]))
+            return out
+
+    monkeypatch.setattr(grid, "_Family", Counted)
+    w = random_weight_field(np.random.default_rng(5), n=2, N=2, L=3, mu_spread=0.5)
+    g = w.grid
+    family_scan(w, CLASS_KEYS, shifts=4)
+    assert len(built) == len(set(built)) == len([f for f in g._families.values() if f is not None])
+    assert {level for _, level in built} == set(range(g.L + 2))
+    family_scan(WeightField(g, w.values), ("thewest", "doubling"), shifts=4)
+    assert len(built) == len(set(built))
+    views = 0
+    for level, doubled, cells, masses in gathers:
+        if level <= g.L and not doubled:
+            views += 1
+            # A read-only array lends its memory through a buffer of its own.
+            assert masses.base is cells or not cells.flags.writeable
+            assert np.shares_memory(masses, cells) and not masses.flags.owndata
+        else:
+            assert masses.flags.owndata or not np.shares_memory(masses, cells)
+    assert views > 0 and any(c is not g.cell_masses for _, _, c, _ in gathers)
 
 
 def test_field_reader_counts_numbers_line_by_line(tmp_path):

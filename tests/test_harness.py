@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwlab import harness, weights
-from dwlab.grid import CellValueError, Grid, WeightField, read_weight_field, write_weight_field
+from dwlab.grid import MOMENTS, CellValueError, Grid, WeightField, read_weight_field, write_weight_field
 from dwlab.harness import GENERATOR_KINDS, WeightGenerator, _sym_expm, generate, inclusion_search
 from dwlab.weights import class_report
 
-from conftest import b2_constants, dyadic_ratios, loop_propose, oracle_sym_screen
+from conftest import TEST_KEYS, b2_constants, dyadic_ratios, full_kernel, loop_propose, oracle_sym_screen
 
 
 def test_constant_kind():
@@ -93,7 +93,7 @@ def _box_path_screen(field):
     """The dyadic screen through the per-box kernel: the exact slow path."""
     best_b2 = best_ainf = 1.0
     for batch in field.grid.box_batches(0):
-        r = weights.ratio_kernel(weights.box_averages(field, batch), weights.RATIO_KEYS)
+        r = weights.ratio_kernel(weights.box_averages(field, batch, MOMENTS), weights.RATIO_KEYS)
         best_b2 = max(best_b2, float(r["b2_iv"].max()))
         best_ainf = max(best_ainf, float(r["ainf_ii"].max()))
     return best_b2, best_ainf
@@ -128,8 +128,7 @@ def test_tree_screen_matches_box_path(seed, n, N, L):
     # whose batches list the dyadic cubes level by level in C order.
     tree = dyadic_ratios(w)
     band = [
-        weights.ratio_kernel(weights.box_averages(w, batch), weights.RATIO_KEYS)
-        for batch in w.grid.box_batches(0)
+        full_kernel(weights.box_averages(w, batch, MOMENTS), TEST_KEYS) for batch in w.grid.box_batches(0)
     ]
     assert sorted(tree) == sorted(band[0]) and "chain" in tree
     for key, values in tree.items():
@@ -189,7 +188,7 @@ def test_tree_screen_skips_box_path(monkeypatch):
     grid, sym = _random_screen_input(5, 2, 2, 3)
     monkeypatch.setattr(weights, "box_averages", refuse)
     monkeypatch.setattr(Grid, "box_batches", refuse)
-    monkeypatch.setattr(Grid, "box_cells", refuse)
+    monkeypatch.setattr(Grid, "box_sums", refuse)
     monkeypatch.setattr(WeightField, "__init__", refuse)
     b2, ainf = harness._dyadic_constants(grid, sym)
     assert b2 > 1.0 and ainf > 1.0

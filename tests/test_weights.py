@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwlab import grid, weights
-from dwlab.grid import Grid, WeightField, root_cube
+from dwlab.grid import MOMENTS, Grid, WeightField, root_cube
 from dwlab.weights import (
     CLASS_KEYS,
     RATIO_KEYS,
@@ -25,6 +25,7 @@ from conftest import (
     det_chain_check,
     doubling_of,
     family_labels,
+    full_kernel,
     oracle_b2_sampled,
     oracle_family_scan,
     oracle_inverse_norms,
@@ -129,7 +130,9 @@ def test_diagonal_ainf_product_structure(rng):
     s1 = WeightField(Grid(1, 3), d1.reshape(8, 1, 1))
     s2 = WeightField(Grid(1, 3), d2.reshape(8, 1, 1))
     for batch in w.grid.box_batches(0):
-        r, r1, r2 = (ratio_kernel(box_averages(f, batch), RATIO_KEYS)["ainf_ii"] for f in (w, s1, s2))
+        r, r1, r2 = (
+            ratio_kernel(box_averages(f, batch, MOMENTS), RATIO_KEYS)["ainf_ii"] for f in (w, s1, s2)
+        )
         assert np.all(np.abs(r - r1 * r2) < 1e-10 * np.maximum(1.0, r))
 
 
@@ -199,7 +202,7 @@ def scalar_ok(values, b2_ii, rel_tol=1e-9):
 
 def test_corollary_constant_and_diagonal(rng):
     const = WeightField(Grid(1, 2), np.broadcast_to([[2.0, 0.5], [0.5, 1.0]], (4, 2, 2)).copy())
-    sups = family_scan(const, COROLLARY_KEYS, 1, 4).sups
+    sups = oracle_family_scan(const, COROLLARY_KEYS, 1, 4)[0]
     assert sups["identity_residual"] < 1e-12
     assert abs(max(1.0, sups["thewest"]) - 1.0) < 1e-12
     assert scalar_ok(scalar_b2(const, 1, 4), sups["b2_ii"])
@@ -210,7 +213,7 @@ def test_corollary_constant_and_diagonal(rng):
     vals = np.zeros((8, 2, 2))
     vals[:, 0, 0], vals[:, 1, 1] = d1, 1.0
     w = WeightField(Grid(1, 3), vals)
-    sups = family_scan(w, COROLLARY_KEYS, 1, 0).sups
+    sups = oracle_family_scan(w, COROLLARY_KEYS, 1, 0)[0]
     assert scalar_ok(scalar_b2(w, 1, 0), sups["b2_ii"])
     s1 = WeightField(Grid(1, 3), d1.reshape(8, 1, 1))
     assert b2_constants(s1, shifts=1, directions=0)[1] <= max(1.0, sups["b2_ii"]) + 1e-12
@@ -219,7 +222,7 @@ def test_corollary_constant_and_diagonal(rng):
 def test_corollary_random_scalar_bound(rng):
     for _ in range(20):
         w = random_weight_field(rng, N=2, L=2, spread=0.9, mu_spread=0.3)
-        sups = family_scan(w, COROLLARY_KEYS, 1, 2, 11).sups
+        sups = oracle_family_scan(w, COROLLARY_KEYS, 1, 2, 11)[0]
         assert sups["identity_residual"] < 1e-10
         assert scalar_ok(scalar_b2(w, 1, 2, 11), sups["b2_ii"])
 
@@ -330,7 +333,9 @@ def test_batched_scan_matches_per_cell_oracle(seed, n, N, depth):
     sups, worst, count = {}, {}, 0
     dirs = _oracle_directions(N, 3, seed)
     chains = [
-        c for b in g.box_batches(shifts) for c in zip(*ratio_kernel(box_averages(w, b), RATIO_KEYS)["chain"])
+        c
+        for b in g.box_batches(shifts)
+        for c in zip(*full_kernel(box_averages(w, b, MOMENTS), ("chain",))["chain"])
     ]
     for (lo, hi, desc), got in zip(_oracle_boxes(g, shifts, range(L + 1)), chains):
         r = _oracle_ratios(w, lo, hi, dirs)
@@ -472,7 +477,10 @@ def test_ainf_i_jensen_bound_nesting_and_basis(seed, n, N, depth):
     shifts = default_shifts(g)
     dirs = _oracle_directions(N, 6, seed)
     got = np.concatenate(
-        [ratio_kernel(box_averages(w, b, dirs), RATIO_KEYS, dirs)["ainf_i"] for b in g.box_batches(shifts)]
+        [
+            ratio_kernel(box_averages(w, b, MOMENTS, dirs), RATIO_KEYS, dirs)["ainf_i"]
+            for b in g.box_batches(shifts)
+        ]
     )
     brute = [_oracle_jensen_and_basis(w, lo, hi) for lo, hi, _ in _oracle_boxes(g, shifts, range(L + 1))]
     jensen, basis = (np.array(x) for x in zip(*brute))
@@ -520,21 +528,21 @@ def test_doubling_uniform_grid_is_two_to_the_n(n, L):
 def test_integer_bands_match_float_overlaps(seed, n, depth):
     # Every band entry is the exact overlap in lattice steps: divided by the
     # 36 steps of a cell it is the float overlap fraction of the oracle, on the
-    # translated boxes and on their doubles.
+    # translated boxes and on their doubles.  Gathering the flat cell numbers
+    # names the cell of every band entry.
     g = Grid(n, depth if n == 1 else min(depth, 2))
     shifts = int(np.random.default_rng(seed).integers(0, 3**n + 6**n - 2**n))
     boxes = list(_oracle_boxes(g, shifts, range(g.L + 2)))
     batches = list(g.box_batches(shifts, range(g.L + 2)))
-    width = 2.0**-g.L
+    numbers = np.arange(g.side**n).reshape((g.side,) * n)
     for doubled in (False, True):
         got = []
         for batch in batches:
-            index, bands = g.box_cells(batch.doubled() if doubled else batch)
-            cells = np.broadcast_arrays(*index)
+            flat, bands = batch.family.gather(numbers, batch.rows, doubled)
             for box in itertools.product(*(range(len(b)) for b in bands)):
                 fracs = {}
                 for band_pos in itertools.product(*(range(b.shape[1]) for b in bands)):
-                    cell = tuple(int(c[box + band_pos]) for c in cells)
+                    cell = tuple(int(c) for c in np.unravel_index(flat[box + band_pos], numbers.shape))
                     frac = math.prod(b[i, j] for b, i, j in zip(bands, box, band_pos)) / 36**n
                     if frac:
                         fracs[cell] = frac
@@ -558,7 +566,7 @@ def test_ratio_kernel_takes_every_lu_determinant_in_one_call(monkeypatch):
     calls = []
     det = np.linalg.det
     monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(len(a)) or det(a))
-    chain = weights.ratio_kernel(avg, ("chain",))["chain"]
+    chain = full_kernel(avg, ("chain",))["chain"]
     assert calls == [4 * len(avg["w"])]
     expected = (
         np.sqrt(want["w2"]),
@@ -643,12 +651,12 @@ def test_b2_sampled_checks_the_root_of_the_squared_average(monkeypatch):
 
 @pytest.mark.parametrize("N", [1, 2, 3, 9, 17])
 def test_direction_stacks_fit_the_batch_budget(N):
-    # Per box, the direction keys hold at most _STACKS arrays of (D, N) floats:
-    # the kernel's peak grows with D and the box count together by no more,
-    # counting the (B, D) log-norm averages it reads (tracemalloc also counts
-    # a few bytes of Python objects).  Measured: 1 + 2/N, ainf_i's (B, D, N)
-    # product and one (B, D) row next to the log-norms (3 at N = 1, 2 at N = 2,
-    # 1.25 at N = 8); b2_sampled's (B, D) forms are freed before it.
+    # Per box, the direction keys hold at most 1 + 2/N arrays of (D, N) floats,
+    # the (N + 2) D floats family_scan's kernel chunks count: the kernel's peak
+    # grows with D and the box count together by no more, counting the (B, D)
+    # log-norm averages it reads (tracemalloc also counts a few bytes of
+    # Python objects).  They are ainf_i's (B, D, N) product and one (B, D) row
+    # next to the log-norms; b2_sampled's (B, D) forms are freed before it.
     w = random_weight_field(np.random.default_rng(N), n=1, N=N, L=8)
     keys = [k for k in weights.RATIO_KEYS if k in CLASS_KEYS]
     moments = weights._moments(keys)
@@ -669,7 +677,7 @@ def test_direction_stacks_fit_the_batch_budget(N):
         return peak(rows, 1500) - peak(rows, 500)
 
     per_box = (growth(256) - growth(128)) / (128 * 1000 * N * 8)
-    assert per_box + 1.0 / N <= weights._STACKS + 1e-3
+    assert per_box + 1.0 / N <= 1.0 + 2.0 / N + 1e-3
 
 
 _SCAN_KEYS = sorted(weights._SCAN_KEYS)
@@ -731,8 +739,8 @@ def _record_kernel_calls(monkeypatch):
 )
 def test_kernel_chunks_stay_within_the_batch_budget(monkeypatch, n, N, L, keys, one_call):
     # Every kernel call holds whole gather batches, at most _BATCH_FLOATS
-    # floats (its boxes times the averages it reads plus _STACKS (D, N) arrays
-    # per box) unless it holds one batch alone, and a chunk is run only when
+    # floats (its boxes times the averages it reads plus (N + 2) D floats of
+    # direction stacks per box) unless it holds one batch alone, and a chunk is run only when
     # the next batch would take it past the budget.  Scans without direction
     # keys hold a few floats per box and run the kernel once.
     events = _record_kernel_calls(monkeypatch)
@@ -744,7 +752,7 @@ def test_kernel_chunks_stay_within_the_batch_budget(monkeypatch, n, N, L, keys, 
             continue
         _, rows, avg, dirs = event
         D = 0 if dirs is None else len(dirs)
-        per_box = sum(a.size for a in avg.values()) / rows + weights._STACKS * D * N
+        per_box = sum(a.size for a in avg.values()) / rows + (N + 2) * D
         assert rows == sum(pending)
         assert len(pending) == 1 or rows * per_box <= grid._BATCH_FLOATS
         chunks.append((rows, per_box, pending))
