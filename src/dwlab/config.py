@@ -5,11 +5,15 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-import json
 import math
 from dataclasses import dataclass, asdict
+from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite as _finite
 
 __all__ = ["RunConfig", "canonical_json", "config_hash"]
+
+# How json writes a float, subclasses included.
+_repr = float.__repr__
 
 
 @dataclass
@@ -102,5 +106,94 @@ def config_hash(text):
 
 
 def canonical_json(obj):
-    """Deterministic JSON: sorted keys, repr floats, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Deterministic JSON: sorted keys, repr floats, trailing newline.
+
+    The bytes are those of ``json.dumps(obj, sort_keys=True, indent=2,
+    allow_nan=False) + "\\n"``, written in one recursive pass, since
+    ``json.dumps`` runs its pure-Python encoder whenever it indents.  It takes
+    what reports hold, as ``json`` takes them: dicts with str keys, lists and
+    tuples, str, int, float, bool and None, subclasses included.  A
+    non-finite float raises ValueError naming the first such value's path
+    and the count; any other type, or a key that is not a str, raises
+    TypeError.
+    """
+    out = []
+    _write(obj, "\n", out.append, obj)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, newline, emit, root):
+    """Append the JSON of ``obj``, whose line is indented as ``newline``."""
+    if isinstance(obj, float):
+        if not _finite(obj):
+            raise _not_finite(root)
+        emit(_repr(obj))
+    elif isinstance(obj, str):
+        emit(_quote(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            value = obj[key]
+            # Finite floats, most of a report's values, are written in place.
+            if type(value) is float and _finite(value):
+                emit(sep + _quote(key) + ": " + _repr(value))
+            else:
+                emit(sep + _quote(key) + ": ")
+                _write(value, inner, emit, root)
+            sep = "," + inner
+        emit(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            if type(value) is float and _finite(value):
+                emit(sep + _repr(value))
+            else:
+                emit(sep)
+                _write(value, inner, emit, root)
+            sep = "," + inner
+        emit(newline + "]")
+    elif obj is None:
+        emit("null")
+    elif obj is True:
+        emit("true")
+    elif obj is False:
+        emit("false")
+    elif isinstance(obj, int):
+        emit(int.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _not_finite(root):
+    """The refusal of a report with non-finite floats: the first one's path
+    in written order, and how many there are."""
+    found = list(_non_finite_paths(root, ()))
+    path, value = found[0]
+    where = ".".join(path) or "the report"
+    return ValueError(
+        f"report value {where} is {_repr(value)}, the first of {len(found)} non-finite"
+        " values, which JSON cannot hold"
+    )
+
+
+def _non_finite_paths(obj, path):
+    if isinstance(obj, float):
+        if not _finite(obj):
+            yield path, obj
+    elif isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from _non_finite_paths(obj[key], path + (key,))
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            yield from _non_finite_paths(value, path + (str(i),))

@@ -185,13 +185,36 @@ class CanonicalFamily:
 
     def _sup_form(self, forms):
         """sqrt of the sup over cubes Q and unit v of u^T F_Q u / mu(Q), u = W_Q v,
-        for a flat stack ``forms`` of N x N matrices F_Q, one per dyadic cube:
-        the top eigenvalue of W_Q F_Q W_Q, one batched ``eigvalsh`` over every
-        cube."""
+        for a flat stack ``forms`` of positive semidefinite N x N matrices F_Q,
+        one per dyadic cube: the largest top eigenvalue of S_Q = W_Q F_Q W_Q
+        over mu(Q).
+
+        An exact screen picks the cubes that go to ``eigvalsh``.  Since
+        max_i (S_Q)_ii <= lambda_max(S_Q) <= max_i sum_j |(S_Q)_ij| (Gershgorin),
+        the largest diagonal ratio is a lower bound ``low`` on the sup, and a
+        cube whose row-sum ratio lies below ``low`` by more than a relative
+        1e-12, far above the rounding of either side, cannot attain it.  The
+        others, and every cube whose bound is not finite, go to one batched
+        ``eigvalsh``; LAPACK takes each matrix on its own, so the sup has the
+        bits of a batch over every cube.  The bound squares nothing, so tiny
+        forms do not underflow it."""
         avg = self.field.average_stacks(("w",))[0]
-        m = avg @ forms @ avg
-        top = np.linalg.eigvalsh((m + np.swapaxes(m, -1, -2)) / 2.0)[:, -1]
-        return math.sqrt(max(0.0, float(np.max(top / self.field.grid._mu_stack))))
+        mu = self.field.grid._mu_stack
+        s = avg @ forms @ avg
+        s = s + np.swapaxes(s, -1, -2)
+        s /= 2.0
+        diag = s[:, 0, 0].copy()
+        bound = np.abs(s[:, 0, :]).sum(-1)
+        for i in range(1, s.shape[1]):
+            np.maximum(diag, s[:, i, i], out=diag)
+            np.maximum(bound, np.abs(s[:, i, :]).sum(-1), out=bound)
+        bound /= mu
+        diag /= mu
+        finite = np.isfinite(bound)
+        low = diag[finite].max(initial=-np.inf)
+        keep = ~finite | (bound >= low * (1.0 - 1e-12))
+        top = np.linalg.eigvalsh(s[keep])[:, -1]
+        return math.sqrt(max(0.0, float(np.max(top / mu[keep]))))
 
     def c3(self):
         """Energy of b_Q^v over mu(Q) is u^T (W^-2)_Q u with u = W_Q v."""

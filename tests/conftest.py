@@ -408,6 +408,15 @@ def svd_top_directions(gammas):
     return np.linalg.svd(gammas)[2][:, 0, :]
 
 
+def full_sup_form(fam, forms):
+    """The oracle of ``CanonicalFamily._sup_form``: one batched ``eigvalsh``
+    over every cube's symmetrised form, unscreened."""
+    avg = fam.field.average_stacks(("w",))[0]
+    m = avg @ forms @ avg
+    top = np.linalg.eigvalsh((m + np.swapaxes(m, -1, -2)) / 2.0)[:, -1]
+    return math.sqrt(max(0.0, float(np.max(top / fam.field.grid._mu_stack))))
+
+
 def gamma_value(gamma, cube):
     """The multiplier matrix of ``gamma`` on ``cube``."""
     return gamma.levels[cube.level][cube.coords]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,11 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwlab import cli, stopping, weights
 from dwlab.cones import ConeNet
 from dwlab.cli import main
-from dwlab.config import RunConfig
+from dwlab.config import RunConfig, canonical_json
 from dwlab.grid import Grid, WeightField, write_weight_field
 from dwlab.harness import WeightGenerator, generate
 from dwlab.tb import gamma_zero, make_gamma, tb_run
@@ -332,6 +335,86 @@ def test_malformed_field_exit_code(tmp_path, capsys):
         bad.write_text(text)
         assert main(["check-weight", "--field", str(bad)]) == 1
         assert f"line {line}:" in capsys.readouterr().err
+
+
+def json_dumps_report(obj):
+    """The oracle of ``canonical_json``: the standard library's encoder."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, 1e16, 1e-5, 1.7976931348623157e308, -1e16, 0.1, 1e22)
+EDGE_TEXT = ('"', "\\", 'a"b\\c', "\x00\x01\x1f\x7f", "\n\r\t\b\f", "é✓😀\u2028", "")
+json_text = st.one_of(st.text(max_size=8), st.sampled_from(EDGE_TEXT))
+finite = st.floats(allow_nan=False, allow_infinity=False)
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    finite,
+    st.sampled_from(EDGE_FLOATS),
+    st.builds(np.float64, finite),
+    json_text,
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(json_text, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=json_values)
+def test_canonical_json_writes_the_bytes_of_json_dumps(obj):
+    assert canonical_json(obj) == json_dumps_report(obj)
+
+
+def test_canonical_json_edge_values():
+    obj = {
+        "floats": [*EDGE_FLOATS, np.float64(2.5), np.float64(-0.0)],
+        "ints": [0, -1, 2**70, -(3**50)],
+        "bools": [True, False, None],
+        "flags": {"on": True, "off": False, "none": None},
+        "nested": {"empty_list": [], "empty_dict": {}, "deep": [[[]], [{}], {"a": [{}]}]},
+        'k"\\\x01é': "v\u2028\x7f",
+        "tuple": (1, (2.0, "x")),
+    }
+    assert canonical_json(obj) == json_dumps_report(obj)
+    assert canonical_json(True) == "true\n" and canonical_json([True, 1]) == "[\n  true,\n  1\n]\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_canonical_json_refuses_non_finite_floats(bad):
+    with pytest.raises(ValueError, match=r"report value a\.1\.b is .*the first of 2 non-finite"):
+        canonical_json({"a": [1.0, {"b": bad, "c": 2.0}], "z": [bad]})
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, np.int64(3), {1: 2.0}, {"a": 1, 2: 3}, np.bool_(True)])
+def test_canonical_json_refuses_other_types_and_keys(bad):
+    # A key that is not a str is refused, though json.dumps would write an int one.
+    with pytest.raises(TypeError):
+        canonical_json({"value": [bad]})
+
+
+def test_tb_run_names_the_non_finite_report_value(tmp_path, capsys):
+    # A valid field whose cells alternate I and 1e200 I: the report holds
+    # infinities and a NaN, which JSON cannot hold.  The refusal names the
+    # first in written order and counts them; no report is written.
+    vals = np.array([np.eye(2) * (1.0 if i % 2 == 0 else 1e200) for i in range(4)])
+    path = tmp_path / "wild.wf"
+    write_weight_field(path, WeightField(Grid(1, 2), vals))
+    rep = tmp_path / "r.json"
+    with np.errstate(all="ignore"):
+        rc = main(["tb-run", "--field", str(path), "--gamma", "martingale", "--report", str(rep)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: report value assembled_bound is inf, the first of 5 non-finite values,"
+        " which JSON cannot hold\n"
+    )
+    assert not rep.exists()
 
 
 def test_violated_invariant_exit_code(const_field, monkeypatch, capsys):

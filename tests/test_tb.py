@@ -33,9 +33,11 @@ from conftest import (
     cube_measure,
     expectation_levels,
     first_generation,
+    full_sup_form,
     gamma_value,
     grid_cubes,
     owner_levels,
+    random_spd_cells,
     random_weight_field,
     svd_norms_sq,
     svd_top_directions,
@@ -375,6 +377,136 @@ def test_canonical_c3_c4_match_generic_paths(n, N, kind, samples, seed):
         assert sampled <= exact * (1.0 + 1e-12)
         if N == 1:
             assert abs(exact - sampled) <= 1e-12 * exact
+
+
+def full_constants(fam, gamma):
+    """C3 and C4 with ``_sup_form`` replaced by the unscreened oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tb.CanonicalFamily, "_sup_form", full_sup_form)
+        return fam.c3(), fam.c4(gamma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    N=st.integers(1, 4),
+    kind=st.sampled_from(["zero", "constant", "martingale", "random"]),
+    seed=st.integers(0, 2**20),
+)
+def test_screened_c3_c4_equal_the_full_batch(n, N, kind, seed):
+    # The screen only drops cubes that cannot attain the sup, and LAPACK takes
+    # each matrix on its own, so C3 and C4 keep the bits of the full batch.
+    rng = np.random.default_rng(seed)
+    L = int(rng.integers(0, (7, 4, 3)[n - 1]))
+    spread = float(rng.uniform(0.05, 1.5))
+    w = random_weight_field(rng, n=n, N=N, L=L, spread=spread, mu_spread=0.5)
+    gam = make_gamma(kind, w, seed=seed)
+    fam = CanonicalFamily(w)
+    assert (fam.c3(), fam.c4(gam)) == full_constants(fam, gam)
+
+
+@pytest.mark.parametrize("n, N", [(1, 1), (1, 3), (2, 2), (3, 4)])
+def test_screened_sup_of_a_constant_field(n, N):
+    # A constant weight makes W_Q (W^-2)_Q W_Q / mu(Q) the identity on every
+    # cube, so the sup is attained everywhere, up to rounding.
+    rng = np.random.default_rng(N)
+    L = 6 - 2 * n
+    cells = np.broadcast_to(random_spd_cells(rng, 1, N)[0], (2**L,) * n + (N, N)).copy()
+    w = WeightField(Grid(n, L), cells)
+    fam = CanonicalFamily(w)
+    gam = gamma_constant(w.grid, 1, N)
+    assert (fam.c3(), fam.c4(gam)) == full_constants(fam, gam)
+    assert abs(fam.c3() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-300])
+def test_screened_sup_of_a_tiny_density(scale):
+    # Every form is about ``scale``, so its squared entries underflow: at seed
+    # 5 a bound built from squares, such as the Frobenius norm, would drop the
+    # cube that attains C3.  The row-sum bound squares nothing.
+    rng = np.random.default_rng(5)
+    w = random_weight_field(rng, n=1, N=2, L=5, spread=1.0, mu_spread=0.5)
+    w = WeightField(Grid(1, 5, w.grid.mu * scale), w.values)
+    fam = CanonicalFamily(w)
+    gam = make_gamma("martingale", w)
+    assert (fam.c3(), fam.c4(gam)) == full_constants(fam, gam)
+
+
+def record_eigvalsh(monkeypatch):
+    """Every stack ``eigvalsh`` is given, in call order."""
+    seen, real = [], np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    return seen
+
+
+def symmetrised_forms(fam, forms):
+    avg = fam.field.average_stacks(("w",))[0]
+    m = avg @ forms @ avg
+    return (m + np.swapaxes(m, -1, -2)) / 2.0
+
+
+@pytest.mark.parametrize("ahead", [1e-15, -1e-15, 0.0])
+def test_screened_sup_of_a_near_tie(monkeypatch, ahead):
+    # Cube 1's form is diagonal, with top a; cube 5's has diagonal b < a and
+    # top b + c = a (1 + ahead), reached off the diagonal.  Both reach low = a,
+    # so both go to eigvalsh, and the sup is the oracle's.
+    w = WeightField(Grid(2, 2), np.broadcast_to(np.eye(2), (4, 4, 2, 2)).copy())
+    fam = CanonicalFamily(w)
+    mu = w.grid._mu_stack
+    forms = np.zeros((len(mu), 2, 2))
+    forms[:] = np.eye(2) * 1e-3
+    a = 2.0
+    b = 1.5
+    c = a * (1.0 + ahead) - b
+    forms[1] = np.diag([a, 0.0]) * mu[1]
+    forms[5] = np.array([[b, c], [c, b]]) * mu[5]
+    seen = record_eigvalsh(monkeypatch)
+    got = fam._sup_form(forms)
+    s = symmetrised_forms(fam, forms)
+    assert len(seen) == 1 and len(seen[0]) == 2
+    assert {r.tobytes() for r in seen[0]} == {s[1].tobytes(), s[5].tobytes()}
+    assert got == full_sup_form(fam, forms)
+
+
+def test_eigvalsh_sees_only_the_screened_rows(monkeypatch):
+    w = generate(WeightGenerator("log-gaussian", amplitude=0.5, seed=53), 2, 2, 4)
+    fam = CanonicalFamily(w)
+    mu = w.grid._mu_stack
+    forms = w.integral_stack("winv2").copy()
+    seen = record_eigvalsh(monkeypatch)
+    c3 = fam.c3()
+    assert len(seen) == 1 and len(seen[0]) < len(mu)
+    # Every row whose Gershgorin ratio reaches the largest diagonal ratio goes.
+    s = symmetrised_forms(fam, forms)
+    low = np.max(np.max(np.diagonal(s, axis1=1, axis2=2), axis=1) / mu)
+    rows = np.max(np.abs(s).sum(axis=2), axis=1) / mu
+    reach = {s[i].tobytes() for i in np.flatnonzero(rows >= low)}
+    assert reach <= {r.tobytes() for r in seen[0]}
+    assert c3 == full_sup_form(fam, forms)
+    # A NaN row always goes, and the sup is still the full batch's.
+    forms[7, 0, 1] = np.nan
+    seen.clear()
+    got = fam._sup_form(forms)
+    assert len(seen) == 1 and np.isnan(seen[0]).any(axis=(1, 2)).sum() == 1
+    assert len(seen[0]) < len(mu)
+    with np.errstate(invalid="ignore"):
+        assert got == full_sup_form(fam, forms)
+
+
+def test_screened_sup_of_a_non_finite_field():
+    # Cells alternating I and 1e200 I overflow the forms to inf and NaN; the
+    # rows that are not finite all go, so the garbage sup is the full batch's.
+    vals = np.array([np.eye(2) * (1.0 if i % 2 == 0 else 1e200) for i in range(4)])
+    w = WeightField(Grid(1, 2), vals)
+    fam = CanonicalFamily(w)
+    gam = make_gamma("martingale", w)
+    with np.errstate(all="ignore"):
+        assert (fam.c3(), fam.c4(gam)) == full_constants(fam, gam)
 
 
 def test_tb_run_canonical_constants_skip_per_cube_path(monkeypatch):

@@ -98,11 +98,11 @@ def _digests_by_label(run):
     return dict(line.split(":", 1) for line in run["digests"])
 
 
-def summarize(pairs):
-    """Spreads and wins over the pairs in which both runs gave a result."""
-    whole = [p for p in pairs if not any("error" in p[s] for s in SIDES)]
+def summarize(pairs, metrics=METRICS + WALL):
+    """Spreads and wins of ``metrics`` over the pairs in which both runs gave them."""
+    whole = [p for p in pairs if all(m in p[s] for s in SIDES for m in metrics)]
     out = {}
-    for m in METRICS + WALL:
+    for m in metrics:
         sides = {s: [p[s][m] for p in whole] for s in SIDES}
         out[m] = {s: spread(v) if v else None for s, v in sides.items()}
         out[m]["change_wins"] = sum(c < p for p, c in zip(sides["parent"], sides["change"]))
@@ -119,6 +119,54 @@ def summarize(pairs):
 
 def _value(run, metric):
     return "bad run" if "error" in run else f"{run[metric]:.4f}"
+
+
+def summary_lines(workload, summary, metrics=METRICS + WALL):
+    """The printed summary of one workload: a line per metric, then failures
+    and digests."""
+    lines = []
+    for m in metrics:
+        s = summary[m]
+        if not s["pairs"]:
+            lines.append(f"{workload} {m}: no pair in which both runs gave a result")
+            continue
+        lines.append(
+            f"{workload} {m}: parent {s['parent']['median']:.4f}"
+            f" ({s['parent']['q1']:.4f}-{s['parent']['q3']:.4f}),"
+            f" change {s['change']['median']:.4f}"
+            f" ({s['change']['q1']:.4f}-{s['change']['q3']:.4f}),"
+            f" change lower in {s['change_wins']} of {s['pairs']}"
+        )
+    lines.append(
+        f"{workload}: failed parent {summary['failed']['parent']} change"
+        f" {summary['failed']['change']}; digests equal in {summary['digests_equal']}"
+        f" of {summary[metrics[0]]['pairs']}"
+    )
+    if summary["digests_differ"]:
+        lines.append(f"{workload}: digests differ for {', '.join(summary['digests_differ'])}")
+    return lines
+
+
+def host():
+    return (
+        f"{platform.machine()}, {platform.system()} {platform.release()},"
+        f" Python {platform.python_version()}"
+    )
+
+
+def report_bad_runs(report, problem, name=lambda pair: f"pair seed {pair['seed']}"):
+    """Name on standard error, by ``name(pair)``, every run of ``report`` that
+    ``problem`` finds bad; the exit code, 1 when there is one."""
+    bad = [
+        f"{workload} {name(pair)} {side}: {problem(pair[side])}"
+        for workload, runs in report["workloads"].items()
+        for pair in runs["pairs"]
+        for side in SIDES
+        if problem(pair[side])
+    ]
+    for line in bad:
+        print(f"bad run: {line}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 def _problem(run):
@@ -151,8 +199,7 @@ def main(argv=None):
             "python3 dwbench/run.py --workload W --seed S --seconds"
             f" {args.seconds:g} --trace 0, S = {args.seed} + pair"
         ),
-        "host": f"{platform.machine()}, {platform.system()} {platform.release()},"
-        f" Python {platform.python_version()}",
+        "host": host(),
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "workloads": {},
     }
@@ -179,36 +226,9 @@ def main(argv=None):
             args.out.write_text(json.dumps(report, indent=1) + "\n")
         summary = summarize(pairs)
         report["workloads"][workload]["summary"] = summary
-        for m in METRICS + WALL:
-            s = summary[m]
-            if not s["pairs"]:
-                print(f"{workload} {m}: no pair in which both runs gave a result")
-                continue
-            print(
-                f"{workload} {m}: parent {s['parent']['median']:.4f}"
-                f" ({s['parent']['q1']:.4f}-{s['parent']['q3']:.4f}),"
-                f" change {s['change']['median']:.4f}"
-                f" ({s['change']['q1']:.4f}-{s['change']['q3']:.4f}),"
-                f" change lower in {s['change_wins']} of {s['pairs']}"
-            )
-        print(
-            f"{workload}: failed parent {summary['failed']['parent']} change"
-            f" {summary['failed']['change']}; digests equal in {summary['digests_equal']}"
-            f" of {summary['run_s']['pairs']}"
-        )
-        if summary["digests_differ"]:
-            print(f"{workload}: digests differ for {', '.join(summary['digests_differ'])}")
+        print("\n".join(summary_lines(workload, summary)))
         args.out.write_text(json.dumps(report, indent=1) + "\n")
-    bad = [
-        f"{workload} pair seed {pair['seed']} {side}: {_problem(pair[side])}"
-        for workload, runs in report["workloads"].items()
-        for pair in runs["pairs"]
-        for side in SIDES
-        if _problem(pair[side])
-    ]
-    for line in bad:
-        print(f"bad run: {line}", file=sys.stderr)
-    return 1 if bad else 0
+    return report_bad_runs(report, _problem)
 
 
 if __name__ == "__main__":
