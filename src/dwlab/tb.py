@@ -197,7 +197,8 @@ class CanonicalFamily:
         others, and every cube whose bound is not finite, go to one batched
         ``eigvalsh``; LAPACK takes each matrix on its own, so the sup has the
         bits of a batch over every cube.  The bound squares nothing, so tiny
-        forms do not underflow it."""
+        forms do not underflow it.  A kept form with a non-finite entry makes
+        the sup NaN: ``eigvalsh`` returns finite values for such a matrix."""
         avg = self.field.average_stacks(("w",))[0]
         mu = self.field.grid._mu_stack
         s = avg @ forms @ avg
@@ -213,7 +214,10 @@ class CanonicalFamily:
         finite = np.isfinite(bound)
         low = diag[finite].max(initial=-np.inf)
         keep = ~finite | (bound >= low * (1.0 - 1e-12))
-        top = np.linalg.eigvalsh(s[keep])[:, -1]
+        s = s[keep]
+        if not np.isfinite(s).all():
+            return math.nan
+        top = np.linalg.eigvalsh(s)[:, -1]
         return math.sqrt(max(0.0, float(np.max(top / mu[keep]))))
 
     def c3(self):

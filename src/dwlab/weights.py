@@ -100,25 +100,24 @@ def ratio_kernel(avg, keys, directions=None):
     sampled lower bound for b2_i), and ainf_i gives ainf_i (sampled over the
     same directions) and ainf_i_jensen (its upper bound from the moments alone).
 
-    A determinant is the product of the eigenvalues of its matrix when another
-    key needs them anyway; the others come from one ``np.linalg.det`` call over
-    the concatenated stacks, whose LU factors each matrix on its own.
+    One ``eigh`` of W_Q gives W_Q^{-1} and the Jensen root.  One ``eigvalsh``
+    takes the symmetrised W_Q^{-1} (W^2)_Q W_Q^{-1} and the Jensen stack.
+    b2_iii is the top eigenvalue of the first, and b2_i = b2_ii is its square
+    root: |(W^2)_Q^{1/2} W_Q^{-1}|^2 is that eigenvalue.  Every determinant
+    comes from one ``np.linalg.det`` call over the concatenated stacks, whose
+    LU factors each matrix on its own, so each ratio has the same bits
+    whatever keys share its scan.
     """
     keys = set(keys)
     sampled = directions is not None
-    det = {}
-    eigen_keys = {"b2_i", "b2_ii", "b2_iii", "ainf_i"}
+    b2_keys = {"b2_i", "b2_ii", "b2_iii"}
+    eigen_keys = b2_keys | {"ainf_i"}
 
     if keys & eigen_keys:
         ew, vv = np.linalg.eigh(avg["w"])
-        det["w"] = np.prod(ew, axis=-1)
         inv_w = (vv / ew[:, None, :]) @ vv.transpose(0, 2, 1)
-    if keys & {"b2_i", "b2_ii"}:
-        ew2, vv2 = np.linalg.eigh(avg["w2"])
-        det["w2"] = np.prod(ew2, axis=-1)
-        sqrt_w2 = (vv2 * np.sqrt(ew2)[:, None, :]) @ vv2.transpose(0, 2, 1)
     stack = []
-    if "b2_iii" in keys:
+    if keys & b2_keys:
         item_iii = inv_w @ avg["w2"] @ inv_w
         stack.append((item_iii + item_iii.transpose(0, 2, 1)) / 2.0)
     if "ainf_i" in keys and sampled:
@@ -128,25 +127,20 @@ def ratio_kernel(avg, keys, directions=None):
         jensen = sqrt_w @ avg["winv"] @ sqrt_w
         stack.append((jensen + jensen.transpose(0, 2, 1)) / 2.0)
     if stack:
-        inverses = [avg["winv"]] if "winv" in avg else []
-        eig = np.linalg.eigvalsh(np.concatenate(stack + inverses))
-        eig = eig.reshape(len(stack) + len(inverses), -1, eig.shape[-1])
-        if inverses:
-            det["winv"] = np.prod(eig[-1], axis=-1)
+        eig = np.linalg.eigvalsh(np.concatenate(stack)).reshape(len(stack), -1, avg["w"].shape[-1])
 
-    # Every other key reads the determinant of each power of W it reads.
+    # The determinant keys read the determinant of each power of W they read.
     need = {m for k in keys - eigen_keys for m in _READS[k]}
-    lu = [m for m in MOMENTS if m in need and m != "logdet" and m not in det]
+    lu = [m for m in MOMENTS if m in need and m != "logdet"]
     if lu:
-        dets = np.linalg.det(np.concatenate([avg[m] for m in lu]))
-        det.update(zip(lu, dets.reshape(len(lu), -1)))
+        det = dict(zip(lu, np.linalg.det(np.concatenate([avg[m] for m in lu])).reshape(len(lu), -1)))
 
     out = {}
     if keys & {"b2_i", "b2_ii"}:
-        out["b2_i"] = out["b2_ii"] = np.linalg.svd(sqrt_w2 @ inv_w, compute_uv=False)[:, 0]
+        out["b2_i"] = out["b2_ii"] = np.sqrt(eig[0, :, -1])
         if sampled:
-            # Read from the averages alone, it checks the eigh, sqrt and SVD
-            # above from outside them.
+            # Read from the averages alone, it checks the eigh, the inverse and
+            # the eigvalsh above from outside them.
             out["b2_sampled"] = _b2_sampled(avg, directions)
     if "b2_iii" in keys:
         out["b2_iii"] = np.max(np.abs(eig[0]), axis=-1)

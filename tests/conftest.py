@@ -192,6 +192,16 @@ def oracle_b2_sampled(avg, directions):
     return np.max(num / den, axis=-1)
 
 
+def svd_b2(avg):
+    """The oracle of b2_i = b2_ii: per row, the top singular value of
+    (W^2)_Q^{1/2} W_Q^{-1} from ``svd``, the root and the inverse from ``eigh``."""
+    ew, vv = np.linalg.eigh(avg["w"])
+    inv_w = (vv / ew[:, None, :]) @ vv.transpose(0, 2, 1)
+    ew2, vv2 = np.linalg.eigh(avg["w2"])
+    root = (vv2 * np.sqrt(ew2)[:, None, :]) @ vv2.transpose(0, 2, 1)
+    return np.linalg.svd(root @ inv_w, compute_uv=False)[:, 0]
+
+
 def oracle_bounds(grid, batch, doubled=False):
     """The per-axis intervals [lo, hi) in lattice steps (36 to a finest cell)
     of the boxes of a ``BoxBatch``, or of their doubles 2Q: each side moved
@@ -410,10 +420,14 @@ def svd_top_directions(gammas):
 
 def full_sup_form(fam, forms):
     """The oracle of ``CanonicalFamily._sup_form``: one batched ``eigvalsh``
-    over every cube's symmetrised form, unscreened."""
+    over every cube's symmetrised form, unscreened, and NaN when any form has
+    a non-finite entry."""
     avg = fam.field.average_stacks(("w",))[0]
     m = avg @ forms @ avg
-    top = np.linalg.eigvalsh((m + np.swapaxes(m, -1, -2)) / 2.0)[:, -1]
+    m = (m + np.swapaxes(m, -1, -2)) / 2.0
+    if not np.isfinite(m).all():
+        return math.nan
+    top = np.linalg.eigvalsh(m)[:, -1]
     return math.sqrt(max(0.0, float(np.max(top / fam.field.grid._mu_stack))))
 
 

@@ -401,8 +401,9 @@ def test_canonical_json_refuses_other_types_and_keys(bad):
 
 def test_tb_run_names_the_non_finite_report_value(tmp_path, capsys):
     # A valid field whose cells alternate I and 1e200 I: the report holds
-    # infinities and a NaN, which JSON cannot hold.  The refusal names the
-    # first in written order and counts them; no report is written.
+    # infinities and NaNs (C2, and C3 and C4 from their overflowed forms),
+    # which JSON cannot hold.  The refusal names the first in written order
+    # and counts them; no report is written.
     vals = np.array([np.eye(2) * (1.0 if i % 2 == 0 else 1e200) for i in range(4)])
     path = tmp_path / "wild.wf"
     write_weight_field(path, WeightField(Grid(1, 2), vals))
@@ -411,7 +412,7 @@ def test_tb_run_names_the_non_finite_report_value(tmp_path, capsys):
         rc = main(["tb-run", "--field", str(path), "--gamma", "martingale", "--report", str(rep)])
     assert rc == 1
     assert capsys.readouterr().err == (
-        "error: report value assembled_bound is inf, the first of 5 non-finite values,"
+        "error: report value assembled_bound is inf, the first of 7 non-finite values,"
         " which JSON cannot hold\n"
     )
     assert not rep.exists()
@@ -435,13 +436,37 @@ def test_violated_invariant_exit_code(const_field, monkeypatch, capsys):
         assert f"invariant violated: {message} on shift=0 level=0 pos=0" in capsys.readouterr().err
 
 
-def test_b2_self_check_guards_the_svd(random_field, monkeypatch, capsys):
-    # b2_sampled reads the averages, not the SVD that gives b2_i: an SVD that
-    # halves its values trips the check.
-    svd = np.linalg.svd
-    monkeypatch.setattr(weights.np.linalg, "svd", lambda a, **kw: svd(a, **kw) / 2.0)
+def test_b2_self_check_guards_the_eigenvalues(random_field, monkeypatch, capsys):
+    # b2_sampled reads the averages, not the eigenvalues of the b2_iii stack
+    # that give b2_i: an eigvalsh that quarters them halves b2_i and trips the
+    # check.  The kernel's stack is the b2_iii rows, then as many Jensen rows.
+    eigvalsh = np.linalg.eigvalsh
+
+    def quartered(a):
+        eig = eigvalsh(a)
+        eig[: len(a) // 2] /= 4.0
+        return eig
+
+    monkeypatch.setattr(weights.np.linalg, "eigvalsh", quartered)
     assert main(["check-weight", "--field", random_field]) == 2
     assert "sampled direction ratio exceeded the operator norm" in capsys.readouterr().err
+
+
+def test_check_weight_names_the_non_finite_report_value(tmp_path, capsys):
+    # The field whose cells alternate I and 1e200 I overflows the averages of
+    # W^2 and W^-1 and the determinants: check-weight refuses the report by
+    # naming a non-finite value, not with a linear-algebra error.
+    vals = np.array([np.eye(2) * (1.0 if i % 2 == 0 else 1e200) for i in range(4)])
+    path = tmp_path / "wild.wf"
+    write_weight_field(path, WeightField(Grid(1, 2), vals))
+    rep = tmp_path / "r.json"
+    with np.errstate(all="ignore"):
+        rc = main(["check-weight", "--field", str(path), "--report", str(rep)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: report value a2 is inf, the first of 7 non-finite values, which JSON cannot hold\n"
+    assert "LinAlgError" not in err and "did not converge" not in err
+    assert not rep.exists()
 
 
 def test_parser_is_built_once_and_parses_afresh():

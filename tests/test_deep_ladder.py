@@ -6,7 +6,7 @@ import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "deep_ladder.py"
 
-# A stand-in checkout: the field generator and the four library names a
+# A stand-in checkout: the field generator and the library names a
 # child reads, with ``tb_run``'s body given per checkout.
 STUB = {
     "dwbench/inputs.py": """
@@ -28,6 +28,8 @@ class WeightField:
 """,
     "src/dwlab/weights.py": """
 from types import SimpleNamespace
+
+CLASS_KEYS = ("b2_i", "doubling")
 
 def family_scan(field, keys, shifts=None):
     return SimpleNamespace(sups={k: 1.0 for k in keys})
@@ -89,10 +91,12 @@ def test_ladder_runs_every_rung_and_summarizes_like_bench_pairs(tmp_path, capsys
             for side in ("parent", "change"):
                 run = pair[side]
                 assert run["exit_code"] == 0 and run["tb_run_s"] >= 0.0 and run["peak_rss_mb"] > 0
+                assert run["class_s"] >= 0.0
                 assert run["digests"][0].startswith(f"{label}: sha256=")
+                assert run["digests"][1].startswith(f"{label} class scan: sha256=")
         summary = runs["summary"]
         assert summary["tb_run_s"]["pairs"] == 2 and summary["digests_differ"] == []
-        assert set(summary) >= {"build_s", "doubling_s", "thewest_s", "scan_s", "peak_rss_mb"}
+        assert set(summary) >= {"build_s", "doubling_s", "thewest_s", "scan_s", "class_s", "peak_rss_mb"}
 
 
 def test_ladder_records_a_failing_rung_and_exits_1(tmp_path, capsys):
@@ -120,7 +124,7 @@ def test_ladder_records_a_capped_memory_error_as_a_result(tmp_path, capsys):
     runs = _written(tmp_path)["n=2 N=2 L=9 shifts=2 seed=5"]
     for pair in runs["pairs"]:
         assert pair["parent"]["exit_code"] == 0 and "tb_run_s" not in pair["parent"]
-        assert pair["parent"]["scan_s"] >= 0.0
+        assert pair["parent"]["scan_s"] >= 0.0 and "class_s" not in pair["parent"]
         assert pair["parent"]["memory_error"] == {
             "stage": "tb_run_s",
             "at": "tb.py:8 in tb_run: bytearray(2**34)",

@@ -488,25 +488,27 @@ def test_eigvalsh_sees_only_the_screened_rows(monkeypatch):
     reach = {s[i].tobytes() for i in np.flatnonzero(rows >= low)}
     assert reach <= {r.tobytes() for r in seen[0]}
     assert c3 == full_sup_form(fam, forms)
-    # A NaN row always goes, and the sup is still the full batch's.
+    # A NaN row is always kept, so the sup is NaN, as the full batch's is,
+    # and eigvalsh is not called.
     forms[7, 0, 1] = np.nan
     seen.clear()
-    got = fam._sup_form(forms)
-    assert len(seen) == 1 and np.isnan(seen[0]).any(axis=(1, 2)).sum() == 1
-    assert len(seen[0]) < len(mu)
     with np.errstate(invalid="ignore"):
-        assert got == full_sup_form(fam, forms)
+        got, want = fam._sup_form(forms), full_sup_form(fam, forms)
+    assert math.isnan(got) and math.isnan(want)
+    assert seen == []
 
 
 def test_screened_sup_of_a_non_finite_field():
     # Cells alternating I and 1e200 I overflow the forms to inf and NaN; the
-    # rows that are not finite all go, so the garbage sup is the full batch's.
+    # rows that are not finite are all kept, so C3 and C4 are NaN, as the full
+    # batch's are, where eigvalsh would return finite garbage.
     vals = np.array([np.eye(2) * (1.0 if i % 2 == 0 else 1e200) for i in range(4)])
     w = WeightField(Grid(1, 2), vals)
     fam = CanonicalFamily(w)
     gam = make_gamma("martingale", w)
     with np.errstate(all="ignore"):
-        assert (fam.c3(), fam.c4(gam)) == full_constants(fam, gam)
+        got, want = (fam.c3(), fam.c4(gam)), full_constants(fam, gam)
+    assert all(math.isnan(x) for x in got + want)
 
 
 def test_tb_run_canonical_constants_skip_per_cube_path(monkeypatch):

@@ -31,6 +31,7 @@ from conftest import (
     oracle_inverse_norms,
     random_spd_cells,
     random_weight_field,
+    svd_b2,
     unit_rows,
 )
 
@@ -389,9 +390,9 @@ def _oracle_scan(w, shifts, dirs):
     keys=st.sets(st.sampled_from(CLASS_KEYS), min_size=1),
 )
 def test_key_subsets_match_full_scan_and_oracle(seed, n, N, depth, keys):
-    # A scan asked for some keys gathers and solves less, and may take a
-    # determinant by LU where the full scan multiplies eigenvalues; its sups
-    # agree with the full scan and the oracle, and its worst boxes are the same.
+    # A scan asked for some keys gathers and solves less; each ratio's linear
+    # algebra is the same whatever keys share it, so its sups equal the full
+    # scan's, agree with the oracle, and its worst boxes are the same.
     rng = np.random.default_rng(seed)
     L = depth if n == 1 else min(depth, 2)
     w = random_weight_field(rng, n=n, N=N, L=L, spread=0.5, mu_spread=0.5)
@@ -409,7 +410,7 @@ def test_key_subsets_match_full_scan_and_oracle(seed, n, N, depth, keys):
         k: worst[k] for k in keys - {"doubling"}
     }
     for key in keys:
-        assert close(lean.sups[key], full.sups[key]), (key, lean.sups[key], full.sups[key])
+        assert lean.sups[key] == full.sups[key], (key, lean.sups[key], full.sups[key])
         assert close(lean.sups[key], oracle[key]), (key, lean.sups[key], oracle[key])
 
 
@@ -576,11 +577,49 @@ def test_ratio_kernel_takes_every_lu_determinant_in_one_call(monkeypatch):
         1.0 / np.sqrt(want["winv2"]),
     )
     assert all(np.array_equal(a, b) for a, b in zip(chain, expected))
-    calls.clear()
-    r = weights.ratio_kernel(avg, ("b2_iv", "ainf_ii"))
-    assert calls == [2 * len(avg["w"])]
-    assert np.array_equal(r["b2_iv"], np.sqrt(want["w2"]) / want["w"])
-    assert np.array_equal(r["ainf_ii"], want["w"] / np.exp(avg["logdet"]))
+    # Whatever keys share the kernel, each determinant ratio has the bits of
+    # one LU call per moment.
+    expected = {
+        "b2_iv": np.sqrt(want["w2"]) / want["w"],
+        "ainf_ii": want["w"] / np.exp(avg["logdet"]),
+        "a2": want["w"] * want["winv"],
+        "thewest": want["w2"] / np.exp(2.0 * avg["logdet"]),
+    }
+    for keys, moments in (
+        (("b2_iv", "ainf_ii"), 2),
+        (("thewest",), 1),
+        (("a2", "b2_i"), 2),
+        (("ainf_ii", "b2_iii"), 1),
+        (RATIO_KEYS, 3),
+    ):
+        calls.clear()
+        r = weights.ratio_kernel(avg, keys)
+        assert calls == [moments * len(avg["w"])], keys
+        for key in expected.keys() & set(keys):
+            assert np.array_equal(r[key], expected[key]), (keys, key)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2, 3]),
+    N=st.integers(1, 4),
+    depth=st.integers(1, 4),
+    shifts=st.integers(0, 3),
+)
+def test_b2_i_and_ii_match_the_svd_oracle(seed, n, N, depth, shifts):
+    # b2_i = b2_ii, the square root of the top eigenvalue of the b2_iii stack,
+    # is the top singular value of (W^2)_Q^{1/2} W_Q^{-1} on every box.  Both
+    # paths lose digits as W_Q's condition number grows (at spread 1.0 they
+    # differ by up to about 1.6e-10), so the fields keep the default spread.
+    rng = np.random.default_rng(seed)
+    w = random_weight_field(rng, n=n, N=N, L=min(depth, {1: 4, 2: 3, 3: 2}[n]), mu_spread=0.5)
+    for batch in w.grid.box_batches(shifts):
+        avg = box_averages(w, batch, ("w", "w2"))
+        r = ratio_kernel(avg, ("b2_i", "b2_ii"))
+        want = svd_b2(avg)
+        assert np.array_equal(r["b2_i"], r["b2_ii"])
+        assert np.all(np.abs(r["b2_i"] - want) <= 1e-12 * want), batch.descriptor(0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -630,23 +669,29 @@ def test_sampled_ratios_of_the_kernel_match_their_first_form(seed, n, N, count):
     assert np.array_equal(r["ainf_i"], want)
 
 
-def test_b2_sampled_checks_the_root_of_the_squared_average(monkeypatch):
-    # A wrong eigen-root of (W^2)_Q shrinks b2_i by half.  b2_sampled reads
-    # (W^2)_Q itself, so it flags every box; the norm ratio through that same
-    # root shrinks with it and flags none.
+@pytest.mark.parametrize("corrupt", ["eigvalsh", "eigh"])
+def test_b2_sampled_checks_the_eigenvalues_of_the_b2_stack(monkeypatch, corrupt):
+    # An eigvalsh that quarters the eigenvalues of the b2_iii stack, or an eigh
+    # that doubles those of W_Q (so W_Q^{-1} halves and the stack quarters),
+    # shrinks b2_i by half.  b2_sampled reads the averages themselves, so it
+    # flags every box, where the true kernel flags none.
     w = random_weight_field(np.random.default_rng(9), n=1, N=3, L=3, spread=0.8)
     avg = dict(zip(("w", "w2"), w.average_stacks(("w", "w2"))))
     dirs = weights._directions(3, 30, 0)
-    eigh = np.linalg.eigh
-
-    def quartered(a):
-        ew, vv = eigh(a)
-        return (ew / 4.0, vv) if a is avg["w2"] else (ew, vv)
-
-    monkeypatch.setattr(np.linalg, "eigh", quartered)
     r = weights.ratio_kernel(avg, ("b2_i",), dirs)
-    assert np.all(r["b2_sampled"] > r["b2_ii"] * (1.0 + 1e-9))
-    assert np.all(oracle_b2_sampled(avg, dirs) <= r["b2_ii"] * (1.0 + 1e-9))
+    assert np.all(r["b2_sampled"] <= r["b2_ii"] * (1.0 + 1e-9))
+    real = getattr(np.linalg, corrupt)
+
+    def corrupted(a):
+        if corrupt == "eigvalsh":
+            return real(a) / 4.0
+        ew, vv = real(a)
+        return (ew * 2.0, vv) if a is avg["w"] else (ew, vv)
+
+    monkeypatch.setattr(np.linalg, corrupt, corrupted)
+    bad = weights.ratio_kernel(avg, ("b2_i",), dirs)
+    assert np.array_equal(bad["b2_sampled"], r["b2_sampled"])
+    assert np.all(bad["b2_sampled"] > bad["b2_ii"] * (1.0 + 1e-9))
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 9, 17])

@@ -13,10 +13,12 @@ runs first alternates from pair to pair.
 
 A child times, in order: the field build (``build_s``), the ``{doubling}``
 scan (``doubling_s``), the ``{thewest}`` scan (``thewest_s``), the
-``{doubling, thewest}`` scan that ``tb_run`` reads (``scan_s``), then the warm
+``{doubling, thewest}`` scan that ``tb_run`` reads (``scan_s``), the warm
 ``tb_run`` with the martingale gamma at eps2 0.3, gamma included
-(``tb_run_s``).  It reads its peak RSS from ``getrusage`` (``peak_rss_mb``)
-and prints a digest of the scan sups and the ``tb_run`` report.  Every
+(``tb_run_s``), then the ``weights.CLASS_KEYS`` scan that ``check-weight``
+runs, over the rung's shifts (``class_s``).  It reads its peak RSS from
+``getrusage`` (``peak_rss_mb``) and prints two digests: one of the three
+scans' sups and the ``tb_run`` report, and one of the class scan's sups.  Every
 child limits its address space to ``CAP_GB`` with ``RLIMIT_AS``, so a deep
 rung cannot take the host's memory; a ``MemoryError`` under the cap is a
 result, kept with the stage and the source line that failed and the stages
@@ -46,7 +48,7 @@ import bench_pairs  # noqa: E402
 from bench_pairs import SIDES  # noqa: E402
 
 CAP_GB = 5
-METRICS = ("build_s", "doubling_s", "thewest_s", "scan_s", "tb_run_s", "peak_rss_mb")
+METRICS = ("build_s", "doubling_s", "thewest_s", "scan_s", "tb_run_s", "class_s", "peak_rss_mb")
 SCANS = (
     ("doubling_s", ("doubling",)),
     ("thewest_s", ("thewest",)),
@@ -98,6 +100,10 @@ def parse_rung(text):
     return Rung(n, N, L, shifts, seed)
 
 
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
 def child(rung):
     """Run one rung in the checkout that is the working directory; print its
     result as one JSON line and return the exit code."""
@@ -109,7 +115,7 @@ def child(rung):
     from inputs import field_rng, make_field
     from dwlab.grid import Grid, WeightField
     from dwlab.tb import make_gamma, tb_run
-    from dwlab.weights import family_scan
+    from dwlab.weights import CLASS_KEYS, family_scan
 
     result, stage = {}, "build_s"
     try:
@@ -126,8 +132,12 @@ def child(rung):
         start = time.perf_counter()
         report = tb_run(field, make_gamma("martingale", field), eps2=0.3, shifts=rung.shifts)
         result["tb_run_s"] = time.perf_counter() - start
-        text = json.dumps({"sups": sups, "tb_run": report.as_dict()}, sort_keys=True)
-        result["digests"] = [f"{rung.label}: sha256={hashlib.sha256(text.encode()).hexdigest()}"]
+        result["digests"] = [f"{rung.label}: sha256={_digest({'sups': sups, 'tb_run': report.as_dict()})}"]
+        stage = "class_s"
+        start = time.perf_counter()
+        sups = family_scan(field, CLASS_KEYS, rung.shifts).sups
+        result["class_s"] = time.perf_counter() - start
+        result["digests"].append(f"{rung.label} class scan: sha256={_digest(sups)}")
     except MemoryError:
         frame = traceback.extract_tb(sys.exc_info()[2])[-1]
         result["memory_error"] = {
