@@ -185,19 +185,24 @@ def _dyadic_constants(grid, sym):
     cube at once, both floored at 1.
 
     One ``eigh`` of the log-matrices gives every cell the kernel reads:
-    ``W = v e^w v^T``, ``W^2 = v e^{2w} v^T`` and ``log det W = sum w``.  The
-    cells are refused as ``WeightField`` refuses them and summed up the tree
-    as its stacks are, the two powers in one stack and ``log det W`` alone;
-    no ``WeightField`` is built."""
+    ``W = v e^w v^T``, ``W^2 = v e^{2w} v^T`` and ``log det W = sum w``, written
+    as the channels of one cell array (``W`` and ``W^2`` row-major, then
+    ``log det W``).  The cells are refused as ``WeightField`` refuses them and
+    summed up the tree in one pass; no ``WeightField`` is built."""
     w, v = np.linalg.eigh(sym)
-    exp_w = np.exp(w)
-    exps = np.stack([exp_w, exp_w * exp_w], axis=-2)
-    powers = np.einsum("...ij,...aj,...kj->...aik", v, exps, v)
+    lead, N = w.shape[:-1], w.shape[-1]
+    exps = np.empty(lead + (2, N))
+    exp_w = np.exp(w, out=exps[..., 0, :])
+    np.multiply(exp_w, exp_w, out=exps[..., 1, :])
+    cells = np.empty(lead + (2 * N * N + 1,))
+    powers = cells[..., :-1].reshape(lead + (2, N, N))
+    np.einsum("...ij,...aj,...kj->...aik", v, exps, v, out=powers)
+    np.add.reduce(w, axis=-1, out=cells[..., -1])
     _reject_nonfinite(powers[..., 0, :, :])
     _reject_singular(exp_w)
-    stack = grid.mu_averages(grid.integrals(powers))
-    logdet = grid.mu_averages(grid.integrals(np.sum(w, axis=-1)[..., None]))[:, 0]
-    avg = {"w": stack[:, 0], "w2": stack[:, 1], "logdet": logdet}
+    stack = grid.mu_averages(grid.integrals(cells))
+    moments = stack[:, :-1].reshape(-1, 2, N, N)
+    avg = {"w": moments[:, 0], "w2": moments[:, 1], "logdet": stack[:, -1]}
     r = ratio_kernel(avg, ("b2_iv", "ainf_ii"))
     return max(1.0, float(r["b2_iv"].max())), max(1.0, float(r["ainf_ii"].max()))
 
@@ -221,15 +226,16 @@ def _shrink_to_cap(sym, screen, b2_cap):
     the cap; the constant mean field (s = 0) has every constant equal to one.
     Returns the shrunk field and its screen, or None when no scale was accepted."""
     mean = sym.mean(axis=tuple(range(sym.ndim - 2)))
+    delta = sym - mean
     lo_s, hi_s, kept = 0.0, 1.0, None
     for _ in range(12):
         mid = (lo_s + hi_s) / 2.0
-        screened = screen(mean + mid * (sym - mean))
+        screened = screen(mean + mid * delta)
         if screened[0] <= b2_cap:
             lo_s, kept = mid, screened
         else:
             hi_s = mid
-    return mean + lo_s * (sym - mean), kept
+    return mean + lo_s * delta, kept
 
 
 def inclusion_search(n, N, L, b2_cap, budget=2000, seed=0, penalty=100.0):

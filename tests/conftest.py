@@ -143,24 +143,58 @@ def b2_constants(field, shifts=None, directions=64, seed=0):
     return tuple(sups[k] for k in keys)
 
 
-def oracle_sym_screen(grid, sym):
-    """The inclusion screen's (b2_iv, ainf_ii) of the field exp(sym), both
-    floored at 1: the cells W, W^2 and log det W from one eigh of ``sym``,
-    each moment summed in its own tree, one LU determinant call per moment."""
+def _oracle_screen_cells(sym):
+    """The cells of W, W^2 and log det W of the field exp(sym), from one eigh."""
     w, v = np.linalg.eigh(sym)
     exp_w = np.exp(w)
-    cells = {
+    return {
         "w": np.einsum("...ij,...j,...kj->...ik", v, exp_w, v),
         "w2": np.einsum("...ij,...j,...kj->...ik", v, exp_w * exp_w, v),
         "logdet": np.sum(w, axis=-1),
     }
-    avg = {
-        m: np.concatenate([t.reshape((-1,) + t.shape[grid.n :]) for t in _oracle_tree_averages(grid, c)])
-        for m, c in cells.items()
-    }
+
+
+def _oracle_screen_pair(avg):
+    """(b2_iv, ainf_ii) sups of flat average stacks, both floored at 1, with
+    one LU determinant call per moment."""
     det_w, det_w2 = np.linalg.det(avg["w"]), np.linalg.det(avg["w2"])
     b2, ainf = np.sqrt(det_w2) / det_w, det_w / np.exp(avg["logdet"])
     return max(1.0, float(b2.max())), max(1.0, float(ainf.max()))
+
+
+def _oracle_flat(grid, cells):
+    """The per-level oracle averages of a cell array as one flat stack."""
+    return np.concatenate(
+        [t.reshape((-1,) + t.shape[grid.n :]) for t in _oracle_tree_averages(grid, cells)]
+    )
+
+
+def oracle_sym_screen(grid, sym):
+    """The inclusion screen's (b2_iv, ainf_ii) of the field exp(sym), both
+    floored at 1: the cells W, W^2 (row-major) and log det W as the channels
+    of one cell array, summed in one tree."""
+    cells = _oracle_screen_cells(sym)
+    lead, N = sym.shape[:-2], sym.shape[-1]
+    flat = _oracle_flat(
+        grid,
+        np.concatenate(
+            [cells["w"].reshape(lead + (-1,)), cells["w2"].reshape(lead + (-1,)), cells["logdet"][..., None]],
+            axis=-1,
+        ),
+    )
+    avg = {
+        "w": flat[:, : N * N].reshape(-1, N, N),
+        "w2": flat[:, N * N : 2 * N * N].reshape(-1, N, N),
+        "logdet": flat[:, -1],
+    }
+    return _oracle_screen_pair(avg)
+
+
+def per_moment_sym_screen(grid, sym):
+    """The screen pair with each of W, W^2 and log det W summed in its own
+    tree.  At n = 1 a tree sums two siblings, whose order no channel beside
+    them can change, so there it equals ``oracle_sym_screen`` to the bit."""
+    return _oracle_screen_pair({m: _oracle_flat(grid, c) for m, c in _oracle_screen_cells(sym).items()})
 
 
 def loop_propose(sym, rng, temp):

@@ -455,6 +455,14 @@ def test_6_reproducibility(tmp_path, monkeypatch):
         assert main(argv + ["--report", str(out2)]) == 0, name
         if out1.read_bytes() != out2.read_bytes():
             identical = False
+    # inclusion-search writes three files into its --out directory
+    argv = ["inclusion-search", "--n", "2", "--N", "2", "--L", "3", "--b2-cap", "3", "--budget", "40", "--seed", "5"]
+    outs = [tmp_path / f"inclusion-{i}" for i in (1, 2)]
+    for out in outs:
+        assert main(argv + ["--out", str(out)]) == 0
+    for name in ("report.json", "best_field.wf", "trend.csv"):
+        if (outs[0] / name).read_bytes() != (outs[1] / name).read_bytes():
+            identical = False
 
     # field files round-trip bit-exactly at 17 significant digits
     roundtrip = True

@@ -8,7 +8,15 @@ from dwlab.grid import MOMENTS, CellValueError, Grid, WeightField, read_weight_f
 from dwlab.harness import GENERATOR_KINDS, WeightGenerator, _sym_expm, generate, inclusion_search
 from dwlab.weights import class_report
 
-from conftest import TEST_KEYS, b2_constants, dyadic_ratios, full_kernel, loop_propose, oracle_sym_screen
+from conftest import (
+    TEST_KEYS,
+    b2_constants,
+    dyadic_ratios,
+    full_kernel,
+    loop_propose,
+    oracle_sym_screen,
+    per_moment_sym_screen,
+)
 
 
 def test_constant_kind():
@@ -150,10 +158,42 @@ def test_tree_screen_matches_box_path(seed, n, N, L):
     L=st.integers(0, 4),
 )
 def test_screen_matches_oracle_trees(seed, n, N, L):
-    # The powers summed in one stack and one LU call over both give the
-    # per-moment trees and LU calls, to the bit.
+    # W, W^2 and log det W summed as the channels of one cell array, and one
+    # LU call over both powers, give the oracle's one tree and per-moment LU
+    # calls, to the bit.
     grid, sym = _random_screen_input(seed, n, N, L, spread=1.0)
     assert harness._dyadic_constants(grid, sym) == oracle_sym_screen(grid, sym)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(2, 4), L=st.integers(0, 5))
+def test_screen_at_n1_matches_per_moment_trees(seed, N, L):
+    # At n = 1 each tree level adds two siblings, so log det W summed beside
+    # the powers has the bits of its own tree: the inclusion-search outputs at
+    # n = 1 do not depend on the screen's channel layout.
+    grid, sym = _random_screen_input(seed, 1, N, L, spread=1.0)
+    assert harness._dyadic_constants(grid, sym) == per_moment_sym_screen(grid, sym)
+
+
+def test_screen_makes_one_tree_pass(monkeypatch):
+    calls = {"integrals": 0, "eigh": 0, "det": 0}
+    integrals, eigh, det = Grid.integrals, np.linalg.eigh, np.linalg.det
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(Grid, "integrals", counting("integrals", integrals))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", eigh))
+    monkeypatch.setattr(np.linalg, "det", counting("det", det))
+    for n, N, L in ((1, 2, 4), (2, 3, 3), (3, 2, 2)):
+        grid, sym = _random_screen_input(n + N + L, n, N, L)
+        calls.update(integrals=0, eigh=0, det=0)
+        harness._dyadic_constants(grid, sym)
+        assert calls == {"integrals": 1, "eigh": 1, "det": 1}, (n, N, L)
 
 
 def test_screen_refuses_cells_as_weight_field_does():
@@ -210,9 +250,9 @@ def test_inclusion_search_matches_box_path_screen(monkeypatch):
 
 
 def test_inclusion_search_matches_oracle_trees(monkeypatch):
-    # n=2 N=2 L=3, cap 2 binds at seed 1 (eleven projections): the screen on
-    # the flat stacks with one LU call gives the run of the per-moment oracle
-    # trees with one LU call per moment, to the bit.
+    # n=2 N=2 L=3, cap 2 binds at seed 1 (eleven projections): the screen's
+    # one tree pass and one LU call give the run of the oracle's one tree
+    # with one LU call per moment, to the bit.
     fast = inclusion_search(2, 2, 3, b2_cap=2.0, budget=40, seed=1)
     monkeypatch.setattr(harness, "_dyadic_constants", oracle_sym_screen)
     slow = inclusion_search(2, 2, 3, b2_cap=2.0, budget=40, seed=1)
