@@ -147,7 +147,7 @@ def _cmd_corona(args):
             v0[0] = 1.0
             res, ratio = kato_family_stop(root, field, CanonicalFamily(field), v0, args.param)
         packing = packing_constant(res, field.grid)
-    tree, mu = res.tree, field.grid.tree_mu
+    tree, mu = res.tree, field.grid.mu_stack
     residual = partition_residual(tree, res.criterion, res.root, res.cubes, res.owner, mu)
     gens = [[tree.cube(i).descriptor() for i in gen] for gen in res.generations]
     gen_mass = [sum(mu[gen].tolist()) / float(mu[res.root]) for gen in res.generations]
@@ -271,7 +271,8 @@ def _cmd_inclusion_search(args):
     result = None
     for level in range(min(2, args.L), args.L + 1):
         res = inclusion_search(
-            args.n, args.N, level, args.b2_cap, budget=args.budget, seed=args.seed + level
+            args.n, args.N, level, args.b2_cap, budget=args.budget, seed=args.seed + level,
+            shifts=cfg.shifts,
         )
         trend.append(
             {

@@ -85,7 +85,9 @@ class CubeTree:
     Level k holds its ``2**(n*k)`` cubes after the coarser levels, in Morton
     order: the children of a cube are ``2**n`` consecutive indices in
     ``Cube.children()`` order, so the parent of local index i is ``i >> n``
-    and the box of a cube is one index range per level.  Its arrays are read-only.
+    and the box of a cube is one index range per level.  Bit ``b * n + n - 1
+    - d`` of a local index is bit ``b`` of coordinate ``d``.  Its arrays are
+    read-only; every flat stack of dyadic cubes has one row per index.
     """
 
     def __init__(self, n, L):
@@ -93,37 +95,43 @@ class CubeTree:
         self.offsets = _level_starts(n, L)
         self.size = int(self.offsets[-1])
         self.level = np.repeat(np.arange(L + 1), np.diff(self.offsets))
-        # Grid (level, then C-order coords) position of every index, and back.
-        steps = np.array(list(itertools.product((0, 1), repeat=n))).T
-        coords, grid = np.zeros((n, 1), dtype=np.int64), []
-        for k in range(L + 1):
-            if k:
-                coords = (2 * coords[:, :, None] + steps[:, None, :]).reshape(n, -1)
-            grid.append(self.offsets[k] + np.ravel_multi_index(tuple(coords), (2**k,) * n))
-        self.grid_key = np.concatenate(grid)
-        self._index = np.argsort(self.grid_key)
-        for a in (self.level, self.grid_key, self._index):
-            a.setflags(write=False)
+        self.level.setflags(write=False)
 
     def span(self, k):
         return np.arange(self.offsets[k], self.offsets[k + 1])
 
-    def gather(self, levels):
-        """Per-level grid arrays (leading ``n`` axes of side ``2**k``) as one
-        array in index order."""
-        flat = [arr.reshape((-1,) + arr.shape[self.n :]) for arr in levels]
-        return np.concatenate(flat)[self.grid_key]
-
     def index(self, cube):
         if cube.n != self.n or cube.level > self.L:
             raise ValueError(f"cube {cube.descriptor()} is not in the tree of n={self.n}, L={self.L}")
-        flat = np.ravel_multi_index(cube.coords, (2**cube.level,) * self.n)
-        return int(self._index[self.offsets[cube.level] + flat])
+        local = 0
+        for b in range(cube.level - 1, -1, -1):
+            for c in cube.coords:
+                local = local << 1 | c >> b & 1
+        return int(self.offsets[cube.level]) + local
+
+    def coords(self, idx):
+        """The level of each cube of ``idx`` and its coords, one entry per
+        axis, from the bits of its Morton index."""
+        k = self.level[idx]
+        local = idx - self.offsets[k]
+        coords = [0] * self.n
+        for b in range(self.L):
+            for d in range(self.n):
+                coords[d] |= (local >> (b * self.n + self.n - 1 - d) & 1) << b
+        return k, coords
 
     def cube(self, idx):
-        k = int(self.level[idx])
-        flat = int(self.grid_key[idx] - self.offsets[k])
-        return Cube(k, tuple(int(c) for c in np.unravel_index(flat, (2**k,) * self.n)))
+        k, coords = self.coords(int(idx))
+        return Cube(int(k), tuple(int(c) for c in coords))
+
+    def c_order(self, idx):
+        """Sort key of the cubes of ``idx`` by level, then by C order of their
+        coords."""
+        k, coords = self.coords(idx)
+        flat = 0
+        for c in coords:
+            flat = (flat << k) | c
+        return self.offsets[k] + flat
 
     def ancestor(self, idx, m):
         """The level-``m`` cube above each cube of ``idx``."""
@@ -149,6 +157,39 @@ class CubeTree:
         its children, and children in ``Cube.children()`` order."""
         k = self.level[idx]
         return ((idx - self.offsets[k]) << (self.n * (self.L - k))) * (self.L + 1) + k
+
+
+def _morton(cells, n):
+    """A view of a C-order ``(2**k,) * n + tail`` array with its leading axes
+    split into bits, ordered so that its C order is the Morton order of the
+    level-k cubes: ``(2,) * (n * k) + tail``.  At n = 1 that order is C
+    order, and the array itself is returned."""
+    if n == 1:
+        return cells
+    k = cells.shape[0].bit_length() - 1
+    bits = cells.reshape((2,) * (n * k) + cells.shape[n:])
+    lead = [d * k + j for j in range(k) for d in range(n)]
+    return bits.transpose(lead + list(range(n * k, bits.ndim)))
+
+
+def _sibling_sums(child, n, out=None):
+    """Sum each run of ``2**n`` sibling rows of a tree-order stack into one row.
+
+    A run of scalars (a tail of one element) below the root is added as numpy
+    adds a C-order 2 x ... x 2 block of them: each pair of last-axis siblings,
+    then the pair sums in turn.  A flat reduce adds them in another order from
+    n = 2 on, so the stacks of mu, of log det W and of the Carleson masses
+    would lose their bits; every other tail reduces flat with the same bits."""
+    x = child.reshape((-1, 2**n) + child.shape[1:])
+    if child.size > len(child) or len(x) == 1:
+        return np.add.reduce(x, axis=1, out=out)
+    pairs = x[:, 0::2] + x[:, 1::2]
+    if out is None:
+        out = np.empty_like(pairs[:, 0])
+    np.copyto(out, pairs[:, 0])
+    for i in range(1, pairs.shape[1]):
+        out += pairs[:, i]
+    return out
 
 
 # Floats a batch may hold at once (boxes x the floats its reader holds per
@@ -268,16 +309,6 @@ class _Family:
         return np.ndarray(shape, cells.dtype, cells, offset, strides), bands
 
 
-def _coarsen(arr, n):
-    """Sum 2x...x2 sibling blocks along the first ``n`` axes."""
-    shape = arr.shape
-    half = shape[0] // 2
-    new = arr.reshape(
-        sum(((half, 2) for _ in range(n)), ()) + shape[n:]
-    )
-    return new.sum(axis=tuple(2 * k + 1 for k in range(n)))
-
-
 class CellValueError(ValueError):
     """A finest cell holds an invalid value; ``index`` is its flat cell index."""
 
@@ -330,11 +361,12 @@ class Grid:
         mu.setflags(write=False)
         self.mu = mu
         self.cell_volume = 2.0 ** (-self.n * self.L)
+        self.cell_masses = mu * self.cell_volume
+        self.cell_masses.setflags(write=False)
         self._starts = _level_starts(self.n, self.L)
-        # Integral of mu over every dyadic cube: one flat stack, and its levels.
-        self._mu_stack = self.integrals(np.ones(shape))
-        self._mu_stack.setflags(write=False)
-        self._mu_tree = self.levels(self._mu_stack)
+        # The mu-measure of every dyadic cube, one flat stack in tree order.
+        self.mu_stack = self.integrals(np.ones(shape))
+        self.mu_stack.setflags(write=False)
         # Translated-grid geometry, built once per grid; see _family.
         self._families = {}
 
@@ -347,45 +379,26 @@ class Grid:
         """The grid's ``CubeTree``, built on first read; every walk on the grid reads it."""
         return CubeTree(self.n, self.L)
 
-    @functools.cached_property
-    def tree_mu(self):
-        """The mu-measure of every dyadic cube in ``tree`` index order, read-only."""
-        mu = self._mu_stack[self.tree.grid_key]
-        mu.setflags(write=False)
-        return mu
-
     def integrals(self, cell_values):
         """Integrals of ``cell_values`` d(mu) over every dyadic cube as one flat
-        stack, one row per cube: levels coarsest first, each level's cubes in
-        C order.  Each level sums the 2x...x2 sibling blocks of the level below
-        in one reduction over its first ``n`` axes, written in place."""
+        stack in ``CubeTree`` order, one row per cube.  The finest cells are
+        read in Morton order through ``_morton``'s view, and each coarser
+        level sums the sibling runs of the level below, written in place."""
         n, starts = self.n, self._starts.tolist()
         tail = cell_values.shape[n:]
         out = np.empty((starts[-1],) + tail)
-        finest = out[starts[-2] :].reshape(cell_values.shape)
-        np.multiply(cell_values, self.mu.reshape(self.mu.shape + (1,) * len(tail)), out=finest)
+        finest, cells = out[starts[-2] :], _morton(cell_values, n)
+        mu = _morton(self.mu.reshape(self.mu.shape + (1,) * len(tail)), n)
+        np.multiply(cells, mu, out=finest.reshape(cells.shape))
         finest *= self.cell_volume
-        siblings = tuple(range(1, 2 * n, 2))
         for k in range(self.L, 0, -1):
-            side = 2 ** (k - 1)
-            blocks = out[starts[k] : starts[k + 1]].reshape((side, 2) * n + tail)
-            parents = out[starts[k - 1] : starts[k]].reshape((side,) * n + tail)
-            np.add.reduce(blocks, axis=siblings, out=parents)
+            _sibling_sums(out[starts[k] : starts[k + 1]], n, out=out[starts[k - 1] : starts[k]])
         return out
 
     def mu_averages(self, sums):
         """The mu-averages over every dyadic cube from ``sums``, a flat stack of
         their integrals as ``integrals`` returns it."""
-        return sums / self._mu_stack.reshape((-1,) + (1,) * (sums.ndim - 1))
-
-    def levels(self, stack):
-        """Per-level views of a flat stack of dyadic cubes, each with leading
-        axes ``(2**k,) * n``."""
-        s = self._starts.tolist()
-        return [
-            stack[s[k] : s[k + 1]].reshape((2**k,) * self.n + stack.shape[1:])
-            for k in range(self.L + 1)
-        ]
+        return sums / self.mu_stack.reshape((-1,) + (1,) * (sums.ndim - 1))
 
     def shift_vectors(self, shifts):
         """The zero vector and ``shifts`` distinct translations, in integer
@@ -409,11 +422,6 @@ class Grid:
             if vec not in out:
                 out.append(vec)
         return out
-
-    @property
-    def cell_masses(self):
-        """The mu-measure of every finest cell."""
-        return self._mu_tree[-1]
 
     def box_batches(self, shifts, levels=None, box_floats=None):
         """The finite surrogate for "all cubes": dyadic plus translated grids.
@@ -553,23 +561,16 @@ class WeightField:
 
     def average_stacks(self, moments):
         """Flat stacks of the mu-averages of the named ``moments`` (see
-        ``MOMENTS``) over every dyadic cube, one row per cube, levels coarsest
-        first and each in C order: the one source of dyadic averages."""
+        ``MOMENTS``) over every dyadic cube, one row per cube in ``CubeTree``
+        order: the one source of dyadic averages."""
         self._trees(moments)
         return [self._tree_cache["avg", m] for m in moments]
 
-    def averages(self, moment):
-        """Per-level views of the average stack of ``moment``."""
-        return self.grid.levels(self.average_stacks((moment,))[0])
-
     def integral_stack(self, moment):
         """The flat stack of cube integrals of ``moment`` d(mu), one row per cube
-        as in ``average_stacks``."""
+        in ``CubeTree`` order, as in ``average_stacks``."""
         self._trees((moment,))
         return self._tree_cache["sum", moment]
-
-    def avg_entries(self, cube, moment="w"):
-        return self.averages(moment)[cube.level][cube.coords]
 
     def moment_masses(self, moments=MOMENTS):
         """Cell masses of 1 and of the named ``moments`` on one last axis: each
@@ -603,13 +604,6 @@ class WeightField:
             sq *= 0.5 * self.grid.cell_masses[..., None]
             self._cell_cache[key] = sq
         return self._cell_cache[key]
-
-
-def _refine(arr, n):
-    """Repeat each entry of the first ``n`` axes twice: one level finer."""
-    for axis in range(n):
-        arr = np.repeat(arr, 2, axis=axis)
-    return arr
 
 
 # Weight-field file format ---------------------------------------------------------

@@ -238,13 +238,15 @@ def _shrink_to_cap(sym, screen, b2_cap):
     return mean + lo_s * delta, kept
 
 
-def inclusion_search(n, N, L, b2_cap, budget=2000, seed=0, penalty=100.0):
+def inclusion_search(n, N, L, b2_cap, budget=2000, seed=0, penalty=100.0, shifts=None):
     """Maximize the A-infinity determinant constant under a reverse Hoelder cap.
 
     Anneals over cell-wise symmetric log-matrices; iterates violating the cap
     are first shrunk toward the constant field (projection) and then penalized
     by the residual overshoot.  Returns the best field, its full class report
-    and the objective trail.  The scalar case is rejected: there the inclusion
+    and the objective trail; the final shrink and the report scan ``shifts``
+    translated grids (default ``weights.default_shifts``), as ``check-weight``
+    does.  The scalar case is rejected: there the inclusion
     is classical and there is nothing to probe.
     """
     if N < 2:
@@ -299,12 +301,12 @@ def inclusion_search(n, N, L, b2_cap, budget=2000, seed=0, penalty=100.0):
     # The anneal caps the dyadic-family constant; shrink once more so the
     # emitted instance honors the cap over the full translated-grid family.
     def full_b2(sym):
-        return (family_scan(build(sym), ("b2_iv",)).sups["b2_iv"],)
+        return (family_scan(build(sym), ("b2_iv",), shifts).sups["b2_iv"],)
 
     if full_b2(best_sym)[0] > b2_cap:
         best_sym, _ = _shrink_to_cap(best_sym, full_b2, b2_cap)
     best_field = build(best_sym)
-    report = class_report(best_field)
+    report = class_report(best_field, shifts=shifts)
     return InclusionSearchResult(
         field=best_field,
         report=report,

@@ -46,7 +46,6 @@ __all__ = [
     "corona_stop",
     "martingale_square_check",
     "loewner_geq",
-    "tree_averages",
 ]
 
 
@@ -111,12 +110,12 @@ def run_stopping(root, criterion, tree):
 
 def packing_constant(result, grid):
     """(1/mu(Q)) * sum of mu(R) over every stopping generation, root included."""
-    mu = grid.tree_mu
+    mu = grid.mu_stack
     return sum(mu[result.stops].tolist()) / float(mu[result.root])
 
 
 def first_generation_ratio(result, grid):
-    mu = grid.tree_mu
+    mu = grid.mu_stack
     first = result.generations[1] if len(result.generations) > 1 else []
     return sum(mu[first].tolist()) / float(mu[result.root])
 
@@ -247,22 +246,13 @@ def partition_residual(tree, crit, top, cubes, owners, weight):
 # Concrete criteria ---------------------------------------------------------------
 
 
-def tree_averages(field):
-    """The stack of the field's W averages in the index order of its grid's
-    ``tree``, gathered once per field for ``tb_run`` and every criterion."""
-    key = ("tree-order", "w")
-    if key not in field._tree_cache:
-        field._tree_cache[key] = field.average_stacks(("w",))[0][field.grid.tree.grid_key]
-    return field._tree_cache[key]
-
-
 def _norm_criterion(name, field, product, threshold, strict):
     """Criterion firing when the operator norm of ``product(avg, inv, s, r)``
     passes ``threshold`` (``>`` if ``strict``, else ``>=``), with ``avg`` the
-    tree-order stack of W averages and ``inv`` its inverses, built once per
-    field for every such criterion."""
-    avg = tree_averages(field)
-    key = ("tree-order", "w", "inv")
+    stack of W averages and ``inv`` its inverses, built once per field for
+    every such criterion."""
+    avg = field.average_stacks(("w",))[0]
+    key = ("inv", "w")
     if key not in field._tree_cache:
         field._tree_cache[key] = np.linalg.inv(avg)
     inv = field._tree_cache[key]
@@ -319,7 +309,7 @@ def kato_criterion(field, v0, eps2, expectation):
     if not 0.0 < eps2 < 1.0:
         raise ValueError("eps2 must lie in (0, 1)")
     v0 = np.asarray(v0, dtype=float)
-    avg = tree_averages(field)
+    avg = field.average_stacks(("w",))[0]
 
     def fires_many(tree, s, r):
         w_s, w_r = avg[s], avg[r]
@@ -369,13 +359,13 @@ def martingale_square_check(field, result, rel_tol=1e-9):
     """Stopped martingale square bound: sum (W_R - W_{R*})^2 mu(R) against
     ((W^2)_Q - (W_Q)^2) mu(Q) in the positive-semidefinite order, with Q the
     root of ``result``."""
-    avg, mu = tree_averages(field), field.grid.tree_mu
+    avg, mu = field.average_stacks(("w",))[0], field.grid.mu_stack
     r, p = result.stops[1:], result.parents[1:]
     diff = avg[r] - avg[p]
     lhs = np.einsum("rij,rjk,r->ik", diff, diff, mu[r])
     avg_w = avg[result.root]
-    root = result.tree.cube(result.root)
-    rhs = (field.avg_entries(root, "w2") - avg_w @ avg_w) * mu[result.root]
+    avg_w2 = field.average_stacks(("w2",))[0][result.root]
+    rhs = (avg_w2 - avg_w @ avg_w) * mu[result.root]
     scale = float(np.max(np.abs(np.linalg.eigvalsh((rhs + rhs.T) / 2.0))))
     ok = loewner_geq(rhs, lhs, rel_tol * max(scale, 1e-300))
     return lhs, rhs, ok

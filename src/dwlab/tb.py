@@ -18,7 +18,7 @@ import numpy as np
 
 from . import stopping
 from .cones import ConeNet
-from .grid import _coarsen, _refine
+from .grid import _morton, _sibling_sums
 from .weights import family_scan
 
 __all__ = [
@@ -44,19 +44,20 @@ LN2 = math.log(2.0)
 
 @dataclass
 class CarlesonField:
-    """One M x N matrix per dyadic cube, stored as per-level arrays."""
+    """One M x N matrix per dyadic cube, as one ``(cubes, M, N)`` stack in
+    ``CubeTree`` order."""
 
     grid: object
     M: int
     N: int
-    levels: list
+    stack: np.ndarray
 
     def norms_sq(self):
-        """The squared operator norm of every multiplier, one array per level:
-        a row's sum of squares when M = 1, else the top singular value's square."""
+        """The squared operator norm of every multiplier, one row per cube: a
+        row's sum of squares when M = 1, else the top singular value's square."""
         if self.M == 1:
-            return [np.einsum("...ij,...ij->...", arr, arr) for arr in self.levels]
-        return [np.linalg.svd(arr, compute_uv=False)[..., 0] ** 2 for arr in self.levels]
+            return np.einsum("...ij,...ij->...", self.stack, self.stack)
+        return np.linalg.svd(self.stack, compute_uv=False)[..., 0] ** 2
 
 
 def top_directions(gammas):
@@ -82,8 +83,7 @@ def top_directions(gammas):
 
 
 def gamma_zero(grid, M, N):
-    side_levels = [np.zeros((2**k,) * grid.n + (M, N)) for k in range(grid.L + 1)]
-    return CarlesonField(grid, M, N, side_levels)
+    return CarlesonField(grid, M, N, np.zeros((grid.tree.size, M, N)))
 
 
 def gamma_constant(grid, M, N, value=None):
@@ -91,33 +91,34 @@ def gamma_constant(grid, M, N, value=None):
         value = np.zeros((M, N))
         value[0, 0] = 1.0
     value = np.asarray(value, dtype=float).reshape(M, N)
-    levels = [
-        np.broadcast_to(value, (2**k,) * grid.n + (M, N)).copy() for k in range(grid.L + 1)
-    ]
-    return CarlesonField(grid, M, N, levels)
+    return CarlesonField(grid, M, N, np.broadcast_to(value, (grid.tree.size, M, N)).copy())
 
 
 def gamma_martingale(field, rows=1):
-    """Rows of the jump of the weight averages between a cube and its parent."""
+    """Rows of the jump of the weight averages between a cube and its parent.
+    Every cube below the root is a child of the cubes above the finest level,
+    in order, so the parents' rows are those cubes' rows repeated."""
     if rows > field.N:
         raise ValueError(
             f"the martingale multiplier has at most N = {field.N} rows, got M = {rows}"
         )
     g = field.grid
-    avg = field.averages("w")
-    levels = [np.zeros((1,) * g.n + (rows, field.N))]
-    for k in range(1, g.L + 1):
-        levels.append((avg[k] - _refine(avg[k - 1], g.n))[..., :rows, :])
-    return CarlesonField(g, rows, field.N, levels)
+    avg = field.average_stacks(("w",))[0][:, :rows, :]
+    stack = np.zeros((len(avg), rows, field.N))
+    stack[1:] = avg[1:] - np.repeat(avg[: g.tree.offsets[-2]], 2**g.n, axis=0)
+    return CarlesonField(g, rows, field.N, stack)
 
 
 def gamma_random(grid, M, N, seed=0, scale=1.0):
+    """Uniform entries, drawn level by level in C order of the cubes and then
+    put in tree order, so each seed keeps its draws."""
     rng = np.random.default_rng(seed)
-    levels = [
-        rng.uniform(-scale, scale, size=(2**k,) * grid.n + (M, N))
-        for k in range(grid.L + 1)
-    ]
-    return CarlesonField(grid, M, N, levels)
+    starts = grid.tree.offsets
+    stack = np.empty((grid.tree.size, M, N))
+    for k in range(grid.L + 1):
+        draw = _morton(rng.uniform(-scale, scale, size=(2**k,) * grid.n + (M, N)), grid.n)
+        stack[starts[k] : starts[k + 1]].reshape(draw.shape)[...] = draw
+    return CarlesonField(grid, M, N, stack)
 
 
 def make_gamma(kind, field, M=1, seed=0, scale=1.0):
@@ -133,11 +134,12 @@ def make_gamma(kind, field, M=1, seed=0, scale=1.0):
     raise ValueError(f"unknown gamma generator {kind!r}")
 
 
-def _box_mass_tree(grid, level_masses):
-    """Sum per-level per-cube masses over the box of every cube Q, in place:
-    each level adds the box sums of the level below, from the finest up."""
-    for k in range(len(level_masses) - 2, -1, -1):
-        level_masses[k] += _coarsen(level_masses[k + 1], grid.n)
+def _box_mass_tree(grid, masses):
+    """Sum a flat stack of per-cube masses over the box of every cube Q, in
+    place: each level adds the sibling sums of the level below, finest first."""
+    s = grid.tree.offsets
+    for k in range(grid.L - 1, -1, -1):
+        masses[s[k] : s[k + 1]] += _sibling_sums(masses[s[k + 1] : s[k + 2]], grid.n)
 
 
 def carleson_norm(gamma):
@@ -146,13 +148,13 @@ def carleson_norm(gamma):
 
 
 def _carleson_sup(g, norms_sq):
-    """``carleson_norm`` from the per-level squared multiplier norms."""
-    masses = [nsq * g._mu_tree[k] * LN2 for k, nsq in enumerate(norms_sq)]
+    """``carleson_norm`` from the squared multiplier norms, one row per cube."""
+    masses = norms_sq * g.mu_stack * LN2
     _box_mass_tree(g, masses)
+    ratios = masses / g.mu_stack
     best = 0.0
     for k in range(g.L + 1):
-        ratios = masses[k] / g._mu_tree[k]
-        best = max(best, float(ratios.max()))
+        best = max(best, float(ratios[g.tree.offsets[k] : g.tree.offsets[k + 1]].max()))
     return best
 
 
@@ -179,7 +181,8 @@ class CanonicalFamily:
         g = field.grid
         out = np.zeros(g.mu.shape + (field.N,))
         sl = s_cube.cell_slices(g.L)
-        target = field.avg_entries(s_cube) @ np.asarray(v0, dtype=float)
+        w_s = field.average_stacks(("w",))[0][g.tree.index(s_cube)]
+        target = w_s @ np.asarray(v0, dtype=float)
         out[sl] = np.einsum("...ij,j->...i", field.cell_power(-1)[sl], target)
         return out
 
@@ -200,7 +203,7 @@ class CanonicalFamily:
         forms do not underflow it.  A kept form with a non-finite entry makes
         the sup NaN: ``eigvalsh`` returns finite values for such a matrix."""
         avg = self.field.average_stacks(("w",))[0]
-        mu = self.field.grid._mu_stack
+        mu = self.field.grid.mu_stack
         s = avg @ forms @ avg
         s = s + np.swapaxes(s, -1, -2)
         s /= 2.0
@@ -227,11 +230,10 @@ class CanonicalFamily:
     def c4(self, gamma):
         """E_R b_Q^v = W_R^-1 u for R in Q, so the Carleson sum is u^T M_Q u with
         M_Q = ln2 sum_{R in Q} mu(R) W_R^-1 gamma_R^T gamma_R W_R^-1."""
-        g, N = self.field.grid, self.field.N
-        gam = np.concatenate([lv.reshape(-1, gamma.M, N) for lv in gamma.levels])
-        x = np.linalg.solve(self.field.average_stacks(("w",))[0], np.swapaxes(gam, -1, -2))
-        masses = x @ np.swapaxes(x, -1, -2) * (g._mu_stack * LN2)[:, None, None]
-        _box_mass_tree(g, g.levels(masses))
+        g = self.field.grid
+        x = np.linalg.solve(self.field.average_stacks(("w",))[0], np.swapaxes(gamma.stack, -1, -2))
+        masses = x @ np.swapaxes(x, -1, -2) * (g.mu_stack * LN2)[:, None, None]
+        _box_mass_tree(g, masses)
         return self._sup_form(masses)
 
 
@@ -313,11 +315,10 @@ def tb_run(field, gamma, eps1=None, eps2=0.1, eps3=None, lam=16.0, shifts=None):
         eps1 = eps2 / 2.0
     proof_regime = (eps1 <= eps2 / 2.0 + 1e-12) and (eps3 < eps2**2 / 4.0)
     net = ConeNet(field.N, eps1)
-    tree, avg, mu = g.tree, stopping.tree_averages(field), g.tree_mu
+    tree, avg, mu = g.tree, field.average_stacks(("w",))[0], g.mu_stack
 
     # Live cubes (nonzero multiplier) in the preorder of a box walk, and sectors.
-    norms_sq = gamma.norms_sq()
-    gsq, gammas = tree.gather(norms_sq), tree.gather(gamma.levels)
+    gsq, gammas = gamma.norms_sq(), gamma.stack
     live = np.flatnonzero(gsq > 0.0)
     live = live[np.argsort(tree.preorder(live))]
     v1 = top_directions(gammas[live])
@@ -327,7 +328,7 @@ def tb_run(field, gamma, eps1=None, eps2=0.1, eps3=None, lam=16.0, shifts=None):
     gap = np.flatnonzero(dots < net.required_cos)
     violations = [
         {"kind": "net-gap", "cube": tree.cube(live[i]).descriptor(), "value": float(dots[i])}
-        for i in gap[np.argsort(tree.grid_key[live[gap]])]
+        for i in gap[np.argsort(tree.c_order(live[gap]))]
     ]
 
     # S1 of every live cube under every anchor, from one propagation whose
@@ -400,7 +401,7 @@ def tb_run(field, gamma, eps1=None, eps2=0.1, eps3=None, lam=16.0, shifts=None):
     first = stopping.first_generation_levels(tree, volberg, tree.span(0))
     volberg_ratio = sum(mu[first[np.argsort(tree.preorder(first))]].tolist()) / float(mu[0])
     return TbReport(
-        carleson_norm=_carleson_sup(g, norms_sq),
+        carleson_norm=_carleson_sup(g, gsq),
         assembled_bound=assembled,
         violations=violations,
         per_sector=per_sector,
@@ -426,7 +427,7 @@ def _chain_violations(tree, chain, e, v0, gsq, bound, eps1, eps2, slack=1e-9):
     )
     bad = np.flatnonzero(~np.logical_and.reduce([ok for _, ok, _ in checks]))
     sector, s1, s2, r = chain
-    bad = bad[np.lexsort(tuple(tree.grid_key[x[bad]] for x in (s2, s1, r)))]
+    bad = bad[np.lexsort(tuple(tree.c_order(x[bad]) for x in (s2, s1, r)))]
     return [
         {
             "kind": kind,

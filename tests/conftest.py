@@ -51,33 +51,72 @@ def random_weight_field(rng, n=1, N=2, L=3, spread=0.5, mu_spread=0.0):
     return WeightField(Grid(n, L, mu), values)
 
 
-def _oracle_level_sums(finest, n, L):
-    """Per-level sums of ``finest``, coarsest first, one sibling block at a time."""
-    tree = [finest]
-    for _ in range(L):
-        half = tree[-1].shape[0] // 2
-        blocks = tree[-1].reshape((half, 2) * n + tree[-1].shape[n:])
-        tree.append(blocks.sum(axis=tuple(range(1, 2 * n, 2))))
-    return tree[::-1]
+def oracle_grid_key(n, L):
+    """The C-order position (level, then the C order of its coords) of every
+    ``CubeTree`` index, built by listing each cube's children in
+    ``Cube.children()`` order."""
+    steps = np.array(list(itertools.product((0, 1), repeat=n))).T
+    starts = [(2 ** (n * k) - 1) // (2**n - 1) for k in range(L + 1)]
+    coords, key = np.zeros((n, 1), dtype=np.int64), []
+    for k in range(L + 1):
+        if k:
+            coords = (2 * coords[:, :, None] + steps[:, None, :]).reshape(n, -1)
+        key.append(starts[k] + np.ravel_multi_index(tuple(coords), (2**k,) * n))
+    return np.concatenate(key)
 
 
-def _oracle_tree_averages(grid, cells):
-    """Per-level mu-averages of a cell array: its own tree of cube integrals,
-    divided level by level by the grid's per-level mu tree."""
-    g = grid
-    tail = (1,) * (cells.ndim - g.n)
-    tree = _oracle_level_sums(cells * g.mu.reshape(g.mu.shape + tail) * g.cell_volume, g.n, g.L)
-    mu_tree = _oracle_level_sums(g.mu * g.cell_volume, g.n, g.L)
-    return [t / m.reshape(m.shape + tail) for t, m in zip(tree, mu_tree)]
+def oracle_levels(grid, stack):
+    """Per-level views of a flat C-order stack of dyadic cubes, each with
+    leading axes ``(2**k,) * n``."""
+    s = [(2 ** (grid.n * k) - 1) // (2**grid.n - 1) for k in range(grid.L + 2)]
+    return [stack[s[k] : s[k + 1]].reshape((2**k,) * grid.n + stack.shape[1:]) for k in range(grid.L + 1)]
+
+
+def oracle_integrals(grid, cell_values):
+    """The oracle of ``Grid.integrals``: the integrals over every dyadic cube
+    as one flat stack, levels coarsest first and each level in C order.  Each
+    level sums the 2x...x2 sibling blocks of the level below in one reduction
+    over its first ``n`` axes, written in place."""
+    n = grid.n
+    tail = cell_values.shape[n:]
+    out = np.empty((sum(2 ** (n * k) for k in range(grid.L + 1)),) + tail)
+    levels = oracle_levels(grid, out)
+    np.multiply(cell_values, grid.mu.reshape(grid.mu.shape + (1,) * len(tail)), out=levels[-1])
+    levels[-1] *= grid.cell_volume
+    siblings = tuple(range(1, 2 * n, 2))
+    for k in range(grid.L, 0, -1):
+        blocks = levels[k].reshape((2 ** (k - 1), 2) * n + tail)
+        np.add.reduce(blocks, axis=siblings, out=levels[k - 1])
+    return out
+
+
+def oracle_box_mass_tree(grid, stack):
+    """The oracle of ``tb._box_mass_tree`` on a flat C-order stack, in place:
+    each level adds the 2x...x2 sibling-block sums of the level below, from
+    the finest up."""
+    levels = oracle_levels(grid, stack)
+    siblings = tuple(range(1, 2 * grid.n, 2))
+    for k in range(grid.L - 1, -1, -1):
+        blocks = levels[k + 1].reshape((2**k, 2) * grid.n + levels[k].shape[grid.n :])
+        levels[k] += blocks.sum(axis=siblings)
+
+
+def oracle_stack(grid, cells):
+    """The mu-averages of a cell array over every dyadic cube in tree order:
+    its oracle integrals over the grid's oracle mu integrals, put in tree
+    order by the oracle's grid key."""
+    sums, mu = oracle_integrals(grid, cells), oracle_integrals(grid, np.ones(grid.mu.shape))
+    avg = sums / mu.reshape(mu.shape + (1,) * (cells.ndim - grid.n))
+    return avg[oracle_grid_key(grid.n, grid.L)]
 
 
 def oracle_averages(field, moment):
-    """Per-level mu-averages of one moment, from its own tree."""
+    """The flat tree-order stack of the mu-averages of one moment, from its own tree."""
     if moment == "logdet":
         cells = field.cell_log_det()
     else:
         cells = field.cell_power({"w": 1, "w2": 2, "winv": -1, "winv2": -2}[moment])
-    return _oracle_tree_averages(field.grid, cells)
+    return oracle_stack(field.grid, cells)
 
 
 # The ratios only tests read, and the moments each reads past mu: the
@@ -111,14 +150,19 @@ def full_kernel(avg, keys, directions=None):
 
 
 def dyadic_ratios(field):
-    """``full_kernel`` over every dyadic cube, level by level in C order, from
-    the field's flat average stacks: the tree source."""
+    """``full_kernel`` over every dyadic cube, in tree order, from the field's
+    flat average stacks: the tree source."""
     return full_kernel(dict(zip(MOMENTS, field.average_stacks(MOMENTS))), TEST_KEYS)
 
 
+def cube_average(field, cube, moment="w"):
+    """The mu-average of ``moment`` over ``cube``, read from the field's stack."""
+    return field.average_stacks((moment,))[0][field.grid.tree.index(cube)]
+
+
 def cube_ratios(field, cube):
-    """``full_kernel`` of one dyadic cube, from the field's average trees, as floats."""
-    avg = {m: field.averages(m)[cube.level][cube.coords][None] for m in MOMENTS}
+    """``full_kernel`` of one dyadic cube, from the field's average stacks, as floats."""
+    avg = {m: cube_average(field, cube, m)[None] for m in MOMENTS}
     r = full_kernel(avg, TEST_KEYS)
     return {k: tuple(float(x[0]) for x in v) if k == "chain" else float(v[0]) for k, v in r.items()}
 
@@ -162,20 +206,13 @@ def _oracle_screen_pair(avg):
     return max(1.0, float(b2.max())), max(1.0, float(ainf.max()))
 
 
-def _oracle_flat(grid, cells):
-    """The per-level oracle averages of a cell array as one flat stack."""
-    return np.concatenate(
-        [t.reshape((-1,) + t.shape[grid.n :]) for t in _oracle_tree_averages(grid, cells)]
-    )
-
-
 def oracle_sym_screen(grid, sym):
     """The inclusion screen's (b2_iv, ainf_ii) of the field exp(sym), both
     floored at 1: the cells W, W^2 (row-major) and log det W as the channels
     of one cell array, summed in one tree."""
     cells = _oracle_screen_cells(sym)
     lead, N = sym.shape[:-2], sym.shape[-1]
-    flat = _oracle_flat(
+    flat = oracle_stack(
         grid,
         np.concatenate(
             [cells["w"].reshape(lead + (-1,)), cells["w2"].reshape(lead + (-1,)), cells["logdet"][..., None]],
@@ -194,7 +231,7 @@ def per_moment_sym_screen(grid, sym):
     """The screen pair with each of W, W^2 and log det W summed in its own
     tree.  At n = 1 a tree sums two siblings, whose order no channel beside
     them can change, so there it equals ``oracle_sym_screen`` to the bit."""
-    return _oracle_screen_pair({m: _oracle_flat(grid, c) for m, c in _oracle_screen_cells(sym).items()})
+    return _oracle_screen_pair({m: oracle_stack(grid, c) for m, c in _oracle_screen_cells(sym).items()})
 
 
 def loop_propose(sym, rng, temp):
@@ -382,13 +419,12 @@ def weighted_avg(f, cube, weight):
     return np.linalg.solve(iw, iwf)
 
 
-def expectation_levels(field, f):
+def expectation_stack(field, f):
     """Weighted averages E_R f = (int_R W dmu)^{-1} int_R W f dmu of a vector
-    field ``f`` over every dyadic cube R, one array per level: one batched
-    solve against the field's flat stack of cube integrals of W."""
-    g = field.grid
-    iwf = g.integrals(np.einsum("...ij,...j->...i", field.values, np.asarray(f, float)))
-    return g.levels(np.linalg.solve(field.integral_stack("w"), iwf[..., None])[..., 0])
+    field ``f`` over every dyadic cube R, one row per cube in tree order: one
+    batched solve against the field's flat stack of cube integrals of W."""
+    iwf = field.grid.integrals(np.einsum("...ij,...j->...i", field.values, np.asarray(f, float)))
+    return np.linalg.solve(field.integral_stack("w"), iwf[..., None])[..., 0]
 
 
 def expectation_Et(f, t_level, weight):
@@ -396,9 +432,10 @@ def expectation_Et(f, t_level, weight):
     g = weight.grid
     if t_level < 0 or t_level > g.L:
         raise ValueError(f"level {t_level} outside [0, {g.L}]")
-    out = expectation_levels(weight, f)[t_level]
-    for axis in range(g.n):
-        out = np.repeat(out, 2 ** (g.L - t_level), axis=axis)
+    stack = expectation_stack(weight, f)
+    out = np.empty(g.mu.shape + stack.shape[1:])
+    for cube in grid_cubes(g, [t_level]):
+        out[cube.cell_slices(g.L)] = stack[g.tree.index(cube)]
     return out
 
 
@@ -408,8 +445,8 @@ def kato_stop(root, field, b_values, v0, eps2):
     Fires when |E_R b| > 1/eps2 or (v0, W_S^{-1} W_R E_R b) < eps2, with S the
     current recursion root.  Returns the result and first-generation mass.
     """
-    levels = field.grid.tree.gather(expectation_levels(field, b_values))
-    crit = kato_criterion(field, v0, eps2, lambda w_s, w_r, r: levels[r])
+    stack = expectation_stack(field, b_values)
+    crit = kato_criterion(field, v0, eps2, lambda w_s, w_r, r: stack[r])
     res = run_stopping(root, crit, field.grid.tree)
     return res, first_generation_ratio(res, field.grid)
 
@@ -423,8 +460,8 @@ def grid_cubes(grid, levels=None):
 
 
 def cube_measure(grid, cube):
-    """mu(cube), read from the grid's dyadic mass tree."""
-    return float(grid._mu_tree[cube.level][cube.coords])
+    """mu(cube), read from the grid's dyadic mass stack."""
+    return float(grid.mu_stack[grid.tree.index(cube)])
 
 
 def cube_parent(cube):
@@ -442,8 +479,8 @@ def cube_contains(outer, inner):
 
 def svd_norms_sq(gamma):
     """The oracle of ``CarlesonField.norms_sq``: the squared top singular
-    value of every multiplier from ``svd``, one array per level."""
-    return [np.linalg.svd(arr, compute_uv=False)[..., 0] ** 2 for arr in gamma.levels]
+    value of every multiplier from ``svd``, one row per cube."""
+    return np.linalg.svd(gamma.stack, compute_uv=False)[..., 0] ** 2
 
 
 def svd_top_directions(gammas):
@@ -462,12 +499,12 @@ def full_sup_form(fam, forms):
     if not np.isfinite(m).all():
         return math.nan
     top = np.linalg.eigvalsh(m)[:, -1]
-    return math.sqrt(max(0.0, float(np.max(top / fam.field.grid._mu_stack))))
+    return math.sqrt(max(0.0, float(np.max(top / fam.field.grid.mu_stack))))
 
 
 def gamma_value(gamma, cube):
     """The multiplier matrix of ``gamma`` on ``cube``."""
-    return gamma.levels[cube.level][cube.coords]
+    return gamma.stack[gamma.grid.tree.index(cube)]
 
 
 def family_labels(grid, shifts):
@@ -496,7 +533,7 @@ def bernoulli_criterion(probability, seed):
 
 
 def _avg_criterion(name, field, rule):
-    avg = CubeTree(field.grid.n, field.grid.L).gather(field.averages("w"))
+    avg = field.average_stacks(("w",))[0]
     return StoppingCriterion(name, lambda tree, s, r: rule(avg[s], avg[r], r))
 
 

@@ -123,7 +123,7 @@ def test_1e_sawtooth_partition_exact():
         L = int(rng.integers(2, 5))
         g = Grid(1, L, rng.uniform(0.3, 3.0, 2**L))
         res = run_stopping(root_cube(1), bernoulli_criterion(0.35, seed), g.tree)
-        for weight in (np.ones(res.tree.size), res.tree.gather(g._mu_tree)):
+        for weight in (np.ones(res.tree.size), g.mu_stack):
             got = partition_residual(res.tree, res.criterion, res.root, res.cubes, res.owner, weight)
             worst = max(worst, got)
     for seed in range(30):
@@ -131,7 +131,7 @@ def test_1e_sawtooth_partition_exact():
         g = Grid(1, L, rng.uniform(0.3, 3.0, 2**L))
         crits = [bernoulli_criterion(0.4, seed), bernoulli_criterion(0.4, seed + 1000)]
         tree = CubeTree(1, L)
-        worst = max(worst, chain_residual(tree, *crits, tree.gather(g._mu_tree)))
+        worst = max(worst, chain_residual(tree, *crits, g.mu_stack))
     _report("1e sawtooth-partition", worst <= 1e-9, f"worst residual {worst:.3e}")
 
 

@@ -282,22 +282,24 @@ def test_inclusion_search_subcommand(tmp_path, capsys):
 
 
 def test_inclusion_search_report_is_check_weight_at_its_shift_count(tmp_path):
-    # The search reports the class constants over 3**n - 1 shifts, so at n=2
-    # check-weight reproduces them bit for bit with --shifts 8; its default
-    # of 2 shifts scans fewer boxes and reads lower constants.
-    out = tmp_path / "incl"
-    argv = ["inclusion-search", "--n", "2", "--N", "2", "--L", "3", "--b2-cap", "4"]
-    assert main(argv + ["--budget", "100", "--seed", "7", "--out", str(out)]) == 0
-    block = json.loads((out / "report.json").read_text())["report"]
-    reports = {}
-    for shifts in ("8", None):
-        rep = tmp_path / f"check-{shifts}.json"
-        extra = ["--shifts", shifts] if shifts else []
-        assert main(["check-weight", "--field", str(out / "best_field.wf"), "--report", str(rep)] + extra) == 0
-        reports[shifts] = json.loads(rep.read_text())
-        del reports[shifts]["meta"]
-    assert reports["8"] == block
-    assert reports[None]["b2_iv"] < block["b2_iv"] and reports[None]["ainf_ii"] < block["ainf_ii"]
+    # The search scans the config's shifts, as check-weight does, so at n=2
+    # check-weight on the emitted field reproduces the report block and the
+    # trend's last row bit for bit: at the default 2 shifts and at 8.
+    eight = tmp_path / "eight.cfg"
+    eight.write_text("[grid]\nshifts = 8\n")
+    argv = ["inclusion-search", "--n", "2", "--N", "2", "--L", "3", "--b2-cap", "4", "--budget", "100", "--seed", "7"]
+    for config in ([], ["--config", str(eight)]):
+        out = tmp_path / f"incl-{len(config)}"
+        assert main(config + argv + ["--out", str(out)]) == 0
+        payload = json.loads((out / "report.json").read_text())
+        block = payload["report"]
+        rep = tmp_path / f"check-{len(config)}.json"
+        assert main(config + ["check-weight", "--field", str(out / "best_field.wf"), "--report", str(rep)]) == 0
+        check = json.loads(rep.read_text())
+        del check["meta"]
+        assert check == block
+        last = payload["trend"][-1]
+        assert (last["b2_iv"], last["ainf_ii"]) == (block["b2_iv"], block["ainf_ii"])
 
 
 def test_inclusion_search_refuses_an_out_that_is_not_a_directory(tmp_path, capsys, monkeypatch):

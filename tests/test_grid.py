@@ -18,20 +18,25 @@ from dwlab.grid import (
 from conftest import (
     b2_constants,
     cube_contains,
+    cube_average,
     cube_measure,
     cube_parent,
     doubling_of,
     expectation_Et,
-    expectation_levels,
+    expectation_stack,
     family_labels,
     grid_cubes,
     oracle_averages,
     oracle_band_cells,
     oracle_bounds,
     oracle_box_cells,
+    oracle_box_mass_tree,
+    oracle_grid_key,
+    oracle_integrals,
     random_weight_field,
     weighted_avg,
 )
+from dwlab.tb import _box_mass_tree
 from dwlab.weights import CLASS_KEYS, family_scan
 
 
@@ -45,20 +50,63 @@ def test_measure_examples():
 def test_avg_matrix_examples():
     g = Grid(1, 1)
     w = WeightField(g, np.array([np.diag([1.0, 1.0]), np.diag([3.0, 1.0])]))
-    assert np.allclose(w.avg_entries(root_cube(1)), np.diag([2.0, 1.0]))
+    assert np.allclose(cube_average(w, root_cube(1)), np.diag([2.0, 1.0]))
     # single finest cell returns the cell value
-    assert np.allclose(w.avg_entries(Cube(1, (1,))), np.diag([3.0, 1.0]))
+    assert np.allclose(cube_average(w, Cube(1, (1,))), np.diag([3.0, 1.0]))
     const = WeightField(Grid(1, 2), np.broadcast_to(np.diag([2.0, 5.0]), (4, 2, 2)).copy())
-    assert np.allclose(const.avg_entries(root_cube(1)), np.diag([2.0, 5.0]))
+    assert np.allclose(cube_average(const, root_cube(1)), np.diag([2.0, 5.0]))
+
+
+@pytest.mark.parametrize("n,L", [(1, 6), (2, 4), (3, 3)])
+def test_cube_tree_bits_match_the_oracle_grid_key(n, L):
+    # index and cube invert each other on every cube, and put it where the
+    # oracle's grid key, built from Cube.children(), puts it; the C-order
+    # sort key of any rows is that grid key.
+    tree = CubeTree(n, L)
+    key = oracle_grid_key(n, L)
+    cubes = list(grid_cubes(Grid(n, L)))
+    idx = np.array([tree.index(c) for c in cubes])
+    assert np.array_equal(key[idx], np.arange(tree.size))
+    assert all(tree.cube(i) == c for i, c in zip(idx, cubes))
+    assert np.array_equal(tree.c_order(np.arange(tree.size)), key)
+    rows = np.random.default_rng(n + L).permutation(tree.size)[: tree.size // 3]
+    assert np.array_equal(tree.c_order(rows), key[rows])
+
+
+# Tails of the summed stacks: scalar channels (mu, log det W, the Carleson
+# masses, a power at N = 1) and the multi-channel ones.
+_TAILS = [(), (1,), (1, 1), (2,), (4,), (2, 2), (3, 3), (9,), (17,), (4, 4)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), depth=st.floats(0.0, 1.0))
+def test_tree_sums_match_the_c_order_oracle(seed, n, depth):
+    # Grid.integrals and the box-mass tree sum each run of 2**n siblings to
+    # the bits of the C-order reductions of the oracle, for every tail.
+    L = round(depth * {1: 8, 2: 5, 3: 3, 4: 2}[n])
+    rng = np.random.default_rng(seed)
+    g = Grid(n, L, np.exp(rng.normal(0.0, 1.5, (2**L,) * n)))
+    key = oracle_grid_key(n, L)
+    for tail in _TAILS:
+        shape = (2**L,) * n + tail
+        cells = rng.standard_normal(shape) * np.exp(rng.normal(0.0, 2.0, shape))
+        sums = oracle_integrals(g, cells)
+        assert np.array_equal(g.integrals(cells), sums[key]), tail
+        masses = sums[key]
+        _box_mass_tree(g, masses)
+        oracle_box_mass_tree(g, sums)
+        assert np.array_equal(masses, sums[key]), tail
 
 
 @pytest.mark.parametrize("n,L", [(1, 5), (2, 3), (3, 2)])
 def test_grid_tree_mu_is_the_gathered_mass_tree(n, L, rng):
     g = Grid(n, L, rng.uniform(0.3, 3.0, (2**L,) * n))
-    assert np.array_equal(g.tree_mu, CubeTree(n, L).gather(g._mu_tree))
+    mu = oracle_integrals(g, np.ones(g.mu.shape))
+    assert np.array_equal(g.mu_stack, mu[oracle_grid_key(n, L)])
+    assert np.array_equal(g.cell_masses, mu[-g.mu.size :].reshape(g.mu.shape))
     assert g.tree.offsets is g._starts
     # Every walk on the grid shares these arrays, so none can be written.
-    for arr in (g.tree.offsets, g.tree.level, g.tree.grid_key, g.tree._index, g.tree_mu):
+    for arr in (g.tree.offsets, g.tree.level, g.mu_stack, g.cell_masses):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
 
@@ -129,14 +177,13 @@ def test_expectation_two_dimensional(rng):
 def test_expectation_levels_match_weighted_avg(rng):
     w = random_weight_field(rng, n=2, N=3, L=2, spread=0.6, mu_spread=0.3)
     f = rng.standard_normal((4, 4, 3))
-    levels = expectation_levels(w, f)
-    iwf = w.grid.levels(w.grid.integrals(np.einsum("...ij,...j->...i", w.values, f)))
+    stack = expectation_stack(w, f)
+    iwf = w.grid.integrals(np.einsum("...ij,...j->...i", w.values, f))
     for cube in grid_cubes(w.grid):
-        got = levels[cube.level][cube.coords]
-        assert np.allclose(got, weighted_avg(f, cube, w), atol=1e-12)
+        i = w.grid.tree.index(cube)
+        assert np.allclose(stack[i], weighted_avg(f, cube, w), atol=1e-12)
         # the batched solve is the per-cube solve, bit for bit
-        iw = w.grid.levels(w.integral_stack("w"))[cube.level][cube.coords]
-        assert np.array_equal(got, np.linalg.solve(iw, iwf[cube.level][cube.coords]))
+        assert np.array_equal(stack[i], np.linalg.solve(w.integral_stack("w")[i], iwf[i]))
 
 
 def _one_box(g, lo, hi):
@@ -319,8 +366,7 @@ def test_weight_field_rejects_bad_cells():
 @pytest.mark.parametrize("n, N", [(n, N) for n in (1, 2, 3) for N in (2, 3, 4)])
 def test_flat_stacks_match_per_moment_trees(n, N):
     # The moments summed together (every power in one pass) and one at a
-    # time give the oracle's per-moment trees bit for bit, as flat stacks and
-    # as the per-level views of averages().
+    # time give the oracle's per-moment trees bit for bit, in tree order.
     rng = np.random.default_rng(10 * n + N)
     for L in range(4 if n < 3 else 3):
         together = random_weight_field(rng, n=n, N=N, L=L, spread=0.7, mu_spread=0.6)
@@ -328,13 +374,8 @@ def test_flat_stacks_match_per_moment_trees(n, N):
         stacks = dict(zip(MOMENTS, together.average_stacks(MOMENTS)))
         for m in MOMENTS:
             want = oracle_averages(together, m)
-            flat = np.concatenate([t.reshape((-1,) + t.shape[n:]) for t in want])
-            assert np.array_equal(stacks[m], flat), (L, m)
-            assert np.array_equal(alone.average_stacks((m,))[0], flat), (L, m)
-            for field in (together, alone):
-                got = field.averages(m)
-                assert len(got) == L + 1
-                assert all(np.array_equal(a, b) for a, b in zip(got, want)), (L, m)
+            assert np.array_equal(stacks[m], want), (L, m)
+            assert np.array_equal(alone.average_stacks((m,))[0], want), (L, m)
 
 
 def test_flat_stacks_scalar_field():
@@ -342,8 +383,7 @@ def test_flat_stacks_scalar_field():
     # matches the oracle at n = 2, where a stacked scalar sums in another order.
     w = random_weight_field(np.random.default_rng(3), n=2, N=1, L=3, spread=0.8, mu_spread=0.5)
     for m, stack in zip(MOMENTS, w.average_stacks(MOMENTS)):
-        flat = np.concatenate([t.reshape(-1, *t.shape[2:]) for t in oracle_averages(w, m)])
-        assert np.array_equal(stack, flat), m
+        assert np.array_equal(stack, oracle_averages(w, m)), m
 
 
 def _shift_limit(n):

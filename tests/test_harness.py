@@ -14,6 +14,7 @@ from conftest import (
     dyadic_ratios,
     full_kernel,
     loop_propose,
+    oracle_grid_key,
     oracle_sym_screen,
     per_moment_sym_screen,
 )
@@ -133,17 +134,19 @@ def test_tree_screen_matches_box_path(seed, n, N, L):
     got, want = harness._dyadic_constants(grid, sym), _box_path_screen(w)
     assert all(_close(x, y) for x, y in zip(got, want)), (got, want)
     # Every per-cube ratio of the tree source against the band path at shift 0,
-    # whose batches list the dyadic cubes level by level in C order.
+    # whose batches list the dyadic cubes level by level in C order, put in
+    # tree order by the oracle's grid key.
     tree = dyadic_ratios(w)
     band = [
         full_kernel(weights.box_averages(w, batch, MOMENTS), TEST_KEYS) for batch in w.grid.box_batches(0)
     ]
+    key_order = oracle_grid_key(n, L)
     assert sorted(tree) == sorted(band[0]) and "chain" in tree
     for key, values in tree.items():
         if key == "chain":
-            pairs = zip(values, (np.concatenate(t) for t in zip(*(r[key] for r in band))))
+            pairs = zip(values, (np.concatenate(t)[key_order] for t in zip(*(r[key] for r in band))))
         else:
-            pairs = [(values, np.concatenate([r[key] for r in band]))]
+            pairs = [(values, np.concatenate([r[key] for r in band])[key_order])]
         for a, b in pairs:
             # identity_residual is already relative to thewest
             scale = 1.0 if key == "identity_residual" else np.maximum(abs(a), abs(b))

@@ -23,7 +23,6 @@ from dwlab.stopping import (
     packing_constant,
     partition_residual,
     run_stopping,
-    tree_averages,
     volberg_criterion,
     volberg_stop,
 )
@@ -35,12 +34,14 @@ from conftest import (
     anchor_loop,
     bernoulli_criterion,
     chain_residual,
+    cube_average,
     cube_contains,
     cube_measure,
     cube_parent,
     cube_walk,
     first_generation,
     kato_stop,
+    oracle_averages,
     oracle_corona_criterion,
     oracle_volberg_criterion,
     owner_levels,
@@ -129,7 +130,7 @@ def test_partition_residual_weighted(rng):
     for seed in range(10):
         res = run_stopping(root_cube(1), bernoulli_criterion(0.3, seed), g.tree)
         assert residual(res) == 0.0
-        assert residual(res, res.tree.gather(g._mu_tree)) == 0.0
+        assert residual(res, g.mu_stack) == 0.0
 
 
 def test_geometric_packing_bound(rng):
@@ -197,7 +198,7 @@ def test_iterated_two_random_criteria(rng):
     for seed in range(8):
         crits = [bernoulli_criterion(0.35, seed), bernoulli_criterion(0.35, seed + 77)]
         assert chain_residual(tree, *crits, np.ones(tree.size)) == 0.0
-        assert chain_residual(tree, *crits, tree.gather(g._mu_tree)) == 0.0
+        assert chain_residual(tree, *crits, g.mu_stack) == 0.0
 
 
 def _owner_walk(anchor, cube, first_gen):
@@ -390,7 +391,7 @@ def test_one_cube_tree_per_grid(monkeypatch, tmp_path, rng, n, L):
     for call in calls:
         call(field)
     assert built == [(n, L)]
-    assert np.array_equal(tree_averages(field), real(n, L).gather(field.averages("w")))
+    assert np.array_equal(field.average_stacks(("w",))[0], oracle_averages(field, "w"))
 
     built.clear()
     assert main(["check-weight", "--field", str(path), "--report", report]) == 0
@@ -526,7 +527,7 @@ def test_screened_walks_match_svd_oracle(n, N, L, seed):
     # rows tie and the walks hold both fired and unfired cubes.
     w = random_weight_field(np.random.default_rng(seed), n, N, L, spread=0.6, mu_spread=0.3)
     tree = CubeTree(n, L)
-    avg = tree.gather(w.averages("w"))
+    avg = w.average_stacks(("w",))[0]
     cor = np.linalg.svd(np.linalg.inv(avg[0]) @ avg - np.eye(N), compute_uv=False)[1:, 0]
     vol = np.linalg.svd(avg[0] @ np.linalg.inv(avg), compute_uv=False)[1:, 0]
     pairs = []
@@ -635,9 +636,9 @@ def test_martingale_reads_its_root_from_the_result():
     for root in (Cube(1, (1,)), Cube(2, (1,))):
         res, _ = corona_stop(root, w, 0.01)
         lhs, rhs, ok = martingale_square_check(w, res)
-        w_q = w.avg_entries(root)
+        w_q = cube_average(w, root)
         assert ok and len(res.stops) > 1
-        assert np.array_equal(rhs, (w.avg_entries(root, "w2") - w_q @ w_q) * cube_measure(w.grid, root))
+        assert np.array_equal(rhs, (cube_average(w, root, "w2") - w_q @ w_q) * cube_measure(w.grid, root))
 
 
 def test_box_cubes_count():

@@ -29,13 +29,16 @@ from conftest import (
     NEVER,
     bernoulli_criterion,
     coarse_anchor_owners,
+    cube_average,
     cube_contains,
     cube_measure,
-    expectation_levels,
+    cube_parent,
+    expectation_stack,
     first_generation,
     full_sup_form,
     gamma_value,
     grid_cubes,
+    oracle_grid_key,
     owner_levels,
     random_spd_cells,
     random_weight_field,
@@ -53,17 +56,9 @@ def ones_field(L, n=1, N=1):
 def box_carleson_integral(gamma, b_values, root, field):
     """Whitney-discretized square integral of gamma applied to E_t b over a box."""
     g = field.grid
-    exps = expectation_levels(field, b_values)
-    total = 0.0
-    for k in range(root.level, g.L + 1):
-        span = tuple(
-            slice(c * 2 ** (k - root.level), (c + 1) * 2 ** (k - root.level))
-            for c in root.coords
-        )
-        ge = np.einsum("...mn,...n->...m", gamma.levels[k][span], exps[k][span])
-        mass = np.sum(ge**2, axis=-1) * g._mu_tree[k][span] * LN2
-        total += float(mass.sum())
-    return total
+    box = g.tree.box(g.tree.index(root))
+    ge = np.einsum("...mn,...n->...m", gamma.stack[box], expectation_stack(field, b_values)[box])
+    return float(np.sum(np.sum(ge**2, axis=-1) * g.mu_stack[box] * LN2))
 
 
 def sampled_sup(fam, value, samples, seed):
@@ -106,7 +101,7 @@ def test_carleson_norm_zero_and_constant():
 def test_carleson_norm_single_cube():
     w = ones_field(2)
     g = gamma_zero(w.grid, 1, 1)
-    g.levels[1][1] = [[3.0]]
+    g.stack[w.grid.tree.index(Cube(1, (1,)))] = [[3.0]]
     # sup attained at Q = that cube: |gamma|^2 ln2
     assert abs(carleson_norm(g) - 9.0 * LN2) < 1e-12
 
@@ -115,8 +110,7 @@ def test_carleson_norm_monotone_for_diagonal(rng):
     w = ones_field(3)
     g1 = gamma_random(w.grid, 1, 1, seed=3)
     g2 = make_gamma("zero", w)
-    for k in range(4):
-        g2.levels[k] = g1.levels[k] * 2.0
+    g2.stack[:] = g1.stack * 2.0
     assert carleson_norm(g2) >= carleson_norm(g1)
 
 
@@ -132,7 +126,7 @@ def test_testfun_carleson_cases(rng):
     assert abs(val - LN2 * 3.0) < 1e-12  # three levels, mass one each
     # single-cube gamma: one term |gamma E_R b|^2 mu(R) ln2
     g1 = gamma_zero(w.grid, 1, 2)
-    g1.levels[1][0] = [[2.0, 0.0]]
+    g1.stack[w.grid.tree.index(Cube(1, (0,)))] = [[2.0, 0.0]]
     val = box_carleson_integral(g1, b, root_cube(1), w)
     assert abs(val - 4.0 * 0.5 * LN2) < 1e-12
 
@@ -181,7 +175,7 @@ def test_canonical_normalization_dual_route(rng):
         cube = Cube(level, (int(rng.integers(0, 2**level)),))
         v = rng.standard_normal(N)
         v /= np.linalg.norm(v)
-        w_q = w.avg_entries(cube)[None]
+        w_q = cube_average(w, cube)[None]
         closed = fam.expectations(w_q, w_q, v[None])[0]
         integral = weighted_avg(fam.b_values(cube, v), cube, w)
         assert np.allclose(closed, v, atol=1e-10)
@@ -277,12 +271,22 @@ def test_tb_run_reports_violations_outside_proof_regime():
 def test_gamma_martingale_root_zero(rng):
     w = random_weight_field(rng, N=2, L=3)
     g = gamma_martingale(w)
-    assert np.allclose(g.levels[0], 0.0)
-    assert g.levels[2].shape == (4, 1, 2)
-    # level-1 values equal the average jumps
-    top = w.avg_entries(root_cube(1))
-    child = w.avg_entries(Cube(1, (0,)))
-    assert np.allclose(g.levels[1][0], (child - top)[:1, :])
+    assert g.stack.shape == (15, 1, 2)
+    assert np.all(gamma_value(g, root_cube(1)) == 0.0)
+    # every value below the root is the jump of the averages from its parent
+    for cube in grid_cubes(w.grid, range(1, 4)):
+        jump = cube_average(w, cube) - cube_average(w, cube_parent(cube))
+        assert np.array_equal(gamma_value(g, cube), jump[:1, :])
+
+
+def test_gamma_random_keeps_its_draws():
+    # Each level is drawn in C order of its cubes and put in tree order.
+    for n, L in ((1, 4), (2, 3), (3, 2)):
+        g = Grid(n, L)
+        gam = gamma_random(g, 2, 3, seed=9, scale=0.5)
+        rng = np.random.default_rng(9)
+        draws = np.concatenate([rng.uniform(-0.5, 0.5, size=(2 ** (n * k), 2, 3)) for k in range(L + 1)])
+        assert np.array_equal(gam.stack, draws[oracle_grid_key(n, L)])
 
 
 def test_gamma_martingale_refuses_more_rows_than_N(rng):
@@ -291,10 +295,10 @@ def test_gamma_martingale_refuses_more_rows_than_N(rng):
     for M in (3, 4):
         with pytest.raises(ValueError, match=f"at most N = 2 rows, got M = {M}"):
             gamma_martingale(w, rows=M)
-    assert gamma_martingale(w, rows=2).levels[1].shape == (2, 2, 2, 2)
+    assert gamma_martingale(w, rows=2).stack.shape == (21, 2, 2)
     for kind in ("zero", "constant", "random"):
         gam = make_gamma(kind, w, M=3)
-        assert gam.M == 3 and all(lv.shape[-2:] == (3, 2) for lv in gam.levels)
+        assert gam.M == 3 and gam.stack.shape == (21, 3, 2)
 
 
 def _rank_one_rows(rng, N):
@@ -325,11 +329,11 @@ def test_rank_one_closed_forms_match_svd_oracle(N):
         assert np.array_equal(np.signbit(got[want == 0.0]), np.signbit(want[want == 0.0]))
     # Rows with a zero tail take e_1 whatever the sign of g_0.
     assert np.array_equal(top_directions(normal[204:206]), np.eye(N)[[0, 0]])
-    # norms_sq on a one-row field: level k holds 2**k of the normal rows.
+    # norms_sq on a one-row field: one of the normal rows per cube.
     g = Grid(1, 6)
-    gam = tb.CarlesonField(g, 1, N, [normal[: 2**k] for k in range(g.L + 1)])
-    for got, want in zip(gam.norms_sq(), svd_norms_sq(gam)):
-        assert np.all(np.abs(got - want) <= 1e-15 * want)
+    gam = tb.CarlesonField(g, 1, N, normal[: g.tree.size])
+    got, want = gam.norms_sq(), svd_norms_sq(gam)
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
 
 
 def test_tb_run_rank_one_takes_no_row_svd(monkeypatch):
@@ -457,7 +461,7 @@ def test_screened_sup_of_a_near_tie(monkeypatch, ahead):
     # so both go to eigvalsh, and the sup is the oracle's.
     w = WeightField(Grid(2, 2), np.broadcast_to(np.eye(2), (4, 4, 2, 2)).copy())
     fam = CanonicalFamily(w)
-    mu = w.grid._mu_stack
+    mu = w.grid.mu_stack
     forms = np.zeros((len(mu), 2, 2))
     forms[:] = np.eye(2) * 1e-3
     a = 2.0
@@ -476,7 +480,7 @@ def test_screened_sup_of_a_near_tie(monkeypatch, ahead):
 def test_eigvalsh_sees_only_the_screened_rows(monkeypatch):
     w = generate(WeightGenerator("log-gaussian", amplitude=0.5, seed=53), 2, 2, 4)
     fam = CanonicalFamily(w)
-    mu = w.grid._mu_stack
+    mu = w.grid.mu_stack
     forms = w.integral_stack("winv2").copy()
     seen = record_eigvalsh(monkeypatch)
     c3 = fam.c3()
@@ -579,7 +583,7 @@ def test_level_engine_matches_cube_walk_oracle(n, L, kind, seed):
         vectors = rng.standard_normal((3, 2))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         label = rng.integers(0, 3, tree.size)  # each cube's own sector
-        avg = tree.gather(w.averages("w"))
+        avg = w.average_stacks(("w",))[0]
 
         def canonical(v):
             return lambda w_s, w_r, r: tb.CanonicalFamily.expectations(w_s, w_r, v)
@@ -632,9 +636,8 @@ def per_anchor_tb_bounds(field, gamma, eps1, eps2, eps3):
     """The assembled bound and the root's per-sector bound masses of a
     ``tb_run``, with the chains of every live cube rebuilt anchor level by
     anchor level from ``owner_levels`` and ``chain_owners``, row by row."""
-    tree, avg = field.grid.tree, stopping.tree_averages(field)
-    mu = tree.gather(field.grid._mu_tree)
-    gsq, gammas = tree.gather(svd_norms_sq(gamma)), tree.gather(gamma.levels)
+    tree, avg, mu = field.grid.tree, field.average_stacks(("w",))[0], field.grid.mu_stack
+    gsq, gammas = svd_norms_sq(gamma), gamma.stack
     live = np.flatnonzero(gsq > 0.0)
     live = live[np.argsort(tree.preorder(live))]
     net = ConeNet(field.N, eps1)
@@ -691,7 +694,7 @@ def test_tb_run_skips_cube_walks(monkeypatch):
 
     for name in ("run_stopping", "volberg_stop"):
         monkeypatch.setattr(stopping, name, refuse)
-    monkeypatch.setattr(WeightField, "avg_entries", refuse)
+    monkeypatch.setattr(CubeTree, "index", refuse)
     for n, N, L in ((1, 2, 5), (2, 2, 3)):
         w = generate(WeightGenerator("log-gaussian", amplitude=0.4, seed=52), n, N, L)
         rep = tb_run(w, make_gamma("martingale", w), eps2=0.3)
