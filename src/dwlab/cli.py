@@ -149,7 +149,7 @@ def _cmd_corona(args):
         packing = packing_constant(res, field.grid)
     tree, mu = res.tree, field.grid.mu_stack
     residual = partition_residual(tree, res.criterion, res.root, res.cubes, res.owner, mu)
-    gens = [[tree.cube(i).descriptor() for i in gen] for gen in res.generations]
+    gens = [tree.descriptors(gen) for gen in res.generations]
     gen_mass = [sum(mu[gen].tolist()) / float(mu[res.root]) for gen in res.generations]
     payload = {
         "criterion": args.criterion,

@@ -109,20 +109,31 @@ class CubeTree:
                 local = local << 1 | c >> b & 1
         return int(self.offsets[cube.level]) + local
 
+    def _deinterleave(self, local, bits):
+        """The coords, one entry per axis, of local Morton index ``local`` (an
+        int or an array) from its lowest ``bits`` bits per axis."""
+        coords = [local & 0 for _ in range(self.n)]
+        for b in range(bits):
+            for d in range(self.n):
+                coords[d] |= (local >> (b * self.n + self.n - 1 - d) & 1) << b
+        return coords
+
     def coords(self, idx):
         """The level of each cube of ``idx`` and its coords, one entry per
         axis, from the bits of its Morton index."""
         k = self.level[idx]
-        local = idx - self.offsets[k]
-        coords = [0] * self.n
-        for b in range(self.L):
-            for d in range(self.n):
-                coords[d] |= (local >> (b * self.n + self.n - 1 - d) & 1) << b
-        return k, coords
+        return k, self._deinterleave(idx - self.offsets[k], int(np.max(k, initial=0)))
 
     def cube(self, idx):
-        k, coords = self.coords(int(idx))
-        return Cube(int(k), tuple(int(c) for c in coords))
+        k = int(self.level[idx])
+        return Cube(k, tuple(self._deinterleave(int(idx) - int(self.offsets[k]), k)))
+
+    def descriptors(self, idx):
+        """``cube(i).descriptor()`` for each cube ``i`` of ``idx``, from one
+        de-interleaving of the whole array."""
+        k, coords = self.coords(np.asarray(idx, dtype=np.int64))
+        rows = zip(k.tolist(), *(c.tolist() for c in coords))
+        return [Cube(level, tuple(c)).descriptor() for level, *c in rows]
 
     def c_order(self, idx):
         """Sort key of the cubes of ``idx`` by level, then by C order of their
@@ -590,19 +601,35 @@ class WeightField:
 
     def log_norm_masses(self, directions):
         """Cell masses of log|W^{-1/2} d| for the rows d of ``directions``, on one
-        last axis; |W^{-1/2} d|^2 is summed one eigen-component at a time."""
+        last axis; |W^{-1/2} d|^2 is summed one eigen-component at a time.
+
+        The cells are filled in C order, an even run of them at a time, whose
+        products hold at most about ``_BATCH_FLOATS`` floats.  Each product is
+        ``directions`` times a C-contiguous copy of the run's eigenvector
+        columns, with at least two columns: a transposed operand stalls
+        threaded BLAS, and BLAS rounds a one-column product by another kernel.
+        A cell count above one is even, so every run has the bits of one
+        product over the whole grid, and a one-cell grid those of its gemv."""
         key = ("lognorm", directions.tobytes())
         if key not in self._cell_cache:
-            sq = np.zeros(self.values.shape[:-2] + (len(directions),))
-            for i in range(self.N):
-                proj = self.cell_eigvecs[..., i] @ directions.T
-                proj *= proj
-                proj /= self.cell_eigvals[..., i, None]
-                sq += proj
-            del proj
-            np.log(sq, out=sq)
-            sq *= 0.5 * self.grid.cell_masses[..., None]
-            self._cell_cache[key] = sq
+            D, N = len(directions), self.N
+            vecs = self.cell_eigvecs.reshape(-1, N, N)
+            vals = self.cell_eigvals.reshape(-1, N)
+            masses = self.grid.cell_masses.reshape(-1, 1)
+            out = np.zeros(self.values.shape[:-2] + (D,))
+            flat = out.reshape(-1, D)
+            run = 2 * max(1, _BATCH_FLOATS // (2 * D))
+            for lo in range(0, len(flat), run):
+                sq = flat[lo : lo + run]
+                for i in range(N):
+                    proj = directions @ np.ascontiguousarray(vecs[lo : lo + run, :, i].T)
+                    proj *= proj
+                    proj /= vals[lo : lo + run, i]
+                    sq += proj.T
+                    del proj
+                np.log(sq, out=sq)
+                sq *= 0.5 * masses[lo : lo + run]
+            self._cell_cache[key] = out
         return self._cell_cache[key]
 
 

@@ -326,9 +326,10 @@ def tb_run(field, gamma, eps1=None, eps2=0.1, eps3=None, lam=16.0, shifts=None):
     v0 = net.vectors_at(sector)
     dots = np.einsum("ij,ij->i", v1, v0)
     gap = np.flatnonzero(dots < net.required_cos)
+    gap = gap[np.argsort(tree.c_order(live[gap]))]
     violations = [
-        {"kind": "net-gap", "cube": tree.cube(live[i]).descriptor(), "value": float(dots[i])}
-        for i in gap[np.argsort(tree.c_order(live[gap]))]
+        {"kind": "net-gap", "cube": cube, "value": value}
+        for cube, value in zip(tree.descriptors(live[gap]), dots[gap].tolist())
     ]
 
     # S1 of every live cube under every anchor, from one propagation whose
@@ -428,16 +429,17 @@ def _chain_violations(tree, chain, e, v0, gsq, bound, eps1, eps2, slack=1e-9):
     bad = np.flatnonzero(~np.logical_and.reduce([ok for _, ok, _ in checks]))
     sector, s1, s2, r = chain
     bad = bad[np.lexsort(tuple(tree.c_order(x[bad]) for x in (s2, s1, r)))]
+    cubes = zip(*(tree.descriptors(x[bad]) for x in (s1, s2, r)))
     return [
         {
             "kind": kind,
             "sector": int(sector[i]),
-            "S1": tree.cube(s1[i]).descriptor(),
-            "S2": tree.cube(s2[i]).descriptor(),
-            "R": tree.cube(r[i]).descriptor(),
+            "S1": c1,
+            "S2": c2,
+            "R": cr,
             "value": float(value[i]),
         }
-        for i in bad
+        for i, (c1, c2, cr) in zip(bad, cubes)
         for kind, ok, value in checks
         if not ok[i]
     ]

@@ -154,12 +154,19 @@ def ratio_kernel(avg, keys, directions=None):
         out["thewest"] = det["w2"] / np.exp(2.0 * avg["logdet"])
     if "ainf_i" in keys and sampled:
         # |W_Q^{-1/2} d|^2 = d^T W_Q^{-1} d, summed over the contiguous last axis
-        # of a (B, D, N) product.  A (B, N, D) sum over axis 1 adds in turn,
-        # which numpy's pairwise sum of a contiguous axis does not from 8 terms
-        # on, so ainf_i keeps this order, and its bits, at every N.
-        sq = directions @ inv_w
-        sq *= directions
-        sq = np.sum(sq, axis=-1)
+        # of a (B, D, N) product.  numpy sums fewer than 8 terms of that axis in
+        # turn, which explicit adds repeat without its short-axis reduce, and
+        # pairwise from 8 terms on, which only np.sum repeats: ainf_i keeps the
+        # bits of that sum at every N.
+        prod = directions @ inv_w
+        prod *= directions
+        if prod.shape[-1] < 8:
+            sq = prod[..., 0].copy()
+            for i in range(1, prod.shape[-1]):
+                sq += prod[..., i]
+        else:
+            sq = np.sum(prod, axis=-1)
+        del prod
         ratio = np.exp(avg["lognorm"])
         ratio /= np.sqrt(sq, out=sq)
         out["ainf_i"] = np.max(ratio, axis=-1)

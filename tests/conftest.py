@@ -253,6 +253,16 @@ def oracle_inverse_norms(directions, inv_w):
     return np.sqrt(np.sum((directions @ inv_w) * directions, -1))
 
 
+def oracle_log_norm_masses(field, directions):
+    """``WeightField.log_norm_masses`` as one product over the whole grid per
+    eigen-component, with the transposed ``directions`` as its right operand."""
+    sq = np.zeros(field.values.shape[:-2] + (len(directions),))
+    for i in range(field.N):
+        proj = field.cell_eigvecs[..., i] @ directions.T
+        sq += proj * proj / field.cell_eigvals[..., i, None]
+    return np.log(sq) * (0.5 * field.grid.cell_masses[..., None])
+
+
 def oracle_b2_sampled(avg, directions):
     """Per row: max over the rows d of ``directions`` of |S d| / |W_Q d|, with S
     the eigh square root of (W^2)_Q and each norm taken of a (B, D, N) product."""

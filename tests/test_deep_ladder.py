@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "deep_ladder.py"
+STAGES = ("build_s", "doubling_s", "thewest_s", "scan_s", "tb_run_s", "class_s")
 
 # A stand-in checkout: the field generator and the library names a
 # child reads, with ``tb_run``'s body given per checkout.
@@ -92,11 +93,14 @@ def test_ladder_runs_every_rung_and_summarizes_like_bench_pairs(tmp_path, capsys
                 run = pair[side]
                 assert run["exit_code"] == 0 and run["tb_run_s"] >= 0.0 and run["peak_rss_mb"] > 0
                 assert run["class_s"] >= 0.0
+                rss = [run[f"{stage[:-2]}_rss_mb"] for stage in STAGES] + [run["peak_rss_mb"]]
+                assert rss[0] > 0 and rss == sorted(rss)
                 assert run["digests"][0].startswith(f"{label}: sha256=")
                 assert run["digests"][1].startswith(f"{label} class scan: sha256=")
         summary = runs["summary"]
         assert summary["tb_run_s"]["pairs"] == 2 and summary["digests_differ"] == []
         assert set(summary) >= {"build_s", "doubling_s", "thewest_s", "scan_s", "class_s", "peak_rss_mb"}
+        assert set(summary) >= {"build_rss_mb", "scan_rss_mb", "tb_run_rss_mb", "class_rss_mb"}
 
 
 def test_ladder_records_a_failing_rung_and_exits_1(tmp_path, capsys):
@@ -125,6 +129,7 @@ def test_ladder_records_a_capped_memory_error_as_a_result(tmp_path, capsys):
     for pair in runs["pairs"]:
         assert pair["parent"]["exit_code"] == 0 and "tb_run_s" not in pair["parent"]
         assert pair["parent"]["scan_s"] >= 0.0 and "class_s" not in pair["parent"]
+        assert "scan_rss_mb" in pair["parent"] and "tb_run_rss_mb" not in pair["parent"]
         assert pair["parent"]["memory_error"] == {
             "stage": "tb_run_s",
             "at": "tb.py:8 in tb_run: bytearray(2**34)",

@@ -73,6 +73,19 @@ def test_cube_tree_bits_match_the_oracle_grid_key(n, L):
     assert np.array_equal(tree.c_order(rows), key[rows])
 
 
+@pytest.mark.parametrize("n,L", [(1, 7), (2, 4), (3, 3), (2, 0)])
+def test_descriptors_match_each_cube(n, L):
+    # One de-interleaving of an index array gives each cube's descriptor, in
+    # the array's order, and cube(i) takes Python and numpy ints alike.
+    tree = CubeTree(n, L)
+    idx = np.random.default_rng(n).permutation(tree.size)
+    cubes = [tree.cube(i) for i in idx.tolist()]
+    assert all(tree.index(c) == i for i, c in zip(idx.tolist(), cubes))
+    assert cubes == [tree.cube(i) for i in idx]
+    assert tree.descriptors(idx) == [c.descriptor() for c in cubes]
+    assert tree.descriptors(idx[:0]) == []
+
+
 # Tails of the summed stacks: scalar channels (mu, log det W, the Carleson
 # masses, a power at N = 1) and the multi-channel ones.
 _TAILS = [(), (1,), (1, 1), (2,), (4,), (2, 2), (3, 3), (9,), (17,), (4, 4)]

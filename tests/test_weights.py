@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -29,6 +30,7 @@ from conftest import (
     oracle_b2_sampled,
     oracle_family_scan,
     oracle_inverse_norms,
+    oracle_log_norm_masses,
     random_spd_cells,
     random_weight_field,
     svd_b2,
@@ -641,6 +643,60 @@ def test_ainf_i_matches_the_old_form_bit_for_bit(seed, N, B, D):
     inv_w = (vv / ew[:, None, :]) @ vv.transpose(0, 2, 1)
     want = np.max(np.exp(avg["lognorm"]) / oracle_inverse_norms(dirs, inv_w), axis=-1)
     assert np.array_equal(weights.ratio_kernel(avg, ("ainf_i",), dirs)["ainf_i"], want)
+
+
+@pytest.mark.parametrize("N", [7, 8])
+def test_ainf_i_sums_in_turn_below_eight_terms_only(N):
+    # Boxes scaled by 1e-150 or 1e150: numpy sums the last axis of the
+    # (B, D, N) form in turn at N = 7 and pairwise at N = 8, where the sums in
+    # turn move the sup on some boxes, and ainf_i keeps the bits of both.
+    rng = np.random.default_rng(N)
+    scale = 10.0 ** rng.choice([-150.0, 150.0], (64, 1, 1))
+    avg = {"w": random_spd_cells(rng, 64, N, spread=0.8) * scale}
+    avg["winv"] = np.linalg.inv(avg["w"])
+    dirs = unit_rows(rng, 16, N)
+    avg["lognorm"] = np.zeros((64, len(dirs)))
+    ew, vv = np.linalg.eigh(avg["w"])
+    inv_w = (vv / ew[:, None, :]) @ vv.transpose(0, 2, 1)
+    prod = (dirs @ inv_w) * dirs
+    in_turn = functools.reduce(np.add, np.moveaxis(prod, -1, 0))
+    want = np.max(1.0 / oracle_inverse_norms(dirs, inv_w), axis=-1)
+    moved = np.max(1.0 / np.sqrt(in_turn), axis=-1) != want
+    assert np.any(moved) == (N == 8)
+    assert np.array_equal(weights.ratio_kernel(avg, ("ainf_i",), dirs)["ainf_i"], want)
+
+
+@pytest.mark.parametrize("n,L", [(1, 0), (1, 7), (2, 0), (2, 4), (3, 2)])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 9])
+def test_log_norm_masses_built_in_runs_match_the_whole_grid_product(monkeypatch, n, L, N):
+    # Budgets of 1 and 3 D floats give runs of two cells, 7 D runs of six
+    # (the last one short) and the default longer runs; each keeps the bits of
+    # one product over the whole grid, on one-cell grids too.
+    w = random_weight_field(np.random.default_rng(L * 10 + N), n=n, N=N, L=L, spread=1.0, mu_spread=0.5)
+    dirs = weights._directions(N, 64, N)
+    want = oracle_log_norm_masses(w, dirs)
+    for budget in (1, 3 * len(dirs), 7 * len(dirs), grid._BATCH_FLOATS):
+        monkeypatch.setattr(grid, "_BATCH_FLOATS", budget)
+        w._cell_cache.clear()
+        assert np.array_equal(w.log_norm_masses(dirs), want), budget
+
+
+def test_log_norm_masses_hold_the_output_and_one_run():
+    # The build's peak is the (cells, D) output plus about one run of its
+    # product, far from the three cells x D arrays of a whole-grid build.
+    w = random_weight_field(np.random.default_rng(0), n=2, N=2, L=7)
+    dirs = weights._directions(2, 64, 0)
+    out = (2**14) * len(dirs) * 8
+    run = grid._BATCH_FLOATS * 8
+    assert out > 4 * run
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        w.log_norm_masses(dirs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out < peak <= out + 1.2 * run
 
 
 @settings(max_examples=30, deadline=None)

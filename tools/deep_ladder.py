@@ -16,9 +16,11 @@ scan (``doubling_s``), the ``{thewest}`` scan (``thewest_s``), the
 ``{doubling, thewest}`` scan that ``tb_run`` reads (``scan_s``), the warm
 ``tb_run`` with the martingale gamma at eps2 0.3, gamma included
 (``tb_run_s``), then the ``weights.CLASS_KEYS`` scan that ``check-weight``
-runs, over the rung's shifts (``class_s``).  It reads its peak RSS from
-``getrusage`` (``peak_rss_mb``) and prints two digests: one of the three
-scans' sups and the ``tb_run`` report, and one of the class scan's sups.  Every
+runs, over the rung's shifts (``class_s``).  It reads its peak RSS so far from
+``getrusage`` after each stage (``build_rss_mb`` to ``class_rss_mb``, so a
+rung shows which stage sets its peak) and at its end (``peak_rss_mb``), and
+prints two digests: one of the three scans' sups and the ``tb_run`` report,
+and one of the class scan's sups.  Every
 child limits its address space to ``CAP_GB`` with ``RLIMIT_AS``, so a deep
 rung cannot take the host's memory; a ``MemoryError`` under the cap is a
 result, kept with the stage and the source line that failed and the stages
@@ -48,7 +50,8 @@ import bench_pairs  # noqa: E402
 from bench_pairs import SIDES  # noqa: E402
 
 CAP_GB = 5
-METRICS = ("build_s", "doubling_s", "thewest_s", "scan_s", "tb_run_s", "class_s", "peak_rss_mb")
+STAGES = ("build_s", "doubling_s", "thewest_s", "scan_s", "tb_run_s", "class_s")
+METRICS = STAGES + tuple(f"{stage[:-2]}_rss_mb" for stage in STAGES) + ("peak_rss_mb",)
 SCANS = (
     ("doubling_s", ("doubling",)),
     ("thewest_s", ("thewest",)),
@@ -104,6 +107,10 @@ def _digest(obj):
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
+def _peak_rss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def child(rung):
     """Run one rung in the checkout that is the working directory; print its
     result as one JSON line and return the exit code."""
@@ -118,25 +125,30 @@ def child(rung):
     from dwlab.weights import CLASS_KEYS, family_scan
 
     result, stage = {}, "build_s"
+
+    def done(start):
+        result[stage] = time.perf_counter() - start
+        result[f"{stage[:-2]}_rss_mb"] = _peak_rss_mb()
+
     try:
         start = time.perf_counter()
         mu, values = make_field(field_rng(rung.seed, 0), rung.n, rung.N, rung.L)
         field = WeightField(Grid(rung.n, rung.L, mu), values)
-        result["build_s"] = time.perf_counter() - start
+        done(start)
         sups = {}
         for stage, keys in SCANS:
             start = time.perf_counter()
             sups.update(family_scan(field, keys, rung.shifts).sups)
-            result[stage] = time.perf_counter() - start
+            done(start)
         stage = "tb_run_s"
         start = time.perf_counter()
         report = tb_run(field, make_gamma("martingale", field), eps2=0.3, shifts=rung.shifts)
-        result["tb_run_s"] = time.perf_counter() - start
+        done(start)
         result["digests"] = [f"{rung.label}: sha256={_digest({'sups': sups, 'tb_run': report.as_dict()})}"]
         stage = "class_s"
         start = time.perf_counter()
         sups = family_scan(field, CLASS_KEYS, rung.shifts).sups
-        result["class_s"] = time.perf_counter() - start
+        done(start)
         result["digests"].append(f"{rung.label} class scan: sha256={_digest(sups)}")
     except MemoryError:
         frame = traceback.extract_tb(sys.exc_info()[2])[-1]
@@ -144,7 +156,7 @@ def child(rung):
             "stage": stage,
             "at": f"{Path(frame.filename).name}:{frame.lineno} in {frame.name}: {frame.line}",
         }
-    result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    result["peak_rss_mb"] = _peak_rss_mb()
     print(json.dumps(result))
     return 0
 
