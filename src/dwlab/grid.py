@@ -223,9 +223,10 @@ class BoxBatch:
     def __init__(self, family, rows):
         self.family, self.rows = family, rows
         self.shift, self.level = family.shift, family.level
+        self._len = (rows[1] - rows[0]) * family.row_boxes
 
     def __len__(self):
-        return (self.rows[1] - self.rows[0]) * math.prod(self.family.counts[1:])
+        return self._len
 
     def descriptor(self, i):
         """The label of box ``i`` in C order."""
@@ -241,83 +242,74 @@ class _Family:
     box p is [o + p h, o + (p + 1) h) lattice steps; 2Q moves each side out by
     h / 2, clipped to [0, units].  An interval [lo, hi) has a band of
     ``ceil(hi / w) - lo // w`` cells (w = _CELL_UNITS) holding its exact
-    overlaps in steps; a batch's bands are as wide as its widest, which sets
-    einsum's summation order.  Up to level L a box is s = h / w cells wide and
-    all share r = o mod w: bands start at cell o // w + p s and read
-    [w - r, w, ..., w, r] (no r if r = 0), so a batch reads a strided view of
-    the cells and one band row.  At level L + 1 and for 2Q the widths repeat
-    with period at most 2 and only the first and last 2Q are clipped, so the
-    widest of a run of rows is among its first and last three; those batches
-    gather by index from arrays built once per band width."""
+    overlaps in steps.  A batch's bands are as wide as its widest, m, which
+    sets einsum's summation order, and start at cell ``min(lo // w, side - m)``.
+    So along an axis a batch's boxes fall into at most four affine pieces: a
+    first 2Q clipped at 0; the boxes between, whole-cell translates of each
+    other, in one run up to level L (h = s w) or in two runs of every other
+    box at level L + 1 (h = w / 2); and a last box clipped at the far side or
+    read from side - m.  Each piece reads one strided view and one band row.
+    An axis's pieces depend only on its level and offset, so ``axes``, the
+    grid's memo of them, is shared by the families of every shift."""
 
-    def __init__(self, shift, level, offsets, h, counts, units):
+    def __init__(self, shift, level, offsets, h, counts, units, axes):
         self.shift, self.level, self.counts = shift, level, counts
-        self._offsets, self._h, self._units = offsets, h, units
-        self._stride = s = h // _CELL_UNITS
-        self._arrays = {}
-        # The widest band along each axis, of Q and of 2Q.
-        self._widths = {d: [self._widest(a, 0, c, d) for a, c in enumerate(counts)] for d in (False, True)}
-        # Cells in the band of a box and of its double, for the batch budget.
-        self.band_cells = {d: math.prod(w) for d, w in self._widths.items()}
-        if s:
-            self._starts, self._bands = [o // _CELL_UNITS for o in offsets], []
-            for o, c in zip(offsets, counts):
-                r = o % _CELL_UNITS
-                row = np.array([_CELL_UNITS - r] + [_CELL_UNITS] * (s - 1) + [r] * (r > 0), float)
-                self._bands.append(np.ndarray((c, len(row)), float, row, strides=(0, row.itemsize)))
-                self._bands[-1].setflags(write=False)
+        self._offsets, self._h, self._units, self._axes = offsets, h, units, axes
+        # Each axis's count, band width and pieces, of Q and of 2Q; the cells
+        # in the band of a box and of its double, for the batch budget; and
+        # the boxes in one row along the first axis.
+        self._plans = {d: [self._axis(a, 0, c, d) for a, c in enumerate(counts)] for d in (False, True)}
+        self.band_cells = {d: math.prod(m for _, m, _ in plan) for d, plan in self._plans.items()}
+        self.row_boxes = math.prod(counts[1:])
 
-    def _widest(self, axis, first, stop, doubled):
-        """Cells in the widest band of boxes ``first .. stop - 1`` along ``axis``."""
-        o, h, w, widest = self._offsets[axis], self._h, _CELL_UNITS, 0
+    def _axis(self, axis, first, stop, doubled):
+        """The count, band width m and pieces ``(rows, boxes, start, step,
+        band)`` of boxes ``first .. stop - 1`` along ``axis``: the i-th of the
+        ``boxes`` boxes of ``rows`` (a slice of these boxes) reads m cells from
+        ``start + i * step`` on, weighted by the read-only band row."""
+        o, h, units, w = self._offsets[axis], self._h, self._units, _CELL_UNITS
+        key = (self.level, o, first, stop, doubled)
+        if key in self._axes:
+            return self._axes[key]
         half = h // 2 if doubled else 0
-        for p in (first, first + 1, first + 2, stop - 3, stop - 2, stop - 1):
-            if first <= p < stop:
-                lo, hi = max(o + p * h - half, 0), min(o + (p + 1) * h + half, self._units)
-                widest = max(widest, -(-hi // w) - lo // w)
-        return widest
+        period, pieces = 1 if h >= w else 2, []
+        # The widest band: of the first and last box, which may be clipped,
+        # and of the boxes between, by where their lo end falls in a cell.
+        ends = [(max(o + p * h - half, 0), min(o + (p + 1) * h + half, units)) for p in (first, stop - 1)]
+        between = [(o + p * h - half) % w for p in range(first + 1, stop - 1)[:period]]
+        m = max(-(-hi // w) - lo // w for lo, hi in ends + [(r, r + h + 2 * half) for r in between])
 
-    def _index(self, axis, first, stop, doubled):
-        """The cells and bands along ``axis`` of boxes ``first .. stop - 1``
-        (every box on the other axes), as wide as the widest band."""
-        c = self.counts[axis]
-        m = self._widths[doubled][axis] if stop - first == c else self._widest(axis, first, stop, doubled)
-        key = (axis, doubled, m)
-        if key not in self._arrays:
-            n, o, h, w = len(self.counts), self._offsets[axis], self._h, _CELL_UNITS
-            half = h // 2 if doubled else 0
-            lo = np.arange(o - half, o - half + c * h, h)
-            hi = lo + (h + 2 * half)
-            lo[0], hi[-1] = max(lo[0], 0), min(hi[-1], self._units)
-            j = np.minimum(lo // w, self._units // w - m)[:, None] + np.arange(m)
-            edge = j * float(w)  # the overlaps are small integers, exact in floats
-            band = np.minimum(hi[:, None] - edge, w)
-            band -= np.maximum(lo[:, None] - edge, 0)
-            shape = [1] * (2 * n)
-            shape[axis], shape[n + axis] = j.shape
-            self._arrays[key] = j.reshape(shape), np.maximum(band, 0, out=band)
-            for a in self._arrays[key]:
-                a.setflags(write=False)
-        j, band = self._arrays[key]
-        return (j[first:stop], band[first:stop]) if axis == 0 else (j, band)
+        def piece(p, until, every):
+            lo, hi = max(o + p * h - half, 0), min(o + (p + 1) * h + half, units)
+            j = min(lo // w, units // w - m)
+            a, b = lo // w - j, -(-hi // w) - j
+            row = np.zeros(m)
+            row[a:b] = w
+            row[a] -= lo % w
+            row[b - 1] -= -hi % w
+            row.setflags(write=False)
+            rows = slice(p - first, until - first, every)
+            pieces.append((rows, len(range(p, until, every)), j, every * h // w, row))
 
-    def gather(self, cells, rows, doubled=False):
-        """The values of a C-contiguous ``(side,) * n + tail`` cell array on the
-        bands of the boxes in ``rows`` along the first axis, or of their
-        doubles, as ``(count_0, ..., count_{n-1}, m_0, ..., m_{n-1}) + tail``,
-        and each axis's ``(count, m)`` band: a view of ``cells`` for Q up to
-        level L, else a copy."""
-        first, stop = rows
-        if doubled or not self._stride:
-            spans = [(first, stop), *((0, c) for c in self.counts[1:])]
-            index, bands = zip(*(self._index(a, *span, doubled) for a, span in enumerate(spans)))
-            return cells[index], bands
-        n, st = len(self.counts), cells.strides
-        shape = (stop - first, *self.counts[1:], *(b.shape[1] for b in self._bands), *cells.shape[n:])
-        offset = sum(j * x for j, x in zip(self._starts, st)) + first * self._stride * st[0]
-        strides = tuple(self._stride * x for x in st[:n]) + st
-        bands = (self._bands[0][first:stop], *self._bands[1:])
-        return np.ndarray(shape, cells.dtype, cells, offset, strides), bands
+        # Boxes begin .. end - 1 are neither clipped nor read from side - m:
+        # only a first 2Q can be clipped at 0, and only the last box otherwise.
+        begin = first + (o + first * h - half < 0)
+        last_lo, last_hi = o + (stop - 1) * h - half, o + stop * h + half
+        end = stop - (begin < stop and (last_hi > units or last_lo // w + m > units // w))
+        if begin > first:
+            piece(first, begin, 1)
+        for p in range(begin, min(begin + period, end)):
+            piece(p, end, period)
+        if end < stop:
+            piece(end, stop, 1)
+        self._axes[key] = stop - first, m, pieces
+        return self._axes[key]
+
+    def plan(self, rows, doubled=False):
+        """The count, band width and pieces of each axis (see ``_axis``) for
+        the boxes in ``rows`` along the first axis and every row along the others."""
+        plan, (first, stop) = self._plans[doubled], rows
+        return plan if stop - first == self.counts[0] else [self._axis(0, first, stop, doubled), *plan[1:]]
 
 
 class CellValueError(ValueError):
@@ -379,7 +371,7 @@ class Grid:
         self.mu_stack = self.integrals(np.ones(shape))
         self.mu_stack.setflags(write=False)
         # Translated-grid geometry, built once per grid; see _family.
-        self._families = {}
+        self._families, self._axes = {}, {}
 
     @property
     def side(self):
@@ -455,7 +447,7 @@ class Grid:
                 if box_floats is not None:
                     cells = box_floats(k, cells, family.band_cells[True])
                 count = family.counts[0]
-                rows = max(1, _BATCH_FLOATS // (cells * math.prod(family.counts[1:])))
+                rows = max(1, _BATCH_FLOATS // (cells * family.row_boxes))
                 for r in range(0, count, rows):
                     yield BoxBatch(family, (r, min(r + rows, count)))
 
@@ -469,26 +461,31 @@ class Grid:
             h = units >> k
             offsets = [v * units // 9 for v in vec]
             counts = tuple((units - o) // h for o in offsets)
-            self._families[key] = _Family(s_idx, k, offsets, h, counts, units) if all(counts) else None
+            family = _Family(s_idx, k, offsets, h, counts, units, self._axes) if all(counts) else None
+            self._families[key] = family
         return self._families[key]
 
     def box_sums(self, cells, batch, doubled=False):
         """Integrals of a ``(side,) * n + tail`` cell array over the boxes of
-        ``batch``, or their doubles 2Q, times ``_CELL_UNITS**n``: one row per box."""
-        return self.box_integrals(*batch.family.gather(cells, batch.rows, doubled))
+        ``batch``, or their doubles 2Q, times ``_CELL_UNITS**n``: one row per box.
 
-    @staticmethod
-    def box_integrals(masses, bands):
-        """Integrals over each box of cell masses gathered by ``_Family.gather``.
-
-        Each band axis is contracted in turn against its band, so no prefix-sum
-        difference is taken; the result has shape ``(boxes,) + tail``.
-        """
-        n = len(bands)
-        for axis, band in enumerate(bands):
-            sub = list(range(masses.ndim))
-            masses = np.einsum(masses, sub, band, [axis, n], sub[:n] + sub[n + 1 :])
-        return masses.reshape((-1,) + masses.shape[n:])
+        The axes are contracted in turn, each against its bands, so no
+        prefix-sum difference is taken and no block of every box's band cells
+        is formed.  Each piece of an axis (see ``_Family``) is one strided view
+        of the cells, or of the previous axis's sums, and its einsum writes
+        that piece's boxes of the axis's sums."""
+        x = np.ascontiguousarray(cells).reshape(1, -1)
+        for count, m, pieces in batch.family.plan(batch.rows, doubled):
+            x = x.reshape(-1, self.side, x.shape[-1] // self.side)
+            out, (lead, st, item) = np.empty((len(x), count, x.shape[2])), x.strides
+            for rows, boxes, start, step, band in pieces:
+                # Boxes a cell apart read one run of cells per band cell: one long row.
+                k = 1 if boxes == 1 or step == rows.step == 1 else boxes
+                shape, strides = (len(x), k, m, boxes * x.shape[2] // k), (lead, step * st, st, item)
+                view = np.ndarray(shape, x.dtype, x, start * st, strides)
+                np.einsum("akjb,j->akb", view, band, out=out[:, rows].reshape(shape[:2] + shape[3:]))
+            x = out
+        return x.reshape((-1,) + cells.shape[self.n :])
 
 
 # The moments a family scan may gather, in channel order: W, W^2, W^-1, W^-2

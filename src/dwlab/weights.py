@@ -76,15 +76,15 @@ def _b2_sampled(avg, directions):
     constant: per cube, the max over the rows d of ``directions`` of
     |S d| / |W_Q d|, with |S d|^2 = d^T (W^2)_Q d and |W_Q d|^2 = d^T W_Q^T W_Q d.
 
-    Each quadratic form reads the N*N entries of its matrix against the (N*N, D)
-    table of the products d_i d_j, one (1, N*N) @ (N*N, D) product per cube, so
-    no (B, N, D) product is held, and no BLAS call is one large 2-D product.
+    Each quadratic form reads the N*N entries of its matrix against the
+    C-contiguous (N*N, D) table of the products d_i d_j, one (B, N*N) @ (N*N, D)
+    product per moment, so no (B, N, D) product is held and no BLAS call, even
+    a threaded one, reads a transposed operand.
     """
-    products = (directions[:, :, None] * directions[:, None, :]).reshape(len(directions), -1).T
+    table = directions[:, :, None] * directions[:, None, :]
+    products = np.ascontiguousarray(table.reshape(len(directions), -1).T)
     w = avg["w"]
-    ratio, norms = (
-        (m.reshape(len(m), 1, -1) @ products)[:, 0] for m in (avg["w2"], w.transpose(0, 2, 1) @ w)
-    )
+    ratio, norms = (m.reshape(len(m), -1) @ products for m in (avg["w2"], w.transpose(0, 2, 1) @ w))
     ratio /= norms
     return np.sqrt(np.max(ratio, axis=-1))
 
@@ -252,7 +252,7 @@ def family_scan(field, keys, shifts=None, directions=64, seed=0):
     # stacks, 1 + 2/N arrays of (D, N) measured with tracemalloc.
     kernel_floats = moment_width - 1 + log_width + (field.N + 2) * D
     sups, argmax, count = {}, {}, 0
-    chunk = []  # (batch, its averages), waiting for one kernel call
+    chunk, pending = [], 0  # (batch, its averages) and their boxes, waiting for one kernel call
 
     def run_chunk():
         batches = [batch for batch, _ in chunk]
@@ -300,9 +300,11 @@ def family_scan(field, keys, shifts=None, directions=64, seed=0):
         count += len(batch)
         if not ratios:
             continue
-        if chunk and (sum(len(b) for b, _ in chunk) + len(batch)) * kernel_floats > _BATCH_FLOATS:
+        if chunk and (pending + len(batch)) * kernel_floats > _BATCH_FLOATS:
             run_chunk()
+            pending = 0
         chunk.append((batch, box_averages(field, batch, moments, log_dirs)))
+        pending += len(batch)
     if chunk:
         run_chunk()
     worst = {key: batch.descriptor(i) for key, (batch, i) in argmax.items()}

@@ -273,6 +273,18 @@ def oracle_b2_sampled(avg, directions):
     return np.max(num / den, axis=-1)
 
 
+def oracle_b2_quadratic(avg, directions):
+    """Per cube, one cube and one direction at a time: the max over the rows d
+    of ``directions`` of (d^T (W^2)_Q d)^{1/2} / |W_Q d|, and the condition of
+    the quadratic forms it reads, the largest |d|^T |M| |d| / d^T M d of
+    M = (W^2)_Q and W_Q^T W_Q (1 when no term of a form cancels another)."""
+    values, conds = [], []
+    for w, w2 in zip(avg["w"], avg["w2"]):
+        values.append(max(math.sqrt((d @ w2 @ d) / ((w @ d) @ (w @ d))) for d in directions))
+        conds.append(max(abs(d) @ abs(m) @ abs(d) / (d @ m @ d) for m in (w2, w.T @ w) for d in directions))
+    return np.array(values), np.array(conds)
+
+
 def svd_b2(avg):
     """The oracle of b2_i = b2_ii: per row, the top singular value of
     (W^2)_Q^{1/2} W_Q^{-1} from ``svd``, the root and the inverse from ``eigh``."""
@@ -331,10 +343,38 @@ def oracle_box_cells(grid, lo, hi):
     return tuple(index), tuple(bands)
 
 
+def plan_rows(plan):
+    """Each axis's start cell and band of every box, ``(starts, bands)`` with
+    one row per box, from the pieces of a ``_Family.plan``; every box lies in
+    exactly one piece."""
+    out = []
+    for count, m, pieces in plan:
+        starts, bands, seen = np.zeros(count, int), np.zeros((count, m)), np.zeros(count, int)
+        for rows, boxes, start, step, band in pieces:
+            assert band.dtype == float and band.shape == (m,) and boxes == len(range(count)[rows])
+            starts[rows] = start + step * np.arange(boxes)
+            bands[rows] = band
+            seen[rows] += 1
+        assert np.all(seen == 1)
+        out.append((starts, bands))
+    return out
+
+
+def oracle_box_integrals(masses, bands):
+    """Integrals over each box of a block of cell masses gathered as
+    ``oracle_box_cells`` gathers them: each band axis is contracted in turn
+    against its band, giving shape ``(boxes,) + tail``."""
+    n = len(bands)
+    for axis, band in enumerate(bands):
+        sub = list(range(masses.ndim))
+        masses = np.einsum(masses, sub, band, [axis, n], sub[:n] + sub[n + 1 :])
+    return masses.reshape((-1,) + masses.shape[n:])
+
+
 def oracle_box_sums(grid, cells, batch, doubled=False):
     """``Grid.box_sums`` from the per-box gather of ``oracle_box_cells``."""
     index, bands = oracle_box_cells(grid, *oracle_bounds(grid, batch, doubled))
-    return grid.box_integrals(cells[index], bands)
+    return oracle_box_integrals(cells[index], bands)
 
 
 def oracle_box_averages(field, batch, moments, directions=None):

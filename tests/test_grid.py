@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,9 +33,12 @@ from conftest import (
     oracle_band_cells,
     oracle_bounds,
     oracle_box_cells,
+    oracle_box_integrals,
     oracle_box_mass_tree,
+    oracle_box_sums,
     oracle_grid_key,
     oracle_integrals,
+    plan_rows,
     random_weight_field,
     weighted_avg,
 )
@@ -211,8 +217,8 @@ def test_box_avg_matches_cell_sum(rng):
     lo, hi = 86, 230
     index, bands = _one_box(g, [lo], [hi])
     masses = w.values * g.cell_masses[:, None, None]
-    mu_q = g.box_integrals(g.cell_masses[index], bands)[0]
-    got = g.box_integrals(masses[index], bands)[0] / mu_q
+    mu_q = oracle_box_integrals(g.cell_masses[index], bands)[0]
+    got = oracle_box_integrals(masses[index], bands)[0] / mu_q
     # brute-force cell loop with exact partial overlaps
     lo, hi, width = lo / 288, hi / 288, 2.0**-3
     num = np.zeros((2, 2))
@@ -259,7 +265,7 @@ def test_box_measure_partial_cells():
     # 1/8 of the second; the integral counts each cell in steps, 36 per cell
     index, bands = _one_box(g, [9], [45])
     assert [list(b) for b in bands[0]] == [[27.0, 9.0]]
-    assert g.box_integrals(g.cell_masses[index], bands)[0] == 1.5 * 36
+    assert oracle_box_integrals(g.cell_masses[index], bands)[0] == 1.5 * 36
 
 
 def test_cube_geometry():
@@ -410,31 +416,32 @@ def _one_row(k, cells, doubled):
 
 
 def _assert_gathers_match_the_oracle(g, cells, batches):
-    """Each batch's gather of ``cells`` for its boxes and their doubles: the
-    band cells, bands, gathered values and box integrals of the per-box
-    oracle, bit for bit, and read-only bands."""
+    """Each batch's box sums of ``cells`` over its boxes and their doubles:
+    the band cells, each axis's starts, band widths and read-only bands, and
+    the box sums of the per-box oracle, bit for bit."""
     for batch in batches:
         for doubled in (False, True):
             assert batch.family.band_cells[doubled] == oracle_band_cells(g, batch, doubled)
-            masses, bands = batch.family.gather(cells, batch.rows, doubled)
+            plan = batch.family.plan(batch.rows, doubled)
             index, want = oracle_box_cells(g, *oracle_bounds(g, batch, doubled))
-            for got, ref in zip(bands, want):
-                assert got.dtype == ref.dtype and got.shape == ref.shape and np.array_equal(got, ref)
-                assert not got.flags.writeable
-                with pytest.raises(ValueError):
-                    got[...] = 0
-            gathered = cells[index]
-            assert masses.shape == gathered.shape and np.array_equal(masses, gathered)
-            got, ref = g.box_integrals(masses, bands), g.box_integrals(gathered, want)
-            assert np.array_equal(got, ref), (batch.descriptor(0), doubled)
+            for (starts, bands), j, ref in zip(plan_rows(plan), index, want, strict=True):
+                assert bands.shape == ref.shape and np.array_equal(bands, ref)
+                assert np.array_equal(starts, j.reshape(ref.shape)[:, 0])
+            for *_, pieces in plan:
+                for *_, band in pieces:
+                    assert not band.flags.writeable
+                    with pytest.raises(ValueError):
+                        band[...] = 0
+            got, ref = g.box_sums(cells, batch, doubled), oracle_box_sums(g, cells, batch, doubled)
+            assert got.shape == ref.shape and np.array_equal(got, ref), (batch.descriptor(0), doubled)
 
 
 @pytest.mark.parametrize("n, L", [(1, 3), (2, 2), (3, 2)])
 def test_box_cells_memo_matches_fresh(n, L):
     # Every batch of every shift vector up to the limit, at the default split
     # and one row per batch (edge rows of 2Q are narrower than the family):
-    # each family is built once per grid, and its gathers, for the boxes and
-    # for their doubles, are the per-box oracle's with read-only bands.
+    # each family is built once per grid, and its plans and box sums, for the
+    # boxes and for their doubles, are the per-box oracle's with read-only bands.
     g = Grid(n, L, np.random.default_rng(L).uniform(0.5, 2.0, (2**L,) * n))
     for box_floats in (None, _one_row):
         batches = list(g.box_batches(_shift_limit(n), range(g.L + 2), box_floats))
@@ -475,22 +482,29 @@ def test_family_gathers_match_the_per_box_oracle(seed, n, depth, shift_share, bu
 
 def test_a_scan_builds_each_family_once_and_views_the_cells(monkeypatch):
     # A family scan builds each (shift, level) family once per grid, and a
-    # scan of another field on the grid builds none.  Every gather of the
-    # boxes Q at levels 0..L is a view of the cell array it reads, no copy;
-    # 2Q and level L + 1 gather by index.
-    built, gathers = [], []
+    # scan of another field on the grid builds none.  Every piece of every box
+    # sum, of Q and of 2Q at levels 0..L + 1, reads a view of the cell array
+    # it sums or of the previous axis's sums, no copy.
+    built, sums = [], []
+    box_sums, einsum = Grid.box_sums, np.einsum
 
     class Counted(grid._Family):
         def __init__(self, shift, level, *args):
             built.append((shift, level))
             super().__init__(shift, level, *args)
 
-        def gather(self, cells, rows, doubled=False):
-            out = super().gather(cells, rows, doubled)
-            gathers.append((self.level, doubled, cells, out[0]))
-            return out
+    def counted_sums(self, cells, batch, doubled=False):
+        sums.append((batch.level, doubled, cells, []))
+        return box_sums(self, cells, batch, doubled)
+
+    def counted_einsum(*operands, **kwargs):
+        if operands[0] == "akjb,j->akb":
+            sums[-1][3].append((operands[1], kwargs["out"]))
+        return einsum(*operands, **kwargs)
 
     monkeypatch.setattr(grid, "_Family", Counted)
+    monkeypatch.setattr(Grid, "box_sums", counted_sums)
+    monkeypatch.setattr(np, "einsum", counted_einsum)
     w = random_weight_field(np.random.default_rng(5), n=2, N=2, L=3, mu_spread=0.5)
     g = w.grid
     family_scan(w, CLASS_KEYS, shifts=4)
@@ -498,16 +512,38 @@ def test_a_scan_builds_each_family_once_and_views_the_cells(monkeypatch):
     assert {level for _, level in built} == set(range(g.L + 2))
     family_scan(WeightField(g, w.values), ("thewest", "doubling"), shifts=4)
     assert len(built) == len(set(built))
-    views = 0
-    for level, doubled, cells, masses in gathers:
-        if level <= g.L and not doubled:
-            views += 1
+    for level, doubled, cells, pieces in sums:
+        assert pieces
+        read = [cells]
+        for view, out in pieces:
             # A read-only array lends its memory through a buffer of its own.
-            assert masses.base is cells or not cells.flags.writeable
-            assert np.shares_memory(masses, cells) and not masses.flags.owndata
-        else:
-            assert masses.flags.owndata or not np.shares_memory(masses, cells)
-    assert views > 0 and any(c is not g.cell_masses for _, _, c, _ in gathers)
+            assert not view.flags.owndata and any(np.shares_memory(view, a) for a in read)
+            read.append(out.base)
+    assert {(level > g.L, doubled) for level, doubled, *_ in sums} == {(a, b) for a in (0, 1) for b in (0, 1)}
+    assert any(c is not g.cell_masses for _, _, c, _ in sums)
+
+
+def test_a_doubled_box_sum_holds_its_axis_sums_only():
+    # Contracted one axis at a time, the 2Q box sums of an n = 3 batch
+    # allocate no more than the sums of each axis (and a few Python objects),
+    # far below the count^3 m^3 block of band cells that a gather would copy.
+    g = Grid(3, 4, np.random.default_rng(3).uniform(0.5, 2.0, (16,) * 3))
+    cells = np.random.default_rng(4).uniform(0.1, 1.0, (16,) * 3 + (2,))
+    batch = next(b for b in g.box_batches(1, [2]) if b.shift == 1)
+    index, bands = oracle_box_cells(g, *oracle_bounds(g, batch, True))
+    counts = [len(b) for b in bands]
+    axis_sums = sum(math.prod(counts[: a + 1]) * 16 ** (2 - a) * 2 * 8 for a in range(3))
+    block = math.prod(counts) * math.prod(b.shape[1] for b in bands) * 2 * 8
+    want = oracle_box_sums(g, cells, batch, True)
+    assert np.array_equal(g.box_sums(cells, batch, True), want)
+    tracemalloc.start()
+    try:
+        got = g.box_sums(cells, batch, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak <= axis_sums + 4096 and 10 * axis_sums < block, (peak, axis_sums, block)
 
 
 def test_field_reader_counts_numbers_line_by_line(tmp_path):

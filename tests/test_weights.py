@@ -27,10 +27,12 @@ from conftest import (
     doubling_of,
     family_labels,
     full_kernel,
+    oracle_b2_quadratic,
     oracle_b2_sampled,
     oracle_family_scan,
     oracle_inverse_norms,
     oracle_log_norm_masses,
+    plan_rows,
     random_spd_cells,
     random_weight_field,
     svd_b2,
@@ -531,21 +533,21 @@ def test_doubling_uniform_grid_is_two_to_the_n(n, L):
 def test_integer_bands_match_float_overlaps(seed, n, depth):
     # Every band entry is the exact overlap in lattice steps: divided by the
     # 36 steps of a cell it is the float overlap fraction of the oracle, on the
-    # translated boxes and on their doubles.  Gathering the flat cell numbers
-    # names the cell of every band entry.
+    # translated boxes and on their doubles.  The start cell of each box's
+    # band along each axis, from the family's plan, names the cell of every
+    # band entry.
     g = Grid(n, depth if n == 1 else min(depth, 2))
     shifts = int(np.random.default_rng(seed).integers(0, 3**n + 6**n - 2**n))
     boxes = list(_oracle_boxes(g, shifts, range(g.L + 2)))
     batches = list(g.box_batches(shifts, range(g.L + 2)))
-    numbers = np.arange(g.side**n).reshape((g.side,) * n)
     for doubled in (False, True):
         got = []
         for batch in batches:
-            flat, bands = batch.family.gather(numbers, batch.rows, doubled)
+            starts, bands = zip(*plan_rows(batch.family.plan(batch.rows, doubled)))
             for box in itertools.product(*(range(len(b)) for b in bands)):
                 fracs = {}
                 for band_pos in itertools.product(*(range(b.shape[1]) for b in bands)):
-                    cell = tuple(int(c) for c in np.unravel_index(flat[box + band_pos], numbers.shape))
+                    cell = tuple(int(s[i] + j) for s, i, j in zip(starts, box, band_pos))
                     frac = math.prod(b[i, j] for b, i, j in zip(bands, box, band_pos)) / 36**n
                     if frac:
                         fracs[cell] = frac
@@ -709,7 +711,10 @@ def test_log_norm_masses_hold_the_output_and_one_run():
 def test_sampled_ratios_of_the_kernel_match_their_first_form(seed, n, N, count):
     # b2_sampled, now a Rayleigh quotient of (W^2)_Q and W_Q, stays within
     # 1e-12 of the norm ratio through the eigh root and below the operator
-    # norm; ainf_i is bit for bit the (B, D, N) form.
+    # norm, and within 1e-13 of the quadratic forms taken one cube and one
+    # direction at a time, times their condition: a form whose terms cancel
+    # loses the digits they share, in both.  ainf_i is bit for bit the
+    # (B, D, N) form.
     rng = np.random.default_rng(seed)
     w = random_weight_field(rng, n=n, N=N, L=3 if n == 1 else 2, spread=1.0, mu_spread=0.5)
     avg = dict(zip(("w", "w2", "winv"), w.average_stacks(("w", "w2", "winv"))))
@@ -718,6 +723,8 @@ def test_sampled_ratios_of_the_kernel_match_their_first_form(seed, n, N, count):
     r = weights.ratio_kernel(avg, ("b2_i", "ainf_i"), dirs)
     old = oracle_b2_sampled(avg, dirs)
     assert np.all(np.abs(r["b2_sampled"] - old) <= 1e-12 * old)
+    quad, cond = oracle_b2_quadratic(avg, dirs)
+    assert np.all(np.abs(r["b2_sampled"] - quad) <= 1e-13 * cond * quad)
     assert np.all(r["b2_sampled"] <= r["b2_ii"] * (1.0 + 1e-9))
     ew, vv = np.linalg.eigh(avg["w"])
     inv_w = (vv / ew[:, None, :]) @ vv.transpose(0, 2, 1)
