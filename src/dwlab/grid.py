@@ -203,11 +203,11 @@ def _sibling_sums(child, n, out=None):
     return out
 
 
-# Floats a batch may hold at once (boxes x the floats its reader holds per
-# box, by default its band cells), unless one row of boxes alone needs more.
-# At 3 * 2**15 the full class scan of log-gaussian fields at n=2 L=5 and n=1
-# L=9 holds less at once than under a fixed 128 boxes per batch (traced), and
-# its largest gather is no larger; scans that read fewer channels get more boxes.
+# Floats a batch may hold at once (its boxes, or the sums of its first axis,
+# times the floats its reader holds per box), unless one row of boxes alone
+# needs more; also the budget of a kernel chunk and of a log-norm run.  At
+# 3 * 2**15 the class scan of log-gaussian fields at n=2 L=5 and n=1 L=9 held
+# less at once than under a fixed 128 boxes per batch (traced).
 _BATCH_FLOATS = 3 * 2**15
 
 # Every box endpoint lies on the lattice of step 1/(9 * 2**(L+2)): shifts are
@@ -242,41 +242,42 @@ class _Family:
     box p is [o + p h, o + (p + 1) h) lattice steps; 2Q moves each side out by
     h / 2, clipped to [0, units].  An interval [lo, hi) has a band of
     ``ceil(hi / w) - lo // w`` cells (w = _CELL_UNITS) holding its exact
-    overlaps in steps.  A batch's bands are as wide as its widest, m, which
-    sets einsum's summation order, and start at cell ``min(lo // w, side - m)``.
-    So along an axis a batch's boxes fall into at most four affine pieces: a
-    first 2Q clipped at 0; the boxes between, whole-cell translates of each
-    other, in one run up to level L (h = s w) or in two runs of every other
-    box at level L + 1 (h = w / 2); and a last box clipped at the far side or
-    read from side - m.  Each piece reads one strided view and one band row.
-    An axis's pieces depend only on its level and offset, so ``axes``, the
+    overlaps in steps.  Every band of an axis, of Q or of 2Q, is as wide as
+    the widest of the whole axis, m, which sets einsum's summation order, so
+    a box sum has the same bits whatever batch holds the box.  A band starts
+    at cell ``min(lo // w, side - m)``.  So along an axis a batch's boxes
+    fall into at most four affine pieces: a first 2Q clipped at 0; the boxes
+    between, whole-cell translates of each other, in one run up to level L
+    (h = s w) or in two runs of every other box at level L + 1 (h = w / 2);
+    and a last box clipped at the far side or read from side - m.  Each
+    piece reads one strided view and one band row.  An axis's pieces depend
+    only on its level, its offset and the rows asked for, so ``axes``, the
     grid's memo of them, is shared by the families of every shift."""
 
     def __init__(self, shift, level, offsets, h, counts, units, axes):
         self.shift, self.level, self.counts = shift, level, counts
         self._offsets, self._h, self._units, self._axes = offsets, h, units, axes
-        # Each axis's count, band width and pieces, of Q and of 2Q; the cells
-        # in the band of a box and of its double, for the batch budget; and
-        # the boxes in one row along the first axis.
+        # Each axis's count, band width and pieces, of Q and of 2Q, and the
+        # boxes in one row along the first axis.
         self._plans = {d: [self._axis(a, 0, c, d) for a, c in enumerate(counts)] for d in (False, True)}
-        self.band_cells = {d: math.prod(m for _, m, _ in plan) for d, plan in self._plans.items()}
         self.row_boxes = math.prod(counts[1:])
 
     def _axis(self, axis, first, stop, doubled):
         """The count, band width m and pieces ``(rows, boxes, start, step,
         band)`` of boxes ``first .. stop - 1`` along ``axis``: the i-th of the
         ``boxes`` boxes of ``rows`` (a slice of these boxes) reads m cells from
-        ``start + i * step`` on, weighted by the read-only band row."""
+        ``start + i * step`` on, weighted by the read-only band row.  m is the
+        widest band of the whole axis, whatever ``first`` and ``stop``."""
         o, h, units, w = self._offsets[axis], self._h, self._units, _CELL_UNITS
         key = (self.level, o, first, stop, doubled)
         if key in self._axes:
             return self._axes[key]
         half = h // 2 if doubled else 0
-        period, pieces = 1 if h >= w else 2, []
-        # The widest band: of the first and last box, which may be clipped,
-        # and of the boxes between, by where their lo end falls in a cell.
-        ends = [(max(o + p * h - half, 0), min(o + (p + 1) * h + half, units)) for p in (first, stop - 1)]
-        between = [(o + p * h - half) % w for p in range(first + 1, stop - 1)[:period]]
+        period, pieces, count = 1 if h >= w else 2, [], self.counts[axis]
+        # The widest band: of the axis's first and last box, which may be
+        # clipped, and of the boxes between, by where their lo end falls in a cell.
+        ends = [(max(o + p * h - half, 0), min(o + (p + 1) * h + half, units)) for p in (0, count - 1)]
+        between = [(o + p * h - half) % w for p in range(1, count - 1)[:period]]
         m = max(-(-hi // w) - lo // w for lo, hi in ends + [(r, r + h + 2 * half) for r in between])
 
         def piece(p, until, every):
@@ -431,23 +432,24 @@ class Grid:
 
         Yields the cubes of every translated grid that lie fully inside [0,1)^n,
         one (shift, level) family at a time split along its first axis into
-        batches, in enumeration order.  ``box_floats(level, cells, doubled)``
-        is the number of floats a reader holds at once per box, given the band
-        cells of a box and of its double 2Q (default ``cells``, one gathered
-        channel).  A batch holds at most ``_BATCH_FLOATS`` floats, or one row.
+        batches, in enumeration order.  ``box_floats(level)`` is the number of
+        floats a reader holds per box (default 1).  A batch holds at most
+        ``_BATCH_FLOATS`` floats, or one row: per row, that many floats for
+        each of its boxes or for each of the ``side**(n-1)`` sums of the first
+        axis, whichever are more.  Band widths are the family's (see
+        ``_Family``), so the split sets memory only, never a bit.
         """
         if levels is None:
             levels = range(self.L + 1)
+        cross = self.side ** (self.n - 1)
         for s_idx, s in enumerate(self.shift_vectors(shifts)):
             for k in levels:
                 family = self._family(s_idx, s, k)
                 if family is None:
                     continue
-                cells = family.band_cells[False]
-                if box_floats is not None:
-                    cells = box_floats(k, cells, family.band_cells[True])
+                floats = 1 if box_floats is None else box_floats(k)
                 count = family.counts[0]
-                rows = max(1, _BATCH_FLOATS // (cells * family.row_boxes))
+                rows = max(1, _BATCH_FLOATS // (floats * max(family.row_boxes, cross)))
                 for r in range(0, count, rows):
                     yield BoxBatch(family, (r, min(r + rows, count)))
 

@@ -56,10 +56,6 @@ _READS = {
 RATIO_KEYS = tuple(_READS)
 # The class report: the sups of the eight class ratios and the doubling constant.
 CLASS_KEYS = ("b2_i", "b2_ii", "b2_iii", "b2_iv", "ainf_i", "ainf_ii", "a2", "thewest", "doubling")
-# Arrays of (D, N) floats per box that the gather batch budget counts for the
-# direction keys.  The kernel holds 1 + 2/N of them (see family_scan), but this
-# count sets the gather batch rows, and so the band widths and the bits.
-_STACKS = 4
 # Every sup a family scan can return.
 _SCAN_KEYS = frozenset(RATIO_KEYS) | {"doubling"}
 # Keys that read the direction set: ainf_i, and b2_sampled, the self-check of b2.
@@ -213,10 +209,14 @@ def family_scan(field, keys, shifts=None, directions=64, seed=0):
     ``seed``, and they assert their sampled bounds on every box.  The result is
     memoised on the field, whose values and density are read-only.
 
-    The averages of each gather batch wait in a chunk, and the kernel runs once
-    per chunk: the chunk is run before the next batch would take its boxes
-    times the kernel's floats per box past ``grid._BATCH_FLOATS``.  Kernel rows
-    are independent of each other, so the chunks set no bits.
+    The gather batches hold the kernel's floats per box (two at level L+1,
+    mu(Q) and mu(2Q)); their split sets memory only, since every band width is
+    the family's.  The averages of each batch wait in a chunk, and the kernel
+    runs once per chunk: the chunk is run before the next batch would take its
+    boxes times the kernel's floats per box past ``grid._BATCH_FLOATS``.
+    Kernel rows are independent of each other, so the chunks set no bits.  The
+    first box, in enumeration order, to attain a sup is its worst box; a NaN
+    ratio wins and sticks, so the first NaN box names a NaN sup.
     """
     g = field.grid
     keys = frozenset(keys)
@@ -232,22 +232,12 @@ def family_scan(field, keys, shifts=None, directions=64, seed=0):
         return field._scans[memo]
     dirs = _directions(field.N, directions, seed) if sampled else None
 
-    # Floats held per box: the largest of the gathers made one after another
-    # (mu with the moments the ratios read, the direction channels of ainf_i,
-    # mu(Q) and mu(2Q) of doubling), plus the (D, N) direction stacks.
     moments = _moments(ratios)
     moment_width = 1 + sum(1 if m == "logdet" else field.N**2 for m in moments) if ratios else 0
     D = len(dirs) if sampled else 0
     log_dirs, log_width = (dirs, D) if "ainf_i" in ratios else (None, 0)
     doubling = "doubling" in keys
     levels = range(g.L + 2 if doubling else g.L + 1)
-
-    def box_floats(k, cells, doubled):
-        held = max(cells, doubled) if doubling else 1
-        if k > g.L:
-            return held
-        return max(held, moment_width * cells, log_width * cells) + _STACKS * D * field.N
-
     # Floats the kernel holds per box: the averages it reads, and the direction
     # stacks, 1 + 2/N arrays of (D, N) measured with tracemalloc.
     kernel_floats = moment_width - 1 + log_width + (field.N + 2) * D
@@ -276,20 +266,15 @@ def family_scan(field, keys, shifts=None, directions=64, seed=0):
                 batch, i = box(int(np.argmax(over)))
                 raise AssertionError(f"{what} on {batch.descriptor(i)}")
         for key in ratios:
-            values = r[key]
-            i = int(np.argmax(values))
-            # The chunk's first maximum is the first box to attain the sup.  A
-            # NaN stops the scan's sup wherever it falls in a batch's argmax, so
-            # a chunk holding one is taken batch by batch.
-            spans = zip(starts[:-1], starts[1:]) if np.isnan(values[i]) else [(0, len(values))]
-            for lo, hi in spans:
-                i = int(lo + np.argmax(values[lo:hi]))
-                val = float(values[i])
-                if key not in sups or val > sups[key]:
-                    sups[key] = val
-                    argmax[key] = box(i)
+            # The chunk's first maximum, or its first NaN, is the first box to
+            # attain the sup; nothing compares above a NaN sup, so it sticks.
+            i = int(np.argmax(r[key]))
+            val = float(r[key][i])
+            if key not in sups or val > sups[key] or (np.isnan(val) and not np.isnan(sups[key])):
+                sups[key] = val
+                argmax[key] = box(i)
 
-    for batch in g.box_batches(shifts, levels, box_floats):
+    for batch in g.box_batches(shifts, levels, lambda k: 2 if k > g.L else max(2, kernel_floats)):
         if doubling:
             # mu(Q) is its own bare gather: einsum sums a lone channel in
             # another order than a channel of a stack.

@@ -316,24 +316,26 @@ def oracle_band_width(grid, lo, hi):
     return int(min(grid.side, np.max(-(-hi // 36) - lo // 36)))
 
 
-def oracle_band_cells(grid, batch, doubled=False):
-    """Cells each box of the family of ``batch``, or its double, reads."""
+def oracle_band_widths(grid, batch, doubled=False):
+    """Each axis's band width over the whole family of ``batch``, or of its
+    doubles: the widest band of any of its boxes."""
     lo, hi = oracle_bounds(grid, BoxBatch(batch.family, (0, batch.family.counts[0])), doubled)
-    return math.prod(oracle_band_width(grid, a, b) for a, b in zip(lo, hi))
+    return [oracle_band_width(grid, a, b) for a, b in zip(lo, hi)]
 
 
-def oracle_box_cells(grid, lo, hi):
+def oracle_box_cells(grid, lo, hi, widths):
     """The per-box gather of the boxes with per-axis intervals [lo, hi).
 
     Along one axis an interval overlaps at most ``ceil((hi - lo) / 36) + 1``
     consecutive cells, so per axis a start index and a ``(count, m)`` band of
-    the exact overlaps in lattice steps cover the boxes, ``m`` the widest band.
-    Returns an index tuple that gathers a cell array into shape ``(count_0,
-    ..., count_{n-1}, m_0, ..., m_{n-1}) + tail``, and the bands."""
+    the exact overlaps in lattice steps cover the boxes, ``m`` that axis's
+    entry of ``widths``, at least the widest band of these boxes.  Returns an
+    index tuple that gathers a cell array into shape ``(count_0, ...,
+    count_{n-1}, m_0, ..., m_{n-1}) + tail``, and the bands."""
     n, side = grid.n, grid.side
     index, bands = [], []
-    for axis, (a, b) in enumerate(zip(lo, hi)):
-        m = oracle_band_width(grid, a, b)
+    for axis, (a, b, m) in enumerate(zip(lo, hi, widths, strict=True)):
+        assert m >= oracle_band_width(grid, a, b)
         j = np.clip(a // 36, 0, side - m)[:, None] + np.arange(m)
         band = np.minimum(b[:, None], (j + 1) * 36) - np.maximum(a[:, None], j * 36)
         shape = [1] * (2 * n)
@@ -372,8 +374,10 @@ def oracle_box_integrals(masses, bands):
 
 
 def oracle_box_sums(grid, cells, batch, doubled=False):
-    """``Grid.box_sums`` from the per-box gather of ``oracle_box_cells``."""
-    index, bands = oracle_box_cells(grid, *oracle_bounds(grid, batch, doubled))
+    """``Grid.box_sums`` from the per-box gather of ``oracle_box_cells``, with
+    the band widths of the whole family."""
+    widths = oracle_band_widths(grid, batch, doubled)
+    index, bands = oracle_box_cells(grid, *oracle_bounds(grid, batch, doubled), widths)
     return oracle_box_integrals(cells[index], bands)
 
 
@@ -395,8 +399,9 @@ def oracle_box_averages(field, batch, moments, directions=None):
 
 def oracle_family_scan(field, keys, shifts, directions=64, seed=0):
     """The family scan with one kernel call per gather batch and the per-box
-    gathers, unmemoised: ``(sups, worst, count)``.  The batches and the sup and
-    self-check rules are ``weights.family_scan``'s; the kernel is
+    gathers, unmemoised: ``(sups, worst, count)``.  The sup and self-check
+    rules are ``weights.family_scan``'s, but the batches are the default
+    split, not the scan's: a split sets no bits.  The kernel is
     ``full_kernel``, so ``keys`` may name ``TEST_READS``."""
     g = field.grid
     keys = frozenset(keys)
@@ -405,20 +410,10 @@ def oracle_family_scan(field, keys, shifts, directions=64, seed=0):
     sampled = not weights._SAMPLED.isdisjoint(ratios)
     dirs = weights._directions(field.N, directions, seed) if sampled else None
     moments = sorted({m for k in ratios for m in reads[k]}, key=MOMENTS.index)
-    moment_width = 1 + sum(1 if m == "logdet" else field.N**2 for m in moments) if ratios else 0
-    D = len(dirs) if sampled else 0
-    log_width = D if "ainf_i" in ratios else 0
     doubling = "doubling" in keys
     levels = range(g.L + 2 if doubling else g.L + 1)
-
-    def box_floats(k, cells, doubled):
-        held = max(cells, doubled) if doubling else 1
-        if k > g.L:
-            return held
-        return max(held, moment_width * cells, log_width * cells) + weights._STACKS * D * field.N
-
     sups, argmax, count = {}, {}, 0
-    for batch in g.box_batches(shifts, levels, box_floats):
+    for batch in g.box_batches(shifts, levels):
         if doubling:
             mass, mass2 = (oracle_box_sums(g, g.cell_masses, batch, doubled) for doubled in (False, True))
             sups["doubling"] = max(sups.get("doubling", 0.0), float(np.max(mass2 / mass)))
@@ -439,9 +434,12 @@ def oracle_family_scan(field, keys, shifts, directions=64, seed=0):
             if over.any():
                 raise AssertionError(f"{what} on {batch.descriptor(int(np.argmax(over)))}")
         for key in ratios:
+            # The first NaN box, in enumeration order, wins and sticks.
+            if key in sups and np.isnan(sups[key]):
+                continue
             i = int(np.argmax(r[key]))
             val = float(r[key][i])
-            if key not in sups or val > sups[key]:
+            if key not in sups or val > sups[key] or np.isnan(val):
                 sups[key] = val
                 argmax[key] = (batch, i)
     return sups, {key: batch.descriptor(i) for key, (batch, i) in argmax.items()}, count

@@ -457,7 +457,9 @@ def test_b2_self_check_guards_the_eigenvalues(random_field, monkeypatch, capsys)
 def test_check_weight_names_the_non_finite_report_value(tmp_path, capsys):
     # The field whose cells alternate I and 1e200 I overflows the averages of
     # W^2 and W^-1 and the determinants: check-weight refuses the report by
-    # naming a non-finite value, not with a linear-algebra error.
+    # naming a non-finite value, not with a linear-algebra error.  a2 is inf
+    # on the coarse boxes and NaN (inf times 0) on a level-2 box of a later
+    # batch; the first NaN box wins the sup.
     vals = np.array([np.eye(2) * (1.0 if i % 2 == 0 else 1e200) for i in range(4)])
     path = tmp_path / "wild.wf"
     write_weight_field(path, WeightField(Grid(1, 2), vals))
@@ -466,7 +468,7 @@ def test_check_weight_names_the_non_finite_report_value(tmp_path, capsys):
         rc = main(["check-weight", "--field", str(path), "--report", str(rep)])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err == "error: report value a2 is inf, the first of 7 non-finite values, which JSON cannot hold\n"
+    assert err == "error: report value a2 is nan, the first of 7 non-finite values, which JSON cannot hold\n"
     assert "LinAlgError" not in err and "did not converge" not in err
     assert not rep.exists()
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dwlab import grid
 from dwlab.grid import (
     MOMENTS,
+    BoxBatch,
     Cube,
     CubeTree,
     FieldFormatError,
@@ -30,7 +31,8 @@ from conftest import (
     family_labels,
     grid_cubes,
     oracle_averages,
-    oracle_band_cells,
+    oracle_band_width,
+    oracle_band_widths,
     oracle_bounds,
     oracle_box_cells,
     oracle_box_integrals,
@@ -207,7 +209,8 @@ def test_expectation_levels_match_weighted_avg(rng):
 
 def _one_box(g, lo, hi):
     """The oracle's gather of the single box [lo, hi) in lattice steps."""
-    return oracle_box_cells(g, [np.array([v]) for v in lo], [np.array([v]) for v in hi])
+    lo, hi = [np.array([v]) for v in lo], [np.array([v]) for v in hi]
+    return oracle_box_cells(g, lo, hi, [oracle_band_width(g, a, b) for a, b in zip(lo, hi)])
 
 
 def test_box_avg_matches_cell_sum(rng):
@@ -410,20 +413,27 @@ def _shift_limit(n):
     return 3**n + 6**n - 2**n - 1
 
 
-def _one_row(k, cells, doubled):
+def _one_row(k):
     """A batch budget that puts one row of boxes in every batch."""
     return 2**30
 
 
+def _random_budget(rng):
+    """A batch budget of log-uniform floats per box, from one row per batch
+    to whole families."""
+    return lambda k: int(2 ** rng.uniform(0, 17))
+
+
 def _assert_gathers_match_the_oracle(g, cells, batches):
     """Each batch's box sums of ``cells`` over its boxes and their doubles:
-    the band cells, each axis's starts, band widths and read-only bands, and
-    the box sums of the per-box oracle, bit for bit."""
+    each axis's starts, band widths (the whole family's) and read-only bands,
+    and the box sums of the per-box oracle, bit for bit."""
     for batch in batches:
         for doubled in (False, True):
-            assert batch.family.band_cells[doubled] == oracle_band_cells(g, batch, doubled)
             plan = batch.family.plan(batch.rows, doubled)
-            index, want = oracle_box_cells(g, *oracle_bounds(g, batch, doubled))
+            widths = oracle_band_widths(g, batch, doubled)
+            assert [m for _, m, _ in plan] == widths
+            index, want = oracle_box_cells(g, *oracle_bounds(g, batch, doubled), widths)
             for (starts, bands), j, ref in zip(plan_rows(plan), index, want, strict=True):
                 assert bands.shape == ref.shape and np.array_equal(bands, ref)
                 assert np.array_equal(starts, j.reshape(ref.shape)[:, 0])
@@ -469,15 +479,64 @@ def test_family_gathers_match_the_per_box_oracle(seed, n, depth, shift_share, bu
     L = min(depth, {1: 12, 2: 5, 3: 3}[n])
     g = Grid(n, L)
     shifts = round(shift_share * _shift_limit(n))
-    box_floats = {
-        "default": None,
-        "one row": _one_row,
-        "random": lambda k, cells, doubled: int(rng.integers(1, 4 * max(cells, doubled))),
-    }[budget]
+    box_floats = {"default": None, "one row": _one_row, "random": _random_budget(rng)}[budget]
     batches = list(g.box_batches(shifts, range(g.L + 2), box_floats))
     tail = (channels,) if channels else ()
     cells = rng.uniform(0.1, 10.0, (g.side,) * n + tail)
     _assert_gathers_match_the_oracle(g, cells, batches)
+
+
+@pytest.mark.parametrize("n, L, shifts", [(1, 10, 6), (2, 6, 12), (3, 4, 12)])
+def test_batches_sum_their_boxes_as_their_whole_family_does(n, L, shifts):
+    # Every band width is the family's, so under one-row and random budgets
+    # each batch's Q and 2Q box sums, of a scalar and of a 5-channel cell
+    # array, are the rows of its whole family's sums bit for bit, at levels
+    # 0..L + 1: the split sets no bit.
+    rng = np.random.default_rng(10 * n + L)
+    g = Grid(n, L, rng.uniform(0.5, 2.0, (2**L,) * n))
+    for tail in ((), (5,)):
+        cells = rng.uniform(0.1, 10.0, (g.side,) * n + tail)
+        whole = {}
+        for box_floats in (_one_row, _random_budget(rng)):
+            for batch in g.box_batches(shifts, range(L + 2), box_floats):
+                family, (first, stop) = batch.family, batch.rows
+                for doubled in (False, True):
+                    if (family, doubled) not in whole:
+                        every = g.box_sums(cells, BoxBatch(family, (0, family.counts[0])), doubled)
+                        whole[family, doubled] = every.reshape((family.counts[0], -1) + tail)
+                    got = g.box_sums(cells, batch, doubled)
+                    want = whole[family, doubled][first:stop].reshape(got.shape)
+                    assert np.array_equal(got, want), (batch.descriptor(0), batch.rows, doubled)
+
+
+@pytest.mark.parametrize("n, N, L, keys", [(1, 3, 7, CLASS_KEYS), (2, 2, 5, CLASS_KEYS), (3, 2, 4, CLASS_KEYS),
+                                          (3, 1, 5, ("thewest", "doubling")), (2, 2, 6, ("doubling",))])
+def test_a_batch_of_many_rows_holds_at_most_the_budget(monkeypatch, n, N, L, keys):
+    # Per row a batch holds the floats per box that its reader names for each
+    # of the row's boxes or of the side**(n-1) sums of the first axis,
+    # whichever are more.  A batch of more than one row holds at most
+    # _BATCH_FLOATS of them, and a batch stops short of its family's end only
+    # where one more row would pass the budget.  The family scan names two
+    # floats per box at level L + 1, mu(Q) and mu(2Q).
+    real, seen = Grid.box_batches, []
+
+    def recorded(self, shifts, levels=None, box_floats=None):
+        for batch in real(self, shifts, levels, box_floats):
+            seen.append((batch, box_floats(batch.level)))
+            yield batch
+
+    monkeypatch.setattr(Grid, "box_batches", recorded)
+    w = random_weight_field(np.random.default_rng(L), n=n, N=N, L=L, mu_spread=0.5)
+    family_scan(w, keys, shifts=2)
+    g = w.grid
+    assert seen and all(floats >= 2 for _, floats in seen)
+    assert all(floats == 2 for batch, floats in seen if batch.level > g.L)
+    for batch, floats in seen:
+        (first, stop), family = batch.rows, batch.family
+        per_row = floats * max(family.row_boxes, g.side ** (n - 1))
+        assert stop - first == 1 or (stop - first) * per_row <= grid._BATCH_FLOATS, batch.descriptor(0)
+        assert stop == family.counts[0] or (stop - first + 1) * per_row > grid._BATCH_FLOATS
+    assert any(batch.rows[1] - batch.rows[0] > 1 for batch, _ in seen)
 
 
 def test_a_scan_builds_each_family_once_and_views_the_cells(monkeypatch):
@@ -530,7 +589,7 @@ def test_a_doubled_box_sum_holds_its_axis_sums_only():
     g = Grid(3, 4, np.random.default_rng(3).uniform(0.5, 2.0, (16,) * 3))
     cells = np.random.default_rng(4).uniform(0.1, 1.0, (16,) * 3 + (2,))
     batch = next(b for b in g.box_batches(1, [2]) if b.shift == 1)
-    index, bands = oracle_box_cells(g, *oracle_bounds(g, batch, True))
+    index, bands = oracle_box_cells(g, *oracle_bounds(g, batch, True), oracle_band_widths(g, batch, True))
     counts = [len(b) for b in bands]
     axis_sums = sum(math.prod(counts[: a + 1]) * 16 ** (2 - a) * 2 * 8 for a in range(3))
     block = math.prod(counts) * math.prod(b.shape[1] for b in bands) * 2 * 8

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwlab import grid, weights
-from dwlab.grid import MOMENTS, Grid, WeightField, root_cube
+from dwlab.cli import main
+from dwlab.grid import MOMENTS, Grid, WeightField, root_cube, write_weight_field
 from dwlab.weights import (
     CLASS_KEYS,
     RATIO_KEYS,
@@ -902,10 +904,10 @@ def test_a_self_check_in_a_later_chunk_names_the_oracles_box(monkeypatch):
 
 
 @pytest.mark.parametrize("at", [0, 1])
-def test_a_nan_ratio_stops_the_sup_as_the_per_batch_scan_did(monkeypatch, at):
-    # thewest is inf / inf = NaN where W^2 overflows.  A NaN in a batch's
-    # argmax becomes the sup in the first batch and hides its whole batch in a
-    # later one; one chunk holding many batches keeps both rules.
+def test_the_first_nan_ratio_is_the_sup_and_names_its_box(monkeypatch, at):
+    # thewest is inf / inf = NaN where W^2 overflows.  The first NaN box in
+    # enumeration order wins the sup and sticks, in the first batch or in a
+    # later one, whatever the batches and the chunk that holds them.
     events = _record_kernel_calls(monkeypatch)
     keys = ("thewest", "b2_iv")
     family_scan(_fresh_field(6, 2, 2, 3), keys, shifts=1)
@@ -914,10 +916,31 @@ def test_a_nan_ratio_stops_the_sup_as_the_per_batch_scan_did(monkeypatch, at):
     assert rows == sum(batches) and len(batches) > 3
     # A box of the first batch, or of the fourth and of the sixth.
     start = np.cumsum([0] + batches)
-    marked = avg["w"][[0] if at == 0 else [start[3] + 1, start[5]], 0, 0]
+    boxes = [0] if at == 0 else [start[3] + 1, start[5]]
+    marked = avg["w"][boxes, 0, 0]
+    assert np.isin(avg["w"][:, 0, 0], marked).sum() == len(boxes)
     monkeypatch.undo()
     _mark_boxes(monkeypatch, marked, "thewest", lambda out: np.full(len(out["thewest"]), np.nan))
     want = oracle_family_scan(_fresh_field(6, 2, 2, 3), keys, 1)
     got = family_scan(_fresh_field(6, 2, 2, 3), keys, shifts=1)
     assert repr(got) == repr(type(got)(*want))
-    assert np.isnan(got.sups["thewest"]) == (at == 0)
+    assert np.isnan(got.sups["thewest"]) and not np.isnan(got.sups["b2_iv"])
+    assert got.worst["thewest"] == family_labels(_fresh_field(6, 2, 2, 3).grid, 1)[boxes[0]]
+
+
+def test_check_weight_refuses_a_nan_sup_from_a_later_batch(monkeypatch, tmp_path, capsys):
+    # A NaN thewest on the last box of check-weight's scan: the report is
+    # refused by naming thewest, not written with a finite sup.
+    path, rep = tmp_path / "f.wf", tmp_path / "r.json"
+    write_weight_field(path, _fresh_field(6, 2, 2, 3))
+    events = _record_kernel_calls(monkeypatch)
+    assert main(["check-weight", "--field", str(path)]) == 0
+    assert np.isfinite(json.loads(capsys.readouterr().out)["thewest"])
+    assert len([e for e in events if e[0] == "batch"]) > 3
+    marked = [e[2] for e in events if e[0] == "kernel"][-1]["w"][-1:, 0, 0]
+    monkeypatch.undo()
+    _mark_boxes(monkeypatch, marked, "thewest", lambda out: np.full(len(out["thewest"]), np.nan))
+    assert main(["check-weight", "--field", str(path), "--report", str(rep)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: report value thewest is nan, the first of 1 non-finite values, which JSON cannot hold\n"
+    assert not rep.exists()
