@@ -209,9 +209,10 @@ def family_scan(field, keys, shifts=None, directions=64, seed=0):
     ``seed``, and they assert their sampled bounds on every box.  The result is
     memoised on the field, whose values and density are read-only.
 
-    The gather batches hold the kernel's floats per box (two at level L+1,
-    mu(Q) and mu(2Q)); their split sets memory only, since every band width is
-    the family's.  The averages of each batch wait in a chunk, and the kernel
+    The gather batches hold the kernel's floats per box, or the channels
+    their box sums gather if those are more (two at level L+1, mu(Q) and
+    mu(2Q)); their split sets memory only, since every band width is the
+    family's.  The averages of each batch wait in a chunk, and the kernel
     runs once per chunk: the chunk is run before the next batch would take its
     boxes times the kernel's floats per box past ``grid._BATCH_FLOATS``.
     Kernel rows are independent of each other, so the chunks set no bits.  The
@@ -241,6 +242,9 @@ def family_scan(field, keys, shifts=None, directions=64, seed=0):
     # Floats the kernel holds per box: the averages it reads, and the direction
     # stacks, 1 + 2/N arrays of (D, N) measured with tracemalloc.
     kernel_floats = moment_width - 1 + log_width + (field.N + 2) * D
+    # Floats a gather batch holds per box: the kernel's, or the channels its
+    # box sums gather (mu, the moments and the log-norms), whichever are more.
+    box_floats = max(kernel_floats, moment_width + log_width)
     sups, argmax, count = {}, {}, 0
     chunk, pending = [], 0  # (batch, its averages) and their boxes, waiting for one kernel call
 
@@ -274,7 +278,7 @@ def family_scan(field, keys, shifts=None, directions=64, seed=0):
                 sups[key] = val
                 argmax[key] = box(i)
 
-    for batch in g.box_batches(shifts, levels, lambda k: 2 if k > g.L else max(2, kernel_floats)):
+    for batch in g.box_batches(shifts, levels, lambda k: 2 if k > g.L else max(2, box_floats)):
         if doubling:
             # mu(Q) is its own bare gather: einsum sums a lone channel in
             # another order than a channel of a stack.

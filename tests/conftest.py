@@ -234,6 +234,41 @@ def per_moment_sym_screen(grid, sym):
     return _oracle_screen_pair({m: oracle_stack(grid, c) for m, c in _oracle_screen_cells(sym).items()})
 
 
+def oracle_shrink_to_cap(sym, screen, b2_cap):
+    """The sequential bisection: 12 steps toward the mean field, one
+    ``screen(field)`` per step, keeping the largest scale whose b2 (the
+    screen's first entry) is within the cap.  Returns the shrunk field and
+    its screen, or None when no scale was accepted."""
+    mean = sym.mean(axis=tuple(range(sym.ndim - 2)))
+    delta = sym - mean
+    lo_s, hi_s, kept = 0.0, 1.0, None
+    for _ in range(12):
+        mid = (lo_s + hi_s) / 2.0
+        screened = screen(mean + mid * delta)
+        if screened[0] <= b2_cap:
+            lo_s, kept = mid, screened
+        else:
+            hi_s = mid
+    return mean + lo_s * delta, kept
+
+
+def assert_decides_in_order(stacks, sequential):
+    """Assert that the screened ``stacks`` (in call order, each cut to the
+    fields whose screens came back, fields on the third axis from the end)
+    decide on the ``sequential`` fields in order: each call opens with the
+    next sequential field and decides on the run of its leading fields that
+    continues the sequence; the fields past that run are dropped guesses."""
+    at = 0
+    for call, stack in enumerate(stacks):
+        fields = [stack[..., j, :, :] for j in range(stack.shape[-3])]
+        run = 0
+        while run < len(fields) and at + run < len(sequential) and np.array_equal(fields[run], sequential[at + run]):
+            run += 1
+        assert run >= 1, f"call {call} does not open with sequential field {at}"
+        at += run
+    assert at == len(sequential), (at, len(sequential))
+
+
 def loop_propose(sym, rng, temp):
     """The anneal's candidate drawn one touched cell at a time: a symmetric
     Gaussian bump of scale 0.3 temp added to each of cells // 8 cells."""

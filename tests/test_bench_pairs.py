@@ -190,3 +190,47 @@ def test_bench_pairs_keeps_the_raw_wall_medians(tmp_path, capsys):
     summary = written["summary"]
     assert summary["wall_run_s"]["change"] == {"median": 1.5, "q1": 1.5, "q3": 1.5}
     assert summary["wall_run_s"]["change_wins"] == 2 and summary["wall_setup_s"]["change_wins"] == 0
+
+
+# A stand-in that prints run.py's summary line with its pass count.
+COUNTED = """import json
+print("digest stub: sha256=0")
+print("wall medians: run 2 s, setup 0.5 s")
+print("class-scan seed=5 passes={passes} traced=0 setups=5 failed_frac=0 (0/1 invocations)")
+metrics = {{m: {{"value": 1.0}} for m in ("run_s", "setup_s", "peak_rss_mb")}}
+print(json.dumps({{"correct": 1, "attempted": 1, "failed": 0, "metrics": metrics}}))
+"""
+
+
+def test_bench_pairs_records_the_pass_counts(tmp_path, capsys):
+    # Each run keeps the passes= count of its summary line, and the counts
+    # are summarized per side like the metrics.
+    parent, change = _checkout(tmp_path, "parent"), _checkout(tmp_path, "change")
+    (parent / "dwbench" / "run.py").write_text(COUNTED.format(passes=200))
+    (change / "dwbench" / "run.py").write_text(COUNTED.format(passes=240))
+    assert _tool().main(_argv(tmp_path, parent, change)) == 0
+    assert (
+        "class-scan passes: parent 200.0000 (200.0000-200.0000),"
+        " change 240.0000 (240.0000-240.0000), change lower in 0 of 2"
+    ) in capsys.readouterr().out.splitlines()
+    written = json.loads((tmp_path / "pairs.json").read_text())["workloads"]["class-scan"]
+    for pair in written["pairs"]:
+        assert (pair["parent"]["passes"], pair["change"]["passes"]) == (200, 240)
+    assert written["summary"]["passes"]["change"] == {"median": 240, "q1": 240, "q3": 240}
+    assert written["summary"]["passes"]["pairs"] == 2
+
+
+def test_bench_pairs_reads_a_run_without_a_pass_count(tmp_path, capsys):
+    # A run.py that prints no summary line still gives every metric; only the
+    # pass counts are missing, from the run and from the summary.
+    parent, change = _checkout(tmp_path, "parent"), _checkout(tmp_path, "change")
+    (change / "dwbench" / "run.py").write_text(COUNTED.format(passes=240))
+    assert _tool().main(_argv(tmp_path, parent, change)) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "class-scan passes: no pair in which both runs gave a result" in out
+    written = json.loads((tmp_path / "pairs.json").read_text())["workloads"]["class-scan"]
+    for pair in written["pairs"]:
+        assert "passes" not in pair["parent"] and pair["change"]["passes"] == 240
+        assert pair["parent"]["run_s"] == pair["change"]["run_s"] == 1.0
+    summary = written["summary"]
+    assert summary["run_s"]["pairs"] == 2 and summary["passes"]["pairs"] == 0

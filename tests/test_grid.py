@@ -539,6 +539,26 @@ def test_a_batch_of_many_rows_holds_at_most_the_budget(monkeypatch, n, N, L, key
     assert any(batch.rows[1] - batch.rows[0] > 1 for batch, _ in seen)
 
 
+@pytest.mark.parametrize("n, N, L, keys", [(3, 2, 5, ("thewest",)), (3, 2, 5, ("b2_iv",)), (3, 1, 5, ("thewest",)),
+                                          (2, 2, 6, CLASS_KEYS)])
+def test_a_batch_of_many_rows_sums_its_first_axis_within_the_budget(monkeypatch, n, N, L, keys):
+    # Each box sum of a batch of more than one row holds at most _BATCH_FLOATS
+    # floats in the sums of its first axis: rows x side**(n-1) x the channels
+    # it gathers, mu among them, however few of them the kernel reads.
+    real, seen = Grid.box_sums, []
+
+    def recorded(self, cells, batch, doubled=False):
+        rows = batch.rows[1] - batch.rows[0]
+        seen.append((rows, rows * self.side ** (self.n - 1) * math.prod(cells.shape[self.n :]), batch))
+        return real(self, cells, batch, doubled)
+
+    monkeypatch.setattr(Grid, "box_sums", recorded)
+    family_scan(random_weight_field(np.random.default_rng(L), n=n, N=N, L=L, mu_spread=0.5), keys, shifts=2)
+    assert any(rows > 1 for rows, _, _ in seen)
+    for rows, floats, batch in seen:
+        assert rows == 1 or floats <= grid._BATCH_FLOATS, (batch.descriptor(0), batch.rows, floats)
+
+
 def test_a_scan_builds_each_family_once_and_views_the_cells(monkeypatch):
     # A family scan builds each (shift, level) family once per grid, and a
     # scan of another field on the grid builds none.  Every piece of every box

@@ -10,11 +10,13 @@ from dwlab.weights import class_report
 
 from conftest import (
     TEST_KEYS,
+    assert_decides_in_order,
     b2_constants,
     dyadic_ratios,
     full_kernel,
     loop_propose,
     oracle_grid_key,
+    oracle_shrink_to_cap,
     oracle_sym_screen,
     per_moment_sym_screen,
 )
@@ -112,13 +114,20 @@ def _close(a, b):
     return abs(a - b) <= 1e-12 * max(abs(a), abs(b))
 
 
-def _random_screen_input(seed, n, N, L, spread=0.5):
+def _random_screen_input(seed, n, N, L, spread=0.5, k=None):
     """A log-matrix field ``sym`` of symmetric Gaussian cells and a grid with a
-    log-normal density."""
+    log-normal density; given ``k``, a stack of k such fields on the axis
+    after the cell axes."""
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((2**L,) * n + (N, N)) * spread
+    g = rng.standard_normal((2**L,) * n + (() if k is None else (k,)) + (N, N)) * spread
     grid = Grid(n, L, np.exp(rng.standard_normal((2**L,) * n) * 0.5))
     return grid, (g + np.swapaxes(g, -1, -2)) / 2.0
+
+
+def _screen(grid, sym):
+    """The screen pair of the one field ``sym``, as a stack of one."""
+    (pair,) = harness._dyadic_constants(grid, sym[..., None, :, :])
+    return pair
 
 
 @settings(max_examples=40, deadline=None)
@@ -131,7 +140,7 @@ def _random_screen_input(seed, n, N, L, spread=0.5):
 def test_tree_screen_matches_box_path(seed, n, N, L):
     grid, sym = _random_screen_input(seed, n, N, L)
     w = WeightField(grid, _sym_expm(sym))
-    got, want = harness._dyadic_constants(grid, sym), _box_path_screen(w)
+    got, want = _screen(grid, sym), _box_path_screen(w)
     assert all(_close(x, y) for x, y in zip(got, want)), (got, want)
     # Every per-cube ratio of the tree source against the band path at shift 0,
     # whose batches list the dyadic cubes level by level in C order, put in
@@ -165,7 +174,24 @@ def test_screen_matches_oracle_trees(seed, n, N, L):
     # LU call over both powers, give the oracle's one tree and per-moment LU
     # calls, to the bit.
     grid, sym = _random_screen_input(seed, n, N, L, spread=1.0)
-    assert harness._dyadic_constants(grid, sym) == oracle_sym_screen(grid, sym)
+    assert _screen(grid, sym) == oracle_sym_screen(grid, sym)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2, 3]),
+    N=st.integers(2, 4),
+    L=st.integers(0, 4),
+    k=st.integers(1, 8),
+)
+def test_stacked_screen_matches_per_field_screens(seed, n, N, L, k):
+    # k fields stacked after the cell axes take one tree pass and one kernel
+    # call, and each pair keeps the bits of its field's own screen.
+    grid, stack = _random_screen_input(seed, n, N, L, spread=1.0, k=k)
+    got = harness._dyadic_constants(grid, stack)
+    assert got == [oracle_sym_screen(grid, stack[..., j, :, :]) for j in range(k)]
+    assert got == [_screen(grid, np.ascontiguousarray(stack[..., j, :, :])) for j in range(k)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -175,12 +201,12 @@ def test_screen_at_n1_matches_per_moment_trees(seed, N, L):
     # the powers has the bits of its own tree: the inclusion-search outputs at
     # n = 1 do not depend on the screen's channel layout.
     grid, sym = _random_screen_input(seed, 1, N, L, spread=1.0)
-    assert harness._dyadic_constants(grid, sym) == per_moment_sym_screen(grid, sym)
+    assert _screen(grid, sym) == per_moment_sym_screen(grid, sym)
 
 
 def test_screen_makes_one_tree_pass(monkeypatch):
-    calls = {"integrals": 0, "eigh": 0, "det": 0}
-    integrals, eigh, det = Grid.integrals, np.linalg.eigh, np.linalg.det
+    once = {"integrals": 1, "mu_averages": 1, "eigh": 1, "einsum": 1, "det": 1, "ratio_kernel": 1}
+    calls = dict.fromkeys(once, 0)
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -189,14 +215,15 @@ def test_screen_makes_one_tree_pass(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(Grid, "integrals", counting("integrals", integrals))
-    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", eigh))
-    monkeypatch.setattr(np.linalg, "det", counting("det", det))
+    for owner, name in ((Grid, "integrals"), (Grid, "mu_averages"), (np.linalg, "eigh"), (np, "einsum"), (np.linalg, "det")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    monkeypatch.setattr(harness, "ratio_kernel", counting("ratio_kernel", harness.ratio_kernel))
     for n, N, L in ((1, 2, 4), (2, 3, 3), (3, 2, 2)):
-        grid, sym = _random_screen_input(n + N + L, n, N, L)
-        calls.update(integrals=0, eigh=0, det=0)
-        harness._dyadic_constants(grid, sym)
-        assert calls == {"integrals": 1, "eigh": 1, "det": 1}, (n, N, L)
+        for k in (1, 3, 8):
+            grid, stack = _random_screen_input(n + N + L, n, N, L, k=k)
+            calls.update(dict.fromkeys(once, 0))
+            assert len(harness._dyadic_constants(grid, stack)) == k
+            assert calls == once, (n, N, L, k)
 
 
 def test_screen_refuses_cells_as_weight_field_does():
@@ -219,9 +246,19 @@ def test_screen_refuses_cells_as_weight_field_does():
             with pytest.raises(CellValueError) as want:
                 WeightField(grid, _sym_expm(sym))
             with pytest.raises(CellValueError) as got:
-                harness._dyadic_constants(grid, sym)
-        assert str(got.value) == str(want.value) and got.value.index == want.value.index
-        assert str(got.value).endswith(what), str(got.value)
+                _screen(grid, sym)
+            # First in a stack, the field ends it with its own error ...
+            with pytest.raises(CellValueError) as first:
+                harness._dyadic_constants(grid, np.stack([sym, np.zeros_like(sym)], axis=-3))
+            # ... and past the first, it ends the batch: the fields before it
+            # are screened, and nothing is raised.
+            good = np.random.default_rng(3).standard_normal(sym.shape) * 0.2
+            good = (good + np.swapaxes(good, -1, -2)) / 2.0
+            stack = np.stack([good, np.zeros_like(sym), sym, good], axis=-3)
+            assert harness._dyadic_constants(grid, stack) == [_screen(grid, good), _screen(grid, np.zeros_like(sym))]
+        for error in (got, first):
+            assert str(error.value) == str(want.value) and error.value.index == want.value.index
+            assert str(error.value).endswith(what), str(error.value)
 
 
 def test_tree_screen_skips_box_path(monkeypatch):
@@ -233,16 +270,20 @@ def test_tree_screen_skips_box_path(monkeypatch):
     monkeypatch.setattr(Grid, "box_batches", refuse)
     monkeypatch.setattr(Grid, "box_sums", refuse)
     monkeypatch.setattr(WeightField, "__init__", refuse)
-    b2, ainf = harness._dyadic_constants(grid, sym)
+    b2, ainf = _screen(grid, sym)
     assert b2 > 1.0 and ainf > 1.0
+
+
+def _per_field(screen):
+    """A stacked screen that scores each field of the stack with ``screen``."""
+    return lambda grid, stack: [screen(grid, stack[..., j, :, :]) for j in range(stack.shape[-3])]
 
 
 def test_inclusion_search_matches_box_path_screen(monkeypatch):
     # cap 2 binds at seed 2: the anneal projects five times and shrinks at the end
     fast = inclusion_search(1, 2, 3, b2_cap=2.0, budget=60, seed=2)
-    monkeypatch.setattr(
-        harness, "_dyadic_constants", lambda grid, sym: _box_path_screen(WeightField(grid, _sym_expm(sym)))
-    )
+    # The box path scores every field of every stack, the shrink's guesses too.
+    monkeypatch.setattr(harness, "_dyadic_constants", _per_field(lambda grid, sym: _box_path_screen(WeightField(grid, _sym_expm(sym)))))
     slow = inclusion_search(1, 2, 3, b2_cap=2.0, budget=60, seed=2)
     assert [t["step"] for t in fast.trail] == [t["step"] for t in slow.trail]
     assert np.array_equal(fast.field.values, slow.field.values)
@@ -257,45 +298,223 @@ def test_inclusion_search_matches_oracle_trees(monkeypatch):
     # one tree pass and one LU call give the run of the oracle's one tree
     # with one LU call per moment, to the bit.
     fast = inclusion_search(2, 2, 3, b2_cap=2.0, budget=40, seed=1)
-    monkeypatch.setattr(harness, "_dyadic_constants", oracle_sym_screen)
+    monkeypatch.setattr(harness, "_dyadic_constants", _per_field(oracle_sym_screen))
     slow = inclusion_search(2, 2, 3, b2_cap=2.0, budget=40, seed=1)
     assert fast.as_dict() == slow.as_dict()
     assert np.array_equal(fast.field.values, slow.field.values)
 
 
+def _recording(screens):
+    """``screens`` that records in ``.stacks`` each stack it is given, cut to
+    the fields whose screens it returns."""
+
+    def recorded(stack):
+        out = screens(stack)
+        recorded.stacks.append(stack[..., : len(out), :, :].copy())
+        return out
+
+    recorded.stacks = []
+    return recorded
+
+
+def _assert_shrinks_as_the_oracle(sym, screens, cap, top, shrink=None):
+    """Run ``shrink`` (default ``harness._shrink_to_cap``) and the sequential
+    oracle on ``screens`` and assert the same field, the same ``kept`` and the
+    same decided fields in order; returns the recorded stacks."""
+    sequential = []
+
+    def screen(field):
+        sequential.append(field)
+        return screens(field[..., None, :, :])[0]
+
+    want = oracle_shrink_to_cap(sym, screen, cap)
+    recorded = _recording(screens)
+    got = (shrink or harness._shrink_to_cap)(sym, recorded, cap, top)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    assert len(sequential) == 12
+    assert_decides_in_order(recorded.stacks, sequential)
+    return recorded.stacks
+
+
 def test_shrink_to_cap_returns_the_accepted_screen():
     sym = np.random.default_rng(7).standard_normal((4, 2, 2))
     mean = sym.mean(axis=0)
-    calls = []
+    fields = []
 
-    def screen(s):
-        calls.append(s)
-        return (float(np.abs(s - mean).max()), len(calls))
+    def screens(stack):
+        out = []
+        for j in range(stack.shape[-3]):
+            fields.append(stack[..., j, :, :].copy())
+            out.append((float(np.abs(fields[-1] - mean).max()), len(fields)))
+        return out
 
-    cap = 0.3 * screen(sym)[0]
-    calls.clear()
-    shrunk, kept = harness._shrink_to_cap(sym, screen, cap)
-    assert len(calls) == 12
-    assert kept[0] <= cap and np.array_equal(calls[kept[1] - 1], shrunk)
+    top = screens(sym[..., None, :, :])[0][0]
+    cap = 0.3 * top
+    fields.clear()
+    shrunk, kept = harness._shrink_to_cap(sym, screens, cap, top)
+    # At least the twelve decided fields, each screened once.
+    assert len(fields) >= 12 and len({f.tobytes() for f in fields}) == len(fields)
+    assert kept[0] <= cap and np.array_equal(fields[kept[1] - 1], shrunk)
+    want = oracle_shrink_to_cap(sym, lambda f: screens(f[..., None, :, :])[0], cap)
+    assert np.array_equal(shrunk, want[0]) and kept[0] == want[1][0]
 
-    shrunk, kept = harness._shrink_to_cap(sym, lambda s: (np.inf,), cap)
+    shrunk, kept = harness._shrink_to_cap(sym, lambda stack: [(np.inf,)] * stack.shape[-3], cap, top)
     assert kept is None and np.array_equal(shrunk, np.broadcast_to(mean, sym.shape))
 
 
-def test_inclusion_search_screens_each_field_once(monkeypatch):
-    seen = []
-    screen = harness._dyadic_constants
+def test_shrink_matches_the_sequential_bisection_on_the_benchmark(monkeypatch):
+    # The inclusion-anneal benchmark's three levels: every shrink, of the
+    # anneal's projections with the real stacked screen and of the final
+    # full-family one, decides as the sequential run.
+    shrinks, shrink, screen, calls = [], harness._shrink_to_cap, harness._dyadic_constants, []
 
-    def counting(grid, sym):
-        seen.append(sym.tobytes())
-        return screen(grid, sym)
+    def checked(sym, screens, cap, top):
+        shrinks.append(_assert_shrinks_as_the_oracle(sym, screens, cap, top, shrink))
+        return shrink(sym, screens, cap, top)
 
+    def counting(grid, stack):
+        calls.append(stack.shape[-3])
+        return screen(grid, stack)
+
+    monkeypatch.setattr(harness, "_shrink_to_cap", checked)
+    for level in (2, 3, 4):
+        inclusion_search(1, 2, level, b2_cap=4.0, budget=200, seed=3 + level)
+    assert len(shrinks) > 30
+    # Counted alone: 603 candidates and 30 projections of 12 steps, 963 screens
+    # one field at a time, now take at most 710 calls.
+    monkeypatch.setattr(harness, "_shrink_to_cap", shrink)
     monkeypatch.setattr(harness, "_dyadic_constants", counting)
+    for level in (2, 3, 4):
+        inclusion_search(1, 2, level, b2_cap=4.0, budget=200, seed=3 + level)
+    assert calls.count(1) >= 603 and len(calls) <= 710
+
+
+def test_shrink_matches_the_sequential_bisection_against_every_guess():
+    # A non-monotone screen of the scale that contradicts the round's first
+    # guess at every step: each round decides on one field only.
+    sym = np.random.default_rng(11).standard_normal((8, 2, 2))
+    sym = (sym + np.swapaxes(sym, -1, -2)) / 2.0
+    mean = sym.mean(axis=0)
+    delta = sym - mean
+    at = np.unravel_index(np.argmax(np.abs(delta)), delta.shape)
+    cap, top = 3.0, 7.5
+
+    def value(s, accept):
+        wiggle = 0.5 + 0.45 * np.sin(977.0 * s)
+        return 1.0 + (cap - 1.0) * wiggle if accept else cap * (1.0 + 3.0 * wiggle)
+
+    def b2(s):
+        # Replay the bisection down to s, whose binary digits are the
+        # decisions before it, contradicting the linear guess at each step.
+        lo, hi, lo_b2, hi_b2 = 0.0, 1.0, 1.0, top
+        while True:
+            mid = (lo + hi) / 2.0
+            guess = lo + (cap - lo_b2) / (hi_b2 - lo_b2) * (hi - lo)
+            accept = not mid <= guess
+            if s == mid or (s > mid) != accept:
+                # s itself, or a guess off the path: a value either way
+                return value(s, accept)
+            lo, hi, lo_b2, hi_b2 = (mid, hi, value(mid, True), hi_b2) if accept else (lo, mid, lo_b2, value(mid, False))
+
+    seen = {}
+
+    def screens(stack):
+        scales = np.round((stack[at[:-2] + (slice(None),) + at[-2:]] - mean[at[-2:]]) / delta[at] * 4096.0) / 4096.0
+        seen.update((float(s), b2(float(s))) for s in scales)
+        return [(seen[float(s)],) for s in scales]
+
+    stacks = _assert_shrinks_as_the_oracle(sym, screens, cap, top)
+    assert len(stacks) == 12
+    # b2 falls somewhere as the scale grows.
+    values = [seen[s] for s in sorted(seen)]
+    assert any(b < a for a, b in zip(values, values[1:]))
+
+
+def test_shrink_rounds_hold_one_field_when_one_fills_the_budget(monkeypatch):
+    grid, sym = _random_screen_input(4, 2, 2, 2, spread=1.2)
+    top = _screen(grid, sym)[0]
+    monkeypatch.setattr(harness, "_BATCH_FLOATS", sym[..., 0, 0].size * (2 * 2 * 2 + 1))
+    stacks = _assert_shrinks_as_the_oracle(sym, lambda stack: harness._dyadic_constants(grid, stack), 0.5 + top / 2, top)
+    assert [s.shape[-3] for s in stacks] == [1] * 12
+
+
+def _singular_beyond(scale):
+    """A log-matrix field on n=1 L=2 whose two spread cells make the field
+    ``mean + s (sym - mean)`` singular for s past about ``scale``."""
+    sym = np.zeros((4, 2, 2))
+    sym[2] = [[0.3, 0.1], [0.1, -0.2]]
+    # At scale s the spread cells' log-eigenvalues are near +-15 s / scale,
+    # singular once their spread passes log(1e13) = 29.93.
+    sym[1] = np.diag([1.0, -1.0]) * 15.0 / scale
+    sym[3] = -sym[1]
+    return Grid(1, 2), sym
+
+
+def test_shrink_ignores_bad_guesses_and_raises_on_a_bad_decision():
+    grid, sym = _singular_beyond(0.6)
+    guesses = []
+
+    def screens(stack):
+        guesses.extend(np.moveaxis(stack, -3, 0))
+        return harness._dyadic_constants(grid, stack)
+
+    # b2 rises from 1 past 2.9 at s = 0.1 and 3.9 at s = 1/4.  A cap between
+    # them is over at s = 1/2, while a b2 at s = 1 just over the cap guesses
+    # the threshold near 1: the first round screens 1/2 and guesses 3/4, 7/8
+    # and 15/16 past it, which are singular and never decided on.
+    mean = sym.mean(axis=0)
+    cap = 3.5
+    assert _screen(grid, mean + 0.1 * (sym - mean))[0] < cap < _screen(grid, mean + 0.25 * (sym - mean))[0]
+    stacks = _assert_shrinks_as_the_oracle(sym, screens, cap, cap * 1.01)
+    screened = [f for stack in stacks for f in np.moveaxis(stack, -3, 0)]
+    bad = [f for f in guesses if not _cells_ok(f)]
+    assert bad and not any(np.array_equal(b, f) for b in bad for f in screened)
+
+    # Under a cap that every regular field keeps, the bisection decides on a
+    # singular field and both runs raise its error.
+    cap = 1e6
+    with pytest.raises(CellValueError) as want:
+        oracle_shrink_to_cap(sym, lambda f: _screen(grid, f), cap)
+    with pytest.raises(CellValueError) as got:
+        harness._shrink_to_cap(sym, screens, cap, 2e6)
+    assert str(got.value) == str(want.value) and got.value.index == want.value.index
+
+
+def _cells_ok(sym):
+    """Whether the screen takes every cell of the n=1 L=2 field ``sym``."""
+    try:
+        _screen(Grid(1, 2), sym)
+    except CellValueError:
+        return False
+    return True
+
+
+def test_inclusion_search_screens_each_field_once(monkeypatch):
     # cap 2 binds at seed 2: the anneal projects five times, so the initial
-    # field and 60 steps take one screen each and every projection twelve
-    inclusion_search(1, 2, 3, b2_cap=2.0, budget=60, seed=2)
-    assert len(seen) == 61 + 5 * 12
-    assert len(set(seen)) == len(seen)
+    # field and 60 steps take one screen each and every projection decides
+    # on twelve fields, as the sequential bisection does.
+    sequential, stacks, shrink, screen = [], [], harness._shrink_to_cap, harness._dyadic_constants
+
+    def recording(grid, stack):
+        stacks.append(stack.copy())
+        return screen(grid, stack)
+
+    def oracle(sym, screens, cap, top):
+        return oracle_shrink_to_cap(sym, lambda f: screens(f[..., None, :, :])[0], cap)
+
+    monkeypatch.setattr(harness, "_dyadic_constants", recording)
+    monkeypatch.setattr(harness, "_shrink_to_cap", oracle)
+    want = inclusion_search(1, 2, 3, b2_cap=2.0, budget=60, seed=2)
+    sequential = [s[..., 0, :, :] for s in stacks]
+    stacks.clear()
+    monkeypatch.setattr(harness, "_shrink_to_cap", shrink)
+    got = inclusion_search(1, 2, 3, b2_cap=2.0, budget=60, seed=2)
+    assert got.as_dict() == want.as_dict()
+    assert len(sequential) == 61 + 5 * 12
+    assert_decides_in_order(stacks, sequential)
+    fields = [s[..., j, :, :].tobytes() for s in stacks for j in range(s.shape[-3])]
+    assert len(set(fields)) == len(fields)
+    assert len(stacks) < 61 + 5 * 12
 
 
 def test_inclusion_search_builds_fields_only_past_the_anneal(monkeypatch):
@@ -311,20 +530,21 @@ def test_inclusion_search_builds_fields_only_past_the_anneal(monkeypatch):
         counts["fields"] += 1
         init(self, *args, **kwargs)
 
-    def counting_screen(grid, sym):
+    def counting_screen(grid, stack):
         before = dict(counts)
-        out = screen(grid, sym)
+        out = screen(grid, stack)
         per_screen.append((counts["eigh"] - before["eigh"], counts["fields"] - before["fields"]))
         return out
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(WeightField, "__init__", counting_init)
     monkeypatch.setattr(harness, "_dyadic_constants", counting_screen)
-    # cap 2 binds at seed 2: 61 + 5 * 12 screens of one eigh and no field each;
-    # then one field for the first full-family b2 scan, twelve for the final
-    # shrink's bisection and one for the report.
+    # cap 2 binds at seed 2: 61 single screens and the rounds of five
+    # projections, one eigh and no field each; then one field for the first
+    # full-family b2 scan, twelve for the final shrink's bisection and one
+    # for the report.
     inclusion_search(1, 2, 3, b2_cap=2.0, budget=60, seed=2)
-    assert per_screen == [(1, 0)] * (61 + 5 * 12)
+    assert per_screen == [(1, 0)] * len(per_screen) and 61 + 5 <= len(per_screen) < 61 + 5 * 12
     assert counts["fields"] == 1 + 12 + 1
 
 

@@ -10,10 +10,13 @@ number; the side that runs first alternates from pair to pair, so a drift of
 the host's speed weighs on both sides alike.  Every run reads the metrics
 from the last line of its output, the raw wall medians of the timed section
 and of set-up (``wall_run_s``, ``wall_setup_s``) from its ``wall medians``
-line and the report digests from its ``digest`` lines.
+line, the number of timed passes (``passes``) from the ``passes=`` field of
+its summary line when it prints one, and the report digests from its
+``digest`` lines.  A pass count matters beside ``peak_rss_mb``: a run that
+makes faster passes makes more of them in its seconds.
 
 Printed per pair: ``run_s`` and ``wall_run_s`` of both sides.  Printed per
-workload and metric, the wall medians included: each side's median and
+workload and metric, the wall medians and pass counts included: each side's median and
 quartiles over its runs, and the number of pairs in which the change is
 better (lower); per workload, the invocation labels (the text before ``:`` of
 a ``digest`` line) whose report digests differ between the sides of any pair.
@@ -45,6 +48,8 @@ METRICS = ("run_s", "setup_s", "peak_rss_mb")
 # The raw wall medians, in seconds, of the line ``dwbench/run.py`` prints.
 WALL = ("wall_run_s", "wall_setup_s")
 WALL_LINE = re.compile(r"^wall medians: run (\S+) s, setup (\S+) s$")
+# The timed passes a run made, from the summary line ``dwbench/run.py`` prints.
+PASSES = re.compile(r"\bpasses=(\d+)\b")
 SIDES = ("parent", "change")
 
 
@@ -61,6 +66,7 @@ def run_once(checkout, workload, seed, seconds):
     except json.JSONDecodeError:
         result = None
     wall = [m.groups() for m in map(WALL_LINE.match, lines) if m]
+    passes = [int(m.group(1)) for m in map(PASSES.search, lines) if m]
     error = None
     if not lines:
         error = "no output"
@@ -81,6 +87,7 @@ def run_once(checkout, workload, seed, seconds):
         "attempted": result["attempted"],
         **{m: result["metrics"][m]["value"] for m in METRICS},
         **{m: float(v) for m, v in zip(WALL, wall[-1])},
+        **({"passes": passes[-1]} if passes else {}),
         "digests": [line[len("digest ") :] for line in lines if line.startswith("digest ")],
     }
 
@@ -99,14 +106,17 @@ def _digests_by_label(run):
 
 
 def summarize(pairs, metrics=METRICS + WALL):
-    """Spreads and wins of ``metrics`` over the pairs in which both runs gave them."""
+    """Spreads and wins of ``metrics`` over the pairs in which both runs gave
+    them, and the spread of the pass counts over the pairs in which both runs
+    gave those too."""
     whole = [p for p in pairs if all(m in p[s] for s in SIDES for m in metrics)]
+    counted = [p for p in whole if all("passes" in p[s] for s in SIDES)]
     out = {}
-    for m in metrics:
-        sides = {s: [p[s][m] for p in whole] for s in SIDES}
+    for m in metrics + ("passes",):
+        sides = {s: [p[s][m] for p in (counted if m == "passes" else whole)] for s in SIDES}
         out[m] = {s: spread(v) if v else None for s, v in sides.items()}
         out[m]["change_wins"] = sum(c < p for p, c in zip(sides["parent"], sides["change"]))
-        out[m]["pairs"] = len(whole)
+        out[m]["pairs"] = len(sides["parent"])
     out["failed"] = {s: sum(p[s].get("failed", 0) for p in pairs) for s in SIDES}
     out["digests_equal"] = sum(p["parent"]["digests"] == p["change"]["digests"] for p in whole)
     differ = set()
@@ -122,10 +132,10 @@ def _value(run, metric):
 
 
 def summary_lines(workload, summary, metrics=METRICS + WALL):
-    """The printed summary of one workload: a line per metric, then failures
-    and digests."""
+    """The printed summary of one workload: a line per metric and for the pass
+    counts, then failures and digests."""
     lines = []
-    for m in metrics:
+    for m in metrics + ("passes",):
         s = summary[m]
         if not s["pairs"]:
             lines.append(f"{workload} {m}: no pair in which both runs gave a result")
