@@ -90,10 +90,6 @@ class RunConfig:
         with open(path) as fh:
             return cls.from_text(fh.read())
 
-    def to_file(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
-
     def hash(self):
         return config_hash(self.to_text())
 

@@ -497,11 +497,15 @@ _POWERS = {"w": 1, "w2": 2, "winv": -1, "winv2": -2}
 
 
 class WeightField:
-    """SPD matrix weight on a measured grid, with cached cube integrals.
+    """SPD matrix weight on a measured grid.
 
     ``values`` has shape ``(2**L,)*n + (N, N)``; every cell matrix must be
-    symmetric positive definite.  Cube integrals of cell-wise functions of the
-    weight (powers, log-determinants) are aggregated bottom-up once and reused.
+    symmetric positive definite.  A field keeps only what a command reads
+    more than once: the mu-averages of each moment asked for through
+    ``average_stack`` (the library asks only for ``w``), their inverses
+    (``average_inverses``) and the family scans (``weights.family_scan``).
+    Every other cell array or cube stack is built by its reader and freed
+    with it.
     """
 
     def __init__(self, grid, values):
@@ -523,80 +527,55 @@ class WeightField:
         self.N = N
         self.cell_eigvals = w
         self.cell_eigvecs = v
-        self._cell_cache = {}
-        self._tree_cache = {}
+        self._averages = {}
+        self._inverses = None
         # Family scans by (keys, shifts, direction draws, seed); see weights.family_scan.
         self._scans = {}
 
     # Cell-wise derived quantities -------------------------------------------------
 
     def cell_power(self, exponent):
-        key = ("pow", exponent)
-        if key not in self._cell_cache:
-            w, v = self.cell_eigvals, self.cell_eigvecs
-            self._cell_cache[key] = np.einsum(
-                "...ij,...j,...kj->...ik", v, np.power(w, float(exponent)), v
-            )
-        return self._cell_cache[key]
+        w, v = self.cell_eigvals, self.cell_eigvecs
+        return np.einsum("...ij,...j,...kj->...ik", v, np.power(w, float(exponent)), v)
 
     def cell_log_det(self):
-        key = ("logdet",)
-        if key not in self._cell_cache:
-            self._cell_cache[key] = np.sum(np.log(self.cell_eigvals), axis=-1)
-        return self._cell_cache[key]
+        return np.sum(np.log(self.cell_eigvals), axis=-1)
 
     # Cube integrals ----------------------------------------------------------------
 
-    def _trees(self, moments):
-        """Cache the flat stacks of cube integrals and mu-averages of the named
-        ``moments`` not cached yet.  The powers of W asked for together are
-        summed in one pass and divided once by the grid's flat mu stack; a
-        scalar channel (log det W, or a power at N = 1) stacked beside others
-        is summed in another order, so each of those keeps its own tree."""
-        new = [m for m in MOMENTS if m in moments and ("avg", m) not in self._tree_cache]
-        powers = [m for m in new if m != "logdet"]
-        groups = [[m] for m in powers] if self.N == 1 else [powers] if powers else []
-        if "logdet" in new:
-            groups.append(["logdet"])
-        g = self.grid
-        for group in groups:
-            if group == ["logdet"]:
-                cells = self.cell_log_det()[..., None]
-            else:
-                cells = np.stack([self.cell_power(_POWERS[m]) for m in group], axis=g.n)
-            sums = g.integrals(cells)
-            avgs = g.mu_averages(sums)
-            for i, m in enumerate(group):
-                self._tree_cache["sum", m], self._tree_cache["avg", m] = sums[:, i], avgs[:, i]
-
-    def average_stacks(self, moments):
-        """Flat stacks of the mu-averages of the named ``moments`` (see
-        ``MOMENTS``) over every dyadic cube, one row per cube in ``CubeTree``
-        order: the one source of dyadic averages."""
-        self._trees(moments)
-        return [self._tree_cache["avg", m] for m in moments]
-
     def integral_stack(self, moment):
-        """The flat stack of cube integrals of ``moment`` d(mu), one row per cube
-        in ``CubeTree`` order, as in ``average_stacks``."""
-        self._trees((moment,))
-        return self._tree_cache["sum", moment]
+        """The flat stack of cube integrals of ``moment`` (see ``MOMENTS``) d(mu)
+        over every dyadic cube, one row per cube in ``CubeTree`` order, summed
+        in a tree of its own at every call."""
+        cells = self.cell_log_det() if moment == "logdet" else self.cell_power(_POWERS[moment])
+        return self.grid.integrals(cells)
+
+    def average_stack(self, moment):
+        """The mu-averages of ``moment`` over every dyadic cube, rows as in
+        ``integral_stack``: the one source of dyadic averages, built once per
+        moment."""
+        if moment not in self._averages:
+            self._averages[moment] = self.grid.mu_averages(self.integral_stack(moment))
+        return self._averages[moment]
+
+    def average_inverses(self):
+        """The inverses W_Q^{-1} of the ``w`` averages, one ``np.linalg.inv``
+        per field."""
+        if self._inverses is None:
+            self._inverses = np.linalg.inv(self.average_stack("w"))
+        return self._inverses
 
     def moment_masses(self, moments=MOMENTS):
         """Cell masses of 1 and of the named ``moments`` on one last axis: each
         power of ``W`` takes N*N channels (row-major), ``logdet`` one."""
-        key = ("moments", tuple(moments))
-        if key not in self._cell_cache:
-            lead = self.values.shape[:-2]
-            parts = [np.ones(lead + (1,))]
-            for m in moments:
-                if m == "logdet":
-                    parts.append(self.cell_log_det()[..., None])
-                else:
-                    parts.append(self.cell_power(_POWERS[m]).reshape(lead + (-1,)))
-            masses = np.concatenate(parts, axis=-1) * self.grid.cell_masses[..., None]
-            self._cell_cache[key] = masses
-        return self._cell_cache[key]
+        lead = self.values.shape[:-2]
+        parts = [np.ones(lead + (1,))]
+        for m in moments:
+            if m == "logdet":
+                parts.append(self.cell_log_det()[..., None])
+            else:
+                parts.append(self.cell_power(_POWERS[m]).reshape(lead + (-1,)))
+        return np.concatenate(parts, axis=-1) * self.grid.cell_masses[..., None]
 
     def log_norm_masses(self, directions):
         """Cell masses of log|W^{-1/2} d| for the rows d of ``directions``, on one
@@ -609,27 +588,24 @@ class WeightField:
         threaded BLAS, and BLAS rounds a one-column product by another kernel.
         A cell count above one is even, so every run has the bits of one
         product over the whole grid, and a one-cell grid those of its gemv."""
-        key = ("lognorm", directions.tobytes())
-        if key not in self._cell_cache:
-            D, N = len(directions), self.N
-            vecs = self.cell_eigvecs.reshape(-1, N, N)
-            vals = self.cell_eigvals.reshape(-1, N)
-            masses = self.grid.cell_masses.reshape(-1, 1)
-            out = np.zeros(self.values.shape[:-2] + (D,))
-            flat = out.reshape(-1, D)
-            run = 2 * max(1, _BATCH_FLOATS // (2 * D))
-            for lo in range(0, len(flat), run):
-                sq = flat[lo : lo + run]
-                for i in range(N):
-                    proj = directions @ np.ascontiguousarray(vecs[lo : lo + run, :, i].T)
-                    proj *= proj
-                    proj /= vals[lo : lo + run, i]
-                    sq += proj.T
-                    del proj
-                np.log(sq, out=sq)
-                sq *= 0.5 * masses[lo : lo + run]
-            self._cell_cache[key] = out
-        return self._cell_cache[key]
+        D, N = len(directions), self.N
+        vecs = self.cell_eigvecs.reshape(-1, N, N)
+        vals = self.cell_eigvals.reshape(-1, N)
+        masses = self.grid.cell_masses.reshape(-1, 1)
+        out = np.zeros(self.values.shape[:-2] + (D,))
+        flat = out.reshape(-1, D)
+        run = 2 * max(1, _BATCH_FLOATS // (2 * D))
+        for lo in range(0, len(flat), run):
+            sq = flat[lo : lo + run]
+            for i in range(N):
+                proj = directions @ np.ascontiguousarray(vecs[lo : lo + run, :, i].T)
+                proj *= proj
+                proj /= vals[lo : lo + run, i]
+                sq += proj.T
+                del proj
+            np.log(sq, out=sq)
+            sq *= 0.5 * masses[lo : lo + run]
+        return out
 
 
 # Weight-field file format ---------------------------------------------------------

@@ -251,11 +251,7 @@ def _norm_criterion(name, field, product, threshold, strict):
     passes ``threshold`` (``>`` if ``strict``, else ``>=``), with ``avg`` the
     stack of W averages and ``inv`` its inverses, built once per field for
     every such criterion."""
-    avg = field.average_stacks(("w",))[0]
-    key = ("inv", "w")
-    if key not in field._tree_cache:
-        field._tree_cache[key] = np.linalg.inv(avg)
-    inv = field._tree_cache[key]
+    avg, inv = field.average_stack("w"), field.average_inverses()
     return StoppingCriterion(
         name, lambda tree, s, r: norm_exceeds(product(avg, inv, s, r), threshold, strict)
     )
@@ -309,7 +305,7 @@ def kato_criterion(field, v0, eps2, expectation):
     if not 0.0 < eps2 < 1.0:
         raise ValueError("eps2 must lie in (0, 1)")
     v0 = np.asarray(v0, dtype=float)
-    avg = field.average_stacks(("w",))[0]
+    avg = field.average_stack("w")
 
     def fires_many(tree, s, r):
         w_s, w_r = avg[s], avg[r]
@@ -359,12 +355,13 @@ def martingale_square_check(field, result, rel_tol=1e-9):
     """Stopped martingale square bound: sum (W_R - W_{R*})^2 mu(R) against
     ((W^2)_Q - (W_Q)^2) mu(Q) in the positive-semidefinite order, with Q the
     root of ``result``."""
-    avg, mu = field.average_stacks(("w",))[0], field.grid.mu_stack
+    avg, mu = field.average_stack("w"), field.grid.mu_stack
     r, p = result.stops[1:], result.parents[1:]
     diff = avg[r] - avg[p]
     lhs = np.einsum("rij,rjk,r->ik", diff, diff, mu[r])
     avg_w = avg[result.root]
-    avg_w2 = field.average_stacks(("w2",))[0][result.root]
+    # The one row of (W^2)_Q, divided as Grid.mu_averages divides the whole tree.
+    avg_w2 = field.integral_stack("w2")[result.root] / mu[result.root]
     rhs = (avg_w2 - avg_w @ avg_w) * mu[result.root]
     scale = float(np.max(np.abs(np.linalg.eigvalsh((rhs + rhs.T) / 2.0))))
     ok = loewner_geq(rhs, lhs, rel_tol * max(scale, 1e-300))

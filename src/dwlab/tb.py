@@ -103,7 +103,7 @@ def gamma_martingale(field, rows=1):
             f"the martingale multiplier has at most N = {field.N} rows, got M = {rows}"
         )
     g = field.grid
-    avg = field.average_stacks(("w",))[0][:, :rows, :]
+    avg = field.average_stack("w")[:, :rows, :]
     stack = np.zeros((len(avg), rows, field.N))
     stack[1:] = avg[1:] - np.repeat(avg[: g.tree.offsets[-2]], 2**g.n, axis=0)
     return CarlesonField(g, rows, field.N, stack)
@@ -181,9 +181,12 @@ class CanonicalFamily:
         g = field.grid
         out = np.zeros(g.mu.shape + (field.N,))
         sl = s_cube.cell_slices(g.L)
-        w_s = field.average_stacks(("w",))[0][g.tree.index(s_cube)]
+        w_s = field.average_stack("w")[g.tree.index(s_cube)]
         target = w_s @ np.asarray(v0, dtype=float)
-        out[sl] = np.einsum("...ij,j->...i", field.cell_power(-1)[sl], target)
+        # W^-1 of the cube's cells only, from their eigen-decomposition.
+        w, v = field.cell_eigvals[sl], field.cell_eigvecs[sl]
+        inv = np.einsum("...ij,...j,...kj->...ik", v, 1.0 / w, v)
+        out[sl] = np.einsum("...ij,j->...i", inv, target)
         return out
 
     def _sup_form(self, forms):
@@ -202,7 +205,7 @@ class CanonicalFamily:
         bits of a batch over every cube.  The bound squares nothing, so tiny
         forms do not underflow it.  A kept form with a non-finite entry makes
         the sup NaN: ``eigvalsh`` returns finite values for such a matrix."""
-        avg = self.field.average_stacks(("w",))[0]
+        avg = self.field.average_stack("w")
         mu = self.field.grid.mu_stack
         s = avg @ forms @ avg
         s = s + np.swapaxes(s, -1, -2)
@@ -231,7 +234,7 @@ class CanonicalFamily:
         """E_R b_Q^v = W_R^-1 u for R in Q, so the Carleson sum is u^T M_Q u with
         M_Q = ln2 sum_{R in Q} mu(R) W_R^-1 gamma_R^T gamma_R W_R^-1."""
         g = self.field.grid
-        x = np.linalg.solve(self.field.average_stacks(("w",))[0], np.swapaxes(gamma.stack, -1, -2))
+        x = np.linalg.solve(self.field.average_stack("w"), np.swapaxes(gamma.stack, -1, -2))
         masses = x @ np.swapaxes(x, -1, -2) * (g.mu_stack * LN2)[:, None, None]
         _box_mass_tree(g, masses)
         return self._sup_form(masses)
@@ -315,7 +318,7 @@ def tb_run(field, gamma, eps1=None, eps2=0.1, eps3=None, lam=16.0, shifts=None):
         eps1 = eps2 / 2.0
     proof_regime = (eps1 <= eps2 / 2.0 + 1e-12) and (eps3 < eps2**2 / 4.0)
     net = ConeNet(field.N, eps1)
-    tree, avg, mu = g.tree, field.average_stacks(("w",))[0], g.mu_stack
+    tree, avg, mu = g.tree, field.average_stack("w"), g.mu_stack
 
     # Live cubes (nonzero multiplier) in the preorder of a box walk, and sectors.
     gsq, gammas = gamma.norms_sq(), gamma.stack

@@ -170,12 +170,13 @@ def ratio_kernel(avg, keys, directions=None):
     return out
 
 
-def box_averages(field, batch, moments, directions=None):
+def box_averages(grid, N, batch, moments, masses, log_masses=None):
     """The stacks of averages ``ratio_kernel`` reads over the boxes of a
-    ``BoxBatch``: of the named ``moments`` and, given ``directions``, of the
-    log-norms log|W^{-1/2} d| of its rows under ``lognorm``."""
-    N, g = field.N, field.grid
-    sums = g.box_sums(field.moment_masses(moments), batch)
+    ``BoxBatch`` of ``grid``, for an N x N weight: of the named ``moments``
+    from their ``WeightField.moment_masses``, and, given the
+    ``WeightField.log_norm_masses`` of a direction set, of the log-norms
+    log|W^{-1/2} d| of its rows under ``lognorm``."""
+    sums = grid.box_sums(masses, batch)
     mu_q = sums[:, 0]
     avg, at = {}, 1
     for m in moments:
@@ -183,8 +184,8 @@ def box_averages(field, batch, moments, directions=None):
         part = sums[:, at : at + width] / mu_q[:, None]
         avg[m] = part[:, 0] if m == "logdet" else part.reshape(-1, N, N)
         at += width
-    if directions is not None:
-        avg["lognorm"] = g.box_sums(field.log_norm_masses(directions), batch)
+    if log_masses is not None:
+        avg["lognorm"] = grid.box_sums(log_masses, batch)
         avg["lognorm"] /= mu_q[:, None]
     return avg
 
@@ -207,7 +208,10 @@ def family_scan(field, keys, shifts=None, directions=64, seed=0):
     levels 0..L+1; the ratios run over levels 0..L.  b2_i, b2_ii and ainf_i read
     one direction set: the signed basis, then ``directions`` draws seeded with
     ``seed``, and they assert their sampled bounds on every box.  The result is
-    memoised on the field, whose values and density are read-only.
+    memoised on the field, whose values and density are read-only.  The cell
+    masses the batches gather (``WeightField.moment_masses`` and, for ainf_i,
+    ``WeightField.log_norm_masses``) are built once before the batches and
+    freed when the scan returns.
 
     The gather batches hold the kernel's floats per box, or the channels
     their box sums gather if those are more (two at level L+1, mu(Q) and
@@ -236,7 +240,7 @@ def family_scan(field, keys, shifts=None, directions=64, seed=0):
     moments = _moments(ratios)
     moment_width = 1 + sum(1 if m == "logdet" else field.N**2 for m in moments) if ratios else 0
     D = len(dirs) if sampled else 0
-    log_dirs, log_width = (dirs, D) if "ainf_i" in ratios else (None, 0)
+    log_width = D if "ainf_i" in ratios else 0
     doubling = "doubling" in keys
     levels = range(g.L + 2 if doubling else g.L + 1)
     # Floats the kernel holds per box: the averages it reads, and the direction
@@ -245,6 +249,8 @@ def family_scan(field, keys, shifts=None, directions=64, seed=0):
     # Floats a gather batch holds per box: the kernel's, or the channels its
     # box sums gather (mu, the moments and the log-norms), whichever are more.
     box_floats = max(kernel_floats, moment_width + log_width)
+    masses = field.moment_masses(moments) if ratios else None
+    log_masses = field.log_norm_masses(dirs) if "ainf_i" in ratios else None
     sups, argmax, count = {}, {}, 0
     chunk, pending = [], 0  # (batch, its averages) and their boxes, waiting for one kernel call
 
@@ -292,7 +298,7 @@ def family_scan(field, keys, shifts=None, directions=64, seed=0):
         if chunk and (pending + len(batch)) * kernel_floats > _BATCH_FLOATS:
             run_chunk()
             pending = 0
-        chunk.append((batch, box_averages(field, batch, moments, log_dirs)))
+        chunk.append((batch, box_averages(g, field.N, batch, moments, masses, log_masses)))
         pending += len(batch)
     if chunk:
         run_chunk()

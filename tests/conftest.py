@@ -152,12 +152,12 @@ def full_kernel(avg, keys, directions=None):
 def dyadic_ratios(field):
     """``full_kernel`` over every dyadic cube, in tree order, from the field's
     flat average stacks: the tree source."""
-    return full_kernel(dict(zip(MOMENTS, field.average_stacks(MOMENTS))), TEST_KEYS)
+    return full_kernel({m: field.average_stack(m) for m in MOMENTS}, TEST_KEYS)
 
 
 def cube_average(field, cube, moment="w"):
     """The mu-average of ``moment`` over ``cube``, read from the field's stack."""
-    return field.average_stacks((moment,))[0][field.grid.tree.index(cube)]
+    return field.average_stack(moment)[field.grid.tree.index(cube)]
 
 
 def cube_ratios(field, cube):
@@ -416,10 +416,19 @@ def oracle_box_sums(grid, cells, batch, doubled=False):
     return oracle_box_integrals(cells[index], bands)
 
 
-def oracle_box_averages(field, batch, moments, directions=None):
+def batch_averages(field, shifts, moments=MOMENTS, directions=None):
+    """``(batch, weights.box_averages)`` over the default batches of the
+    translated family, each mass array built once, as a family scan builds it."""
+    g = field.grid
+    masses = field.moment_masses(moments)
+    log_masses = None if directions is None else field.log_norm_masses(directions)
+    for batch in g.box_batches(shifts):
+        yield batch, weights.box_averages(g, field.N, batch, moments, masses, log_masses)
+
+
+def oracle_box_averages(grid, N, batch, moments, masses, log_masses=None):
     """``weights.box_averages`` from the per-box gathers."""
-    N, g = field.N, field.grid
-    sums = oracle_box_sums(g, field.moment_masses(moments), batch)
+    sums = oracle_box_sums(grid, masses, batch)
     mu_q = sums[:, 0]
     avg, at = {}, 1
     for m in moments:
@@ -427,8 +436,8 @@ def oracle_box_averages(field, batch, moments, directions=None):
         part = sums[:, at : at + width] / mu_q[:, None]
         avg[m] = part[:, 0] if m == "logdet" else part.reshape(-1, N, N)
         at += width
-    if directions is not None:
-        avg["lognorm"] = oracle_box_sums(g, field.log_norm_masses(directions), batch) / mu_q[:, None]
+    if log_masses is not None:
+        avg["lognorm"] = oracle_box_sums(grid, log_masses, batch) / mu_q[:, None]
     return avg
 
 
@@ -447,6 +456,9 @@ def oracle_family_scan(field, keys, shifts, directions=64, seed=0):
     moments = sorted({m for k in ratios for m in reads[k]}, key=MOMENTS.index)
     doubling = "doubling" in keys
     levels = range(g.L + 2 if doubling else g.L + 1)
+    # Each mass array is built once per scan, as the scan builds it.
+    masses = field.moment_masses(moments) if ratios else None
+    log_masses = field.log_norm_masses(dirs) if "ainf_i" in ratios else None
     sups, argmax, count = {}, {}, 0
     for batch in g.box_batches(shifts, levels):
         if doubling:
@@ -457,7 +469,7 @@ def oracle_family_scan(field, keys, shifts, directions=64, seed=0):
         count += len(batch)
         if not ratios:
             continue
-        avg = oracle_box_averages(field, batch, moments, dirs if "ainf_i" in ratios else None)
+        avg = oracle_box_averages(g, field.N, batch, moments, masses, log_masses)
         r = full_kernel(avg, ratios, dirs)
         for key, bound, what in (
             ("b2_sampled", "b2_ii", "sampled direction ratio exceeded the operator norm"),
@@ -576,7 +588,7 @@ def full_sup_form(fam, forms):
     """The oracle of ``CanonicalFamily._sup_form``: one batched ``eigvalsh``
     over every cube's symmetrised form, unscreened, and NaN when any form has
     a non-finite entry."""
-    avg = fam.field.average_stacks(("w",))[0]
+    avg = fam.field.average_stack("w")
     m = avg @ forms @ avg
     m = (m + np.swapaxes(m, -1, -2)) / 2.0
     if not np.isfinite(m).all():
@@ -616,7 +628,7 @@ def bernoulli_criterion(probability, seed):
 
 
 def _avg_criterion(name, field, rule):
-    avg = field.average_stacks(("w",))[0]
+    avg = field.average_stack("w")
     return StoppingCriterion(name, lambda tree, s, r: rule(avg[s], avg[r], r))
 
 

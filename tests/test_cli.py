@@ -514,7 +514,7 @@ def test_negative_seed_is_refused_at_parsing(command, const_field, tmp_path, mon
 def test_config_roundtrip(tmp_path):
     cfg = RunConfig(shifts=4, eps2=0.25, lam=8.0)
     path = tmp_path / "run.cfg"
-    cfg.to_file(path)
+    path.write_text(cfg.to_text())
     back = RunConfig.from_file(path)
     assert back == cfg
     assert back.hash() == cfg.hash()
@@ -560,7 +560,7 @@ def test_config_with_retired_keys_still_loads(tmp_path):
 def test_config_file_feeds_tb_run(tmp_path, const_field):
     cfg = RunConfig(eps2=0.2, shifts=1)
     cfg_path = tmp_path / "run.cfg"
-    cfg.to_file(cfg_path)
+    cfg_path.write_text(cfg.to_text())
     rep = tmp_path / "r.json"
     rc = main([
         "--config", str(cfg_path),

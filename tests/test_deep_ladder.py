@@ -51,6 +51,8 @@ FAILS = "raise RuntimeError('boom')"
 # 16 GiB, far above the children's 5 GB address-space cap: the allocation is
 # refused, never made.
 OUT_OF_MEMORY = "bytearray(2**34)"
+# 3 MiB that outlive the stage.
+KEEPS = "tb_run.kept = bytearray(3 * 2**20)"
 
 
 def _tool():
@@ -140,6 +142,28 @@ def test_ladder_records_a_capped_memory_error_as_a_result(tmp_path, capsys):
         " at tb.py:8 in tb_run: bytearray(2**34) (cap 5 GB)"
     ) in captured.out.splitlines()
     assert runs["summary"]["tb_run_s"]["pairs"] == 0
+
+
+def test_ladder_held_traces_each_stage_and_writes_no_times(tmp_path, capsys):
+    parent, change = _checkout(tmp_path, "parent"), _checkout(tmp_path, "change", KEEPS)
+    assert _tool().main(_argv(tmp_path, parent, change, "--held", "--pairs", "1")) == 0
+    assert capsys.readouterr().err == ""
+    runs = _written(tmp_path)["n=2 N=2 L=9 shifts=2 seed=5"]
+    names = [stage[:-2] for stage in STAGES]
+    held = {f"{name}_{kind}_mb" for name in names for kind in ("held", "kept", "rss")} | {"peak_rss_mb"}
+    for pair in runs["pairs"]:
+        for side in ("parent", "change"):
+            run = pair[side]
+            assert run["exit_code"] == 0 and len(run["digests"]) == 2
+            assert set(run) >= held and not [key for key in run if key.endswith("_s")]
+            assert all(run[f"{name}_held_mb"] >= run[f"{name}_kept_mb"] > 0 for name in names)
+        parent, change = pair["parent"], pair["change"]
+        # The bytes tb_run keeps are traced during it and after it, and the
+        # class scan's peak counts them too.
+        assert change["scan_held_mb"] < 3 <= change["tb_run_held_mb"] <= change["class_held_mb"]
+        assert 3 <= change["tb_run_kept_mb"] - change["scan_kept_mb"] < 3.1
+        assert parent["tb_run_kept_mb"] - parent["scan_kept_mb"] < 0.1
+    assert set(runs["summary"]) >= held and not [key for key in runs["summary"] if key.endswith("_s")]
 
 
 @pytest.mark.parametrize("rung", ["2,2", "2,2,x", "1,2,3,4,5,6"])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwlab import harness, weights
-from dwlab.grid import MOMENTS, CellValueError, Grid, WeightField, read_weight_field, write_weight_field
+from dwlab.grid import CellValueError, Grid, WeightField, read_weight_field, write_weight_field
 from dwlab.harness import GENERATOR_KINDS, WeightGenerator, _sym_expm, generate, inclusion_search
 from dwlab.weights import class_report
 
@@ -12,6 +12,7 @@ from conftest import (
     TEST_KEYS,
     assert_decides_in_order,
     b2_constants,
+    batch_averages,
     dyadic_ratios,
     full_kernel,
     loop_propose,
@@ -103,8 +104,8 @@ def test_inclusion_search_improves_and_revalidates(tmp_path):
 def _box_path_screen(field):
     """The dyadic screen through the per-box kernel: the exact slow path."""
     best_b2 = best_ainf = 1.0
-    for batch in field.grid.box_batches(0):
-        r = weights.ratio_kernel(weights.box_averages(field, batch, MOMENTS), weights.RATIO_KEYS)
+    for _, avg in batch_averages(field, 0):
+        r = weights.ratio_kernel(avg, weights.RATIO_KEYS)
         best_b2 = max(best_b2, float(r["b2_iv"].max()))
         best_ainf = max(best_ainf, float(r["ainf_ii"].max()))
     return best_b2, best_ainf
@@ -146,9 +147,7 @@ def test_tree_screen_matches_box_path(seed, n, N, L):
     # whose batches list the dyadic cubes level by level in C order, put in
     # tree order by the oracle's grid key.
     tree = dyadic_ratios(w)
-    band = [
-        full_kernel(weights.box_averages(w, batch, MOMENTS), TEST_KEYS) for batch in w.grid.box_batches(0)
-    ]
+    band = [full_kernel(avg, TEST_KEYS) for _, avg in batch_averages(w, 0)]
     key_order = oracle_grid_key(n, L)
     assert sorted(tree) == sorted(band[0]) and "chain" in tree
     for key, values in tree.items():

@@ -391,7 +391,7 @@ def test_one_cube_tree_per_grid(monkeypatch, tmp_path, rng, n, L):
     for call in calls:
         call(field)
     assert built == [(n, L)]
-    assert np.array_equal(field.average_stacks(("w",))[0], oracle_averages(field, "w"))
+    assert np.array_equal(field.average_stack("w"), oracle_averages(field, "w"))
 
     built.clear()
     assert main(["check-weight", "--field", str(path), "--report", report]) == 0
@@ -527,7 +527,7 @@ def test_screened_walks_match_svd_oracle(n, N, L, seed):
     # rows tie and the walks hold both fired and unfired cubes.
     w = random_weight_field(np.random.default_rng(seed), n, N, L, spread=0.6, mu_spread=0.3)
     tree = CubeTree(n, L)
-    avg = w.average_stacks(("w",))[0]
+    avg = w.average_stack("w")
     cor = np.linalg.svd(np.linalg.inv(avg[0]) @ avg - np.eye(N), compute_uv=False)[1:, 0]
     vol = np.linalg.svd(avg[0] @ np.linalg.inv(avg), compute_uv=False)[1:, 0]
     pairs = []

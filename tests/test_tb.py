@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from dwlab.tb import (
     top_directions,
     verify_hypotheses,
 )
+from dwlab.weights import class_report
 
 from conftest import (
     ALWAYS,
@@ -449,7 +451,7 @@ def record_eigvalsh(monkeypatch):
 
 
 def symmetrised_forms(fam, forms):
-    avg = fam.field.average_stacks(("w",))[0]
+    avg = fam.field.average_stack("w")
     m = avg @ forms @ avg
     return (m + np.swapaxes(m, -1, -2)) / 2.0
 
@@ -583,7 +585,7 @@ def test_level_engine_matches_cube_walk_oracle(n, L, kind, seed):
         vectors = rng.standard_normal((3, 2))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         label = rng.integers(0, 3, tree.size)  # each cube's own sector
-        avg = w.average_stacks(("w",))[0]
+        avg = w.average_stack("w")
 
         def canonical(v):
             return lambda w_s, w_r, r: tb.CanonicalFamily.expectations(w_s, w_r, v)
@@ -636,7 +638,7 @@ def per_anchor_tb_bounds(field, gamma, eps1, eps2, eps3):
     """The assembled bound and the root's per-sector bound masses of a
     ``tb_run``, with the chains of every live cube rebuilt anchor level by
     anchor level from ``owner_levels`` and ``chain_owners``, row by row."""
-    tree, avg, mu = field.grid.tree, field.average_stacks(("w",))[0], field.grid.mu_stack
+    tree, avg, mu = field.grid.tree, field.average_stack("w"), field.grid.mu_stack
     gsq, gammas = svd_norms_sq(gamma), gamma.stack
     live = np.flatnonzero(gsq > 0.0)
     live = live[np.argsort(tree.preorder(live))]
@@ -714,6 +716,28 @@ def test_tb_run_inverts_the_averages_once(monkeypatch):
         assert calls == [(w.grid.tree.size, N, N)]
         tb_run(w, make_gamma("martingale", w), eps2=0.3, lam=4.0)
         assert len(calls) == 1
+
+
+def test_a_field_keeps_only_the_w_averages_and_their_inverses():
+    # After a class scan, and after a tb_run, the field keeps no array with a
+    # row per cell past its values and their eigen-decomposition: the memory
+    # a call leaves traced is below one (cells, 2N^2 + 1) array, beyond the w
+    # averages (built by the gamma before tb_run) and their inverses.
+    w = generate(WeightGenerator("log-gaussian", amplitude=0.4, seed=53), 2, 2, 6)
+    one = w.values.size // 4 * (2 * 2 * 2 + 1) * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        class_report(w, shifts=1)
+        after_scan = tracemalloc.get_traced_memory()[0] - base
+        gamma = make_gamma("martingale", w)
+        base = tracemalloc.get_traced_memory()[0]
+        tb_run(w, gamma, eps2=0.3, shifts=1)
+        after_tb_run = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert after_scan < one
+    assert after_tb_run < one + w.average_inverses().nbytes
 
 
 @settings(max_examples=25, deadline=None)

@@ -15,7 +15,6 @@ from dwlab.grid import MOMENTS, Grid, WeightField, root_cube, write_weight_field
 from dwlab.weights import (
     CLASS_KEYS,
     RATIO_KEYS,
-    box_averages,
     class_report,
     default_shifts,
     family_scan,
@@ -24,6 +23,7 @@ from dwlab.weights import (
 
 from conftest import (
     b2_constants,
+    batch_averages,
     cube_ratios,
     det_chain_check,
     doubling_of,
@@ -136,10 +136,10 @@ def test_diagonal_ainf_product_structure(rng):
     w = WeightField(Grid(1, 3), vals)
     s1 = WeightField(Grid(1, 3), d1.reshape(8, 1, 1))
     s2 = WeightField(Grid(1, 3), d2.reshape(8, 1, 1))
-    for batch in w.grid.box_batches(0):
-        r, r1, r2 = (
-            ratio_kernel(box_averages(f, batch, MOMENTS), RATIO_KEYS)["ainf_ii"] for f in (w, s1, s2)
-        )
+    ratios = (
+        [ratio_kernel(avg, RATIO_KEYS)["ainf_ii"] for _, avg in batch_averages(f, 0)] for f in (w, s1, s2)
+    )
+    for r, r1, r2 in zip(*ratios):
         assert np.all(np.abs(r - r1 * r2) < 1e-10 * np.maximum(1.0, r))
 
 
@@ -341,8 +341,8 @@ def test_batched_scan_matches_per_cell_oracle(seed, n, N, depth):
     dirs = _oracle_directions(N, 3, seed)
     chains = [
         c
-        for b in g.box_batches(shifts)
-        for c in zip(*full_kernel(box_averages(w, b, MOMENTS), ("chain",))["chain"])
+        for _, avg in batch_averages(w, shifts)
+        for c in zip(*full_kernel(avg, ("chain",))["chain"])
     ]
     for (lo, hi, desc), got in zip(_oracle_boxes(g, shifts, range(L + 1)), chains):
         r = _oracle_ratios(w, lo, hi, dirs)
@@ -485,8 +485,8 @@ def test_ainf_i_jensen_bound_nesting_and_basis(seed, n, N, depth):
     dirs = _oracle_directions(N, 6, seed)
     got = np.concatenate(
         [
-            ratio_kernel(box_averages(w, b, MOMENTS, dirs), RATIO_KEYS, dirs)["ainf_i"]
-            for b in g.box_batches(shifts)
+            ratio_kernel(avg, RATIO_KEYS, dirs)["ainf_i"]
+            for _, avg in batch_averages(w, shifts, MOMENTS, dirs)
         ]
     )
     brute = [_oracle_jensen_and_basis(w, lo, hi) for lo, hi, _ in _oracle_boxes(g, shifts, range(L + 1))]
@@ -568,7 +568,7 @@ def test_ratio_kernel_takes_every_lu_determinant_in_one_call(monkeypatch):
     # The chain reads four determinants and the screen two; each kernel makes
     # one batched det call, and every value is the per-stack LU determinant.
     w = random_weight_field(np.random.default_rng(8), n=2, N=3, L=3, spread=0.8, mu_spread=0.5)
-    avg = dict(zip(weights.MOMENTS, w.average_stacks(weights.MOMENTS)))
+    avg = {m: w.average_stack(m) for m in weights.MOMENTS}
     want = {m: np.linalg.det(avg[m]) for m in ("w", "w2", "winv", "winv2")}
     calls = []
     det = np.linalg.det
@@ -620,8 +620,7 @@ def test_b2_i_and_ii_match_the_svd_oracle(seed, n, N, depth, shifts):
     # differ by up to about 1.6e-10), so the fields keep the default spread.
     rng = np.random.default_rng(seed)
     w = random_weight_field(rng, n=n, N=N, L=min(depth, {1: 4, 2: 3, 3: 2}[n]), mu_spread=0.5)
-    for batch in w.grid.box_batches(shifts):
-        avg = box_averages(w, batch, ("w", "w2"))
+    for batch, avg in batch_averages(w, shifts, ("w", "w2")):
         r = ratio_kernel(avg, ("b2_i", "b2_ii"))
         want = svd_b2(avg)
         assert np.array_equal(r["b2_i"], r["b2_ii"])
@@ -681,7 +680,6 @@ def test_log_norm_masses_built_in_runs_match_the_whole_grid_product(monkeypatch,
     want = oracle_log_norm_masses(w, dirs)
     for budget in (1, 3 * len(dirs), 7 * len(dirs), grid._BATCH_FLOATS):
         monkeypatch.setattr(grid, "_BATCH_FLOATS", budget)
-        w._cell_cache.clear()
         assert np.array_equal(w.log_norm_masses(dirs), want), budget
 
 
@@ -719,7 +717,7 @@ def test_sampled_ratios_of_the_kernel_match_their_first_form(seed, n, N, count):
     # (B, D, N) form.
     rng = np.random.default_rng(seed)
     w = random_weight_field(rng, n=n, N=N, L=3 if n == 1 else 2, spread=1.0, mu_spread=0.5)
-    avg = dict(zip(("w", "w2", "winv"), w.average_stacks(("w", "w2", "winv"))))
+    avg = {m: w.average_stack(m) for m in ("w", "w2", "winv")}
     dirs = weights._directions(N, count, seed)
     avg["lognorm"] = rng.standard_normal((len(avg["w"]), len(dirs)))
     r = weights.ratio_kernel(avg, ("b2_i", "ainf_i"), dirs)
@@ -741,7 +739,7 @@ def test_b2_sampled_checks_the_eigenvalues_of_the_b2_stack(monkeypatch, corrupt)
     # shrinks b2_i by half.  b2_sampled reads the averages themselves, so it
     # flags every box, where the true kernel flags none.
     w = random_weight_field(np.random.default_rng(9), n=1, N=3, L=3, spread=0.8)
-    avg = dict(zip(("w", "w2"), w.average_stacks(("w", "w2"))))
+    avg = {m: w.average_stack(m) for m in ("w", "w2")}
     dirs = weights._directions(3, 30, 0)
     r = weights.ratio_kernel(avg, ("b2_i",), dirs)
     assert np.all(r["b2_sampled"] <= r["b2_ii"] * (1.0 + 1e-9))
@@ -772,7 +770,7 @@ def test_direction_stacks_fit_the_batch_budget(N):
     moments = weights._moments(keys)
 
     def peak(rows, D):
-        avg = {m: s[:rows].copy() for m, s in zip(moments, w.average_stacks(moments))}
+        avg = {m: w.average_stack(m)[:rows].copy() for m in moments}
         avg["lognorm"] = np.zeros((rows, D))
         dirs = weights._directions(N, D - 2 * N, 0)
         tracemalloc.start()
@@ -824,9 +822,9 @@ def _record_kernel_calls(monkeypatch):
     events = []
     averages, kernel = weights.box_averages, weights.ratio_kernel
 
-    def logged_averages(field, batch, *args, **kwargs):
+    def logged_averages(grid, N, batch, *args, **kwargs):
         events.append(("batch", len(batch)))
-        return averages(field, batch, *args, **kwargs)
+        return averages(grid, N, batch, *args, **kwargs)
 
     def logged_kernel(avg, keys, directions=None):
         events.append(("kernel", len(avg[next(iter(avg))]), avg, directions))
@@ -944,3 +942,18 @@ def test_check_weight_refuses_a_nan_sup_from_a_later_batch(monkeypatch, tmp_path
     err = capsys.readouterr().err
     assert err == "error: report value thewest is nan, the first of 1 non-finite values, which JSON cannot hold\n"
     assert not rep.exists()
+
+
+def test_class_scan_builds_each_mass_array_once(monkeypatch):
+    # Every gather batch of one scan reads the cell masses built before the
+    # batches; the field keeps neither once the scan returns.
+    calls = []
+    for name in ("moment_masses", "log_norm_masses"):
+        real = getattr(WeightField, name)
+        monkeypatch.setattr(
+            WeightField, name, lambda self, *a, _real=real, _name=name: calls.append(_name) or _real(self, *a)
+        )
+    events = _record_kernel_calls(monkeypatch)
+    family_scan(_fresh_field(7, 1, 3, 7), CLASS_KEYS, shifts=2)
+    assert sum(event[0] == "batch" for event in events) > 1
+    assert sorted(calls) == ["log_norm_masses", "moment_masses"]

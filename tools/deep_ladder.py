@@ -26,6 +26,13 @@ rung cannot take the host's memory; a ``MemoryError`` under the cap is a
 result, kept with the stage and the source line that failed and the stages
 timed before it, not a bad run.
 
+With ``--held`` every child runs under ``tracemalloc`` and writes no times:
+per stage, ``<stage>_held_mb`` is the traced peak during the stage (the peak
+is reset as it starts, so what earlier stages still hold is counted) and
+``<stage>_kept_mb`` what is still traced after it, beside the same RSS
+figures.  Tracing slows numpy-heavy stages about twofold, so the two modes
+are separate runs.
+
 The JSON written to ``--out`` has the shape of ``tools/bench_pairs.py``'s, one
 workload per rung, and is rewritten after every pair.  A child that prints no
 JSON result or exits non-zero is a bad run; the exit code is then 1, after
@@ -40,6 +47,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 import traceback
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -51,7 +59,10 @@ from bench_pairs import SIDES  # noqa: E402
 
 CAP_GB = 5
 STAGES = ("build_s", "doubling_s", "thewest_s", "scan_s", "tb_run_s", "class_s")
-METRICS = STAGES + tuple(f"{stage[:-2]}_rss_mb" for stage in STAGES) + ("peak_rss_mb",)
+RSS = tuple(f"{stage[:-2]}_rss_mb" for stage in STAGES) + ("peak_rss_mb",)
+METRICS = STAGES + RSS
+# The metrics of a --held run: traced memory per stage, no times.
+HELD = tuple(f"{stage[:-2]}_{kind}_mb" for stage in STAGES for kind in ("held", "kept")) + RSS
 SCANS = (
     ("doubling_s", ("doubling",)),
     ("thewest_s", ("thewest",)),
@@ -111,9 +122,10 @@ def _peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def child(rung):
-    """Run one rung in the checkout that is the working directory; print its
-    result as one JSON line and return the exit code."""
+def child(rung, held=False):
+    """Run one rung in the checkout that is the working directory, under
+    ``tracemalloc`` if ``held``; print its result as one JSON line and return
+    the exit code."""
     root = Path.cwd()
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(root / "src"), str(root / "dwbench")]
@@ -125,28 +137,40 @@ def child(rung):
     from dwlab.weights import CLASS_KEYS, family_scan
 
     result, stage = {}, "build_s"
+    if held:
+        tracemalloc.start()
+
+    def begin():
+        if held:
+            tracemalloc.reset_peak()
+        return time.perf_counter()
 
     def done(start):
-        result[stage] = time.perf_counter() - start
-        result[f"{stage[:-2]}_rss_mb"] = _peak_rss_mb()
+        name = stage[:-2]
+        if held:
+            kept, peak = tracemalloc.get_traced_memory()
+            result[f"{name}_held_mb"], result[f"{name}_kept_mb"] = peak / 2**20, kept / 2**20
+        else:
+            result[stage] = time.perf_counter() - start
+        result[f"{name}_rss_mb"] = _peak_rss_mb()
 
     try:
-        start = time.perf_counter()
+        start = begin()
         mu, values = make_field(field_rng(rung.seed, 0), rung.n, rung.N, rung.L)
         field = WeightField(Grid(rung.n, rung.L, mu), values)
         done(start)
         sups = {}
         for stage, keys in SCANS:
-            start = time.perf_counter()
+            start = begin()
             sups.update(family_scan(field, keys, rung.shifts).sups)
             done(start)
         stage = "tb_run_s"
-        start = time.perf_counter()
+        start = begin()
         report = tb_run(field, make_gamma("martingale", field), eps2=0.3, shifts=rung.shifts)
         done(start)
         result["digests"] = [f"{rung.label}: sha256={_digest({'sups': sups, 'tb_run': report.as_dict()})}"]
         stage = "class_s"
-        start = time.perf_counter()
+        start = begin()
         sups = family_scan(field, CLASS_KEYS, rung.shifts).sups
         done(start)
         result["digests"].append(f"{rung.label} class scan: sha256={_digest(sups)}")
@@ -161,9 +185,10 @@ def child(rung):
     return 0
 
 
-def run_child(checkout, rung):
+def run_child(checkout, rung, held=False):
     """One fresh child process on ``rung`` in ``checkout``: its result, or a bad run."""
     argv = [sys.executable, str(Path(__file__).resolve()), "--child", json.dumps(asdict(rung))]
+    argv += ["--held"] if held else []
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -203,13 +228,14 @@ def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     if argv[:1] == ["--child"]:
-        return child(Rung(**json.loads(argv[1])))
+        return child(Rung(**json.loads(argv[1])), held="--held" in argv[2:])
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
     parser.add_argument("--rung", action="append", help="n,N,L[,shifts[,seed]]; repeatable")
     parser.add_argument("--pairs", type=int, default=1)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--held", action="store_true", help="trace held memory per stage; no times")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -218,9 +244,11 @@ def main(argv=None):
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    metrics, shown = (HELD, "tb_run_held_mb") if args.held else (METRICS, "tb_run_s")
 
     report = {
-        "command": "python3 tools/deep_ladder.py --child RUNG, one fresh process per rung and side",
+        "command": f"python3 tools/deep_ladder.py --child RUNG{' --held' if args.held else ''},"
+        " one fresh process per rung and side",
         "host": bench_pairs.host(),
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "workloads": {r.label: {"rung": asdict(r), "pairs": []} for r in rungs},
@@ -230,20 +258,20 @@ def main(argv=None):
         for rung in rungs:
             pair = {"pair": i + 1, "first": order[0]}
             for side in order:
-                pair[side] = run_child(checkouts[side], rung)
+                pair[side] = run_child(checkouts[side], rung, args.held)
             report["workloads"][rung.label]["pairs"].append(pair)
             print(
                 f"{rung.label} pair {i + 1}/{args.pairs}:"
                 + ";".join(
                     f" {m} parent {_value(pair['parent'], m)} change {_value(pair['change'], m)}"
-                    for m in ("tb_run_s", "peak_rss_mb")
+                    for m in (shown, "peak_rss_mb")
                 ),
                 flush=True,
             )
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     for label, runs in report["workloads"].items():
-        runs["summary"] = bench_pairs.summarize(runs["pairs"], METRICS)
-        print("\n".join(bench_pairs.summary_lines(label, runs["summary"], METRICS)))
+        runs["summary"] = bench_pairs.summarize(runs["pairs"], metrics)
+        print("\n".join(bench_pairs.summary_lines(label, runs["summary"], metrics)))
         for pair in runs["pairs"]:
             for side in SIDES:
                 if "memory_error" in pair[side]:
